@@ -46,6 +46,7 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.base import ExperimentOutput
+from repro.fleet.execution import set_default_workers
 
 #: Experiment modules in paper order (each exposes EXPERIMENT_ID, TITLE, run).
 _MODULES = (
@@ -91,6 +92,13 @@ DESCRIPTIONS: Dict[str, str] = {
 }
 
 
+def _unknown_experiment(experiment_id: str) -> str:
+    return (
+        f"unknown experiment {experiment_id!r}; "
+        f"known: {', '.join(sorted(REGISTRY))}"
+    )
+
+
 def run_experiments(ids: List[str], seed: int = 0) -> List[ExperimentOutput]:
     """Run the named experiments and return their outputs."""
     from repro import obs
@@ -98,10 +106,7 @@ def run_experiments(ids: List[str], seed: int = 0) -> List[ExperimentOutput]:
     outputs = []
     for position, experiment_id in enumerate(ids):
         if experiment_id not in REGISTRY:
-            raise KeyError(
-                f"unknown experiment {experiment_id!r}; "
-                f"known: {', '.join(sorted(REGISTRY))}"
-            )
+            raise KeyError(_unknown_experiment(experiment_id))
         obs.progress(
             "experiments", position, len(ids), current=experiment_id
         )
@@ -362,16 +367,17 @@ def main(argv: List[str] = None) -> int:
     if args.sample_interval is not None and args.trace_dir is None:
         parser.error("--sample-interval requires --trace-dir")
 
-    if args.workers is not None:
-        from repro.fleet.execution import set_default_workers
-
-        set_default_workers(args.workers)
-
     if args.list:
         width = max(len(experiment_id) for experiment_id in REGISTRY)
         for experiment_id in REGISTRY:
             print(f"{experiment_id:<{width}}  {DESCRIPTIONS[experiment_id]}")
         return 0
+
+    ids = args.experiments or list(REGISTRY)
+    unknown = [experiment_id for experiment_id in ids if experiment_id not in REGISTRY]
+    if unknown:
+        print(f"error: {_unknown_experiment(unknown[0])}", file=sys.stderr)
+        return 2
 
     cache = None
     if args.cache_dir is not None:
@@ -402,10 +408,12 @@ def main(argv: List[str] = None) -> int:
     if args.qoe_balk_escalation is not None:
         churn.set_default_qoe_balk_escalation(args.qoe_balk_escalation)
 
+    if args.workers is not None:
+        set_default_workers(args.workers)
+
     manifest_path = None
     trace_session = None
     try:
-        ids = args.experiments or list(REGISTRY)
         if args.trace_dir is not None:
             from repro import obs
             from repro.obs.export import fingerprint
@@ -454,6 +462,7 @@ def main(argv: List[str] = None) -> int:
                 manifest_path = obs.end_trace_session()
         if cache is not None:
             set_default_cache(None)
+        set_default_workers(None)
         matchmaking.set_default_policy(None)
         matchmaking.set_default_pool_size(None)
         matchmaking.set_default_rtt_profile(None)

@@ -148,10 +148,11 @@ class GameClient:
         if self.state is not ClientState.CONNECTED:
             return
         self.updates_sent += 1
-        if not self.path.uplink.sample_loss(self.rng):
-            delay = self.path.uplink.sample_delay(self.rng)
+        uplink = self.path.uplink
+        rng = self.rng
+        if not uplink.sample_loss(rng):
             self.scheduler.schedule_in(
-                delay, lambda: self.server.on_client_update(self)
+                uplink.sample_delay(rng), lambda: self.server.on_client_update(self)
             )
         self._schedule_next_update()
 

@@ -188,18 +188,19 @@ class GameServer:
             self.transport(Direction.OUT, deliver)
 
     def _record(self, direction: Direction, client: GameClient, size: int) -> None:
-        client_addr = (
-            self.profile.client_address_base.value + client.client_id
-        ) & 0xFFFFFFFF
-        port = 27005 + client.client_id % 1000
+        profile = self.profile
+        client_id = client.client_id
+        client_addr = (profile.client_address_base.value + client_id) & 0xFFFFFFFF
+        port = 27005 + client_id % 1000
+        server_addr = profile.server_address.value
+        server_port = profile.server_port
+        now = self.scheduler.now
         if direction is Direction.IN:
-            self.builder.add(self.scheduler.now, direction, client_addr,
-                             self.profile.server_address.value, port,
-                             self.profile.server_port, size)
+            self.builder.add(now, direction, client_addr, server_addr,
+                             port, server_port, size)
         else:
-            self.builder.add(self.scheduler.now, direction,
-                             self.profile.server_address.value, client_addr,
-                             self.profile.server_port, port, size)
+            self.builder.add(now, direction, server_addr, client_addr,
+                             server_port, port, size)
 
     # ------------------------------------------------------------------
     @property

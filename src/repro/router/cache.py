@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Optional
 
 import numpy as np
@@ -116,10 +117,12 @@ class RouteCache:
     # ------------------------------------------------------------------
     def access(self, key: int, size: int = 0, label: Optional[str] = None) -> bool:
         """Process one packet's route lookup; returns True on cache hit."""
-        self._frequency[key] = self._frequency.get(key, 0) + 1
-        if key in self._entries:
-            self._entries[key] += 1
-            self._entries.move_to_end(key)
+        frequency = self._frequency
+        frequency[key] = frequency.get(key, 0) + 1
+        entries = self._entries
+        if key in entries:
+            entries[key] += 1
+            entries.move_to_end(key)
             self.stats.record(True, label)
             return True
         self.stats.record(False, label)
@@ -143,7 +146,7 @@ class RouteCache:
                 return
             self._evict_lru()
         elif policy is EvictionPolicy.FREQUENCY_PREFERENTIAL:
-            victim = min(self._entries, key=lambda k: self._entries[k])
+            victim = min(self._entries, key=self._entries.__getitem__)
             if self._frequency[key] < self._entries[victim]:
                 self.stats.rejected_insertions += 1
                 return
@@ -159,7 +162,7 @@ class RouteCache:
         self.stats.evictions += 1
 
     def _evict_lfu(self) -> None:
-        victim = min(self._entries, key=lambda k: self._entries[k])
+        victim = min(self._entries, key=self._entries.__getitem__)
         del self._entries[victim]
         self.stats.evictions += 1
 
@@ -206,7 +209,12 @@ def simulate_cache(
         raise ValueError("destinations and sizes must have matching shapes")
     if labels is not None and len(labels) != destinations.size:
         raise ValueError("labels must match the packet count")
-    for i in range(destinations.size):
-        label = None if labels is None else str(labels[i])
-        cache.access(int(destinations[i]), int(sizes[i]), label)
+    # plain Python columns: indexing numpy scalars per packet costs more
+    # than the lookup itself
+    keys = map(int, destinations.tolist())
+    lengths = map(int, sizes.tolist())
+    tags = repeat(None) if labels is None else map(str, np.asarray(labels).tolist())
+    access = cache.access
+    for key, size, label in zip(keys, lengths, tags):
+        access(key, size, label)
     return cache.stats

@@ -114,10 +114,6 @@ class LiveForwardingDevice:
             and self._stalls[self._stall_index][0] <= now
         )
 
-    def _expire(self, backlog: Deque[float], now: float) -> None:
-        while backlog and backlog[0] <= now:
-            backlog.popleft()
-
     def submit(
         self,
         direction: Direction,
@@ -128,32 +124,35 @@ class LiveForwardingDevice:
         Returns ``True`` if the packet was accepted (``deliver`` will be
         called at its egress time), ``False`` if it was dropped.
         """
-        now = self.scheduler.now
-        is_in = direction is Direction.IN
-        backlog = self._wan_backlog if is_in else self._lan_backlog
-        capacity = self.profile.wan_queue if is_in else self.profile.lan_queue
-        self._expire(self._wan_backlog, now)
-        self._expire(self._lan_backlog, now)
+        scheduler = self.scheduler
+        now = scheduler.now
+        stats = self.stats
+        wan = self._wan_backlog
+        lan = self._lan_backlog
+        while wan and wan[0] <= now:
+            wan.popleft()
+        while lan and lan[0] <= now:
+            lan.popleft()
 
-        if is_in:
-            self.stats.offered_in += 1
-            if self._in_stall(now) or len(backlog) >= capacity:
-                self.stats.dropped_in += 1
+        if direction is Direction.IN:
+            backlog = wan
+            stats.offered_in += 1
+            if self._in_stall(now) or len(wan) >= self.profile.wan_queue:
+                stats.dropped_in += 1
                 return False
+            stats.forwarded_in += 1
         else:
-            self.stats.offered_out += 1
-            if len(backlog) >= capacity:
-                self.stats.dropped_out += 1
+            backlog = lan
+            stats.offered_out += 1
+            if len(lan) >= self.profile.lan_queue:
+                stats.dropped_out += 1
                 return False
+            stats.forwarded_out += 1
 
         start = max(now, self._engine_free)
         finish = start + self._service_time()
         self._engine_free = finish
         backlog.append(finish)
-        if is_in:
-            self.stats.forwarded_in += 1
-        else:
-            self.stats.forwarded_out += 1
-        self.stats.delays.append(finish - now)
-        self.scheduler.schedule(finish, deliver)
+        stats.delays.append(finish - now)
+        scheduler.schedule(finish, deliver)
         return True

@@ -10,14 +10,15 @@ the repository.  Usage pattern::
 
 Callbacks may schedule further events (including at the current time).
 Events at equal timestamps run in deterministic ``(priority, insertion)``
-order.  Time never goes backwards: scheduling into the past raises
-:class:`SimulationError`.
+order: the heap holds ``(time, priority, seq, event)`` tuples, and ``seq``
+is unique, so comparisons never reach the event and run in C.  Time never
+goes backwards: scheduling into the past raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, EventState
 
@@ -37,7 +38,7 @@ class EventScheduler:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._executed = 0
         self._running = False
@@ -51,7 +52,8 @@ class EventScheduler:
     @property
     def pending_count(self) -> int:
         """Number of events still pending (excludes lazily-cancelled ones)."""
-        return sum(1 for ev in self._heap if ev.state is EventState.PENDING)
+        pending = EventState.PENDING
+        return sum(1 for entry in self._heap if entry[3].state is pending)
 
     @property
     def executed_count(self) -> int:
@@ -75,9 +77,10 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
             )
-        event = Event(time, self._seq, callback, priority=priority, label=label)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, seq, callback, priority=priority, label=label)
+        self._seq = seq + 1
+        heappush(self._heap, (event.time, priority, seq, event))
         return event
 
     def schedule_in(
@@ -137,7 +140,7 @@ class EventScheduler:
         Returns ``True`` if an event ran, ``False`` if the heap is empty.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heappop(self._heap)[3]
             if event.state is EventState.CANCELLED:
                 continue
             self._now = event.time
@@ -168,17 +171,20 @@ class EventScheduler:
             raise SimulationError(
                 f"cannot run until t={end_time:.9f} before now={self._now:.9f}"
             )
+        heap = self._heap
+        cancelled = EventState.CANCELLED
+        done = EventState.EXECUTED
         executed = 0
-        while self._heap:
-            event = self._heap[0]
-            if event.state is EventState.CANCELLED:
-                heapq.heappop(self._heap)
+        while heap:
+            time, _, _, event = heap[0]
+            if event.state is cancelled:
+                heappop(heap)
                 continue
-            if event.time > end_time:
+            if time > end_time:
                 break
-            heapq.heappop(self._heap)
-            self._now = event.time
-            event.state = EventState.EXECUTED
+            heappop(heap)
+            self._now = time
+            event.state = done
             self._executed += 1
             event.callback()
             executed += 1

@@ -1,15 +1,15 @@
 """Event objects used by the discrete-event scheduler.
 
 An :class:`Event` is a cancellable handle to a callback scheduled at a
-simulated timestamp.  Events order by ``(time, priority, seq)`` so that
-simultaneous events run in a deterministic order: first by explicit
-priority, then by scheduling order.
+simulated timestamp.  The scheduler orders events by ``(time, priority,
+seq)`` (its heap entries carry that key), so simultaneous events run in a
+deterministic order: first by explicit priority, then by scheduling order.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 
 class EventState(enum.Enum):
@@ -59,11 +59,6 @@ class Event:
         self.label = label
         self.state = EventState.PENDING
 
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Key used by the scheduler heap."""
-        return (self.time, self.priority, self.seq)
-
     def cancel(self) -> bool:
         """Cancel a pending event.
 
@@ -86,9 +81,6 @@ class Event:
     def cancelled(self) -> bool:
         """Whether the event was cancelled before firing."""
         return self.state is EventState.CANCELLED
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""

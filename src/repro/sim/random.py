@@ -85,6 +85,12 @@ def sample_lognormal(
     return rng.lognormal(mu, sigma, size=size)
 
 
+#: Rejection rounds of :func:`sample_truncated_normal` before it clips.
+_TRUNCATION_ROUNDS = 64
+#: Fewest normals one rejection round draws.
+_MIN_ROUND_DRAWS = 16
+
+
 def sample_truncated_normal(
     rng: np.random.Generator,
     mean: float,
@@ -102,14 +108,22 @@ def sample_truncated_normal(
     """
     if low >= high:
         raise ValueError(f"empty interval [{low!r}, {high!r}]")
-    want = 1 if size is None else int(size)
+    if size is None:
+        # the per-packet path: the same draws as ``size=1`` (one minimal
+        # round at a time, first draw inside the window) without the masks
+        for _ in range(_TRUNCATION_ROUNDS):
+            for draw in rng.normal(mean, std, size=_MIN_ROUND_DRAWS).tolist():
+                if low <= draw <= high:
+                    return draw
+        return float(np.clip(rng.normal(mean, std, size=1), low, high)[0])
+    want = int(size)
     out = np.empty(want, dtype=float)
     filled = 0
-    for _ in range(64):
+    for _ in range(_TRUNCATION_ROUNDS):
         need = want - filled
         if need <= 0:
             break
-        draws = rng.normal(mean, std, size=max(need * 2, 16))
+        draws = rng.normal(mean, std, size=max(need * 2, _MIN_ROUND_DRAWS))
         good = draws[(draws >= low) & (draws <= high)]
         take = min(need, good.size)
         out[filled : filled + take] = good[:take]
@@ -117,7 +131,7 @@ def sample_truncated_normal(
     if filled < want:  # pathological window: clip the remainder
         rest = np.clip(rng.normal(mean, std, size=want - filled), low, high)
         out[filled:] = rest
-    return float(out[0]) if size is None else out
+    return out
 
 
 class DiscreteEmpirical:

@@ -73,6 +73,48 @@ class TestExperimentsWorkersFlag:
         assert excinfo.value.code == 2
         assert "invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("first", [["probe"], ["--list"]])
+    def test_workers_does_not_leak_into_the_next_run(self, first, monkeypatch, capsys):
+        from repro.core.report import ComparisonRow
+        from repro.experiments.base import ExperimentOutput
+        from repro.fleet import execution
+
+        seen = []
+
+        def probe(seed: int = 0):
+            seen.append(execution._default_workers)
+            return ExperimentOutput(
+                "probe", "workers probe", rows=[ComparisonRow("x", 1.0, 1.0)]
+            )
+
+        monkeypatch.setitem(runner.REGISTRY, "probe", probe)
+        monkeypatch.setitem(runner.DESCRIPTIONS, "probe", "workers probe")
+        assert runner.main([*first, "--workers", "1"]) == 0
+        assert execution._default_workers is None
+        assert runner.main(["probe"]) == 0
+        assert execution._default_workers is None
+        # the second run saw no --workers, whatever the first run asked for
+        assert seen[-1] is None
+
+
+class TestExperimentsUnknownId:
+    def test_unknown_id_is_a_clean_error(self, capsys):
+        assert runner.main(["nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown experiment 'nosuch'; known: ")
+        assert "table1" in err
+        assert "Traceback" not in err
+
+    def test_unknown_id_among_known_ones_runs_nothing(self, tmp_path, capsys):
+        trace_dir = tmp_path / "trace"
+        code = runner.main(["table1", "nosuch", "--trace-dir", str(trace_dir)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "unknown experiment 'nosuch'" in captured.err
+        assert "reproduced within tolerance" not in captured.out
+        # rejected before any trace session starts: nothing was written
+        assert not trace_dir.exists() or not any(trace_dir.iterdir())
+
 
 class TestExperimentsCacheDirValidation:
     def test_nonexistent_parent_is_a_clean_argparse_error(self, tmp_path, capsys):

@@ -44,15 +44,23 @@ class TestRunnerWorkersFlag:
         assert runner.main(["--list"]) == 0
         assert "fleet" in capsys.readouterr().out.split()
 
-    def test_workers_flag_sets_default(self, capsys):
-        from repro.fleet.execution import resolve_workers, set_default_workers
+    def test_workers_flag_sets_default(self, monkeypatch, capsys):
+        from repro.core.report import ComparisonRow
+        from repro.experiments.base import ExperimentOutput
+        from repro.fleet.execution import resolve_workers
 
-        try:
-            # --list exits before running anything, but still parses/apply
-            assert runner.main(["--workers", "1", "--list"]) == 0
-            assert resolve_workers(None, 64) == 1
-        finally:
-            set_default_workers(None)
+        seen = []
+
+        def probe(seed: int = 0):
+            seen.append(resolve_workers(None, 64))
+            return ExperimentOutput(
+                "workersprobe", "workers probe", rows=[ComparisonRow("x", 1.0, 1.0)]
+            )
+
+        monkeypatch.setitem(runner.REGISTRY, "workersprobe", probe)
+        # the default holds while the experiments run
+        assert runner.main(["--workers", "1", "workersprobe"]) == 0
+        assert seen == [1]
 
     def test_workers_flag_rejects_nonpositive(self, capsys):
         # argparse-level validation: clean usage error, exit code 2

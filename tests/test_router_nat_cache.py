@@ -173,6 +173,54 @@ class TestSimulateCache:
             simulate_cache(np.asarray([1]), np.asarray([1, 2]), RouteCache(2))
 
 
+def _mixed_stream():
+    """300 packets: seven in ten to six game routes, the rest to four web ones."""
+    i = np.arange(300)
+    is_game = i % 10 < 7
+    keys = np.where(is_game, 1 + (i * i + i // 7) % 6, 100 + (i // 3) % 4)
+    sizes = np.where(is_game, 60, 1200)
+    labels = np.where(is_game, "game", "web")
+    return keys, sizes, labels
+
+
+class TestEvictionGolden:
+    # (hits, misses, insertions, evictions, rejected), class hits, class
+    # misses at capacity 4; the LFU and frequency-preferential rows depend
+    # on min() evicting the first of several equal-count entries
+    GOLDEN = {
+        EvictionPolicy.LRU: (
+            (132, 168, 168, 164, 0), {"game": 92, "web": 40}, {"game": 118, "web": 50}
+        ),
+        EvictionPolicy.LFU: (
+            (144, 156, 156, 152, 0), {"game": 91, "web": 53}, {"game": 119, "web": 37}
+        ),
+        EvictionPolicy.SIZE_PREFERENTIAL: (
+            (127, 173, 83, 79, 90), {"game": 127}, {"game": 83, "web": 90}
+        ),
+        EvictionPolicy.FREQUENCY_PREFERENTIAL: (
+            (137, 163, 160, 156, 3), {"game": 88, "web": 49}, {"game": 122, "web": 41}
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", list(EvictionPolicy))
+    def test_mixed_stream(self, policy):
+        keys, sizes, labels = _mixed_stream()
+        stats = simulate_cache(keys, sizes, RouteCache(4, policy=policy), labels=labels)
+        counts = (
+            stats.hits, stats.misses, stats.insertions, stats.evictions,
+            stats.rejected_insertions,
+        )
+        assert (counts, stats.class_hits, stats.class_misses) == self.GOLDEN[policy]
+
+    def test_lfu_tie_evicts_the_first_equal_count_entry(self):
+        cache = RouteCache(3, policy=EvictionPolicy.LFU)
+        for key in (1, 2, 3, 1, 2, 3, 2):  # counts 2, 3, 2; order 1, 3, 2
+            cache.access(key)
+        cache.access(4)  # 1 and 3 tie at the minimum: 1 comes first
+        assert 1 not in cache
+        assert all(key in cache for key in (2, 3, 4))
+
+
 class TestLookupCostModel:
     def test_all_hits_fastest(self):
         model = LookupCostModel()

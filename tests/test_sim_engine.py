@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import EventScheduler, SimulationError
 
@@ -160,3 +161,77 @@ class TestBounds:
         assert sched.run() == 5
         assert sched.pending_count == 0
         assert sched.executed_count == 5
+
+
+#: One initially scheduled event: (time, priority, cancel before the run,
+#: index of an initial event its callback cancels or None, priority
+#: offset of a child it schedules at ``now`` or None).
+_EVENT = st.tuples(
+    st.integers(0, 4).map(lambda k: 0.5 * k),  # few distinct times: many ties
+    st.integers(-2, 2),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 29)),
+    st.one_of(st.none(), st.integers(0, 2)),
+)
+
+
+class TestOrderProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(_EVENT, min_size=1, max_size=30),
+        horizon=st.integers(0, 5).map(lambda k: 0.5 * k),
+    )
+    def test_runs_the_uncancelled_events_in_key_order(self, events, horizon):
+        sched = EventScheduler()
+        created = []  # every handle the scheduler returned
+        cancelled = set()  # seqs whose cancel() reported success
+        ran = []  # keys in execution order
+        handles = []
+
+        def key(event):
+            return (event.time, event.priority, event.seq)
+
+        def cancel(event):
+            if event.cancel():
+                cancelled.add(event.seq)
+
+        def make(spec):
+            _, priority, _, target, child = spec
+            index = len(handles)
+
+            def callback():
+                event = handles[index]
+                ran.append(key(event))
+                assert sched.now == event.time
+                if target is not None and target < len(handles):
+                    cancel(handles[target])
+                if child is not None:
+                    # at now, never sorting before the running event
+                    kid = sched.schedule(
+                        sched.now, lambda: ran.append(key(kid)),
+                        priority=priority + child,
+                    )
+                    created.append(kid)
+
+            return callback
+
+        for spec in events:
+            handles.append(sched.schedule(spec[0], make(spec), priority=spec[1]))
+        created.extend(handles)
+        for spec, handle in zip(events, handles):
+            if spec[2]:
+                cancel(handle)
+
+        executed = sched.run_until(horizon)
+        live = sorted(key(e) for e in created if e.seq not in cancelled)
+        due = [k for k in live if k[0] <= horizon]
+        assert ran == due
+        assert executed == len(due) == sched.executed_count
+        assert sched.pending_count == len(live) - len(due)
+        assert sched.now == horizon
+
+        sched.run()
+        live = sorted(key(e) for e in created if e.seq not in cancelled)
+        assert ran == live
+        assert sched.executed_count == len(live)
+        assert sched.pending_count == 0

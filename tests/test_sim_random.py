@@ -82,6 +82,23 @@ class TestTruncatedNormal:
         assert isinstance(value, float)
         assert 20.0 <= value <= 70.0
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (40.0, 5.0, 20.0, 70.0),  # almost every draw lands inside
+            (0.0, 1.0, 2.5, 3.0),  # ~8% per round: often several rounds
+            (0.0, 1.0, 9.0, 10.0),  # far tail: all 64 rounds, then the clip
+        ],
+    )
+    def test_scalar_draw_matches_size_one(self, window):
+        scalar = np.random.default_rng(11)
+        array = np.random.default_rng(11)
+        for _ in range(40):
+            value = sample_truncated_normal(scalar, *window)
+            assert isinstance(value, float)
+            assert value == sample_truncated_normal(array, *window, size=1)[0]
+        assert scalar.bit_generator.state == array.bit_generator.state
+
     def test_empty_interval_raises(self, rng):
         with pytest.raises(ValueError):
             sample_truncated_normal(rng, 0.0, 1.0, 5.0, 5.0)
