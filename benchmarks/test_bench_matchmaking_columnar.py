@@ -1,15 +1,16 @@
-"""Bench: columnar vs scalar matchmaking engine at 1e5 and 1e6 players.
+"""Bench: the matchmaking engine vs the per-attempt oracle at 1e5 and
+1e6 players.
 
-The columnar engine (:mod:`repro.matchmaking.columnar`) batches the
-epoch loop at provable no-contention points — full-facility refusal
-spans, argmax fill spans, and the saturated departure/attempt
-alternation window — falling back to the replicated scalar selection
-only where contention makes per-attempt order load-bearing.  This
-bench pins the speedup the ROADMAP §1 scale push bought: both engines
-run the *same* saturated flash-crowd scenario (demand far above
-capacity, the paper's busy-server regime) and the columnar result must
-be bit-identical while clearing a ≥3x wall-clock floor at 10^6
-players.
+The engine (:mod:`repro.matchmaking.columnar`) batches the epoch loop
+at provable no-contention points — full-facility refusal spans, argmax
+fill spans, and the saturated departure/attempt alternation window —
+and calls the policy's own ``select`` one attempt at a time only where
+contention makes per-attempt order load-bearing.  This bench pins the
+speedup that batching buys: the engine and the scalar oracle kept in
+``tests/matchmaking_reference.py`` run the *same* saturated
+flash-crowd scenario (demand far above capacity, the paper's
+busy-server regime) and the engine's result must be bit-identical while
+clearing a ≥3x wall-clock floor at 10^6 players.
 
 Wall-clock floors are deliberately conservative (CI machines are
 noisy); the measured trajectory lives in ``BENCH_obs_*.json`` via
@@ -18,7 +19,9 @@ noisy); the measured trajectory lives in ``BENCH_obs_*.json`` via
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,18 @@ import pytest
 from repro.fleet.profiles import hosting_facility
 from repro.matchmaking import PoolConfig, simulate_matchmaking
 from repro.matchmaking.rtt import RttMatrix
+
+
+def _load_oracle():
+    """The per-attempt oracle module (``tests/`` is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "matchmaking_reference.py"
+    spec = importlib.util.spec_from_file_location("matchmaking_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+simulate_reference = _load_oracle().simulate_reference
 
 #: Saturated flash-crowd: offered attempt load = 32x facility slots.
 DEMAND_RATIO = 32.0
@@ -80,7 +95,7 @@ def _identical(a, b) -> bool:
 @pytest.mark.parametrize("tier", sorted(TIERS))
 @pytest.mark.parametrize("policy", POLICIES)
 def test_bench_columnar_vs_scalar(benchmark, tier, policy):
-    """Columnar engine: bit-identical, ≥3x at 1e6 players."""
+    """Engine vs scalar oracle: bit-identical, ≥3x at 1e6 players."""
     pool_size, n_servers, floor = TIERS[tier]
     fleet, config, rtt = _scenario(pool_size, n_servers)
 
@@ -92,15 +107,11 @@ def test_bench_columnar_vs_scalar(benchmark, tier, policy):
     scalar_wall = float("inf")
     for _ in range(rounds):
         t0 = time.perf_counter()
-        scalar = simulate_matchmaking(
-            fleet, policy, config, rtt=rtt, engine="scalar"
-        )
+        scalar = simulate_reference(fleet, policy, config, rtt=rtt)
         scalar_wall = min(scalar_wall, time.perf_counter() - t0)
 
     def run_columnar():
-        return simulate_matchmaking(
-            fleet, policy, config, rtt=rtt, engine="columnar"
-        )
+        return simulate_matchmaking(fleet, policy, config, rtt=rtt)
 
     columnar_wall = float("inf")
     for _ in range(rounds - 1):

@@ -34,10 +34,10 @@ Top-level layout:
   least-loaded / sticky / capacity-aware admission control /
   lowest-RTT / latency-aware occupancy-vs-QoE scoring over a seeded
   region×server RTT matrix), making facility load endogenous to
-  placement; deterministic epoch engine — with a columnar fast path
-  (:mod:`repro.matchmaking.columnar`, ``engine="auto"``) that batches
-  the loop at provable no-contention points bit-identically to the
-  scalar reference — plus sharded, cacheable per-server traffic
+  placement; one deterministic epoch engine
+  (:mod:`repro.matchmaking.columnar`) that batches the loop at provable
+  no-contention points and calls each policy's own ``select`` one
+  attempt at a time elsewhere — plus sharded, cacheable per-server traffic
   synthesis over the assignments; the loop closes through the network
   when :class:`repro.matchmaking.QoeConfig` is enabled (RTT-sensitive
   session durations, refusal-escalated balking) and

@@ -18,9 +18,7 @@ differ only in how placement shapes the excursion and the recovery:
   below 1 under load, and the coupled run diverges from a qoe-off run
   of the same seed/scenario;
 * under capacity modulation occupancy may exceed *effective* capacity
-  while sessions drain, but never the configured slot counts;
-* the scalar and columnar engines agree bit-for-bit with the coupling
-  on (spot-checked here; the parity suites pin all policies).
+  while sessions drain, but never the configured slot counts.
 
 The run is deliberately sub-saturated (demand ratio below 1) so the
 event stands out against slack baseline occupancy.  ``repro-experiments
@@ -71,7 +69,7 @@ SCENARIO = "flash_crowd"
 RECOVERY_TOLERANCE = 0.1
 SETTLE_EPOCHS = 3
 #: Policy whose run anchors the single-policy claims (perturbation
-#: visibility, QoE bite, engine parity).
+#: visibility, QoE bite).
 REFERENCE_POLICY = "least_loaded"
 
 #: Process-wide overrides installed by ``repro-experiments --scenario``
@@ -221,24 +219,6 @@ def run(seed: int = 0) -> ExperimentOutput:
     reference = results[REFERENCE_POLICY]
     ref_recovery = occupancy_recovery[REFERENCE_POLICY]
 
-    # engine parity spot-check under full coupling (the parity test
-    # suites pin every policy/scenario pair; one scalar rerun keeps the
-    # claim visible in the experiment report itself)
-    scalar = simulate_matchmaking(
-        fleet,
-        REFERENCE_POLICY,
-        config,
-        rtt=rtt,
-        scenario=scenario,
-        engine="scalar",
-    )
-    after = WARMUP_EPOCHS * EPOCH_S
-    parity = (
-        scalar.admission == reference.admission
-        and bool(np.array_equal(scalar.occupancy, reference.occupancy))
-        and scalar.describe(after=after) == reference.describe(after=after)
-    )
-
     # the coupling must actually change the trajectory: same seed, same
     # scenario, QoE off
     uncoupled = simulate_matchmaking(
@@ -270,11 +250,6 @@ def run(seed: int = 0) -> ExperimentOutput:
             "no policy ever exceeds a server's configured slot count",
             1.0,
             float(capacity_respected),
-        ),
-        ComparisonRow(
-            "scalar and columnar engines agree under full coupling",
-            1.0,
-            float(parity),
         ),
         ComparisonRow(
             f"{scenario_name} perturbs occupancy beyond the "

@@ -60,7 +60,6 @@ from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
 from repro.gameserver.fluid import fluid_series_equal
 from repro.matchmaking import (
-    ENGINES,
     POLICIES,
     RTT_PROFILES,
     LatencyAwarePolicy,
@@ -91,14 +90,13 @@ BETA = 1.0
 UTILIZATION_SLACK = 0.05
 
 #: Process-wide overrides installed by ``repro-experiments --policy`` /
-#: ``--pool-size`` / ``--rtt-profile`` / ``--alpha`` / ``--beta`` /
-#: ``--engine`` (mirrors the ``--workers`` plumbing).
+#: ``--pool-size`` / ``--rtt-profile`` / ``--alpha`` / ``--beta``
+#: (mirrors the ``--workers`` plumbing).
 _default_policy: Optional[str] = None
 _default_pool_size: Optional[int] = None
 _default_rtt_profile: Optional[str] = None
 _default_alpha: Optional[float] = None
 _default_beta: Optional[float] = None
-_default_engine: Optional[str] = None
 
 
 def set_default_policy(policy: Optional[str]) -> None:
@@ -141,23 +139,6 @@ def set_default_beta(beta: Optional[float]) -> None:
     _default_beta = (
         None if beta is None else validate_score_weight("beta", beta)
     )
-
-
-def set_default_engine(engine: Optional[str]) -> None:
-    """Override the epoch-loop engine (``None`` restores ``auto``).
-
-    ``scalar`` forces the per-attempt reference loop, ``columnar`` the
-    vectorised path (an error for policies it cannot prove
-    bit-identical), ``auto`` picks columnar whenever it applies — the
-    results are bit-identical either way, so this knob only moves
-    wall-clock time.
-    """
-    global _default_engine
-    if engine is not None and engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
-        )
-    _default_engine = engine
 
 
 def _latency_aware_policy() -> LatencyAwarePolicy:
@@ -206,7 +187,6 @@ def run(seed: int = 0) -> ExperimentOutput:
             aware_policy if name == "latency_aware" else name,
             config,
             rtt=rtt,
-            engine=_default_engine or "auto",
         )
         serial = FleetScenario.from_matchmaking(result).aggregate_per_second(
             workers=1

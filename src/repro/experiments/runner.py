@@ -307,15 +307,6 @@ def main(argv: List[str] = None) -> int:
         "least-loaded placement)",
     )
     parser.add_argument(
-        "--engine",
-        choices=matchmaking.ENGINES,
-        default=None,
-        help="matchmaking epoch-loop engine: 'scalar' is the per-attempt "
-        "reference loop, 'columnar' the vectorised path (bit-identical, "
-        "an error for policies it cannot prove), 'auto' picks columnar "
-        "whenever it applies (default: auto)",
-    )
-    parser.add_argument(
         "--scenario",
         # derived from the scenario registry, so a newly registered
         # scenario is immediately addressable from the CLI
@@ -395,8 +386,6 @@ def main(argv: List[str] = None) -> int:
         matchmaking.set_default_alpha(args.alpha)
     if args.beta is not None:
         matchmaking.set_default_beta(args.beta)
-    if args.engine is not None:
-        matchmaking.set_default_engine(args.engine)
     if args.scenario is not None:
         churn.set_default_scenario(args.scenario)
     if args.qoe_duration_floor is not None:
@@ -435,7 +424,6 @@ def main(argv: List[str] = None) -> int:
                         "rtt_profile": args.rtt_profile,
                         "alpha": args.alpha,
                         "beta": args.beta,
-                        "engine": args.engine,
                         "scenario": args.scenario,
                         "qoe_duration_floor": args.qoe_duration_floor,
                         "qoe_rtt_good": args.qoe_rtt_good,
@@ -468,7 +456,6 @@ def main(argv: List[str] = None) -> int:
         matchmaking.set_default_rtt_profile(None)
         matchmaking.set_default_alpha(None)
         matchmaking.set_default_beta(None)
-        matchmaking.set_default_engine(None)
         churn.set_default_scenario(None)
         churn.set_default_qoe_duration_floor(None)
         churn.set_default_qoe_rtt_good(None)

@@ -12,8 +12,7 @@ where loss first appears.  Four layers:
   placement of fleet servers into racks;
 * :mod:`repro.facilitynet.hops` — trace-level hop engines over the
   shared :mod:`repro.kernels` queue kernels (the pps FIFO with its
-  vectorised idle-period fast path, and the bps tail-drop link), plus
-  compatibility re-exports of the kernel names;
+  vectorised idle-period fast path, and the bps tail-drop link);
 * :mod:`repro.facilitynet.pipeline` — the streaming executor: per-rack
   merged fleet windows (sharded, bounded fan-in) walked hop by hop,
   emitting per-hop loss/delay series;
@@ -25,10 +24,9 @@ The ``facilitynet`` experiment (``repro-experiments facilitynet``)
 sweeps uplink oversubscription and reports the concentration point that
 saturates first.
 
-Exports resolve lazily (PEP 562): :mod:`repro.router.device` imports
-the :mod:`~repro.facilitynet.hops` kernel from here, and an eager
-``__init__`` would drag :mod:`repro.core` back into that import and
-close a cycle (core → natanalysis → router).
+Exports resolve lazily (PEP 562): importing one submodule must not
+drag in the others, or :mod:`repro.core` would come back into the
+import and close a cycle (core → natanalysis → router).
 """
 
 from importlib import import_module
@@ -36,13 +34,9 @@ from typing import Tuple
 
 #: export name -> submodule that defines it
 _EXPORTS = {
-    "FreezePolicy": "hops",
     "HopTraversal": "hops",
-    "KernelResult": "hops",
     "bps_hop": "hops",
-    "fifo_forward": "hops",
     "pps_hop": "hops",
-    "tail_drop_link": "hops",
     "FabricTraversal": "pipeline",
     "FacilityPipeline": "pipeline",
     "HopReport": "pipeline",

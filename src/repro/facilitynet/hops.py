@@ -2,10 +2,9 @@
 
 The raw packet-queue kernels live in :mod:`repro.kernels` (they are
 shared with :mod:`repro.router.device` and depend only on numpy); this
-module re-exports them for compatibility and adds the facility-facing
-layer: applying a kernel to one ingress :class:`~repro.trace.trace.Trace`
-and deriving egress traces, delays and per-bin offered-vs-carried
-:class:`~repro.gameserver.fluid.FluidSeries`.
+module adds the facility-facing layer: applying a kernel to one ingress
+:class:`~repro.trace.trace.Trace` and deriving egress traces, delays and
+per-bin offered-vs-carried :class:`~repro.gameserver.fluid.FluidSeries`.
 
 Two hop flavours cover every concentration point in a hosting facility:
 
@@ -26,31 +25,16 @@ from typing import Optional
 
 import numpy as np
 
-# Re-exported so existing imports (`from repro.facilitynet.hops import
-# fifo_forward`) keep working after the kernels moved to repro.kernels.
-from repro.kernels.fifo import (  # noqa: F401
-    FreezePolicy,
-    KernelResult,
-    fifo_forward,
-)
-from repro.kernels.taildrop import (  # noqa: F401
-    _LINK_CHUNK,
-    _scalar_tail_drop,
-    tail_drop_link,
-)
-
 from repro.gameserver.fluid import FluidSeries
+from repro.kernels.fifo import fifo_forward
+from repro.kernels.taildrop import tail_drop_link
 from repro.sim.random import RandomStreams
 from repro.trace.trace import Trace
 
 __all__ = [
-    "FreezePolicy",
     "HopTraversal",
-    "KernelResult",
     "bps_hop",
-    "fifo_forward",
     "pps_hop",
-    "tail_drop_link",
 ]
 
 

@@ -22,17 +22,16 @@ replicas into one coupled facility:
   (admission control with retry/balk), ``lowest_rtt`` (ping-first) and
   ``latency_aware`` (α·free-slot share − β·normalised RTT, the
   occupancy-vs-QoE trade-off);
-* :mod:`repro.matchmaking.engine` — the deterministic epoch loop:
-  per-epoch pool/assignment streams and per-``(server, epoch)``
-  duration streams, producing per-server session assignments,
+* :mod:`repro.matchmaking.engine` — the deterministic closed loop's
+  front end: per-epoch pool/assignment streams and per-``(server,
+  epoch)`` duration streams, producing per-server session assignments,
   occupancy traces and per-session RTTs (:class:`MatchmakingResult`);
-  the ``engine`` knob (:data:`ENGINES`: ``auto`` / ``scalar`` /
-  ``columnar``) selects the per-attempt reference loop or the
-  vectorised columnar path;
-* :mod:`repro.matchmaking.columnar` — the columnar engine: the epoch
-  loop segmented at provable no-contention points and batched with
-  numpy, bit-identical to the scalar loop for every stock policy
-  (:func:`supports_policy`);
+* :mod:`repro.matchmaking.columnar` — the one engine: the epoch loop
+  segmented at provable no-contention points and batched with numpy
+  for the six stock policies, calling the policy's own ``select`` one
+  attempt at a time everywhere else (and for any custom policy);
+  ``tests/matchmaking_reference.py`` keeps the plain per-attempt loop
+  as the oracle it is pinned bit-identical to;
 * :mod:`repro.matchmaking.scenarios` — scripted demand:
   :class:`DemandScenario` sequences declarative :class:`DemandEvent`\\ s
   (:class:`FlashCrowd`, :class:`RegionalOutage`, :class:`PatchDayStorm`)
@@ -59,9 +58,7 @@ experiment (``repro-experiments matchmaking --policy latency_aware
 six policies under one demand process and RTT geometry.
 """
 
-from repro.matchmaking.columnar import supports_policy
 from repro.matchmaking.engine import (
-    ENGINES,
     MatchmakingResult,
     MatchmakingSimulator,
     simulate_matchmaking,
@@ -109,7 +106,6 @@ from repro.matchmaking.traffic import (
 )
 
 __all__ = [
-    "ENGINES",
     "POLICIES",
     "RTT_PROFILES",
     "SCENARIOS",
@@ -143,6 +139,5 @@ __all__ = [
     "simulate_assigned_series",
     "simulate_assigned_window",
     "simulate_matchmaking",
-    "supports_policy",
     "validate_score_weight",
 ]

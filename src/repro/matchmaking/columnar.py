@@ -1,15 +1,24 @@
-"""Columnar matchmaking engine — vectorised epoch loop, bit-identical
-to the scalar path.
+"""The matchmaking epoch loop, vectorised wherever it is provably exact.
 
-:func:`run_columnar` replays :meth:`MatchmakingSimulator._run_scalar`
-over numpy columnar state (attempt times/players as parallel arrays,
-departures as sorted arrays instead of a heap) and batches every span it
-can *prove* behaves like the scalar per-attempt loop — the
+:func:`run_columnar` is the one engine behind
+:class:`~repro.matchmaking.engine.MatchmakingSimulator`.  Its semantics
+are the plain per-attempt loop: drain the departures due, ask the
+policy's ``select`` for a server, let the slot table refuse a full one,
+and retry or balk on refusal.  ``tests/matchmaking_reference.py`` keeps
+that loop, written out one attempt at a time, as the oracle the parity
+suites compare against bit for bit.
+
+State is columnar (attempt times/players as parallel arrays, departures
+as sorted arrays instead of a heap), and every span that provably
+behaves like the per-attempt loop is batched — the
 ``repro.kernels.fifo`` playbook (segment at provable no-contention
-points, vectorise within segments, fall back to the scalar per-attempt
-step elsewhere).
+points, vectorise within segments, step one attempt at a time
+elsewhere).
 
-Segment classes, and why each is exact:
+Segment classes, and why each is exact.  The spans are proven for the
+six stock policy classes only; a policy of any other type (a subclass
+overriding ``select`` included) takes the per-attempt step for every
+attempt.
 
 * **Full-facility spans** — once ``drain_departures(when)`` leaves every
   server full, nothing can change before the next departure: every
@@ -26,11 +35,11 @@ Segment classes, and why each is exact:
   the highest remaining level and lowest index, which is exactly the
   lexsort order.
 * **Random spans** — choices are pre-drawn (`integers(n, size=k)`
-  consumes the bit stream exactly as ``k`` scalar calls), and within a
-  departure-free span the attempt with occurrence-rank ``r`` on server
-  ``s`` is admitted iff ``r < free_s`` at span start: occupancy only
-  grows, so the first ``free_s`` attempts per server land and the rest
-  bounce.
+  consumes the bit stream exactly as ``k`` one-at-a-time calls), and
+  within a departure-free span the attempt with occurrence-rank ``r`` on
+  server ``s`` is admitted iff ``r < free_s`` at span start: occupancy
+  only grows, so the first ``free_s`` attempts per server land and the
+  rest bounce.
 * **Saturated windows** (the four deterministic non-retry policies) —
   once the facility is full, the steady state is a dense
   departure/attempt alternation.  Over a ``[when, when +
@@ -43,33 +52,32 @@ Segment classes, and why each is exact:
   open server; ``sticky``'s ``integers(1)`` draw consumes zero bits).
   This batches the dominant post-warmup cadence thousands of events at
   a time.
-* **Scalar fallback** — everything else (``sticky`` draws with a
+* **Per-attempt step** — everything else (``sticky`` draws with a
   live-state-dependent bound, ``lowest_rtt``/``latency_aware`` re-rank
-  as occupancy moves) runs one attempt at a time with selection logic
-  replicated *operation for operation* from the policy ``select``
-  bodies, so tie-breaking and IEEE rounding match bit for bit.  When
-  exactly one slot is open, all five deterministic policies provably
-  choose the single open server — and ``sticky``'s
-  ``integers(1)`` draw consumes zero bits from the stream — so the
-  common post-warmup ``[departure, admission]`` cadence needs no policy
-  arithmetic at all.
+  as occupancy moves, every attempt of a custom policy) calls the
+  policy's own ``select`` on the live occupancy, so each policy is
+  defined once, in :mod:`repro.matchmaking.policies`.  When exactly one
+  slot is open, the deterministic stock policies provably choose the
+  single open server — and ``sticky``'s ``integers(1)`` draw consumes
+  zero bits from the stream — so the common post-warmup
+  ``[departure, admission]`` cadence skips the call.
 
 Span boundaries are conservative three ways: the next pending departure
 (strictly later than the current attempt), the earliest time an
 *in-span* admission could end (``when + session_duration_min``, valid
 because IEEE float addition is monotone, truncated at the horizon), and
 — for fill spans — the remaining free capacity.  Within such a span the
-scalar engine would drain nothing and admit/refuse exactly as the batch
-does.
+per-attempt loop would drain nothing and admit/refuse exactly as the
+batch does.
 
-RNG discipline: the pool stream is consumed by the same two
-``uniform(size=…)`` calls as the scalar engine; the assign stream is
-only touched where the scalar engine touches it (``random``'s pre-draw,
-``sticky``'s fallback draw, ``capacity_aware``'s retry draws, in
-order); per-``(server, epoch)`` duration streams are refilled in blocks
-(``lognormal(mu, sigma, size=k)`` consumes identically to ``k`` scalar
-draws).  The result is pinned bit-identical to the scalar engine by the
-golden, property and shard/cache parity suites for all six policies.
+RNG discipline: the pool stream is consumed by two ``uniform(size=…)``
+calls per epoch; the assign stream is only touched where the
+per-attempt loop touches it (``random``'s pre-draw, ``select``'s own
+draws, the retry draws, in order); per-``(server, epoch)`` duration
+streams are refilled in blocks (``lognormal(mu, sigma, size=k)``
+consumes identically to ``k`` one-at-a-time draws).  The golden,
+property, QoE and shard/cache parity suites pin the result bit-identical
+to the oracle.
 """
 
 from __future__ import annotations
@@ -82,44 +90,19 @@ import numpy as np
 
 from repro.gameserver.population import SessionRecord
 from repro.matchmaking.policies import (
+    POLICIES,
     CapacityAwarePolicy,
-    LatencyAwarePolicy,
     LeastLoadedPolicy,
-    LowestRttPolicy,
     RandomPolicy,
-    SelectionPolicy,
-    StickyPolicy,
 )
 from repro.sim.random import derive_seed, lognormal_params
 
-#: Player lifecycle states (shared with the scalar engine).
+#: Player lifecycle states.
 _IDLE, _WAITING, _PLAYING = 0, 1, 2
-
-#: Exact policy types the columnar engine understands.  Subclasses that
-#: override ``select`` must *not* match — their behaviour is unknown —
-#: so membership is by identity, not ``isinstance``.
-SUPPORTED_POLICIES: Tuple[type, ...] = (
-    RandomPolicy,
-    LeastLoadedPolicy,
-    StickyPolicy,
-    CapacityAwarePolicy,
-    LowestRttPolicy,
-    LatencyAwarePolicy,
-)
 
 #: Fill spans shorter than this use the plain argmax-and-decrement loop;
 #: the token sort only pays off once it amortises over many picks.
 _TOKEN_SPAN_MIN = 32
-
-
-def supports_policy(policy: SelectionPolicy) -> bool:
-    """Whether the columnar engine can reproduce ``policy`` bit-exactly.
-
-    True only for the six built-in policy classes themselves; any
-    subclass (out-of-tree ``select`` overrides) routes to the scalar
-    engine under ``engine="auto"``.
-    """
-    return type(policy) in SUPPORTED_POLICIES
 
 
 class _ColumnarCounters:
@@ -160,9 +143,9 @@ class _DurationStream:
 
     ``Generator.lognormal(mu, sigma, size=k)`` consumes the underlying
     bit stream exactly as ``k`` scalar calls would, so refilling in
-    blocks keeps the draw sequence bit-identical to the scalar engine's
-    one-``sample_lognormal``-per-admission while amortising the
-    per-call Generator overhead.  Over-draw past the last admission is
+    blocks keeps the draw sequence bit-identical to one
+    ``sample_lognormal`` per admission while amortising the per-call
+    Generator overhead.  Over-draw past the last admission is
     harmless: the stream is scoped to this (server, epoch) and never
     read again.
     """
@@ -385,12 +368,10 @@ def _occurrence_ranks(choices: np.ndarray) -> np.ndarray:
 
 
 def run_columnar(sim) -> "MatchmakingResult":
-    """Run ``sim``'s closed loop on the columnar engine.
+    """Run ``sim``'s closed loop.
 
-    Accepts a :class:`~repro.matchmaking.engine.MatchmakingSimulator`
-    whose policy satisfies :func:`supports_policy`; returns a
-    :class:`~repro.matchmaking.engine.MatchmakingResult` bit-identical
-    to ``sim._run_scalar()``.
+    Takes a :class:`~repro.matchmaking.engine.MatchmakingSimulator` and
+    returns its :class:`~repro.matchmaking.engine.MatchmakingResult`.
     """
     from repro.matchmaking.engine import MatchmakingResult
     from repro.matchmaking.pool import PlayerTraits
@@ -398,11 +379,6 @@ def run_columnar(sim) -> "MatchmakingResult":
     from repro import obs
 
     policy = sim.policy
-    if not supports_policy(policy):
-        raise ValueError(
-            f"columnar engine does not support policy {policy!r}; "
-            "use engine='scalar' (or 'auto', which falls back)"
-        )
     config = sim.config
     fleet = sim.fleet
     seed = sim.seed
@@ -430,13 +406,15 @@ def run_columnar(sim) -> "MatchmakingResult":
     qoe_multipliers: List[List[float]] = [[] for _ in range(n_servers)]
     qoe_repeat_refusals = 0
 
+    # the vectorised spans are proven for the six stock classes only; a
+    # subclass may override select, so membership is by identity, not
+    # isinstance, and anything else takes the per-attempt step throughout
     policy_type = type(policy)
+    stock = policy_type in POLICIES.values()
     is_random = policy_type is RandomPolicy
     is_least = policy_type is LeastLoadedPolicy
-    is_sticky = policy_type is StickyPolicy
     is_capacity = policy_type is CapacityAwarePolicy
-    is_lowrtt = policy_type is LowestRttPolicy
-    is_lataware = policy_type is LatencyAwarePolicy
+    retry_on_reject = policy.retry_on_reject
 
     traits = PlayerTraits.draw(config, seed)
     rtt_rows = [sim.rtt.row(r) for r in range(sim.rtt.n_regions)]
@@ -445,19 +423,6 @@ def run_columnar(sim) -> "MatchmakingResult":
     wants_download_arr = traits.wants_download
     player_state = np.zeros(config.pool_size, dtype=np.int8)
     last_server = np.full(config.pool_size, -1, dtype=np.int64)
-
-    # latency_aware per-region score constants: the policy recomputes
-    # rtt_scale per call, but the row is immutable, so beta * normalised
-    # RTT is the same float64 vector every time — precompute it with the
-    # policy's own operation order to keep IEEE results identical
-    if is_lataware:
-        denom = max(int(capacities.max()), 1)
-        alpha = policy.alpha
-        beta_nrtt_rows = []
-        for row in rtt_rows:
-            rtt_scale = float(row.max())
-            normalised = row / rtt_scale if rtt_scale > 0 else row
-            beta_nrtt_rows.append(policy.beta * normalised)
 
     occupancy = np.zeros(n_servers, dtype=np.int64)
     free = capacities.copy()
@@ -473,7 +438,8 @@ def run_columnar(sim) -> "MatchmakingResult":
     admit_attempts = [0] * n_servers
 
     deps = _DepartureColumns()
-    retries = []  # (retry_time, player) min-heap, as in the scalar engine
+    retries = []  # (retry_time, player) min-heap
+    eff_cap = capacities
 
     attempts = admitted = rejected = balked = retried = 0
     repeat_assignments = 0
@@ -494,23 +460,20 @@ def run_columnar(sim) -> "MatchmakingResult":
         )
         duration_streams: Dict[int, _DurationStream] = {}
         # scenario modulation: per-epoch effective capacities mean the
-        # incrementally-maintained free counts must be rebased, and the
-        # latency_aware denominator tracks the epoch's capacity view
+        # incrementally-maintained free counts must be rebased
         if compiled is not None:
             eff_cap = compiled.capacities_at(epoch, capacities)
             free = eff_cap - occupancy
             total_free = (
                 int(np.maximum(free, 0).sum()) if careful else int(free.sum())
             )
-            if is_lataware:
-                denom = max(int(eff_cap.max()), 1)
         in_storm = compiled is not None and compiled.forces_downloads(epoch)
         ep_mult_sum = 0.0
         ep_mult_count = 0
         ep_shortened = 0
         ep_repeat_refusals = 0
 
-        # -- fresh arrivals, drawn exactly as the scalar engine does ----
+        # -- fresh arrivals from the idle pool --------------------------
         idle_players = np.flatnonzero(player_state == _IDLE)
         hazard = config.attempt_rate_at(0.5 * (t0 + t1))
         draws = rng_pool.uniform(size=idle_players.size)
@@ -538,8 +501,8 @@ def run_columnar(sim) -> "MatchmakingResult":
             aplayers = np.concatenate(
                 [aplayers, np.asarray(due_p, dtype=np.int64)]
             )
-        # scalar sorts (time, player) tuples; players are unique within
-        # an epoch, so lexsort on (player, time) keys is the same order
+        # chronological (time, player) order; players are unique within
+        # an epoch, so lexsort on (player, time) keys is that order
         order = np.lexsort((aplayers, atimes))
         atimes = atimes[order]
         aplayers = aplayers[order]
@@ -569,9 +532,9 @@ def run_columnar(sim) -> "MatchmakingResult":
             duration = stream.next()
             rtt_ms = float(rtt_rows[player_region[player]][chosen])
             if qoe_on:
-                # identical ordering to the scalar engine: multiplier on
-                # the raw draw, then the min-duration clamp — so the
-                # columnar window proofs (duration >= min_dur) hold
+                # the multiplier scales the raw draw, before the
+                # min-duration clamp, so duration >= min_dur still holds
+                # (the window proofs rely on it)
                 multiplier = qoe.duration_multiplier(rtt_ms)
                 duration *= multiplier
                 qoe_multipliers[chosen].append(multiplier)
@@ -609,12 +572,44 @@ def run_columnar(sim) -> "MatchmakingResult":
             last_server[player] = chosen
             player_state[player] = _PLAYING
 
+        def _refuse(k: int) -> None:
+            """One refused attempt: QoE refusal count, then retry or balk.
+
+            The retry uniform (then the delay exponential) is drawn
+            only for ``retry_on_reject`` policies; everyone else balks.
+            """
+            nonlocal rejected, retried, balked
+            nonlocal qoe_repeat_refusals, ep_repeat_refusals
+            player = int(aplayers[k])
+            rejected += 1
+            if qoe_on:
+                # escalation reuses the same uniform draw with a lower
+                # threshold; counted before incrementing
+                prior = int(refusal_counts[player])
+                refusal_counts[player] += 1
+                if prior:
+                    qoe_repeat_refusals += 1
+                    ep_repeat_refusals += 1
+                retry_p_k = qoe.retry_probability(retry_p, prior)
+            else:
+                retry_p_k = retry_p
+            if retry_on_reject and rng_assign.uniform() < retry_p_k:
+                retry_at = float(atimes[k]) + float(
+                    rng_assign.exponential(retry_mean)
+                )
+                if retry_at < horizon:
+                    heapq.heappush(retries, (retry_at, player))
+                    retried += 1
+                    return
+            balked += 1
+            player_state[player] = _IDLE
+
         def _note_refusals(players: np.ndarray) -> None:
-            """Batch equivalent of the scalar per-rejection QoE counting.
+            """Batch equivalent of :func:`_refuse`'s QoE counting.
 
             Players attempt at most once per epoch (retries re-enter at
             the *next* epoch start), so the batched fancy-index
-            increment matches the scalar one-at-a-time order exactly.
+            increment matches the one-at-a-time order exactly.
             """
             nonlocal qoe_repeat_refusals, ep_repeat_refusals
             n_repeat = int(np.count_nonzero(refusal_counts[players]))
@@ -631,12 +626,13 @@ def run_columnar(sim) -> "MatchmakingResult":
             )
 
             if (
-                total_free == 0
+                stock
+                and total_free == 0
                 and not (is_random or is_capacity)
                 # the window walk assumes every in-window departure opens
                 # exactly one admittable slot; a server drained below a
                 # reduced effective capacity (negative free) breaks that,
-                # so those epochs take the generic full spans instead
+                # so those epochs take the plain full span instead
                 and (not careful or int(free.min()) >= 0)
             ):
                 # -- saturated window: batch a whole [when, when+min_dur)
@@ -672,7 +668,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                     ev_is_att = np.zeros(n_dep + n_att, dtype=np.int8)
                     ev_is_att[n_dep:] = 1
                     # departures sort before attempts at equal times,
-                    # exactly as the scalar <=-drain does
+                    # exactly as the per-attempt <=-drain does
                     ev_order = np.lexsort((ev_is_att, ev_times))
                     typ = ev_is_att[ev_order]
                     steps = np.where(typ == 0, 1, -1)
@@ -727,7 +723,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                             if is_least:
                                 # refusals inside the window occur with
                                 # every free count at zero, so argmax
-                                # (the scalar's attribution) is server 0
+                                # (select's attribution) is server 0
                                 full_least_count += int(refused.size)
                         for rank, att in enumerate(
                             np.flatnonzero(admit_mask_w)
@@ -741,26 +737,10 @@ def run_columnar(sim) -> "MatchmakingResult":
                 if handled:
                     continue
                 # degenerate window (no departures due, a horizon-edge
-                # attempt, or free count would exceed one): fall back to
-                # the plain full span up to the next departure
-                j = int(atimes.searchsorted(deps.next_time(), side="left"))
-                if j <= i:
-                    j = i + 1
-                count = j - i
-                attempts += count
-                segments += 1
-                vectorised_attempts += count
-                if is_least:
-                    full_least_count += count
-                rejected += count
-                balked += count
-                if qoe_on:
-                    _note_refusals(aplayers[i:j])
-                player_state[aplayers[i:j]] = _IDLE
-                i = j
-                continue
+                # attempt, or free count would exceed one): the plain
+                # full span below, up to the next departure
 
-            if total_free == 0:
+            if stock and total_free == 0:
                 # -- full-facility span: batch-refuse every attempt
                 # strictly before the next departure -------------------
                 j = int(atimes.searchsorted(deps.next_time(), side="left"))
@@ -775,29 +755,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                     # assign stream, so they stay sequential — but no
                     # select() calls, no occupancy reads
                     for k in range(i, j):
-                        rejected += 1
-                        if qoe_on:
-                            pl = int(aplayers[k])
-                            prior = int(refusal_counts[pl])
-                            refusal_counts[pl] += 1
-                            if prior:
-                                qoe_repeat_refusals += 1
-                                ep_repeat_refusals += 1
-                            retry_p_k = qoe.retry_probability(retry_p, prior)
-                        else:
-                            retry_p_k = retry_p
-                        if rng_assign.uniform() < retry_p_k:
-                            retry_at = float(atimes[k]) + float(
-                                rng_assign.exponential(retry_mean)
-                            )
-                            if retry_at < horizon:
-                                heapq.heappush(
-                                    retries, (retry_at, int(aplayers[k]))
-                                )
-                                retried += 1
-                                continue
-                        balked += 1
-                        player_state[aplayers[k]] = _IDLE
+                        _refuse(k)
                 else:
                     if is_random:
                         counts = np.bincount(
@@ -808,7 +766,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                     elif is_least:
                         if careful:
                             # reduced capacities can leave negative free
-                            # entries, so the scalar argmax attribution
+                            # entries, so select's argmax attribution
                             # is no longer necessarily server 0 — free
                             # is static across the span, attribute once
                             target = int(free.argmax())
@@ -877,43 +835,35 @@ def run_columnar(sim) -> "MatchmakingResult":
                 i = j
                 continue
 
-            # -- scalar fallback: one attempt, selection replicated
-            # operation-for-operation from the policy bodies ----------
+            # -- per-attempt step: one attempt through the policy's own
+            # select, refused by the slot table when the server is full
             attempts += 1
             fallback_attempts += 1
             player = int(aplayers[i])
-            if total_free == 1:
+            if stock and total_free == 1:
                 # the unique open server wins under every deterministic
-                # policy, and sticky's integers(1) consumes no bits
+                # stock policy, and sticky's integers(1) consumes no bits
                 chosen = int(free.argmax())
-            elif is_sticky:
-                last = int(last_server[player])
-                if 0 <= last < n_servers and free[last] > 0:
-                    chosen = last
-                else:
-                    open_servers = np.flatnonzero(free > 0)
-                    chosen = int(
-                        open_servers[
-                            int(rng_assign.integers(open_servers.size))
-                        ]
-                    )
-            elif is_lowrtt:
-                rtt_row = rtt_rows[player_region[player]]
-                open_servers = np.flatnonzero(free > 0)
-                open_rtt = rtt_row[open_servers]
-                candidates = open_servers[open_rtt == open_rtt.min()]
-                chosen = int(candidates[int(free[candidates].argmax())])
-            else:  # latency_aware
-                score = alpha * (free / denom) - beta_nrtt_rows[
-                    player_region[player]
-                ]
-                score[free <= 0] = -np.inf
-                chosen = int(score.argmax())
+            else:
+                chosen = policy.select(
+                    occupancy,
+                    eff_cap,
+                    int(last_server[player]),
+                    rng_assign,
+                    rtt=rtt_rows[player_region[player]],
+                )
+                if chosen is None or free[chosen] <= 0:
+                    if chosen is not None:
+                        per_server_attempts[chosen] += 1
+                        per_server_rejections[chosen] += 1
+                    _refuse(i)
+                    i += 1
+                    continue
             _admit(i, chosen)
             i += 1
 
-        # occupancy sampled just before the epoch boundary, matching the
-        # scalar engine's strict drain
+        # occupancy sampled just before the epoch boundary (a strict
+        # drain: sessions ending exactly at t1 still count)
         total_free += deps.drain(
             t1, True, occupancy, free, player_state, n_servers, careful
         )
@@ -936,8 +886,8 @@ def run_columnar(sim) -> "MatchmakingResult":
                 "occupancy": int(occupancy.sum()),
                 "capacity": int(capacities.sum()),
             }
-            # same conditional fields as the scalar engine, so traced
-            # runs stay engine-agnostic byte for byte
+            # new fields ride only on qoe/scenario runs, keeping the
+            # off-run artifact rows byte-identical to history
             if qoe_on:
                 row["qoe_mean_multiplier"] = (
                     ep_mult_sum / ep_mult_count if ep_mult_count else 1.0

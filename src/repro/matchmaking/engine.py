@@ -31,10 +31,9 @@ Determinism and shard-friendliness:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,17 +41,11 @@ from repro import obs
 from repro.core.facility import AdmissionStats, LatencyStats, OccupancyStats
 from repro.fleet.profiles import FleetProfile
 from repro.gameserver.population import SessionRecord
+from repro.matchmaking.columnar import run_columnar
 from repro.matchmaking.policies import SelectionPolicy, make_policy
-from repro.matchmaking.pool import PlayerTraits, PoolConfig
+from repro.matchmaking.pool import PoolConfig
 from repro.matchmaking.rtt import RttMatrix
 from repro.matchmaking.scenarios import CompiledScenario, DemandScenario
-from repro.sim.random import derive_seed, sample_lognormal
-
-#: Player lifecycle states.
-_IDLE, _WAITING, _PLAYING = 0, 1, 2
-
-#: Legal values of the ``engine`` knob.
-ENGINES = ("auto", "scalar", "columnar")
 
 
 @dataclass
@@ -243,16 +236,11 @@ class MatchmakingSimulator:
         of scripted demand events (flash crowd, regional outage,
         patch-day storm).  Compiled once against this pool/fleet shape;
         ``None`` (default) is the exact scenario-free code path.
-    engine:
-        ``"auto"`` (default) runs the vectorised
-        :mod:`repro.matchmaking.columnar` engine for the six built-in
-        policy classes and the scalar loop for anything else (including
-        subclasses that override ``select``); ``"scalar"`` forces the
-        per-attempt loop; ``"columnar"`` forces the vectorised engine
-        and raises :class:`ValueError` for policies it cannot prove
-        bit-identical.  Both engines produce identical
-        :class:`MatchmakingResult`\\ s — the knob only trades
-        implementation.
+
+    :meth:`run` executes the loop in :mod:`repro.matchmaking.columnar`:
+    batched spans where they are provably exact for the six stock
+    policy classes, and one ``select`` call per attempt elsewhere (for
+    any other policy, on every attempt).
     """
 
     def __init__(
@@ -263,7 +251,6 @@ class MatchmakingSimulator:
         seed: Optional[int] = None,
         rtt: Optional[RttMatrix] = None,
         scenario: Optional[DemandScenario] = None,
-        engine: str = "auto",
     ) -> None:
         self.fleet = fleet
         self.policy = make_policy(policy)
@@ -293,8 +280,8 @@ class MatchmakingSimulator:
                 f"the fleet has {fleet.n_servers}"
             )
         self.scenario = scenario
-        #: The scenario resolved to per-epoch modulation arrays; both
-        #: engines consult this one object, never the raw events.
+        #: The scenario resolved to per-epoch modulation arrays; the
+        #: engine consults this one object, never the raw events.
         self.compiled_scenario: Optional[CompiledScenario] = (
             None
             if scenario is None
@@ -304,34 +291,6 @@ class MatchmakingSimulator:
                 self.rtt.server_regions,
             )
         )
-        # out-of-tree policies written against the pre-RTT signature
-        # (occupancy, capacities, last_server, rng) keep working: only
-        # pass the RTT view to select() implementations that accept it.
-        # The signature probe is cached per policy *class* (see
-        # SelectionPolicy.select_accepts_rtt), so sweep loops that build
-        # thousands of simulators don't re-inspect.
-        self._select_takes_rtt = type(self.policy).select_accepts_rtt()
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {engine!r}"
-            )
-        self.engine = engine
-        if engine == "scalar":
-            self._engine_resolved = "scalar"
-        else:
-            from repro.matchmaking import columnar
-
-            if columnar.supports_policy(self.policy):
-                self._engine_resolved = "columnar"
-            elif engine == "columnar":
-                raise ValueError(
-                    f"engine='columnar' cannot prove bit-identity for "
-                    f"policy {self.policy!r} (only the built-in policy "
-                    "classes are supported); use engine='auto' or "
-                    "'scalar'"
-                )
-            else:
-                self._engine_resolved = "scalar"
 
     # ------------------------------------------------------------------
     def run(self) -> MatchmakingResult:
@@ -342,7 +301,7 @@ class MatchmakingSimulator:
             seed=self.seed,
             servers=self.fleet.n_servers,
         ):
-            result = self._run()
+            result = run_columnar(self)
         self._publish(result)
         return result
 
@@ -405,312 +364,6 @@ class MatchmakingSimulator:
                 ),
             )
 
-    def _run(self) -> MatchmakingResult:
-        """Dispatch to the resolved engine (both are bit-identical)."""
-        if self._engine_resolved == "columnar":
-            from repro.matchmaking import columnar
-
-            return columnar.run_columnar(self)
-        return self._run_scalar()
-
-    def _run_scalar(self) -> MatchmakingResult:
-        config = self.config
-        fleet = self.fleet
-        policy = self.policy
-        profiles = fleet.server_profiles()
-        capacities = np.asarray([p.max_players for p in profiles], dtype=np.int64)
-        n_servers = capacities.size
-        n_epochs = config.n_epochs
-        horizon = config.horizon
-
-        traits = PlayerTraits.draw(config, self.seed)
-        # one row view per region, extracted once instead of re-indexing
-        # the matrix on every connection attempt
-        rtt_rows = [self.rtt.row(r) for r in range(self.rtt.n_regions)]
-        player_region = traits.region_index
-        player_state = np.zeros(config.pool_size, dtype=np.int8)
-        last_server = np.full(config.pool_size, -1, dtype=np.int64)
-
-        occupancy = np.zeros(n_servers, dtype=np.int64)
-        occupancy_trace = np.zeros((n_servers, n_epochs), dtype=np.int64)
-        sessions: List[List[SessionRecord]] = [[] for _ in range(n_servers)]
-        session_rtts: List[List[float]] = [[] for _ in range(n_servers)]
-        per_server_attempts = np.zeros(n_servers, dtype=np.int64)
-        per_server_rejections = np.zeros(n_servers, dtype=np.int64)
-
-        # QoE coupling state: deterministic functions of already-drawn
-        # randomness (multipliers and thresholds, never extra draws), so
-        # both engines keep identical RNG stream positions with it on
-        compiled = self.compiled_scenario
-        qoe = config.qoe
-        qoe_on = qoe.enabled
-        refusal_counts = (
-            np.zeros(config.pool_size, dtype=np.int64) if qoe_on else None
-        )
-        qoe_multipliers: List[List[float]] = [[] for _ in range(n_servers)]
-        qoe_repeat_refusals = 0
-
-        #: (end_time, server, player) min-heap of active sessions.
-        departures: List[Tuple[float, int, int]] = []
-        #: (retry_time, player) min-heap of pending retries.
-        retries: List[Tuple[float, int]] = []
-
-        attempts = admitted = rejected = balked = retried = 0
-        repeat_assignments = 0
-        next_session_id = 0
-        # per-epoch telemetry: the session (when one is active) receives
-        # one JSONL row per epoch, streamed as the loop advances
-        session = obs.current_session()
-        prev_totals = (0, 0, 0, 0, 0)
-
-        def drain_departures(until: float, strict: bool = False) -> None:
-            """Finish sessions ending before ``until`` (``<=`` unless strict).
-
-            Strict drains (the epoch-boundary sample) keep sessions that
-            end exactly at ``until`` alive; non-strict drains (before
-            each attempt) finish them, so a slot freed at the attempt's
-            own timestamp is already available to the matchmaker.
-            """
-            while departures and (
-                departures[0][0] < until
-                if strict
-                else departures[0][0] <= until
-            ):
-                _, server, player = heapq.heappop(departures)
-                occupancy[server] -= 1
-                player_state[player] = _IDLE
-
-        for epoch in range(n_epochs):
-            t0 = epoch * config.epoch_length
-            t1 = min(t0 + config.epoch_length, horizon)
-            rng_pool = np.random.default_rng(
-                derive_seed(self.seed, f"matchmaking-pool:{epoch}")
-            )
-            rng_assign = np.random.default_rng(
-                derive_seed(self.seed, f"matchmaking-assign:{epoch}")
-            )
-            duration_streams: Dict[int, np.random.Generator] = {}
-            # scenario modulation: effective capacities (downed servers
-            # stop admitting, sessions play out) and forced downloads
-            eff_cap = (
-                capacities
-                if compiled is None
-                else compiled.capacities_at(epoch, capacities)
-            )
-            in_storm = compiled is not None and compiled.forces_downloads(
-                epoch
-            )
-            ep_mult_sum = 0.0
-            ep_mult_count = 0
-            ep_shortened = 0
-            ep_repeat_refusals = 0
-
-            # -- fresh arrivals from the idle pool ----------------------
-            idle_players = np.flatnonzero(player_state == _IDLE)
-            hazard = config.attempt_rate_at(0.5 * (t0 + t1))
-            draws = rng_pool.uniform(size=idle_players.size)
-            if compiled is not None:
-                # same uniforms, per-region thresholds — the IEEE math is
-                # shared with the columnar engine via CompiledScenario
-                mask = draws < compiled.attempt_probabilities(
-                    epoch, hazard, t1 - t0, player_region[idle_players]
-                )
-            else:
-                p_attempt = 1.0 - math.exp(-hazard * (t1 - t0))
-                mask = draws < p_attempt
-            arrivals = [
-                (t0 + offset * (t1 - t0), int(player))
-                for player, offset in zip(
-                    idle_players[mask],
-                    rng_pool.uniform(size=int(mask.sum())),
-                )
-            ]
-            # -- retries that came due this epoch -----------------------
-            # retries are epoch-granular: one scheduled mid-epoch for a
-            # time already behind the pool clock re-attempts at this
-            # epoch's start, keeping admissions chronological
-            while retries and retries[0][0] < t1:
-                retry_at, player = heapq.heappop(retries)
-                arrivals.append((max(retry_at, t0), player))
-            arrivals.sort()
-            # attempting players leave the idle pool for this epoch
-            for _, player in arrivals:
-                player_state[player] = _WAITING
-
-            # -- chronological admission against live occupancy ---------
-            for when, player in arrivals:
-                drain_departures(when)
-                attempts += 1
-                previous = int(last_server[player])
-                rtt_row = rtt_rows[player_region[player]]
-                if self._select_takes_rtt:
-                    chosen = policy.select(
-                        occupancy, eff_cap, previous, rng_assign,
-                        rtt=rtt_row,
-                    )
-                else:
-                    chosen = policy.select(
-                        occupancy, eff_cap, previous, rng_assign
-                    )
-                if chosen is not None:
-                    per_server_attempts[chosen] += 1
-                if chosen is None or occupancy[chosen] >= eff_cap[chosen]:
-                    rejected += 1
-                    if chosen is not None:
-                        per_server_rejections[chosen] += 1
-                    if qoe_on:
-                        # escalation reuses the same uniform draw with a
-                        # lower threshold; counted before incrementing
-                        prior = int(refusal_counts[player])
-                        refusal_counts[player] += 1
-                        if prior:
-                            qoe_repeat_refusals += 1
-                            ep_repeat_refusals += 1
-                        retry_p = qoe.retry_probability(
-                            config.retry_probability, prior
-                        )
-                    else:
-                        retry_p = config.retry_probability
-                    wants_retry = (
-                        policy.retry_on_reject
-                        and rng_assign.uniform() < retry_p
-                    )
-                    if wants_retry:
-                        retry_at = when + float(
-                            rng_assign.exponential(config.retry_delay_mean)
-                        )
-                        if retry_at < horizon:
-                            heapq.heappush(retries, (retry_at, player))
-                            retried += 1
-                            continue
-                    balked += 1
-                    player_state[player] = _IDLE
-                    continue
-                # admitted: duration from the (server, epoch) stream
-                if chosen not in duration_streams:
-                    duration_streams[chosen] = np.random.default_rng(
-                        derive_seed(
-                            self.seed, f"matchmaking-server:{chosen}:{epoch}"
-                        )
-                    )
-                raw = float(
-                    sample_lognormal(
-                        duration_streams[chosen],
-                        config.session_duration_mean,
-                        config.session_duration_cv,
-                    )
-                )
-                rtt_ms = float(rtt_row[chosen])
-                if qoe_on:
-                    # the multiplier scales the *raw* draw, before the
-                    # minimum clamp, so duration >= session_duration_min
-                    # still holds (the columnar window proofs rely on it)
-                    multiplier = qoe.duration_multiplier(rtt_ms)
-                    raw *= multiplier
-                    qoe_multipliers[chosen].append(multiplier)
-                    ep_mult_sum += multiplier
-                    ep_mult_count += 1
-                    if multiplier < 1.0:
-                        ep_shortened += 1
-                    refusal_counts[player] = 0
-                duration = max(config.session_duration_min, raw)
-                end = min(when + duration, horizon)
-                heapq.heappush(departures, (end, chosen, player))
-                occupancy[chosen] += 1
-                sessions[chosen].append(
-                    SessionRecord(
-                        session_id=next_session_id,
-                        client_id=player,
-                        start=when,
-                        end=end,
-                        rate_multiplier=float(traits.rate_multipliers[player]),
-                        link_class=traits.link_class_of(player),
-                        wants_download=bool(traits.wants_download[player])
-                        or in_storm,
-                    )
-                )
-                session_rtts[chosen].append(rtt_ms)
-                next_session_id += 1
-                admitted += 1
-                if chosen == previous:
-                    repeat_assignments += 1
-                last_server[player] = chosen
-                player_state[player] = _PLAYING
-
-            # occupancy sampled just before the epoch boundary, so
-            # sessions truncated at the horizon still count in the
-            # final column
-            drain_departures(t1, strict=True)
-            occupancy_trace[:, epoch] = occupancy
-
-            if session is not None:
-                totals = (attempts, admitted, rejected, balked, retried)
-                row = {
-                    "policy": policy.name,
-                    "seed": self.seed,
-                    "epoch": epoch,
-                    "t0": t0,
-                    "t1": t1,
-                    "attempts": totals[0] - prev_totals[0],
-                    "admitted": totals[1] - prev_totals[1],
-                    "rejected": totals[2] - prev_totals[2],
-                    "balked": totals[3] - prev_totals[3],
-                    "retried": totals[4] - prev_totals[4],
-                    "occupancy": int(occupancy.sum()),
-                    "capacity": int(capacities.sum()),
-                }
-                # new fields ride only on qoe/scenario runs, keeping the
-                # off-run artifact rows byte-identical to history
-                if qoe_on:
-                    row["qoe_mean_multiplier"] = (
-                        ep_mult_sum / ep_mult_count if ep_mult_count else 1.0
-                    )
-                    row["qoe_sessions_shortened"] = ep_shortened
-                    row["qoe_repeat_refusals"] = ep_repeat_refusals
-                if compiled is not None:
-                    row["effective_capacity"] = int(eff_cap.sum())
-                session.stream("matchmaking_epochs").write(row)
-                prev_totals = totals
-            obs.progress(
-                "matchmaking.epochs", epoch + 1, n_epochs, policy=policy.name
-            )
-
-        return MatchmakingResult(
-            fleet=fleet,
-            config=config,
-            policy=policy.name,
-            seed=self.seed,
-            capacities=tuple(int(c) for c in capacities),
-            sessions=tuple(tuple(per_server) for per_server in sessions),
-            occupancy=occupancy_trace,
-            admission=AdmissionStats(
-                attempts=attempts,
-                admitted=admitted,
-                rejected=rejected,
-                balked=balked,
-                retried=retried,
-            ),
-            per_server_attempts=per_server_attempts,
-            per_server_rejections=per_server_rejections,
-            repeat_assignments=repeat_assignments,
-            rtt=self.rtt,
-            session_rtts=tuple(
-                np.asarray(rtts, dtype=float) for rtts in session_rtts
-            ),
-            qoe_multipliers=(
-                tuple(
-                    np.asarray(mults, dtype=float)
-                    for mults in qoe_multipliers
-                )
-                if qoe_on
-                else ()
-            ),
-            qoe_repeat_refusals=qoe_repeat_refusals,
-            scenario_name=(
-                self.scenario.name if self.scenario is not None else None
-            ),
-        )
-
 
 def simulate_matchmaking(
     fleet: FleetProfile,
@@ -719,9 +372,18 @@ def simulate_matchmaking(
     seed: Optional[int] = None,
     rtt: Optional[RttMatrix] = None,
     scenario: Optional[DemandScenario] = None,
-    engine: str = "auto",
+    engine: str = "columnar",
 ) -> MatchmakingResult:
-    """Convenience wrapper: run one :class:`MatchmakingSimulator`."""
+    """Convenience wrapper: run one :class:`MatchmakingSimulator`.
+
+    ``engine`` is accepted only as ``"columnar"``, the one engine: the
+    repo benchmark's provision workload still passes it.  Any other
+    value raises :class:`ValueError`.
+    """
+    if engine != "columnar":
+        raise ValueError(
+            f"engine must be 'columnar' (the only engine), got {engine!r}"
+        )
     return MatchmakingSimulator(
         fleet,
         policy,
@@ -729,5 +391,4 @@ def simulate_matchmaking(
         seed=seed,
         rtt=rtt,
         scenario=scenario,
-        engine=engine,
     ).run()

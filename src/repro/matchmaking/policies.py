@@ -30,10 +30,11 @@ section motivates:
   β·(RTT / worst row RTT)`` and take the argmax, trading occupancy
   against QoE explicitly.
 
-Latency-aware policies read the player's per-server RTT vector through
-``select``'s optional ``rtt`` view (the row of the facility's
+The engine passes every ``select`` the player's per-server RTT vector
+as the ``rtt`` keyword (the row of the facility's
 :class:`~repro.matchmaking.rtt.RttMatrix` for the player's region);
-load-only policies ignore it, so both kinds slot into one registry.
+latency-aware policies score on it and load-only policies ignore it, so
+both kinds slot into one registry.
 
 Determinism contract: ``select`` is a pure function of
 ``(occupancy, capacities, last_server, rtt)`` and the draws it takes
@@ -43,7 +44,6 @@ the whole assignment sequence is reproducible from one seed.
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import Dict, Optional, Type, Union
 
@@ -91,36 +91,14 @@ class SelectionPolicy:
 
         ``occupancy`` and ``capacities`` are read-only per-server arrays;
         ``last_server`` is the player's previous server (-1 if none);
-        ``rtt``, when provided, is the player's per-server RTT vector in
-        milliseconds (their region's row of the facility RTT matrix).
+        ``rtt`` is the player's per-server RTT vector in milliseconds
+        (their region's row of the facility RTT matrix); the engine
+        always passes it, so overrides must accept the keyword.
         Returning a full server's index is allowed — the slot table
         refuses the attempt — while ``None`` means the policy itself
         turned the player away (admission control).
         """
         raise NotImplementedError
-
-    @classmethod
-    def select_accepts_rtt(cls) -> bool:
-        """Whether this class's ``select`` takes the ``rtt`` keyword.
-
-        Out-of-tree policies written against the pre-RTT signature
-        ``(occupancy, capacities, last_server, rng)`` keep working: the
-        engine only passes the RTT view to implementations that accept
-        it (an ``rtt`` parameter or ``**kwargs``).  The
-        ``inspect.signature`` probe runs once per *class* — cached on
-        the class itself, and never inherited, so a subclass overriding
-        ``select`` is re-probed — keeping sweep loops that construct
-        thousands of simulators free of per-run introspection.
-        """
-        cached = cls.__dict__.get("_select_accepts_rtt")
-        if cached is None:
-            parameters = inspect.signature(cls.select).parameters
-            cached = "rtt" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values()
-            )
-            cls._select_accepts_rtt = cached
-        return cached
 
     def _require_rtt(self, rtt: Optional[np.ndarray]) -> np.ndarray:
         """The RTT view, or a clear error for latency-blind call sites."""
@@ -251,7 +229,8 @@ class LatencyAwarePolicy(SelectionPolicy):
     ) -> Optional[int]:
         rtt = self._require_rtt(rtt)
         free = capacities - occupancy
-        if not np.any(free > 0):
+        closed = free <= 0
+        if closed.all():
             return None
         free_share = free / max(int(capacities.max()), 1)
         # normalisation is recomputed per call — one reduction over a
@@ -260,8 +239,8 @@ class LatencyAwarePolicy(SelectionPolicy):
         rtt_scale = float(rtt.max())
         normalised_rtt = rtt / rtt_scale if rtt_scale > 0 else rtt
         score = self.alpha * free_share - self.beta * normalised_rtt
-        score[free <= 0] = -np.inf
-        return int(np.argmax(score))
+        score[closed] = -np.inf
+        return int(score.argmax())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(alpha={self.alpha}, beta={self.beta})"

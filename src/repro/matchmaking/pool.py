@@ -90,12 +90,12 @@ class RegionProfile:
 class QoeConfig:
     """RTT-coupled quality-of-experience behaviour of the pool.
 
-    Default-off: with ``enabled=False`` the engines never consult this
+    Default-off: with ``enabled=False`` the engine never consults this
     config and a run is bit-identical to one built before the knob
     existed.  When enabled, two couplings close the loop *through the
     network* — both are deterministic functions of already-drawn
-    randomness, so they consume **zero** extra RNG draws and the scalar
-    and columnar engines stay bit-identical to each other:
+    randomness, so they consume **zero** extra RNG draws and the engine
+    stays bit-identical to its per-attempt test oracle:
 
     * **session-duration multiplier** — a session's raw lognormal
       duration draw is scaled by :meth:`duration_multiplier` of the
@@ -152,8 +152,9 @@ class QoeConfig:
         """Session-duration multiplier for a session at ``rtt_ms``.
 
         1.0 at or below ``rtt_good_ms``, decaying exponentially toward
-        ``duration_floor``.  Both engines call this exact function per
-        admitted session, so IEEE results agree bit for bit.
+        ``duration_floor``.  The engine and its test oracle call this
+        exact function per admitted session, so IEEE results agree bit
+        for bit.
         """
         if rtt_ms <= self.rtt_good_ms:
             return 1.0

@@ -23,9 +23,9 @@ A :class:`DemandScenario` is a named tuple of declarative
   sessions all ``wants_download`` (the download model rides along).
 
 Scenarios are *compiled* once per run against the pool/fleet shape into
-per-epoch modulation arrays (:class:`CompiledScenario`), and both
-engines consult the same compiled object through the same methods, so a
-scenario never perturbs RNG stream positions: hazard scaling reuses the
+per-epoch modulation arrays (:class:`CompiledScenario`), and the engine
+and its test oracle consult the same compiled object through the same
+methods, so a scenario never perturbs RNG stream positions: hazard scaling reuses the
 per-epoch arrival uniforms with a different threshold, and capacity
 scaling changes only the slot arithmetic.  ``scenario=None`` is the
 exact pre-scenario code path.
@@ -176,7 +176,8 @@ class DemandScenario:
 
         Unknown region names raise :class:`ValueError`; events entirely
         past ``n_epochs`` simply never activate.  The result holds
-        per-epoch modulation arrays both engines consult identically.
+        per-epoch modulation arrays the engine and its test oracle
+        consult identically.
         """
         server_regions = np.asarray(server_regions, dtype=np.int64)
         n_servers = int(server_regions.size)
@@ -275,10 +276,10 @@ class CompiledScenario:
     ) -> np.ndarray:
         """Per-player attempt probability for this epoch's idle players.
 
-        The scenario-free engines compute the scalar
-        ``1 - exp(-hazard * dt)``; with a scenario active both engines
-        call this vectorised form for *every* epoch (scaled or not), so
-        they share one set of IEEE operations.
+        Scenario-free runs compute the scalar ``1 - exp(-hazard * dt)``;
+        with a scenario active the engine and its test oracle call this
+        vectorised form for *every* epoch (scaled or not), so they share
+        one set of IEEE operations.
         """
         scale = self.hazard_scale[epoch]
         return 1.0 - np.exp(-hazard * scale[player_regions] * dt)

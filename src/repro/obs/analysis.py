@@ -48,7 +48,6 @@ from repro.obs.metrics import MetricsRegistry
 BENCH_THROUGHPUT_KEYS = (
     "kernel_pps",
     "cache_hit_rate_warm",
-    "matchmaking_players_per_s",
     "matchmaking_columnar_players_per_s",
     "matchmaking_qoe_players_per_s",
 )

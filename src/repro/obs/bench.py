@@ -3,18 +3,17 @@
 Speedups used to live only as test floors (kernel >= 5x, cache hits
 asserted in benchmarks); this module turns them into a *measured
 trajectory tracked across PRs*.  :func:`emit_bench_record` measures
-three fleet-level throughput figures on small fixed workloads —
+four fleet-level throughput figures on small fixed workloads —
 
 * ``kernel_pps`` — :func:`repro.kernels.fifo_forward` fast-path packets
   per second on a seeded 0.9-utilisation Poisson stream;
 * ``cache_hit_rate_warm`` — warm-pass hit rate of a real
   :class:`~repro.fleet.cache.ShardCache` driven through
   :func:`~repro.fleet.execution.shard_map`;
-* ``matchmaking_players_per_s`` — closed-loop epoch-engine connection
+* ``matchmaking_columnar_players_per_s`` — closed-loop connection
   attempts per wall second on the golden-regression scenario;
-* ``matchmaking_columnar_players_per_s`` — the same scenario through
-  the columnar engine (``engine="columnar"``), starting the trajectory
-  for the vectorised hot path —
+* ``matchmaking_qoe_players_per_s`` — the same with the QoE coupling
+  and a regional outage on —
 
 and **appends** them (with git revision, package/kernel versions and a
 timestamp) to the JSON trajectory file, so each PR's benchmark run adds
@@ -111,20 +110,12 @@ def _measure_matchmaking_rate() -> Dict[str, float]:
         session_duration_min=5.0,
     )
     t0 = time.perf_counter()
-    result = simulate_matchmaking(fleet, "latency_aware", config, engine="scalar")
+    result = simulate_matchmaking(fleet, "latency_aware", config)
     wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    columnar = simulate_matchmaking(
-        fleet, "latency_aware", config, engine="columnar"
-    )
-    wall_columnar = time.perf_counter() - t0
     attempts = result.admission.attempts
     return {
-        "matchmaking_players_per_s": attempts / wall if wall > 0 else 0.0,
         "matchmaking_columnar_players_per_s": (
-            columnar.admission.attempts / wall_columnar
-            if wall_columnar > 0
-            else 0.0
+            attempts / wall if wall > 0 else 0.0
         ),
         "matchmaking_attempts": float(attempts),
     }
@@ -160,7 +151,6 @@ def _measure_qoe_epoch_rate() -> Dict[str, float]:
         "latency_aware",
         config,
         scenario=scenario,
-        engine="columnar",
     )
     wall = time.perf_counter() - t0
     return {

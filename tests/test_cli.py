@@ -247,23 +247,18 @@ class TestExperimentsMatchmakingFlags:
         assert "--engine" in err
         assert "Traceback" not in err
 
-    def test_engine_choices_come_from_the_engine_registry(self, capsys):
-        from repro.matchmaking import ENGINES
-
+    def test_engine_flag_is_gone(self, capsys):
+        # one matchmaking engine: the old --engine flag is an unknown
+        # option, whatever its value
         with pytest.raises(SystemExit) as excinfo:
-            runner.main(["--engine", "turbo", "matchmaking"])
+            runner.main(["table1", "--engine", "scalar"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        for name in ENGINES:
-            assert name in err
-
-    def test_engine_documented_in_help(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
+        assert "--engine" in err
+        assert "Traceback" not in err
+        with pytest.raises(SystemExit):
             runner.main(["--help"])
-        assert excinfo.value.code == 0
-        out = capsys.readouterr().out
-        assert "--engine" in out
-        assert "columnar" in out
+        assert "--engine" not in capsys.readouterr().out
 
     def test_defaults_are_reset_after_run(self, monkeypatch):
         from repro.experiments import matchmaking
@@ -276,7 +271,6 @@ class TestExperimentsMatchmakingFlags:
             calls["rtt_profile"] = matchmaking._default_rtt_profile
             calls["alpha"] = matchmaking._default_alpha
             calls["beta"] = matchmaking._default_beta
-            calls["engine"] = matchmaking._default_engine
             return []
 
         monkeypatch.setattr(runner, "run_experiments", fake_run)
@@ -284,7 +278,7 @@ class TestExperimentsMatchmakingFlags:
             [
                 "--policy", "latency_aware", "--pool-size", "123",
                 "--rtt-profile", "continental", "--alpha", "2.5",
-                "--beta", "0.5", "--engine", "columnar", "matchmaking",
+                "--beta", "0.5", "matchmaking",
             ]
         )
         # installed for the run...
@@ -294,7 +288,6 @@ class TestExperimentsMatchmakingFlags:
             "rtt_profile": "continental",
             "alpha": 2.5,
             "beta": 0.5,
-            "engine": "columnar",
         }
         # ...and cleared afterwards
         assert matchmaking._default_policy is None
@@ -302,7 +295,6 @@ class TestExperimentsMatchmakingFlags:
         assert matchmaking._default_rtt_profile is None
         assert matchmaking._default_alpha is None
         assert matchmaking._default_beta is None
-        assert matchmaking._default_engine is None
 
 
 class TestExperimentsChurnFlags:

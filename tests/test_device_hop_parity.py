@@ -1,7 +1,7 @@
 """Regression: the refactored device reproduces pre-refactor results.
 
 ``router/device.py``'s FIFO core was generalised into
-:func:`repro.facilitynet.hops.fifo_forward`; the device now delegates to
+:func:`repro.kernels.fifo_forward`; the device now delegates to
 that kernel.  These tests pin the engine's outputs on seeded busy
 windows to the exact values the pre-refactor loop produced (captured
 before the refactor), so any behavioural drift in the shared kernel —
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.facilitynet.hops import FreezePolicy, fifo_forward
+from repro.kernels import FreezePolicy, fifo_forward
 from repro.net.addresses import IPv4Address
 from repro.router.device import DeviceProfile, ForwardingEngine
 from repro.trace.packet import Direction

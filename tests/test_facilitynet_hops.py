@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.facilitynet import hops
-from repro.facilitynet.hops import (
-    FreezePolicy,
-    bps_hop,
-    fifo_forward,
-    pps_hop,
-    tail_drop_link,
-)
+from repro.facilitynet.hops import bps_hop, pps_hop
+from repro.kernels import FreezePolicy, fifo_forward, tail_drop_link
+from repro.kernels import taildrop
 from repro.net.addresses import IPv4Address
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace, TraceBuilder
@@ -150,7 +145,7 @@ class TestTailDropLink:
 
         ref_fates = np.ones(n, dtype=np.int8)
         ref_departures = np.full(n, np.nan)
-        hops._scalar_tail_drop(
+        taildrop._scalar_tail_drop(
             t, sizes, 5e6 / 8.0, buffer_bytes, ref_fates, ref_departures,
             0, n, 0.0, float(t[0]),
         )

@@ -204,17 +204,6 @@ class TestDispatch:
 
 
 class TestCompatibilityExports:
-    def test_hops_reexports_kernel_names(self):
-        from repro.facilitynet import hops
-        from repro.kernels import fifo as kernel_fifo
-        from repro.kernels import taildrop as kernel_taildrop
-
-        assert hops.fifo_forward is kernel_fifo.fifo_forward
-        assert hops.FreezePolicy is kernel_fifo.FreezePolicy
-        assert hops.KernelResult is kernel_fifo.KernelResult
-        assert hops.tail_drop_link is kernel_taildrop.tail_drop_link
-        assert hops._scalar_tail_drop is kernel_taildrop._scalar_tail_drop
-
     def test_package_namespace(self):
         import repro.kernels as kernels
 

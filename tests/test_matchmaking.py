@@ -24,6 +24,7 @@ from repro.matchmaking import (
     RTT_PROFILES,
     PlayerTraits,
     PoolConfig,
+    QoeConfig,
     RegionProfile,
     RttMatrix,
     RttProfile,
@@ -31,6 +32,7 @@ from repro.matchmaking import (
     assigned_population,
     make_policy,
     make_rtt_profile,
+    make_scenario,
     simulate_matchmaking,
 )
 from repro.matchmaking.policies import (
@@ -360,6 +362,28 @@ class TestRegionsAndRtt:
         assert "na-west" in text
 
 
+def _assert_conserved(result):
+    """Attempts, sessions and slots are neither created nor lost."""
+    stats = result.admission
+    assert stats.attempts == stats.admitted + stats.rejected
+    assert stats.rejected == stats.balked + stats.retried
+    assert stats.admitted == sum(len(s) for s in result.sessions)
+    assert int(result.per_server_attempts.sum()) >= stats.admitted
+    # every admission is attributed to the server it landed on
+    np.testing.assert_array_equal(
+        result.per_server_attempts - result.per_server_rejections,
+        [len(s) for s in result.sessions],
+    )
+    # session ids are handed out once each, in admission order
+    ids = sorted(r.session_id for s in result.sessions for r in s)
+    assert ids == list(range(stats.admitted))
+    # scenarios only lower effective capacity: the configured slot
+    # count is never exceeded
+    assert np.all(
+        result.occupancy <= np.asarray(result.capacities)[:, None]
+    )
+
+
 class TestEngineInvariants:
     def test_capacity_never_exceeded(self, results):
         for name, result in results.items():
@@ -369,11 +393,26 @@ class TestEngineInvariants:
 
     def test_admission_accounting(self, results):
         for result in results.values():
-            stats = result.admission
-            assert stats.attempts == stats.admitted + stats.rejected
-            assert stats.rejected == stats.balked + stats.retried
-            assert stats.admitted == sum(len(s) for s in result.sessions)
-            assert int(result.per_server_attempts.sum()) >= stats.admitted
+            _assert_conserved(result)
+
+    @pytest.mark.parametrize("qoe", [False, True], ids=["qoe_off", "qoe_on"])
+    @pytest.mark.parametrize(
+        "scenario_name", [None, "regional_outage", "flash_crowd"]
+    )
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_conservation(
+        self, small_fleet, saturating_config, policy, scenario_name, qoe
+    ):
+        config = saturating_config.replace(qoe=QoeConfig(enabled=qoe))
+        scenario = (
+            None
+            if scenario_name is None
+            else make_scenario(scenario_name, config.n_epochs)
+        )
+        result = simulate_matchmaking(
+            small_fleet, policy, config, scenario=scenario
+        )
+        _assert_conserved(result)
 
     def test_only_capacity_aware_retries(self, results):
         assert results["capacity_aware"].admission.retried > 0
@@ -483,24 +522,25 @@ class TestEngineInvariants:
         for result in results.values():
             assert " ms" in result.describe()
 
-    def test_legacy_four_argument_policy_still_runs(
+    def test_custom_policy_runs_end_to_end(
         self, small_fleet, saturating_config
     ):
-        # policies written against the pre-RTT select() signature must
-        # keep working: the engine only passes rtt to those that accept it
-        class LegacyFirstOpen(SelectionPolicy):
-            name = "legacy_first_open"
+        # an out-of-tree policy (not one of the six stock classes) runs
+        # through the engine's per-attempt step on every attempt
+        class FirstOpen(SelectionPolicy):
+            name = "first_open"
 
-            def select(self, occupancy, capacities, last_server, rng):
+            def select(self, occupancy, capacities, last_server, rng, rtt=None):
                 open_servers = np.flatnonzero(occupancy < capacities)
                 if open_servers.size == 0:
                     return None
                 return int(open_servers[0])
 
         result = simulate_matchmaking(
-            small_fleet, LegacyFirstOpen(), saturating_config
+            small_fleet, FirstOpen(), saturating_config
         )
         assert result.admission.admitted > 0
+        _assert_conserved(result)
         # RTTs are still recorded for the QoE analytics
         assert result.all_session_rtts().size == result.admission.admitted
 

@@ -1,36 +1,39 @@
-"""Scalar/columnar engine parity: the bit-identity contract.
+"""Engine/oracle parity: the bit-identity contract.
 
-The columnar engine (:mod:`repro.matchmaking.columnar`) is only allowed
-to be fast because it is *provably* the same computation: for every
-stock policy, every :class:`MatchmakingResult` field — sessions,
-occupancy traces, admission stats, per-server attribution, session RTTs
-— must equal the scalar engine's bit for bit.  This suite pins that
-contract on the golden scenario, under hypothesis property sweeps,
-through the saturated-window fast path, and downstream across worker
-counts and warm/cold shard caches; it also covers the ``engine`` knob's
-validation, the hoisted ``select_accepts_rtt`` probe (legacy
-pre-RTT policies keep working) and the simplified ``drain_departures``
-boundary semantics.
+The engine (:mod:`repro.matchmaking.columnar`) is only allowed to be
+fast because it is *provably* the same computation as the plain
+per-attempt loop kept in ``matchmaking_reference.py``: every
+:class:`MatchmakingResult` field — sessions, occupancy traces,
+admission stats, per-server attribution, session RTTs, QoE figures —
+must equal the oracle's bit for bit.  This suite pins that contract on
+the golden scenario, under hypothesis property sweeps, through the
+saturated-window fast path, for custom policies that take the
+per-attempt step on every attempt, and downstream across worker counts
+and warm/cold shard caches; it also covers the ``engine`` keyword's
+validation and the ``drain_departures`` boundary semantics.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from matchmaking_reference import run_reference, simulate_reference
 
 from repro.fleet.cache import ShardCache
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
 from repro.matchmaking import (
-    ENGINES,
     POLICIES,
+    DemandScenario,
     LatencyAwarePolicy,
     LeastLoadedPolicy,
     MatchmakingSimulator,
     PoolConfig,
+    QoeConfig,
+    RegionalOutage,
     RttMatrix,
     SelectionPolicy,
+    make_scenario,
     simulate_matchmaking,
-    supports_policy,
 )
 
 POLICY_NAMES = sorted(POLICIES)
@@ -57,13 +60,10 @@ def _scenario(
 
 
 def _both_engines(policy, seed=3, **kwargs):
+    """``(oracle, engine)`` results of one scenario."""
     fleet, config, rtt = _scenario(seed=seed, **kwargs)
-    scalar = simulate_matchmaking(
-        fleet, policy, config, rtt=rtt, seed=seed, engine="scalar"
-    )
-    columnar = simulate_matchmaking(
-        fleet, policy, config, rtt=rtt, seed=seed, engine="columnar"
-    )
+    scalar = simulate_reference(fleet, policy, config, rtt=rtt, seed=seed)
+    columnar = simulate_matchmaking(fleet, policy, config, rtt=rtt, seed=seed)
     return scalar, columnar
 
 
@@ -78,9 +78,14 @@ def _assert_identical(a, b):
     assert a.sessions == b.sessions
     assert a.capacities == b.capacities
     assert a.repeat_assignments == b.repeat_assignments
+    assert a.qoe_repeat_refusals == b.qoe_repeat_refusals
+    assert a.scenario_name == b.scenario_name
     assert len(a.session_rtts) == len(b.session_rtts)
     for rtts_a, rtts_b in zip(a.session_rtts, b.session_rtts):
         np.testing.assert_array_equal(rtts_a, rtts_b)
+    assert len(a.qoe_multipliers) == len(b.qoe_multipliers)
+    for mults_a, mults_b in zip(a.qoe_multipliers, b.qoe_multipliers):
+        np.testing.assert_array_equal(mults_a, mults_b)
     assert a.describe() == b.describe()
 
 
@@ -98,18 +103,12 @@ class TestGoldenParity:
         )
         _assert_identical(scalar, columnar)
 
-    def test_auto_resolves_to_columnar_for_stock_policies(self):
+    def test_simulator_run_matches_oracle(self):
         fleet, config, rtt = _scenario()
         sim = MatchmakingSimulator(
-            fleet, "least_loaded", config=config, rtt=rtt, engine="auto"
+            fleet, "least_loaded", config=config, rtt=rtt
         )
-        assert sim._engine_resolved == "columnar"
-        _assert_identical(
-            sim.run(),
-            simulate_matchmaking(
-                fleet, "least_loaded", config, rtt=rtt, engine="scalar"
-            ),
-        )
+        _assert_identical(sim.run(), run_reference(sim))
 
 
 class TestSaturatedWindows:
@@ -179,9 +178,7 @@ class TestDownstreamParity:
     @pytest.fixture(scope="class")
     def columnar_result(self):
         fleet, config, rtt = _scenario(n_servers=4, duration=600.0)
-        return simulate_matchmaking(
-            fleet, "least_loaded", config, rtt=rtt, engine="columnar"
-        )
+        return simulate_matchmaking(fleet, "least_loaded", config, rtt=rtt)
 
     def _series_equal(self, a, b):
         return all(
@@ -218,11 +215,9 @@ class TestDownstreamParity:
         self, columnar_result, tmp_path
     ):
         # identical sessions -> identical shard keys: a cache warmed by
-        # one engine serves the other without a single store
+        # the oracle's result serves the engine's without a single store
         fleet, config, rtt = _scenario(n_servers=4, duration=600.0)
-        scalar = simulate_matchmaking(
-            fleet, "least_loaded", config, rtt=rtt, engine="scalar"
-        )
+        scalar = simulate_reference(fleet, "least_loaded", config, rtt=rtt)
         cache = ShardCache(tmp_path / "xengine")
         FleetScenario.from_matchmaking(
             scalar, cache=cache
@@ -235,94 +230,151 @@ class TestDownstreamParity:
         assert replay_cache.stats.stores == 0
 
 
-class _LegacyPolicy(SelectionPolicy):
-    """Out-of-tree policy written against the pre-RTT signature."""
+class _Gambler(SelectionPolicy):
+    """Custom retrying policy: draws from ``rng``, sometimes refuses
+    outright (``None``) and sometimes names the fullest server."""
 
-    name = "legacy"
+    name = "gambler"
+    retry_on_reject = True
 
-    def select(self, occupancy, capacities, last_server, rng):
-        return 0
+    def select(self, occupancy, capacities, last_server, rng, rtt=None):
+        u = rng.uniform()
+        if u < 0.2:
+            return None
+        if u < 0.5:
+            return int(np.argmin(capacities - occupancy))
+        return int(rng.integers(occupancy.size))
 
 
-class _KwargsPolicy(SelectionPolicy):
-    """Out-of-tree policy taking the RTT view through ``**kwargs``."""
+class _Tweaked(LeastLoadedPolicy):
+    """A stock subclass overriding ``select``: a coin flip from ``rng``
+    picks the previous server (full or not) or least-loaded; being a
+    non-retrying policy, its refused players balk without a draw."""
 
-    name = "kwargs"
+    def select(self, occupancy, capacities, last_server, rng, rtt=None):
+        if last_server >= 0 and rng.uniform() < 0.5:
+            return int(last_server)
+        return super().select(occupancy, capacities, last_server, rng, rtt=rtt)
 
-    def select(self, occupancy, capacities, last_server, rng, **kwargs):
-        return 0
+
+def _coupled_or_plain(policy, seed, demand, n_servers, coupled):
+    """Oracle and engine results, with QoE + ``regional_outage`` on or
+    with neither."""
+    fleet, config, rtt = _scenario(
+        seed=seed, n_servers=n_servers, duration=600.0, demand_ratio=demand
+    )
+    scenario = None
+    if coupled:
+        config = config.replace(qoe=QoeConfig(enabled=True))
+        scenario = make_scenario("regional_outage", config.n_epochs)
+    return (
+        simulate_reference(fleet, policy, config, rtt=rtt, scenario=scenario),
+        simulate_matchmaking(fleet, policy, config, rtt=rtt, scenario=scenario),
+    )
+
+
+class TestGenericStepParity:
+    """Custom policies take the per-attempt step on every attempt: its
+    refusal branch (``None`` or a full server, attribution, QoE refusal
+    count, retry-or-balk draws) must match the oracle."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        demand=st.sampled_from([0.5, 1.5, 4.0]),
+        n_servers=st.integers(min_value=1, max_value=5),
+        coupled=st.booleans(),
+    )
+    def test_retrying_custom_policy_matches_oracle(
+        self, seed, demand, n_servers, coupled
+    ):
+        scalar, columnar = _coupled_or_plain(
+            _Gambler(), seed, demand, n_servers, coupled
+        )
+        _assert_identical(scalar, columnar)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        demand=st.sampled_from([0.5, 1.5, 4.0]),
+        n_servers=st.integers(min_value=1, max_value=5),
+        coupled=st.booleans(),
+    )
+    def test_subclass_override_matches_oracle(
+        self, seed, demand, n_servers, coupled
+    ):
+        scalar, columnar = _coupled_or_plain(
+            _Tweaked(), seed, demand, n_servers, coupled
+        )
+        _assert_identical(scalar, columnar)
+
+    @pytest.mark.parametrize("policy", [_Gambler(), _Tweaked()])
+    def test_deep_outage_matches_oracle(self, policy):
+        # two of three servers hard-down mid-run: occupancy exceeds the
+        # effective capacity while sessions drain (negative free slots)
+        fleet, config, rtt = _scenario(session_duration_mean=400.0)
+        config = config.replace(qoe=QoeConfig(enabled=True))
+        scenario = DemandScenario(
+            "deep_outage",
+            (RegionalOutage(5, 10, servers=(0, 1), capacity_scale=0.0),),
+        )
+        scalar = simulate_reference(
+            fleet, policy, config, rtt=rtt, scenario=scenario
+        )
+        _assert_identical(
+            scalar,
+            simulate_matchmaking(
+                fleet, policy, config, rtt=rtt, scenario=scenario
+            ),
+        )
+        assert np.any(scalar.occupancy[:2, 5:10] > 0)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_refusal_branch_is_exercised(self, coupled):
+        # guard the trivial pass: both refusal kinds, retries and
+        # balks all occur, and every attempt takes the per-attempt step
+        from repro.obs.metrics import registry, reset_metrics
+
+        reset_metrics()
+        scalar, columnar = _coupled_or_plain(_Gambler(), 3, 4.0, 3, coupled)
+        _assert_identical(scalar, columnar)
+        admission = columnar.admission
+        attributed = int(columnar.per_server_rejections.sum())
+        assert 0 < attributed < admission.rejected  # full and None both
+        assert admission.retried > 0 and admission.balked > 0
+        fallback = registry().counter(
+            "matchmaking.columnar.scalar_fallback_attempts"
+        ).value
+        assert fallback == admission.attempts
+        if coupled:
+            assert columnar.qoe_repeat_refusals > 0
 
 
 class TestEngineKnob:
-    def test_engines_tuple(self):
-        assert ENGINES == ("auto", "scalar", "columnar")
+    """``simulate_matchmaking`` keeps an ``engine`` keyword that only
+    accepts the one engine's name."""
 
     def test_unknown_engine_rejected(self):
         fleet, config, rtt = _scenario()
         with pytest.raises(ValueError, match="engine"):
-            MatchmakingSimulator(
-                fleet, "least_loaded", config=config, rtt=rtt, engine="turbo"
+            simulate_matchmaking(
+                fleet, "least_loaded", config, rtt=rtt, engine="turbo"
             )
 
-    def test_columnar_refuses_unsupported_policy(self):
+    def test_scalar_engine_rejected(self):
         fleet, config, rtt = _scenario()
-        with pytest.raises(ValueError, match="bit-identity"):
-            MatchmakingSimulator(
-                fleet,
-                _LegacyPolicy(),
-                config=config,
-                rtt=rtt,
-                engine="columnar",
+        with pytest.raises(ValueError, match="engine"):
+            simulate_matchmaking(
+                fleet, "least_loaded", config, rtt=rtt, engine="scalar"
             )
-
-    def test_auto_falls_back_to_scalar_for_subclasses(self):
-        # a subclass overriding select has unknown behaviour: identity
-        # matching (not isinstance) must route it to the scalar loop
-        class Tweaked(LeastLoadedPolicy):
-            def select(self, occupancy, capacities, last_server, rng, rtt=None):
-                return 0
-
-        assert not supports_policy(Tweaked())
-        fleet, config, rtt = _scenario()
-        sim = MatchmakingSimulator(
-            fleet, Tweaked(), config=config, rtt=rtt, engine="auto"
-        )
-        assert sim._engine_resolved == "scalar"
-        assert sim.run().admission.attempts > 0
-
-
-class TestSignatureProbe:
-    """The hoisted, per-class-cached ``select_accepts_rtt`` probe."""
-
-    def test_stock_policies_accept_rtt(self):
-        for name in POLICY_NAMES:
-            assert POLICIES[name].select_accepts_rtt()
-
-    def test_legacy_signature_detected(self):
-        assert not _LegacyPolicy.select_accepts_rtt()
-        assert _KwargsPolicy.select_accepts_rtt()
-
-    def test_probe_cached_per_class_not_inherited(self):
-        class Child(_LegacyPolicy):
-            def select(self, occupancy, capacities, last_server, rng, rtt=None):
-                return 0
-
-        assert _LegacyPolicy.select_accepts_rtt() is False
-        # the parent's cached False must not leak onto the child, whose
-        # overriding select does accept the RTT view
-        assert Child.select_accepts_rtt() is True
-        assert "_select_accepts_rtt" in Child.__dict__
-
-    def test_legacy_policy_simulates_without_rtt_view(self):
-        # end to end: the engine probes the signature once and withholds
-        # the RTT view from pre-RTT implementations
-        fleet, config, rtt = _scenario(n_servers=2, duration=300.0)
-        result = simulate_matchmaking(
-            fleet, _LegacyPolicy(), config, rtt=rtt, engine="auto"
-        )
-        assert result.admission.admitted > 0
-        # every admission landed on server 0, as the stub dictates
-        assert all(len(s) == 0 for s in result.sessions[1:])
 
 
 class TestDrainBoundary:
@@ -340,10 +392,8 @@ class TestDrainBoundary:
             session_duration_mean=250.0,
             session_duration_min=400.0,  # > horizon: every end clips
         )
-        for engine in ("scalar", "columnar"):
-            result = simulate_matchmaking(
-                fleet, "least_loaded", config, rtt=rtt, engine=engine
-            )
+        for simulate in (simulate_reference, simulate_matchmaking):
+            result = simulate(fleet, "least_loaded", config, rtt=rtt)
             ends = np.array(
                 [
                     s.end

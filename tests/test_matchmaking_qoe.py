@@ -3,10 +3,10 @@
 The coupling contract has two halves.  Off (the default), every knob in
 :class:`QoeConfig` and every scenario hook must be invisible — a run is
 bit-identical to one built before the knobs existed, and the traced
-artifacts carry no QoE fields.  On, the scalar and columnar engines must
-stay bit-identical to *each other* across every stock policy, every
-stock scenario, worker counts and warm/cold shard caches — the PR-8
-parity suites extended through the coupled path.  Alongside: the
+artifacts carry no QoE fields.  On, the engine must stay bit-identical
+to the per-attempt oracle (``matchmaking_reference.py``) across every
+stock policy, every stock scenario, worker counts and warm/cold shard
+caches — the parity suites extended through the coupled path.  Alongside: the
 scenario machinery's compile-time validation and drain semantics,
 epoch-granular retry timing at the horizon boundary, the
 ``latency_aware`` degenerate placement, the ``for_fleet``
@@ -16,6 +16,7 @@ truncation.
 
 import numpy as np
 import pytest
+from matchmaking_reference import simulate_reference
 
 from repro import obs
 from repro.fleet.cache import ShardCache
@@ -39,6 +40,8 @@ from repro.matchmaking import (
 
 POLICY_NAMES = sorted(POLICIES)
 SCENARIO_NAMES = sorted(SCENARIOS)
+#: ``scalar`` is the per-attempt oracle, ``columnar`` the engine.
+SIMULATORS = {"scalar": simulate_reference, "columnar": simulate_matchmaking}
 
 
 def _scenario(
@@ -135,10 +138,9 @@ class TestQoeOffBitIdentity:
 
     @pytest.mark.parametrize("engine", ["scalar", "columnar"])
     def test_disabled_knobs_never_consulted(self, engine):
+        simulate = SIMULATORS[engine]
         fleet, config, rtt = _scenario()
-        baseline = simulate_matchmaking(
-            fleet, "capacity_aware", config, rtt=rtt, engine=engine
-        )
+        baseline = simulate(fleet, "capacity_aware", config, rtt=rtt)
         # extreme parameters, but enabled=False: bit-identical anyway
         loud = config.replace(
             qoe=QoeConfig(
@@ -151,9 +153,7 @@ class TestQoeOffBitIdentity:
         )
         _assert_identical(
             baseline,
-            simulate_matchmaking(
-                fleet, "capacity_aware", loud, rtt=rtt, engine=engine
-            ),
+            simulate(fleet, "capacity_aware", loud, rtt=rtt),
         )
 
     def test_off_run_has_no_qoe_artifacts(self, tmp_path):
@@ -193,13 +193,13 @@ def _coupled(policy, scenario_name, engine, seed=3, **kwargs):
     fleet, config, rtt = _scenario(seed=seed, **kwargs)
     config = config.replace(qoe=QoeConfig(enabled=True))
     scenario = make_scenario(scenario_name, config.n_epochs)
-    return simulate_matchmaking(
-        fleet, policy, config, rtt=rtt, scenario=scenario, engine=engine
+    return SIMULATORS[engine](
+        fleet, policy, config, rtt=rtt, scenario=scenario
     )
 
 
 class TestCoupledParity:
-    """QoE + scenario on: both engines bit-identical, every policy."""
+    """QoE + scenario on: engine and oracle bit-identical, every policy."""
 
     @pytest.mark.parametrize("scenario_name", SCENARIO_NAMES)
     @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -213,20 +213,18 @@ class TestCoupledParity:
     def test_deep_outage_careful_path_parity(self, policy):
         # two of three servers hard-down mid-run: occupancy exceeds the
         # reduced effective capacity while sessions drain, the regime
-        # the columnar engine's careful slot accounting serves
+        # the engine's careful slot accounting serves
         fleet, config, rtt = _scenario(session_duration_mean=400.0)
         config = config.replace(qoe=QoeConfig(enabled=True))
         scenario = DemandScenario(
             "deep_outage",
             (RegionalOutage(5, 10, servers=(0, 1), capacity_scale=0.0),),
         )
-        scalar = simulate_matchmaking(
-            fleet, policy, config, rtt=rtt, scenario=scenario,
-            engine="scalar",
+        scalar = simulate_reference(
+            fleet, policy, config, rtt=rtt, scenario=scenario
         )
         columnar = simulate_matchmaking(
-            fleet, policy, config, rtt=rtt, scenario=scenario,
-            engine="columnar",
+            fleet, policy, config, rtt=rtt, scenario=scenario
         )
         _assert_identical(scalar, columnar)
         # the event really put occupancy above effective capacity
@@ -243,25 +241,19 @@ class TestCoupledParity:
         fleet, config, rtt = _scenario()
         config = config.replace(qoe=QoeConfig(enabled=True))
         _assert_identical(
-            simulate_matchmaking(
-                fleet, "capacity_aware", config, rtt=rtt, engine="scalar"
-            ),
-            simulate_matchmaking(
-                fleet, "capacity_aware", config, rtt=rtt, engine="columnar"
-            ),
+            simulate_reference(fleet, "capacity_aware", config, rtt=rtt),
+            simulate_matchmaking(fleet, "capacity_aware", config, rtt=rtt),
         )
 
     def test_scenario_without_qoe_parity(self):
         fleet, config, rtt = _scenario()
         scenario = make_scenario("regional_outage", config.n_epochs)
         _assert_identical(
-            simulate_matchmaking(
-                fleet, "least_loaded", config, rtt=rtt,
-                scenario=scenario, engine="scalar",
+            simulate_reference(
+                fleet, "least_loaded", config, rtt=rtt, scenario=scenario
             ),
             simulate_matchmaking(
-                fleet, "least_loaded", config, rtt=rtt,
-                scenario=scenario, engine="columnar",
+                fleet, "least_loaded", config, rtt=rtt, scenario=scenario
             ),
         )
 
@@ -517,10 +509,8 @@ class TestRetryHorizonBoundary:
     def test_huge_delay_schedules_nothing(self):
         # a retry drawn past the horizon is a balk, not a pending event
         fleet, config, rtt = _scenario(retry_delay_mean=1e9)
-        for engine in ("scalar", "columnar"):
-            result = simulate_matchmaking(
-                fleet, "capacity_aware", config, rtt=rtt, engine=engine
-            )
+        for simulate in SIMULATORS.values():
+            result = simulate(fleet, "capacity_aware", config, rtt=rtt)
             assert result.admission.retried == 0
             assert result.admission.rejected > 0
             assert result.admission.balked == result.admission.rejected
@@ -535,12 +525,9 @@ class TestRetryHorizonBoundary:
         short_fleet, short_config, rtt = _scenario(duration=600.0)
         long_fleet, long_config, long_rtt = _scenario(duration=1200.0)
         np.testing.assert_array_equal(rtt.matrix, long_rtt.matrix)
-        short = simulate_matchmaking(
-            short_fleet, policy, short_config, rtt=rtt, engine=engine
-        )
-        extended = simulate_matchmaking(
-            long_fleet, policy, long_config, rtt=long_rtt, engine=engine
-        )
+        simulate = SIMULATORS[engine]
+        short = simulate(short_fleet, policy, short_config, rtt=rtt)
+        extended = simulate(long_fleet, policy, long_config, rtt=long_rtt)
         n_short = short.n_epochs
         np.testing.assert_array_equal(
             short.occupancy, extended.occupancy[:, :n_short]
@@ -588,12 +575,12 @@ class TestLatencyAwareDegenerate:
             for sessions in degenerate.sessions
         ]
         assert first_starts[0] <= first_starts[1] <= first_starts[2]
-        # and the scalar/columnar engines agree on the degenerate case
+        # and the engine agrees with the oracle on the degenerate case
         _assert_identical(
             degenerate,
-            simulate_matchmaking(
+            simulate_reference(
                 fleet, LatencyAwarePolicy(alpha=0.0, beta=0.0), config,
-                rtt=rtt, engine="scalar",
+                rtt=rtt,
             ),
         )
 

@@ -197,9 +197,7 @@ class TestLayerPublication:
         reset_metrics()
         fleet = hosting_facility(n_servers=2, duration=300.0, seed=1)
         config = PoolConfig.for_fleet(fleet, epoch_length=60.0)
-        result = simulate_matchmaking(
-            fleet, "least_loaded", config, engine="columnar"
-        )
+        result = simulate_matchmaking(fleet, "least_loaded", config)
         reg = registry()
         segments = reg.counter("matchmaking.columnar.segments").value
         vectorised = reg.counter(
@@ -211,7 +209,3 @@ class TestLayerPublication:
         assert segments >= 1
         # every attempt is accounted to exactly one of the two paths
         assert vectorised + fallback == result.admission.attempts
-        # the scalar engine must not touch the columnar counters
-        reset_metrics()
-        simulate_matchmaking(fleet, "least_loaded", config, engine="scalar")
-        assert reg.counter("matchmaking.columnar.segments").value == 0

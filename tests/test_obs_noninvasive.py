@@ -100,7 +100,7 @@ class TestMatchmakingBitIdentity:
 
         manifest = load_manifest(tmp_path / "trace")
         assert manifest["metrics"]["matchmaking.attempts"] > 0
-        # the golden run goes through engine="auto" -> columnar, so the
+        # the golden run goes through the columnar engine, so the
         # vectorisation counters must land in the manifest totals too
         assert manifest["metrics"]["matchmaking.columnar.segments"] > 0
         assert (
@@ -146,7 +146,7 @@ class TestLiveMonitoringBitIdentity:
 
         rows = obs.read_jsonl(tmp_path / "trace" / "progress.jsonl")
         stages = {row["stage"] for row in rows}
-        # golden run goes engine="auto" -> columnar epoch loop
+        # the golden run goes through the columnar epoch loop
         assert "matchmaking.columnar.epochs" in stages
         final = [
             row
