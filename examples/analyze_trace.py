@@ -24,28 +24,25 @@ import tempfile
 from pathlib import Path
 
 from repro import obs
-from repro.experiments.runner import run_experiments
+from repro.experiments.base import RunConfig
+from repro.experiments.runner import config_fingerprint, run_experiments
 from repro.obs import analysis
 
 
 def trace_policy(root: Path, policy: str, seed: int = 0) -> analysis.TraceRun:
     """One traced matchmaking run, pinned to a placement policy."""
-    from repro.experiments import matchmaking
-
-    matchmaking.set_default_policy(policy)
+    ids = ["matchmaking"]
+    config = RunConfig(policy=policy)
     obs.start_trace_session(
         root,
         seed=seed,
-        experiments=["matchmaking"],
-        config_fingerprint=obs.export.fingerprint(
-            {"seed": seed, "policy": policy}
-        ),
+        experiments=ids,
+        config_fingerprint=config_fingerprint(ids, seed, config),
     )
     try:
-        run_experiments(["matchmaking"], seed=seed)
+        run_experiments(ids, seed=seed, config=config)
     finally:
         obs.end_trace_session()
-        matchmaking.set_default_policy(None)
     return analysis.load_run(root)
 
 

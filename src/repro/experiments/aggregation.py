@@ -11,7 +11,7 @@ past one server, while a device provisioned by the linear rule
 from __future__ import annotations
 
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.router.device import DeviceProfile, ForwardingEngine
 from repro.workloads.aggregation import (
     aggregate_servers,
@@ -39,7 +39,7 @@ def _loss_through(trace, lookup_rate: float, seed: int, queue_scale: int = 1) ->
     return result.inbound_loss_rate + result.outbound_loss_rate
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep co-located server counts against fixed and scaled devices."""
     scenario = olygamer_scenario(seed)
     fixed_losses = {}

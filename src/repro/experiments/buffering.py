@@ -15,7 +15,7 @@ fixes the problem (the capacity sweep shows that side).
 from __future__ import annotations
 
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.router.ablation import (
     buffer_sweep,
     buffering_helps_loss_but_not_experience,
@@ -29,7 +29,7 @@ TITLE = "Buffering vs lookup-capacity ablation (§IV-A)"
 WINDOW = (3660.0, 4260.0)
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep queue depths and lookup rates on a 10-minute game window."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*WINDOW)

@@ -20,7 +20,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.router.cache import (
     CacheStats,
     EvictionPolicy,
@@ -38,7 +38,7 @@ GAME_WINDOW = (3600.0, 4500.0)
 WEB_PACKET_RATIO = 1.0
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep cache policies over a mixed game+web packet stream."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*GAME_WINDOW)

@@ -32,17 +32,16 @@ RTT geometry; recovery judged after a 10-epoch warmup.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 from repro.core.facility import RecoveryStats
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.fleet.profiles import hosting_facility
 from repro.matchmaking import (
     POLICIES,
-    SCENARIOS,
     PoolConfig,
     QoeConfig,
     RttMatrix,
@@ -63,93 +62,12 @@ DEMAND_RATIO = 0.85
 SESSION_MEAN_S = 300.0
 #: Epochs discarded before the recovery baseline (pool fill-up).
 WARMUP_EPOCHS = 10
-#: Default scripted scenario (``--scenario`` swaps it).
-SCENARIO = "flash_crowd"
 #: Recovery band as a fraction of baseline, and epochs-in-band to settle.
 RECOVERY_TOLERANCE = 0.1
 SETTLE_EPOCHS = 3
 #: Policy whose run anchors the single-policy claims (perturbation
 #: visibility, QoE bite).
 REFERENCE_POLICY = "least_loaded"
-
-#: Process-wide overrides installed by ``repro-experiments --scenario``
-#: / ``--qoe-*`` (mirrors the matchmaking experiment's plumbing).
-_default_scenario: Optional[str] = None
-_default_qoe_duration_floor: Optional[float] = None
-_default_qoe_rtt_good: Optional[float] = None
-_default_qoe_rtt_scale: Optional[float] = None
-_default_qoe_balk_escalation: Optional[float] = None
-
-
-def set_default_scenario(name: Optional[str]) -> None:
-    """Override the scripted scenario (``None`` restores flash_crowd)."""
-    global _default_scenario
-    if name is not None and name not in SCENARIOS:
-        raise KeyError(
-            f"unknown scenario {name!r}; known: {', '.join(sorted(SCENARIOS))}"
-        )
-    _default_scenario = name
-
-
-def set_default_qoe_duration_floor(value: Optional[float]) -> None:
-    """Override the QoE duration floor (``None`` restores the default)."""
-    global _default_qoe_duration_floor
-    if value is not None:
-        QoeConfig(duration_floor=value)  # ValueError outside (0, 1]
-    _default_qoe_duration_floor = value
-
-
-def set_default_qoe_rtt_good(value: Optional[float]) -> None:
-    """Override the full-length RTT threshold (ms)."""
-    global _default_qoe_rtt_good
-    if value is not None:
-        QoeConfig(rtt_good_ms=value)
-    _default_qoe_rtt_good = value
-
-
-def set_default_qoe_rtt_scale(value: Optional[float]) -> None:
-    """Override the duration-decay RTT scale (ms)."""
-    global _default_qoe_rtt_scale
-    if value is not None:
-        QoeConfig(rtt_scale_ms=value)
-    _default_qoe_rtt_scale = value
-
-
-def set_default_qoe_balk_escalation(value: Optional[float]) -> None:
-    """Override the per-refusal retry-probability multiplier."""
-    global _default_qoe_balk_escalation
-    if value is not None:
-        QoeConfig(balk_escalation=value)
-    _default_qoe_balk_escalation = value
-
-
-def _qoe_config() -> QoeConfig:
-    """The enabled coupling, honouring the CLI overrides."""
-    defaults = QoeConfig()
-    return QoeConfig(
-        enabled=True,
-        rtt_good_ms=(
-            defaults.rtt_good_ms
-            if _default_qoe_rtt_good is None
-            else _default_qoe_rtt_good
-        ),
-        rtt_scale_ms=(
-            defaults.rtt_scale_ms
-            if _default_qoe_rtt_scale is None
-            else _default_qoe_rtt_scale
-        ),
-        duration_floor=(
-            defaults.duration_floor
-            if _default_qoe_duration_floor is None
-            else _default_qoe_duration_floor
-        ),
-        balk_escalation=(
-            defaults.balk_escalation
-            if _default_qoe_balk_escalation is None
-            else _default_qoe_balk_escalation
-        ),
-    )
-
 
 def _mean_multiplier(result) -> float:
     """Mean QoE duration multiplier over every admitted session."""
@@ -174,46 +92,45 @@ def _recovery(series: np.ndarray, scenario, n_epochs: int) -> RecoveryStats:
     )
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep the six policies over one scripted, QoE-coupled scenario."""
     fleet = hosting_facility(
         n_servers=FACILITY_SERVERS, duration=HORIZON_S, seed=seed
     )
-    qoe = _qoe_config()
+    qoe = config.qoe_config()
     # flat demand (no diurnal drift): the recovery baseline must be
     # stationary for time-to-baseline to mean anything over one hour
-    config = PoolConfig.for_fleet(
+    pool = PoolConfig.for_fleet(
         fleet,
         demand_ratio=DEMAND_RATIO,
         epoch_length=EPOCH_S,
         session_duration_mean=SESSION_MEAN_S,
         diurnal_amplitude=0.0,
     ).replace(qoe=qoe)
-    scenario_name = _default_scenario or SCENARIO
-    scenario = make_scenario(scenario_name, config.n_epochs)
+    scenario = make_scenario(config.scenario, pool.n_epochs)
     if scenario.first_epoch <= WARMUP_EPOCHS:
         raise ValueError(
-            f"scenario {scenario_name!r} starts at epoch "
+            f"scenario {config.scenario!r} starts at epoch "
             f"{scenario.first_epoch}, inside the {WARMUP_EPOCHS}-epoch "
             "warmup — no pre-event baseline to recover to"
         )
-    rtt = RttMatrix.for_fleet(fleet, config.region_profile, seed=seed)
+    rtt = RttMatrix.for_fleet(fleet, pool.region_profile, seed=seed)
 
     results: Dict[str, object] = {}
     occupancy_recovery: Dict[str, RecoveryStats] = {}
     rtt_recovery: Dict[str, RecoveryStats] = {}
     for name in POLICIES:
         result = simulate_matchmaking(
-            fleet, name, config, rtt=rtt, scenario=scenario
+            fleet, name, pool, rtt=rtt, scenario=scenario
         )
         results[name] = result
         occupancy_recovery[name] = _recovery(
             result.total_occupancy_series().astype(float),
             scenario,
-            config.n_epochs,
+            pool.n_epochs,
         )
         rtt_recovery[name] = _recovery(
-            result.per_epoch_mean_rtt(), scenario, config.n_epochs
+            result.per_epoch_mean_rtt(), scenario, pool.n_epochs
         )
 
     reference = results[REFERENCE_POLICY]
@@ -224,7 +141,7 @@ def run(seed: int = 0) -> ExperimentOutput:
     uncoupled = simulate_matchmaking(
         fleet,
         REFERENCE_POLICY,
-        config.replace(qoe=QoeConfig()),
+        pool.replace(qoe=QoeConfig()),
         rtt=rtt,
         scenario=scenario,
     )
@@ -252,7 +169,7 @@ def run(seed: int = 0) -> ExperimentOutput:
             float(capacity_respected),
         ),
         ComparisonRow(
-            f"{scenario_name} perturbs occupancy beyond the "
+            f"{config.scenario} perturbs occupancy beyond the "
             f"{RECOVERY_TOLERANCE:.0%} band ({REFERENCE_POLICY})",
             1.0,
             float(
@@ -279,13 +196,13 @@ def run(seed: int = 0) -> ExperimentOutput:
 
     event_desc = (
         f"epochs [{scenario.first_epoch}, "
-        f"{min(scenario.last_epoch, config.n_epochs)})"
+        f"{min(scenario.last_epoch, pool.n_epochs)})"
     )
     notes = [
-        f"{FACILITY_SERVERS} servers, pool {config.pool_size} players, "
+        f"{FACILITY_SERVERS} servers, pool {pool.pool_size} players, "
         f"demand ratio {DEMAND_RATIO}, {SESSION_MEAN_S:.0f} s sessions, "
         f"{HORIZON_S / 60:.0f} min in {EPOCH_S:.0f} s epochs; scenario "
-        f"{scenario_name!r} active {event_desc}; recovery = "
+        f"{config.scenario!r} active {event_desc}; recovery = "
         f"{RECOVERY_TOLERANCE:.0%} band, {SETTLE_EPOCHS} epochs to "
         f"settle, first {WARMUP_EPOCHS} epochs warmup",
         f"qoe: rtt_good={qoe.rtt_good_ms:.0f}ms "
@@ -322,7 +239,7 @@ def run(seed: int = 0) -> ExperimentOutput:
             "occupancy_recovery": occupancy_recovery,
             "rtt_recovery": rtt_recovery,
             "scenario": scenario,
-            "config": config,
+            "config": pool,
             "rtt": rtt,
             "uncoupled": uncoupled,
         },

@@ -13,7 +13,7 @@ stream starves, and nobody times out on a clean path.
 from __future__ import annotations
 
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.gameserver.config import olygamer_week
 from repro.gameserver.server import run_closed_loop
 from repro.router.device import DeviceProfile
@@ -25,7 +25,7 @@ DURATION_S = 240.0
 N_CLIENTS = 20
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Run live sessions with and without the device in the path."""
     profile = olygamer_week()
     clean = run_closed_loop(profile, N_CLIENTS, DURATION_S, seed=seed)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.facility import oversubscribed_capacity
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.facilitynet.pipeline import (
     PipelineResult,
     rack_ingress_traces,
@@ -74,7 +74,7 @@ def _hop_fingerprint(result: PipelineResult) -> tuple:
     )
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep uplink oversubscription; find the first-saturating tier."""
     fleet = hosting_facility(
         n_servers=FACILITY_SERVERS, duration=HORIZON_S, seed=seed
@@ -84,8 +84,8 @@ def run(seed: int = 0) -> ExperimentOutput:
         FACILITY_SERVERS, FACILITY_RACKS, per_server_pps=1.0, per_server_bps=1.0
     )
 
-    # main ingress honours --workers (workers=None -> process default);
-    # the explicit 1- and 4-worker runs feed the determinism cross-check.
+    # main ingress honours --workers (workers=None -> one per CPU); the
+    # explicit 1- and 4-worker runs feed the determinism cross-check.
     # Runs resolving to the same worker count are shared, not recomputed.
     ingress_cache = {}
 
@@ -93,11 +93,11 @@ def run(seed: int = 0) -> ExperimentOutput:
         resolved = resolve_workers(workers, FACILITY_SERVERS)
         if resolved not in ingress_cache:
             ingress_cache[resolved] = rack_ingress_traces(
-                fleet, shape, *WINDOW, workers=resolved
+                fleet, shape, *WINDOW, workers=resolved, cache=config.cache
             )
         return ingress_cache[resolved]
 
-    ingress = ingress_for(None)
+    ingress = ingress_for(config.workers)
     ingress_serial = ingress_for(PARITY_WORKERS[0])
     ingress_parallel = ingress_for(PARITY_WORKERS[1])
     envelope = ingress_envelope(ingress, *WINDOW, percentile=100.0)

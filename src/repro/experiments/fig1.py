@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.net.headers import OverheadModel, WIRE_OVERHEAD_UDP_V4
 from repro.workloads.scenarios import olygamer_scenario
 
@@ -19,7 +19,7 @@ EXPERIMENT_ID = "fig1"
 TITLE = "Per-minute bandwidth for entire trace (Fig 1)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the week-long per-minute bandwidth series."""
     scenario = olygamer_scenario(seed)
     series = scenario.per_minute_series()

@@ -11,14 +11,14 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "fig10"
 TITLE = "Total packet load at m=30min (Fig 10)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the 30-minute aggregated series and its flatness."""
     scenario = olygamer_scenario(seed)
     week = scenario.per_second_series()

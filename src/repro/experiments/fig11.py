@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.report import ComparisonRow
 from repro.core.sessions import ClientBandwidthAnalysis
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "fig11"
@@ -20,7 +20,7 @@ TITLE = "Client bandwidth histogram (Fig 11)"
 WINDOW = (3600.0, 10800.0)
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the per-flow bandwidth histogram and the modem clamp."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*WINDOW)

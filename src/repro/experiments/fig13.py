@@ -12,14 +12,14 @@ from __future__ import annotations
 from repro.core.packetsize import PacketSizeAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
 
 EXPERIMENT_ID = "fig13"
 TITLE = "Packet size cumulative distribution functions (Fig 13)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the payload-size CDFs and their headline quantiles."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*DEFAULT_PACKET_WINDOW)

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.experiments.table4 import NAT_WINDOW
 from repro.router.nat import NatDevice
 from repro.workloads.scenarios import olygamer_scenario
@@ -21,7 +21,7 @@ EXPERIMENT_ID = "fig15"
 TITLE = "Per-second outgoing packet load for NAT experiment (Fig 15)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the outgoing series and the freeze correlation."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*NAT_WINDOW)

@@ -10,14 +10,14 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "fig2"
 TITLE = "Per-minute packet load for entire trace (Fig 2)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the week-long per-minute packet-load series."""
     scenario = olygamer_scenario(seed)
     series = scenario.per_minute_series()

@@ -12,14 +12,14 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "fig3"
 TITLE = "Per-minute number of players for entire trace (Fig 3)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the per-minute player-count series and outage dips."""
     scenario = olygamer_scenario(seed)
     population = scenario.population

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.net.headers import OverheadModel, WIRE_OVERHEAD_UDP_V4
 from repro.workloads.scenarios import olygamer_scenario
 
@@ -18,7 +18,7 @@ EXPERIMENT_ID = "fig4"
 TITLE = "Per-minute in/out bandwidth and packet load (Fig 4)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the four per-minute directional series."""
     scenario = olygamer_scenario(seed)
     series = scenario.per_minute_series()

@@ -23,7 +23,7 @@ from repro.core.selfsimilarity import (
     variance_time_from_counts,
 )
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.stats.hurst import default_block_sizes
 from repro.workloads.scenarios import olygamer_scenario
 
@@ -34,7 +34,7 @@ HIGHRES_WINDOW_S = 6 * 3600.0
 BASE_INTERVAL_S = paperdata.VT_BASE_INTERVAL_S
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the Fig 5 variance-time plot and its regime fits."""
     scenario = olygamer_scenario(seed)
 

@@ -13,7 +13,7 @@ from repro.core.periodicity import PeriodicityAnalysis
 from repro.core.report import ComparisonRow
 from repro.core.timeseries import interval_counts
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
 
 EXPERIMENT_ID = "fig6"
@@ -24,7 +24,7 @@ N_INTERVALS = 200
 START_OFFSET_S = 60.0
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the 10 ms burst plot and its periodicity metrics."""
     scenario = olygamer_scenario(seed)
     window_start, end = DEFAULT_PACKET_WINDOW

@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.core.timeseries import interval_counts
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.stats.autocorr import burstiness_index
 from repro.trace.packet import Direction
 from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
@@ -24,7 +24,7 @@ N_INTERVALS = 200
 START_OFFSET_S = 60.0
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the directional 10 ms plots and their dispersion contrast."""
     scenario = olygamer_scenario(seed)
     window_start, end = DEFAULT_PACKET_WINDOW

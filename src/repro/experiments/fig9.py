@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "fig9"
@@ -18,7 +18,7 @@ TITLE = "Total packet load at m=1s with map-change dips (Fig 9)"
 HORIZON_S = 18_000
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the 1 s series and locate the 30-minute dips."""
     scenario = olygamer_scenario(seed)
     week = scenario.per_second_series()

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.facility import FacilityAnalysis
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
 from repro.gameserver.fluid import fluid_series_equal
@@ -42,12 +42,12 @@ PACKET_WINDOW = (3600.0, 3660.0)
 VERIFY_WORKERS = 2
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Simulate the facility serially and sharded; compare aggregates."""
     fleet = hosting_facility(
         n_servers=FACILITY_SERVERS, duration=HORIZON_S, seed=seed
     )
-    scenario = FleetScenario(fleet)
+    scenario = FleetScenario(fleet, cache=config.cache)
 
     # serial reference: stream per-server series through the analysis
     analysis = FacilityAnalysis.from_series(scenario.iter_server_series())
@@ -58,9 +58,9 @@ def run(seed: int = 0) -> ExperimentOutput:
     marginal = analysis.marginal_cost_bps()
 
     # parallel verification on a fresh scenario (no shared caches)
-    parallel_aggregate = FleetScenario(fleet).aggregate_per_second(
-        workers=VERIFY_WORKERS
-    )
+    parallel_aggregate = FleetScenario(
+        fleet, cache=config.cache
+    ).aggregate_per_second(workers=VERIFY_WORKERS)
     identical = fluid_series_equal(serial_aggregate, parallel_aggregate)
 
     # packet-level cross-check of the count-level aggregate

@@ -11,14 +11,14 @@ from __future__ import annotations
 from repro.core.provisioning import PerPlayerModel, linearity_experiment
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.gameserver.config import olygamer_week
 
 EXPERIMENT_ID = "linearity"
 TITLE = "Per-player linearity of server load (§III-B)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Sweep player counts and fit load-vs-players lines."""
     profile = olygamer_week()
     result = linearity_experiment(

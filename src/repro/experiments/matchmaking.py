@@ -43,7 +43,7 @@ provisioning resolution).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -55,19 +55,16 @@ from repro.core.facility import (
     policy_multiplexing_gain,
 )
 from repro.core.report import ComparisonRow
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig, RunConfigError
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
 from repro.gameserver.fluid import fluid_series_equal
 from repro.matchmaking import (
     POLICIES,
-    RTT_PROFILES,
     LatencyAwarePolicy,
-    make_rtt_profile,
     PoolConfig,
     RttMatrix,
     simulate_matchmaking,
-    validate_score_weight,
 )
 
 EXPERIMENT_ID = "matchmaking"
@@ -81,99 +78,37 @@ DEMAND_RATIO = 1.5
 WARMUP_EPOCHS = 20
 #: Worker count of the sharded determinism cross-check.
 VERIFY_WORKERS = 2
-#: Default RTT geometry of the sweep.
-RTT_PROFILE = "global"
-#: Default latency-aware score weights (occupancy vs normalised RTT).
-ALPHA = 1.0
-BETA = 1.0
 #: Utilization points ``latency_aware`` may give up against least_loaded.
 UTILIZATION_SLACK = 0.05
 
-#: Process-wide overrides installed by ``repro-experiments --policy`` /
-#: ``--pool-size`` / ``--rtt-profile`` / ``--alpha`` / ``--beta``
-#: (mirrors the ``--workers`` plumbing).
-_default_policy: Optional[str] = None
-_default_pool_size: Optional[int] = None
-_default_rtt_profile: Optional[str] = None
-_default_alpha: Optional[float] = None
-_default_beta: Optional[float] = None
 
-
-def set_default_policy(policy: Optional[str]) -> None:
-    """Restrict the experiment to one policy (``None`` restores all six)."""
-    global _default_policy
-    if policy is not None and policy not in POLICIES:
-        raise KeyError(
-            f"unknown policy {policy!r}; known: {', '.join(POLICIES)}"
-        )
-    _default_policy = policy
-
-
-def set_default_pool_size(pool_size: Optional[int]) -> None:
-    """Override the shared pool size (``None`` restores five per slot)."""
-    global _default_pool_size
-    if pool_size is not None and pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1: {pool_size!r}")
-    _default_pool_size = pool_size
-
-
-def set_default_rtt_profile(profile: Optional[str]) -> None:
-    """Override the RTT geometry (``None`` restores ``global``)."""
-    global _default_rtt_profile
-    if profile is not None:
-        make_rtt_profile(profile)  # KeyError for unknown names
-    _default_rtt_profile = profile
-
-
-def set_default_alpha(alpha: Optional[float]) -> None:
-    """Override the latency-aware occupancy weight (``None`` restores 1)."""
-    global _default_alpha
-    _default_alpha = (
-        None if alpha is None else validate_score_weight("alpha", alpha)
-    )
-
-
-def set_default_beta(beta: Optional[float]) -> None:
-    """Override the latency-aware RTT weight (``None`` restores 1)."""
-    global _default_beta
-    _default_beta = (
-        None if beta is None else validate_score_weight("beta", beta)
-    )
-
-
-def _latency_aware_policy() -> LatencyAwarePolicy:
-    """The latency_aware instance to simulate, honouring the overrides."""
-    return LatencyAwarePolicy(
-        alpha=ALPHA if _default_alpha is None else _default_alpha,
-        beta=BETA if _default_beta is None else _default_beta,
-    )
-
-
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Run every selected policy under one demand process; compare."""
     fleet = hosting_facility(
         n_servers=FACILITY_SERVERS, duration=HORIZON_S, seed=seed
     )
-    config = PoolConfig.for_fleet(
-        fleet,
-        pool_size=_default_pool_size,
-        demand_ratio=DEMAND_RATIO,
-        epoch_length=EPOCH_S,
-    )
+    try:
+        pool = PoolConfig.for_fleet(
+            fleet,
+            pool_size=config.pool_size,
+            demand_ratio=DEMAND_RATIO,
+            epoch_length=EPOCH_S,
+        )
+    except ValueError as error:
+        # feasibility depends on the seed-derived facility's slot
+        # count, so it can only be judged here, at run time
+        raise RunConfigError("pool_size", str(error)) from error
     # one geometry for the whole sweep: every policy sees the same
     # regions, server homes and per-pair RTTs (common random numbers)
     rtt = RttMatrix.for_fleet(
-        fleet,
-        config.region_profile,
-        profile=_default_rtt_profile or RTT_PROFILE,
-        seed=seed,
+        fleet, pool.region_profile, profile=config.rtt_profile, seed=seed
     )
     policy_names = (
-        [_default_policy] if _default_policy is not None else list(POLICIES)
+        [config.policy] if config.policy is not None else list(POLICIES)
     )
     # constructed once: the single source of the effective α/β, for both
     # the simulated policy and the comparison-row regime tests below
-    aware_policy = _latency_aware_policy()
+    aware_policy = LatencyAwarePolicy(alpha=config.alpha, beta=config.beta)
 
     results: Dict[str, object] = {}
     envelopes: Dict[str, FacilityEnvelope] = {}
@@ -185,15 +120,15 @@ def run(seed: int = 0) -> ExperimentOutput:
         result = simulate_matchmaking(
             fleet,
             aware_policy if name == "latency_aware" else name,
-            config,
+            pool,
             rtt=rtt,
         )
-        serial = FleetScenario.from_matchmaking(result).aggregate_per_second(
-            workers=1
-        )
-        sharded = FleetScenario.from_matchmaking(result).aggregate_per_second(
-            workers=VERIFY_WORKERS
-        )
+        serial = FleetScenario.from_matchmaking(
+            result, cache=config.cache
+        ).aggregate_per_second(workers=1)
+        sharded = FleetScenario.from_matchmaking(
+            result, cache=config.cache
+        ).aggregate_per_second(workers=VERIFY_WORKERS)
         identical = identical and fluid_series_equal(serial, sharded)
         results[name] = result
         aggregates[name] = serial
@@ -336,7 +271,7 @@ def run(seed: int = 0) -> ExperimentOutput:
     gain_header = "   gain-vs-random" if reference is not None else ""
     notes = [
         f"{FACILITY_SERVERS} servers ({sum(fleet.server_profile(i).max_players for i in range(FACILITY_SERVERS))} slots), "
-        f"pool {config.pool_size} players, demand ratio {DEMAND_RATIO}, "
+        f"pool {pool.pool_size} players, demand ratio {DEMAND_RATIO}, "
         f"{HORIZON_S / 60:.0f} min in {EPOCH_S:.0f} s epochs, "
         f"rtt profile {rtt.profile.name!r} "
         f"({len(rtt.region_names)} regions); util%/rtt columns are "
@@ -386,6 +321,6 @@ def run(seed: int = 0) -> ExperimentOutput:
             "latency_stats": latencies,
             "frontier": frontier,
             "rtt": rtt,
-            "config": config,
+            "config": pool,
         },
     )

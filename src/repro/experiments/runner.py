@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List
 
@@ -45,8 +46,8 @@ from repro.experiments import (
     table3,
     table4,
 )
-from repro.experiments.base import ExperimentOutput
-from repro.fleet.execution import set_default_workers
+from repro.experiments.base import ExperimentOutput, RunConfig, RunConfigError
+from repro.matchmaking import POLICIES, RTT_PROFILES, SCENARIOS
 
 #: Experiment modules in paper order (each exposes EXPERIMENT_ID, TITLE, run).
 _MODULES = (
@@ -82,7 +83,7 @@ _MODULES = (
 )
 
 #: All experiments in paper order.
-REGISTRY: Dict[str, Callable[[int], ExperimentOutput]] = {
+REGISTRY: Dict[str, Callable[[int, RunConfig], ExperimentOutput]] = {
     module.EXPERIMENT_ID: module.run for module in _MODULES
 }
 
@@ -99,8 +100,39 @@ def _unknown_experiment(experiment_id: str) -> str:
     )
 
 
-def run_experiments(ids: List[str], seed: int = 0) -> List[ExperimentOutput]:
-    """Run the named experiments and return their outputs."""
+#: The :class:`RunConfig` fields set by a same-named CLI flag.  The cache
+#: comes from ``--cache-dir`` instead, and is left out of the fingerprint
+#: because cached results are bit-identical to recomputed ones.
+_KNOBS = tuple(f.name for f in fields(RunConfig) if f.name != "cache")
+
+
+def _flag(field: str) -> str:
+    """The CLI flag that sets :class:`RunConfig` field ``field``."""
+    return "--" + field.replace("_", "-")
+
+
+def config_fingerprint(ids: List[str], seed: int, config: RunConfig) -> str:
+    """Digest of everything that shapes a run's results.
+
+    Hashes the effective values, so a flag given at its default value
+    and an omitted flag describe the same run; two manifests with equal
+    fingerprints are comparable runs.
+    """
+    from repro.obs.export import fingerprint
+
+    return fingerprint(
+        {
+            "seed": seed,
+            "experiments": ids,
+            **{name: getattr(config, name) for name in _KNOBS},
+        }
+    )
+
+
+def run_experiments(
+    ids: List[str], seed: int = 0, config: RunConfig = RunConfig()
+) -> List[ExperimentOutput]:
+    """Run the named experiments under one configuration."""
     from repro import obs
 
     outputs = []
@@ -111,20 +143,9 @@ def run_experiments(ids: List[str], seed: int = 0) -> List[ExperimentOutput]:
             "experiments", position, len(ids), current=experiment_id
         )
         with obs.span("experiment", id=experiment_id, seed=seed):
-            outputs.append(REGISTRY[experiment_id](seed))
+            outputs.append(REGISTRY[experiment_id](seed, config))
     obs.progress("experiments", len(ids), len(ids))
     return outputs
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for options that must be a strictly positive int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _positive_float(text: str) -> float:
@@ -135,48 +156,6 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _score_weight(text: str) -> float:
-    """argparse type for ``--alpha``/``--beta``: a finite float >= 0."""
-    from repro.matchmaking import validate_score_weight
-
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    try:
-        return validate_score_weight("value", value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
-
-
-def _nonnegative_float(text: str) -> float:
-    """argparse type for options that must be a finite float >= 0."""
-    import math
-
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and >= 0, got {text}"
-        )
-    return value
-
-
-def _unit_fraction(text: str) -> float:
-    """argparse type for QoE fractions that must lie in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must lie in (0, 1], got {text}"
-        )
     return value
 
 
@@ -230,10 +209,11 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=int,
         default=None,
-        help="worker processes for sharded experiments (e.g. fleet); "
-        "default: one per CPU, 1 forces serial",
+        help="worker processes for the facilitynet experiment's main "
+        "packet ingress (fleet and matchmaking pin their own 1- and "
+        "2-worker cross-checks); default: one per CPU, 1 forces serial",
     )
     parser.add_argument(
         "--cache-dir",
@@ -270,14 +250,14 @@ def main(argv: List[str] = None) -> int:
         "--policy",
         # derived from the policy registry, so a newly registered policy
         # is immediately addressable from the CLI
-        choices=sorted(matchmaking.POLICIES),
+        choices=sorted(POLICIES),
         default=None,
         help="restrict the matchmaking experiment to one server-selection "
         "policy (default: compare all of them)",
     )
     parser.add_argument(
         "--pool-size",
-        type=_positive_int,
+        type=int,
         default=None,
         metavar="N",
         help="shared player-pool size for the matchmaking experiment "
@@ -285,68 +265,71 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--rtt-profile",
-        choices=sorted(matchmaking.RTT_PROFILES),
+        choices=sorted(RTT_PROFILES),
         default=None,
         help="region/server RTT geometry for the matchmaking experiment "
-        "(default: global; uniform makes every pair equidistant)",
+        f"(default: {RunConfig.rtt_profile}; uniform makes every pair "
+        "equidistant)",
     )
     parser.add_argument(
         "--alpha",
-        type=_score_weight,
+        type=float,
         default=None,
         metavar="A",
         help="latency_aware occupancy weight: score = alpha * free-slot "
-        "share - beta * normalised RTT (default: 1.0)",
+        f"share - beta * normalised RTT (default: {RunConfig.alpha})",
     )
     parser.add_argument(
         "--beta",
-        type=_score_weight,
+        type=float,
         default=None,
         metavar="B",
-        help="latency_aware RTT weight (default: 1.0; 0 degenerates to "
-        "least-loaded placement)",
+        help=f"latency_aware RTT weight (default: {RunConfig.beta}; 0 "
+        "degenerates to least-loaded placement)",
     )
     parser.add_argument(
         "--scenario",
         # derived from the scenario registry, so a newly registered
         # scenario is immediately addressable from the CLI
-        choices=sorted(churn.SCENARIOS),
+        choices=sorted(SCENARIOS),
         default=None,
         help="scripted demand scenario for the churn experiment "
-        "(default: flash_crowd)",
+        f"(default: {RunConfig.scenario})",
     )
     parser.add_argument(
         "--qoe-duration-floor",
-        type=_unit_fraction,
+        type=float,
         default=None,
         metavar="F",
         help="churn experiment: asymptotic session-duration multiplier "
-        "for arbitrarily bad RTT, in (0, 1] (default: 0.3)",
+        f"for arbitrarily bad RTT, in (0, 1] (default: "
+        f"{RunConfig.qoe_duration_floor:g})",
     )
     parser.add_argument(
         "--qoe-rtt-good",
-        type=_nonnegative_float,
+        type=float,
         default=None,
         metavar="MS",
         help="churn experiment: RTT (ms) at or below which sessions are "
-        "full length (default: 60)",
+        f"full length (default: {RunConfig.qoe_rtt_good:g})",
     )
     parser.add_argument(
         "--qoe-rtt-scale",
-        type=_positive_float,
+        type=float,
         default=None,
         metavar="MS",
         help="churn experiment: exponential decay scale (ms) of the "
         "duration multiplier beyond the good-RTT threshold "
-        "(default: 120)",
+        f"(default: {RunConfig.qoe_rtt_scale:g})",
     )
     parser.add_argument(
         "--qoe-balk-escalation",
-        type=_unit_fraction,
+        type=float,
         default=None,
         metavar="F",
         help="churn experiment: retry-probability multiplier per prior "
-        "consecutive refusal, in (0, 1] (default: 0.6)",
+        "consecutive refusal, in (0, 1] (default: "
+        f"{RunConfig.qoe_balk_escalation:g})",
     )
     parser.add_argument(
         "--list",
@@ -354,6 +337,17 @@ def main(argv: List[str] = None) -> int:
         help="list experiment ids with one-line descriptions and exit",
     )
     args = parser.parse_args(argv)
+    try:
+        # flags left unset fall back to the RunConfig defaults
+        config = RunConfig(
+            **{
+                name: getattr(args, name)
+                for name in _KNOBS
+                if getattr(args, name) is not None
+            }
+        )
+    except RunConfigError as error:
+        parser.error(f"argument {_flag(error.field)}: {error.message}")
 
     if args.sample_interval is not None and args.trace_dir is None:
         parser.error("--sample-interval requires --trace-dir")
@@ -370,76 +364,29 @@ def main(argv: List[str] = None) -> int:
         print(f"error: {_unknown_experiment(unknown[0])}", file=sys.stderr)
         return 2
 
-    cache = None
     if args.cache_dir is not None:
-        from repro.fleet.cache import ShardCache, set_default_cache
+        from repro.fleet.cache import ShardCache
 
-        cache = ShardCache(args.cache_dir)
-        set_default_cache(cache)
-    if args.policy is not None:
-        matchmaking.set_default_policy(args.policy)
-    if args.pool_size is not None:
-        matchmaking.set_default_pool_size(args.pool_size)
-    if args.rtt_profile is not None:
-        matchmaking.set_default_rtt_profile(args.rtt_profile)
-    if args.alpha is not None:
-        matchmaking.set_default_alpha(args.alpha)
-    if args.beta is not None:
-        matchmaking.set_default_beta(args.beta)
-    if args.scenario is not None:
-        churn.set_default_scenario(args.scenario)
-    if args.qoe_duration_floor is not None:
-        churn.set_default_qoe_duration_floor(args.qoe_duration_floor)
-    if args.qoe_rtt_good is not None:
-        churn.set_default_qoe_rtt_good(args.qoe_rtt_good)
-    if args.qoe_rtt_scale is not None:
-        churn.set_default_qoe_rtt_scale(args.qoe_rtt_scale)
-    if args.qoe_balk_escalation is not None:
-        churn.set_default_qoe_balk_escalation(args.qoe_balk_escalation)
-
-    if args.workers is not None:
-        set_default_workers(args.workers)
+        config = replace(config, cache=ShardCache(args.cache_dir))
 
     manifest_path = None
     trace_session = None
     try:
         if args.trace_dir is not None:
             from repro import obs
-            from repro.obs.export import fingerprint
 
-            # the fingerprint covers every knob that shapes the run, so
-            # two manifests with equal fingerprints are comparable runs
             obs.start_trace_session(
                 args.trace_dir,
                 sample_interval=args.sample_interval,
                 seed=args.seed,
                 experiments=ids,
-                config_fingerprint=fingerprint(
-                    {
-                        "seed": args.seed,
-                        "experiments": ids,
-                        "workers": args.workers,
-                        "policy": args.policy,
-                        "pool_size": args.pool_size,
-                        "rtt_profile": args.rtt_profile,
-                        "alpha": args.alpha,
-                        "beta": args.beta,
-                        "scenario": args.scenario,
-                        "qoe_duration_floor": args.qoe_duration_floor,
-                        "qoe_rtt_good": args.qoe_rtt_good,
-                        "qoe_rtt_scale": args.qoe_rtt_scale,
-                        "qoe_balk_escalation": args.qoe_balk_escalation,
-                    }
-                ),
+                config_fingerprint=config_fingerprint(ids, args.seed, config),
             )
-        outputs = run_experiments(ids, seed=args.seed)
-    except ValueError as error:
-        # feasibility of --pool-size depends on the (seed-derived)
-        # facility's slot count, so it can only be judged at run time;
-        # still surface it as a clean CLI error, not a traceback
-        if args.pool_size is None or "pool_size" not in str(error):
-            raise
-        print(f"error: --pool-size: {error}", file=sys.stderr)
+        outputs = run_experiments(ids, seed=args.seed, config=config)
+    except RunConfigError as error:
+        # a value judged only at run time (--pool-size against the
+        # seed-derived facility) is still a clean CLI error
+        print(f"error: {_flag(error.field)}: {error.message}", file=sys.stderr)
         return 2
     finally:
         if args.trace_dir is not None:
@@ -448,19 +395,6 @@ def main(argv: List[str] = None) -> int:
             trace_session = obs.current_session()
             if trace_session is not None:
                 manifest_path = obs.end_trace_session()
-        if cache is not None:
-            set_default_cache(None)
-        set_default_workers(None)
-        matchmaking.set_default_policy(None)
-        matchmaking.set_default_pool_size(None)
-        matchmaking.set_default_rtt_profile(None)
-        matchmaking.set_default_alpha(None)
-        matchmaking.set_default_beta(None)
-        churn.set_default_scenario(None)
-        churn.set_default_qoe_duration_floor(None)
-        churn.set_default_qoe_rtt_good(None)
-        churn.set_default_qoe_rtt_scale(None)
-        churn.set_default_qoe_balk_escalation(None)
     failures = 0
     for output in outputs:
         print(output.render())
@@ -471,10 +405,10 @@ def main(argv: List[str] = None) -> int:
         f"{len(outputs) - failures}/{len(outputs)} experiments reproduced "
         "within tolerance"
     )
-    if cache is not None:
+    if config.cache is not None:
         # stats only make sense when a cache dir is active; the line
         # names the directory so multi-cache workflows stay attributable
-        print(cache.stats_line())
+        print(config.cache.stats_line())
     if manifest_path is not None:
         print(f"trace {args.trace_dir}: manifest at {manifest_path}")
         print(trace_session.rollup_line())

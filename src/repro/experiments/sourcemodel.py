@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.report import ComparisonRow
 from repro.core.sourcemodels import fit_source_model, validate_model
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "sourcemodel"
@@ -18,7 +18,7 @@ TITLE = "Fitted source models regenerate the traffic (§IV-B)"
 WINDOW = (3660.0, 4260.0)
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Fit, regenerate, and validate the source model."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*WINDOW)

@@ -9,14 +9,14 @@ from __future__ import annotations
 from repro.core.report import ComparisonRow
 from repro.core.summary import GeneralTraceInfo
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import olygamer_scenario
 
 EXPERIMENT_ID = "table1"
 TITLE = "General trace information (Table I)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce Table I from a full-week session simulation."""
     scenario = olygamer_scenario(seed)
     info = GeneralTraceInfo.from_population(scenario.population)

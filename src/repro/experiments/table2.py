@@ -10,14 +10,14 @@ from __future__ import annotations
 from repro.core.report import ComparisonRow
 from repro.core.summary import NetworkUsage
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
 
 EXPERIMENT_ID = "table2"
 TITLE = "Network usage information (Table II)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce Table II's rates and extrapolated totals."""
     scenario = olygamer_scenario(seed)
     start, end = DEFAULT_PACKET_WINDOW

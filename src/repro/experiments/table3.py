@@ -5,14 +5,14 @@ from __future__ import annotations
 from repro.core.report import ComparisonRow
 from repro.core.summary import NetworkUsage
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
 
 EXPERIMENT_ID = "table3"
 TITLE = "Application information (Table III)"
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce Table III's mean payload sizes and byte split."""
     scenario = olygamer_scenario(seed)
     start, end = DEFAULT_PACKET_WINDOW

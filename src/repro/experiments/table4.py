@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
-from repro.experiments.base import ExperimentOutput
+from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.router.nat import NatDevice
 from repro.workloads.scenarios import olygamer_scenario
 
@@ -21,7 +21,7 @@ TITLE = "NAT experiment (Table IV)"
 NAT_WINDOW = (3600.0, 5400.0)
 
 
-def run(seed: int = 0) -> ExperimentOutput:
+def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce Table IV by running a 30-minute map through the device."""
     scenario = olygamer_scenario(seed)
     trace = scenario.packet_window(*NAT_WINDOW)

@@ -143,10 +143,10 @@ def rack_ingress_traces(
     folded in server-index order into per-rack bounded-fan-in
     accumulators — peak memory is O(racks + fanin) per-server traces,
     never the whole fleet, and the result is bit-identical for every
-    worker count.  ``cache`` (or the process default installed by
-    ``repro-experiments --cache-dir``) replays per-server windows from
-    disk, so a swept ratio or a re-run experiment skips the fleet
-    simulation entirely; cached and recomputed ingress are bit-identical.
+    worker count.  ``cache`` (``None``: no cache) replays per-server
+    windows from disk, so a swept ratio or a re-run experiment skips the
+    fleet simulation entirely; cached and recomputed ingress are
+    bit-identical.
 
     ``assignments`` (per-server session tuples from a
     :class:`repro.matchmaking.MatchmakingResult`) switches the facility

@@ -19,7 +19,7 @@ traffic.  This package provides the three layers:
   disk cache for sharded per-server results, fingerprinted over task
   dataclass fields and the :data:`repro.kernels.KERNEL_VERSION` tag, so
   re-runs and sweeps replay windows from disk bit-identically
-  (``repro-experiments --cache-dir`` installs a process-wide default);
+  (``repro-experiments --cache-dir`` passes one to the experiments);
 
 tied together by :class:`repro.fleet.scenario.FleetScenario`, the object
 experiments hold.  Facility-level analyses (bandwidth/pps envelopes,
@@ -34,19 +34,13 @@ from repro.fleet.aggregate import (
     merge_fluid_series,
     sum_fluid_series,
 )
-from repro.fleet.cache import (
-    CacheStats,
-    ShardCache,
-    resolve_cache,
-    set_default_cache,
-)
+from repro.fleet.cache import CacheStats, ShardCache
 from repro.fleet.execution import (
     SeriesTask,
     WindowTask,
     available_cpus,
     fleet_server_seed,
     resolve_workers,
-    set_default_workers,
     shard_map,
     shard_map_fold,
     simulate_series,
@@ -69,10 +63,7 @@ __all__ = [
     "hosting_facility",
     "kway_merge_traces",
     "merge_fluid_series",
-    "resolve_cache",
     "resolve_workers",
-    "set_default_cache",
-    "set_default_workers",
     "shard_map",
     "shard_map_fold",
     "simulate_series",

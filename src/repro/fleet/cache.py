@@ -27,10 +27,9 @@ Robustness rules:
 * writes go through a temporary file and ``os.replace``, so concurrent
   runs sharing a cache directory see only complete entries.
 
-:func:`set_default_cache` / :func:`resolve_cache` mirror the worker-count
-plumbing in :mod:`repro.fleet.execution`: the ``repro-experiments
---cache-dir`` flag installs a process-wide default that every
-:func:`~repro.fleet.execution.shard_map_fold` call picks up.
+A cache is always passed explicitly (``cache=`` on
+:func:`~repro.fleet.execution.shard_map_fold` and the layers above it);
+``None`` means no cache.
 """
 
 from __future__ import annotations
@@ -283,20 +282,3 @@ class ShardCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardCache(root={str(self.root)!r}, {self.stats.render()})"
-
-
-# ----------------------------------------------------------------------
-# process-wide default (the --cache-dir flag)
-# ----------------------------------------------------------------------
-_default_cache: Optional[ShardCache] = None
-
-
-def set_default_cache(cache: Optional[ShardCache]) -> None:
-    """Install the process-wide default cache (``None`` disables it)."""
-    global _default_cache
-    _default_cache = cache
-
-
-def resolve_cache(cache: Optional[ShardCache]) -> Optional[ShardCache]:
-    """Explicit cache if given, else the process-wide default (or None)."""
-    return cache if cache is not None else _default_cache

@@ -56,8 +56,6 @@ A = TypeVar("A")
 R = TypeVar("R")
 T = TypeVar("T")
 
-_default_workers: Optional[int] = None
-
 
 def available_cpus() -> int:
     """CPUs usable by this process (affinity-aware)."""
@@ -67,27 +65,12 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set the process-wide default worker count (None = one per CPU).
-
-    Wired to the ``repro-experiments --workers`` flag so experiments can
-    be forced serial (reference runs) or spread wide (bench runs).
-    """
-    global _default_workers
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers!r}")
-    _default_workers = workers
-
-
 def resolve_workers(workers: Optional[int], n_tasks: int) -> int:
     """Effective worker count for ``n_tasks`` tasks.
 
-    Explicit ``workers`` wins; otherwise the process-wide default; then
-    one worker per available CPU.  Never more workers than tasks, never
-    fewer than one.
+    ``None`` means one worker per available CPU.  Never more workers
+    than tasks, never fewer than one.
     """
-    if workers is None:
-        workers = _default_workers
     if workers is None:
         workers = available_cpus()
     if workers < 1:
@@ -170,18 +153,15 @@ def shard_map_fold(
     order — and therefore every floating-point sum and every stable
     merge — matches the serial run exactly.
 
-    ``cache`` (or the process-wide default installed by
-    :func:`repro.fleet.cache.set_default_cache`, e.g. via the
-    ``repro-experiments --cache-dir`` flag) short-circuits ``fn`` with
-    content-addressed on-disk results: cached tasks are never submitted
-    to the pool, computed results are stored for the next run, and the
-    fold still sees exactly the serial order — warm-cache, cold-cache,
-    serial and sharded runs are all bit-identical.
+    ``cache`` (e.g. the ``repro-experiments --cache-dir`` directory,
+    passed down in :class:`repro.experiments.base.RunConfig`)
+    short-circuits ``fn`` with content-addressed on-disk results: cached
+    tasks are never submitted to the pool, computed results are stored
+    for the next run, and the fold still sees exactly the serial order —
+    warm-cache, cold-cache, serial and sharded runs are all
+    bit-identical.
     """
-    from repro.fleet.cache import resolve_cache
-
     tasks = list(tasks)
-    cache = resolve_cache(cache)
     workers = resolve_workers(workers, len(tasks))
     obs_metrics.registry().counter("fleet.tasks").inc(len(tasks))
     with obs_trace.span(

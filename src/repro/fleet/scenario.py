@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.fleet.aggregate import FluidAccumulator, TraceAccumulator
-from repro.fleet.cache import ShardCache, resolve_cache
+from repro.fleet.cache import ShardCache
 from repro.fleet.execution import (
     SeriesTask,
     WindowTask,
@@ -35,14 +35,12 @@ from repro.workloads.scenarios import Scenario
 class FleetScenario:
     """Lazily evaluated multi-server facility for one fleet profile.
 
-    ``workers`` arguments follow one rule everywhere: ``None`` uses the
-    process default (one per CPU, see
-    :func:`repro.fleet.execution.set_default_workers`), ``1`` forces the
-    serial in-process path, ``>= 2`` shards server simulations across a
-    process pool.  Results never depend on the choice.
+    ``workers`` arguments follow one rule everywhere: ``None`` means one
+    worker per CPU, ``1`` forces the serial in-process path, ``>= 2``
+    shards server simulations across a process pool.  Results never
+    depend on the choice.
 
-    ``cache`` follows the same rule: ``None`` uses the process default
-    (installed by ``repro-experiments --cache-dir``); an explicit
+    ``cache=None`` means no disk cache; a
     :class:`~repro.fleet.cache.ShardCache` replays per-server series and
     packet windows from disk.  Cached results are bit-identical to
     recomputed ones, so aggregates never depend on cache warmth either.
@@ -195,8 +193,7 @@ class FleetScenario:
         """
         if self._aggregate_series is None:
             accumulator = FluidAccumulator()
-            cache = resolve_cache(self.cache)
-            if cache is None and resolve_workers(workers, self.n_servers) <= 1:
+            if self.cache is None and resolve_workers(workers, self.n_servers) <= 1:
                 # serial, uncached: go through the cached per-server
                 # scenarios so iter_server_series() and the aggregate
                 # share one week
@@ -210,7 +207,7 @@ class FleetScenario:
                     lambda acc, series: acc.add(series),
                     accumulator,
                     workers=workers,
-                    cache=cache,
+                    cache=self.cache,
                 )
             self._aggregate_series = accumulator.result()
         return self._aggregate_series
@@ -236,8 +233,7 @@ class FleetScenario:
         key = (float(start), float(end))
         if key not in self._aggregate_windows:
             accumulator = TraceAccumulator(fanin=fanin)
-            cache = resolve_cache(self.cache)
-            if cache is None and resolve_workers(workers, self.n_servers) <= 1:
+            if self.cache is None and resolve_workers(workers, self.n_servers) <= 1:
                 for index in range(self.n_servers):
                     # straight to the generator: reuse the cached
                     # population but don't retain per-server traces
@@ -252,7 +248,7 @@ class FleetScenario:
                     lambda acc, trace: acc.add(trace),
                     accumulator,
                     workers=workers,
-                    cache=cache,
+                    cache=self.cache,
                 )
             self._aggregate_windows[key] = accumulator.result()
         return self._aggregate_windows[key]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import runner
+from repro.experiments.base import RunConfig
 from repro.net.addresses import IPv4Address
 from repro.trace.format import load_trace
 from repro.trace.pcap import read_pcap
@@ -77,12 +78,11 @@ class TestExperimentsWorkersFlag:
     def test_workers_does_not_leak_into_the_next_run(self, first, monkeypatch, capsys):
         from repro.core.report import ComparisonRow
         from repro.experiments.base import ExperimentOutput
-        from repro.fleet import execution
 
         seen = []
 
-        def probe(seed: int = 0):
-            seen.append(execution._default_workers)
+        def probe(seed: int = 0, config: RunConfig = RunConfig()):
+            seen.append(config.workers)
             return ExperimentOutput(
                 "probe", "workers probe", rows=[ComparisonRow("x", 1.0, 1.0)]
             )
@@ -90,9 +90,7 @@ class TestExperimentsWorkersFlag:
         monkeypatch.setitem(runner.REGISTRY, "probe", probe)
         monkeypatch.setitem(runner.DESCRIPTIONS, "probe", "workers probe")
         assert runner.main([*first, "--workers", "1"]) == 0
-        assert execution._default_workers is None
         assert runner.main(["probe"]) == 0
-        assert execution._default_workers is None
         # the second run saw no --workers, whatever the first run asked for
         assert seen[-1] is None
 
@@ -260,42 +258,6 @@ class TestExperimentsMatchmakingFlags:
             runner.main(["--help"])
         assert "--engine" not in capsys.readouterr().out
 
-    def test_defaults_are_reset_after_run(self, monkeypatch):
-        from repro.experiments import matchmaking
-
-        calls = {}
-
-        def fake_run(ids, seed=0):
-            calls["policy"] = matchmaking._default_policy
-            calls["pool_size"] = matchmaking._default_pool_size
-            calls["rtt_profile"] = matchmaking._default_rtt_profile
-            calls["alpha"] = matchmaking._default_alpha
-            calls["beta"] = matchmaking._default_beta
-            return []
-
-        monkeypatch.setattr(runner, "run_experiments", fake_run)
-        runner.main(
-            [
-                "--policy", "latency_aware", "--pool-size", "123",
-                "--rtt-profile", "continental", "--alpha", "2.5",
-                "--beta", "0.5", "matchmaking",
-            ]
-        )
-        # installed for the run...
-        assert calls == {
-            "policy": "latency_aware",
-            "pool_size": 123,
-            "rtt_profile": "continental",
-            "alpha": 2.5,
-            "beta": 0.5,
-        }
-        # ...and cleared afterwards
-        assert matchmaking._default_policy is None
-        assert matchmaking._default_pool_size is None
-        assert matchmaking._default_rtt_profile is None
-        assert matchmaking._default_alpha is None
-        assert matchmaking._default_beta is None
-
 
 class TestExperimentsChurnFlags:
     def test_unknown_scenario_is_a_clean_argparse_error(self, capsys):
@@ -370,39 +332,33 @@ class TestExperimentsChurnFlags:
         assert "--qoe-duration-floor" in out
         assert "--qoe-balk-escalation" in out
 
-    def test_churn_defaults_are_reset_after_run(self, monkeypatch):
-        from repro.experiments import churn
+    def test_back_to_back_runs_leak_no_state(self, capsys):
+        # a knob-laden run followed by a plain one in the same process:
+        # the plain run must print exactly what a fresh interpreter prints
+        import os
+        import subprocess
+        import sys
 
-        calls = {}
+        assert runner.main(
+            ["churn", "--scenario", "patch_day", "--qoe-rtt-good", "20"]
+        ) == 0
+        reshaped = capsys.readouterr().out
+        assert runner.main(["churn"]) == 0
+        second = capsys.readouterr().out
 
-        def fake_run(ids, seed=0):
-            calls["scenario"] = churn._default_scenario
-            calls["floor"] = churn._default_qoe_duration_floor
-            calls["good"] = churn._default_qoe_rtt_good
-            calls["scale"] = churn._default_qoe_rtt_scale
-            calls["balk"] = churn._default_qoe_balk_escalation
-            return []
-
-        monkeypatch.setattr(runner, "run_experiments", fake_run)
-        runner.main(
-            [
-                "--scenario", "patch_day", "--qoe-duration-floor", "0.5",
-                "--qoe-rtt-good", "30", "--qoe-rtt-scale", "90",
-                "--qoe-balk-escalation", "0.8", "churn",
-            ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), os.pardir, "src")
         )
-        assert calls == {
-            "scenario": "patch_day",
-            "floor": 0.5,
-            "good": 30.0,
-            "scale": 90.0,
-            "balk": 0.8,
-        }
-        assert churn._default_scenario is None
-        assert churn._default_qoe_duration_floor is None
-        assert churn._default_qoe_rtt_good is None
-        assert churn._default_qoe_rtt_scale is None
-        assert churn._default_qoe_balk_escalation is None
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "churn"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        assert second == fresh.stdout
+        assert reshaped != second
 
 
 class TestExperimentsCacheDir:
@@ -422,8 +378,13 @@ class TestExperimentsCacheDir:
         def _evaluate(task):
             return task.value * task.value
 
-        def run(seed: int = 0):
-            results = shard_map(_evaluate, [_Task(i) for i in range(3)], workers=1)
+        def run(seed: int = 0, config: RunConfig = RunConfig()):
+            results = shard_map(
+                _evaluate,
+                [_Task(i) for i in range(3)],
+                workers=1,
+                cache=config.cache,
+            )
             return ExperimentOutput(
                 experiment_id="faketask",
                 title="fake sharded probe",
@@ -435,30 +396,45 @@ class TestExperimentsCacheDir:
         # _Task/_evaluate must stay importable for task_key fingerprinting
         return run
 
-    def test_cache_dir_cold_then_warm(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _stats(out, cache_dir):
+        """(hits, misses, stored) from the run's cache line."""
+        import re
+
+        match = re.search(
+            rf"^cache {re.escape(cache_dir)}: (\d+) hits, (\d+) misses, "
+            r"(\d+) stored$",
+            out,
+            re.MULTILINE,
+        )
+        assert match, out
+        return tuple(int(group) for group in match.groups())
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["faketask", "fleet", "facilitynet"]
+    )
+    def test_cache_dir_cold_then_warm(
+        self, experiment_id, tmp_path, monkeypatch, capsys
+    ):
+        # the real ids pin that --cache-dir reaches each sharded experiment
         self._fake_experiment(tmp_path, monkeypatch)
         cache_dir = str(tmp_path / "cache")
 
-        code = runner.main(["faketask", "--cache-dir", cache_dir])
+        code = runner.main([experiment_id, "--cache-dir", cache_dir])
         assert code == 0
         cold = capsys.readouterr().out
-        assert f"cache {cache_dir}: 0 hits, 3 misses, 3 stored" in cold
+        cold_hits, cold_misses, cold_stored = self._stats(cold, cache_dir)
+        assert cold_misses > 0
+        assert cold_stored == cold_misses
 
-        code = runner.main(["faketask", "--cache-dir", cache_dir])
+        code = runner.main([experiment_id, "--cache-dir", cache_dir])
         assert code == 0
         warm = capsys.readouterr().out
-        assert f"cache {cache_dir}: 3 hits, 0 misses, 0 stored" in warm
+        assert self._stats(warm, cache_dir) == (cold_hits + cold_misses, 0, 0)
         # the reported measurement must not depend on cache warmth
-        assert [line for line in cold.splitlines() if "sum of squares" in line] == [
-            line for line in warm.splitlines() if "sum of squares" in line
-        ]
-
-    def test_cache_dir_default_is_reset_after_run(self, tmp_path, monkeypatch):
-        from repro.fleet.cache import resolve_cache
-
-        self._fake_experiment(tmp_path, monkeypatch)
-        runner.main(["faketask", "--cache-dir", str(tmp_path / "cache")])
-        assert resolve_cache(None) is None
+        assert cold.split(f"cache {cache_dir}:")[0] == warm.split(
+            f"cache {cache_dir}:"
+        )[0]
 
     def test_no_cache_line_without_flag(self, tmp_path, monkeypatch, capsys):
         self._fake_experiment(tmp_path, monkeypatch)
@@ -604,6 +580,28 @@ class TestExperimentsTraceDir:
             r"\| cache unused",
             lines[0],
         ), lines[0]
+
+    def test_fingerprint_hashes_effective_values(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a flag given at its default value is the same run as the flag
+        # left out, so the two manifests must be comparable
+        from repro.obs.export import load_manifest
+
+        monkeypatch.setattr(
+            runner, "run_experiments", lambda ids, seed=0, **kwargs: []
+        )
+        fingerprints = {}
+        for name, flags in (
+            ("plain", []),
+            ("default", ["--alpha", "1.0"]),
+            ("changed", ["--alpha", "2"]),
+        ):
+            trace_dir = tmp_path / name
+            runner.main(["matchmaking", *flags, "--trace-dir", str(trace_dir)])
+            fingerprints[name] = load_manifest(trace_dir)["config_fingerprint"]
+        assert fingerprints["plain"] == fingerprints["default"]
+        assert fingerprints["changed"] != fingerprints["plain"]
 
     def test_sample_interval_requires_trace_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.facility import RecoveryStats
 from repro.experiments import churn
+from repro.experiments.base import RunConfig, RunConfigError
 from repro.matchmaking import POLICIES, SCENARIOS
 
 
@@ -60,26 +61,20 @@ class TestChurnExperiment:
         assert "qoe mult" in text
 
     def test_scenario_override(self):
-        churn.set_default_scenario("patch_day")
-        try:
-            out = churn.run(seed=0)
-        finally:
-            churn.set_default_scenario(None)
+        out = churn.run(seed=0, config=RunConfig(scenario="patch_day"))
         assert out.passed, out.render()
         assert out.extras["scenario"].name == "patch_day"
 
     def test_qoe_overrides_reach_the_config(self):
-        churn.set_default_qoe_duration_floor(0.5)
-        churn.set_default_qoe_rtt_good(20.0)
-        churn.set_default_qoe_rtt_scale(80.0)
-        churn.set_default_qoe_balk_escalation(0.9)
-        try:
-            out = churn.run(seed=0)
-        finally:
-            churn.set_default_qoe_duration_floor(None)
-            churn.set_default_qoe_rtt_good(None)
-            churn.set_default_qoe_rtt_scale(None)
-            churn.set_default_qoe_balk_escalation(None)
+        out = churn.run(
+            seed=0,
+            config=RunConfig(
+                qoe_duration_floor=0.5,
+                qoe_rtt_good=20.0,
+                qoe_rtt_scale=80.0,
+                qoe_balk_escalation=0.9,
+            ),
+        )
         qoe = out.extras["config"].qoe
         assert qoe.duration_floor == 0.5
         assert qoe.rtt_good_ms == 20.0
@@ -87,26 +82,21 @@ class TestChurnExperiment:
         assert qoe.balk_escalation == 0.9
 
     def test_bad_overrides_rejected(self):
-        with pytest.raises(KeyError):
-            churn.set_default_scenario("tsunami")
-        with pytest.raises(ValueError):
-            churn.set_default_qoe_duration_floor(0.0)
-        with pytest.raises(ValueError):
-            churn.set_default_qoe_rtt_scale(-1.0)
-        with pytest.raises(ValueError):
-            churn.set_default_qoe_balk_escalation(2.0)
-        # a failed setter leaves the default untouched
-        assert churn._default_scenario is None
+        for field, value in (
+            ("scenario", "tsunami"),
+            ("qoe_duration_floor", 0.0),
+            ("qoe_rtt_scale", -1.0),
+            ("qoe_balk_escalation", 2.0),
+        ):
+            with pytest.raises(RunConfigError) as excinfo:
+                RunConfig(**{field: value})
+            assert excinfo.value.field == field
 
     def test_every_stock_scenario_passes(self):
         for name in sorted(SCENARIOS):
-            if name == churn.SCENARIO:
+            if name == RunConfig.scenario:
                 continue  # covered by the module fixture
-            churn.set_default_scenario(name)
-            try:
-                out = churn.run(seed=0)
-            finally:
-                churn.set_default_scenario(None)
+            out = churn.run(seed=0, config=RunConfig(scenario=name))
             assert out.passed, f"{name}: {out.render()}"
 
     def test_deterministic_across_runs(self, output):

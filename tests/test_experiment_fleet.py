@@ -46,19 +46,18 @@ class TestRunnerWorkersFlag:
 
     def test_workers_flag_sets_default(self, monkeypatch, capsys):
         from repro.core.report import ComparisonRow
-        from repro.experiments.base import ExperimentOutput
-        from repro.fleet.execution import resolve_workers
+        from repro.experiments.base import ExperimentOutput, RunConfig
 
         seen = []
 
-        def probe(seed: int = 0):
-            seen.append(resolve_workers(None, 64))
+        def probe(seed: int = 0, config: RunConfig = RunConfig()):
+            seen.append(config.workers)
             return ExperimentOutput(
                 "workersprobe", "workers probe", rows=[ComparisonRow("x", 1.0, 1.0)]
             )
 
         monkeypatch.setitem(runner.REGISTRY, "workersprobe", probe)
-        # the default holds while the experiments run
+        # the flag reaches the experiments in their RunConfig
         assert runner.main(["--workers", "1", "workersprobe"]) == 0
         assert seen == [1]
 

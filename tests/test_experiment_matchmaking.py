@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import matchmaking
+from repro.experiments.base import RunConfig, RunConfigError
 from repro.matchmaking import POLICIES
 
 
@@ -70,45 +71,39 @@ class TestMatchmakingExperiment:
             assert result.rtt is rtt
 
     def test_policy_override_narrows_the_run(self):
-        matchmaking.set_default_policy("least_loaded")
-        try:
-            narrowed = matchmaking.run(seed=0)
-        finally:
-            matchmaking.set_default_policy(None)
+        narrowed = matchmaking.run(
+            seed=0, config=RunConfig(policy="least_loaded")
+        )
         assert set(narrowed.extras["results"]) == {"least_loaded"}
         assert narrowed.passed, narrowed.render()
 
     def test_pool_size_override(self):
-        matchmaking.set_default_policy("random")
-        matchmaking.set_default_pool_size(200)
-        try:
-            small = matchmaking.run(seed=0)
-        finally:
-            matchmaking.set_default_policy(None)
-            matchmaking.set_default_pool_size(None)
+        small = matchmaking.run(
+            seed=0, config=RunConfig(policy="random", pool_size=200)
+        )
         assert small.extras["config"].pool_size == 200
 
     def test_bad_overrides_rejected(self):
-        with pytest.raises(KeyError):
-            matchmaking.set_default_policy("nonexistent")
-        with pytest.raises(ValueError):
-            matchmaking.set_default_pool_size(0)
-        with pytest.raises(KeyError):
-            matchmaking.set_default_rtt_profile("atlantis")
-        with pytest.raises(ValueError):
-            matchmaking.set_default_alpha(-1.0)
-        with pytest.raises(ValueError):
-            matchmaking.set_default_beta(float("nan"))
+        for field, value in (
+            ("policy", "nonexistent"),
+            ("pool_size", 0),
+            ("rtt_profile", "atlantis"),
+            ("alpha", -1.0),
+            ("beta", float("nan")),
+        ):
+            with pytest.raises(RunConfigError) as excinfo:
+                RunConfig(**{field: value})
+            assert excinfo.value.field == field
+        # a pool no larger than the facility is judged at run time
+        with pytest.raises(RunConfigError) as excinfo:
+            matchmaking.run(seed=0, config=RunConfig(pool_size=2))
+        assert excinfo.value.field == "pool_size"
 
     def test_degenerate_latency_settings_still_pass(self):
         # --beta 0 and --rtt-profile uniform are documented parity
         # regimes (latency_aware == least_loaded), so the experiment
         # must relax its strict-RTT row rather than report failure
-        matchmaking.set_default_beta(0.0)
-        try:
-            flat_beta = matchmaking.run(seed=0)
-        finally:
-            matchmaking.set_default_beta(None)
+        flat_beta = matchmaking.run(seed=0, config=RunConfig(beta=0.0))
         assert flat_beta.passed, flat_beta.render()
         assert "latency term disabled" in flat_beta.render()
         latencies = flat_beta.extras["latency_stats"]
@@ -120,39 +115,35 @@ class TestMatchmakingExperiment:
     def test_all_zero_weights_still_pass(self):
         # alpha = beta = 0 makes the score constant (lowest-open-index
         # placement) — no RTT parity to claim, but still a valid run
-        matchmaking.set_default_alpha(0.0)
-        matchmaking.set_default_beta(0.0)
-        try:
-            degenerate = matchmaking.run(seed=0)
-        finally:
-            matchmaking.set_default_alpha(None)
-            matchmaking.set_default_beta(None)
+        degenerate = matchmaking.run(
+            seed=0, config=RunConfig(alpha=0.0, beta=0.0)
+        )
         assert degenerate.passed, degenerate.render()
         text = degenerate.render()
         assert "lowers mean session RTT" not in text
         assert "latency term disabled" not in text
 
     def test_rtt_profile_override_swaps_geometry(self):
-        matchmaking.set_default_policy("lowest_rtt")
-        matchmaking.set_default_rtt_profile("uniform")
-        try:
-            flat = matchmaking.run(seed=0)
-        finally:
-            matchmaking.set_default_policy(None)
-            matchmaking.set_default_rtt_profile(None)
+        flat = matchmaking.run(
+            seed=0, config=RunConfig(policy="lowest_rtt", rtt_profile="uniform")
+        )
         assert flat.extras["rtt"].is_uniform
         assert flat.passed, flat.render()
 
-    def test_weight_overrides_reach_the_policy(self):
-        matchmaking.set_default_policy("latency_aware")
-        matchmaking.set_default_alpha(2.0)
-        matchmaking.set_default_beta(0.25)
-        try:
-            policy = matchmaking._latency_aware_policy()
-        finally:
-            matchmaking.set_default_policy(None)
-            matchmaking.set_default_alpha(None)
-            matchmaking.set_default_beta(None)
+    def test_weight_overrides_reach_the_policy(self, monkeypatch):
+        simulated = []
+
+        def spy(fleet, policy, *args, **kwargs):
+            simulated.append(policy)
+            return simulate(fleet, policy, *args, **kwargs)
+
+        simulate = matchmaking.simulate_matchmaking
+        monkeypatch.setattr(matchmaking, "simulate_matchmaking", spy)
+        matchmaking.run(
+            seed=0,
+            config=RunConfig(policy="latency_aware", alpha=2.0, beta=0.25),
+        )
+        [policy] = simulated
         assert policy.alpha == 2.0
         assert policy.beta == 0.25
 

@@ -7,13 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.fleet.cache import (
-    ShardCache,
-    UnfingerprintableTask,
-    _canonical,
-    resolve_cache,
-    set_default_cache,
-)
+from repro.experiments.base import RunConfig
+from repro.fleet.cache import ShardCache, UnfingerprintableTask, _canonical
 from repro.fleet.execution import shard_map, shard_map_fold
 
 
@@ -163,16 +158,16 @@ class TestShardCacheTraffic:
         assert pickle.loads(blob) is not None
 
     def test_default_cache_plumbing(self, tmp_path):
+        # the default RunConfig has no cache, and cache=None computes
+        # every task; a cache reaches shard_map only when passed
         cache = ShardCache(tmp_path)
-        assert resolve_cache(None) is None
-        set_default_cache(cache)
-        try:
-            assert resolve_cache(None) is cache
-            other = ShardCache(tmp_path / "other")
-            assert resolve_cache(other) is other
-        finally:
-            set_default_cache(None)
-        assert resolve_cache(None) is None
+        tasks = [SquareTask(float(i)) for i in range(3)]
+        assert RunConfig().cache is None
+        shard_map(evaluate_square, tasks, workers=1, cache=RunConfig().cache)
+        assert cache.stats.misses == 0 and not any(tmp_path.iterdir())
+        config = RunConfig(cache=cache)
+        shard_map(evaluate_square, tasks, workers=1, cache=config.cache)
+        assert cache.stats.stores == 3
 
 
 class TestShardMapFoldCaching:

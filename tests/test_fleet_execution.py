@@ -8,12 +8,13 @@ index-derived seeds plus index-ordered folding.
 import numpy as np
 import pytest
 
+from repro.experiments.base import RunConfig, RunConfigError
 from repro.fleet import (
     FleetScenario,
+    available_cpus,
     fleet_server_seed,
     hosting_facility,
     resolve_workers,
-    set_default_workers,
     shard_map,
     shard_map_fold,
 )
@@ -120,13 +121,12 @@ class TestShardMapFold:
             resolve_workers(0, 4)
 
     def test_default_workers_setting(self):
-        try:
-            set_default_workers(1)
-            assert resolve_workers(None, 100) == 1
-        finally:
-            set_default_workers(None)
-        with pytest.raises(ValueError):
-            set_default_workers(0)
+        # None is one worker per CPU; a RunConfig carries any other count
+        assert resolve_workers(None, 100) == min(available_cpus(), 100)
+        assert resolve_workers(RunConfig(workers=1).workers, 100) == 1
+        with pytest.raises(RunConfigError) as excinfo:
+            RunConfig(workers=0)
+        assert excinfo.value.field == "workers"
 
 
 def _double(x: int) -> int:
