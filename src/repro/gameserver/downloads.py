@@ -53,6 +53,11 @@ class TokenBucket:
         """Tokens available as of the last update."""
         return self._tokens
 
+    @property
+    def last_update(self) -> float:
+        """Time of the last refill; the bucket cannot be asked about earlier."""
+        return self._last_update
+
     def earliest_send(self, now: float, size: float) -> float:
         """Earliest time >= now at which ``size`` bytes may be sent.
 
@@ -117,7 +122,9 @@ class DownloadScheduler:
 
         Chunks are spaced by the token bucket; every fourth chunk elicits
         a small client acknowledgement, approximating the engine's
-        stop-and-wait fragment protocol.
+        stop-and-wait fragment protocol.  The limiter serves downloads in
+        request order: one requested while an earlier one is still being
+        sent starts no earlier than that one's last chunk.
         """
         total = max(
             self.profile.download_chunk_payload,
@@ -134,7 +141,7 @@ class DownloadScheduler:
         times: List[float] = []
         sizes: List[int] = []
         acks: List[float] = []
-        cursor = start
+        cursor = max(start, self.bucket.last_update)
         remaining = total
         for i in range(nchunks):
             size = int(min(chunk, remaining))

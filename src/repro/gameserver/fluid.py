@@ -176,24 +176,31 @@ class CountLevelGenerator:
         """(Σ multipliers, Σ min(1, p·m)) of connected clients per second.
 
         Built with a difference-array sweep over sessions — O(sessions +
-        seconds), no per-second Python loop.
+        seconds), no per-second Python loop.  Each session adds ``+m`` at
+        its first second and ``-m`` at its end, interleaved in session
+        order, so the float additions happen in the same order as a loop
+        over the sessions would make them.
         """
         profile = self.profile
         nbins = int(math.ceil(profile.duration))
-        mult_diff = np.zeros(nbins + 1)
-        prob_diff = np.zeros(nbins + 1)
-        p = profile.snapshot_send_probability
-        for session in self.population.sessions:
-            first = min(nbins, max(0, int(session.start)))
-            last = min(nbins, max(0, int(math.ceil(session.end))))
-            if last <= first:
-                continue
-            mult_diff[first] += session.rate_multiplier
-            mult_diff[last] -= session.rate_multiplier
-            send_probability = min(1.0, p * session.rate_multiplier)
-            prob_diff[first] += send_probability
-            prob_diff[last] -= send_probability
-        return np.cumsum(mult_diff[:nbins]), np.cumsum(prob_diff[:nbins])
+        sessions = self.population.sessions
+        starts = np.array([s.start for s in sessions], dtype=float)
+        ends = np.array([s.end for s in sessions], dtype=float)
+        multipliers = np.array([s.rate_multiplier for s in sessions], dtype=float)
+        first = np.clip(np.trunc(starts), 0, nbins).astype(np.int64)
+        last = np.clip(np.ceil(ends), 0, nbins).astype(np.int64)
+        kept = last > first
+        index = np.column_stack((first[kept], last[kept])).ravel()
+        send_probability = np.minimum(
+            1.0, profile.snapshot_send_probability * multipliers[kept]
+        )
+
+        def swept(values: np.ndarray) -> np.ndarray:
+            diff = np.zeros(nbins + 1)
+            np.add.at(diff, index, np.column_stack((values, -values)).ravel())
+            return np.cumsum(diff[:nbins])
+
+        return swept(multipliers[kept]), swept(send_probability)
 
     def _gap_fraction_per_second(self) -> np.ndarray:
         """Fraction of each second blanked by map changes or outages."""

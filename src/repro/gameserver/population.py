@@ -24,7 +24,7 @@ import numpy as np
 from repro.gameserver.admission import ClientDirectory, SlotTable
 from repro.gameserver.config import OutageSpec, ServerProfile
 from repro.sim.engine import EventScheduler
-from repro.sim.random import RandomStreams, sample_lognormal
+from repro.sim.random import RandomStreams, lognormal_params
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,17 @@ class PopulationSimulator:
         self._next_session_id = 0
         self._client_traits: Dict[int, Tuple[float, str]] = {}
         self._outage_until = -1.0
+        # per-call invariants of the event loop, computed once; the link
+        # class CDF is the one ``Generator.choice(n, p=weights/sum)``
+        # builds, so searching it with one ``random()`` draw picks the same
+        # class from the same stream position
+        weights = np.asarray([c.weight for c in profile.link_classes], dtype=float)
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._link_cdf = cdf
+        self._session_lognormal = lognormal_params(
+            profile.session_duration_mean, profile.session_duration_cv
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -228,13 +239,17 @@ class PopulationSimulator:
     def _schedule_next_attempt(self) -> None:
         """Thinning sampler for the non-homogeneous Poisson attempt stream."""
         rng = self.streams.get("arrivals")
+        exponential, random = rng.exponential, rng.random
+        rate_at = self._attempt_rate_at
         lam_max = self._max_attempt_rate()
+        mean_gap = 1.0 / lam_max
+        duration = self.profile.duration
         t = self._scheduler.now
         while True:
-            t += float(rng.exponential(1.0 / lam_max))
-            if t >= self.profile.duration:
+            t += exponential(mean_gap)
+            if t >= duration:
                 return
-            if rng.uniform() <= self._attempt_rate_at(t) / lam_max:
+            if random() <= rate_at(t) / lam_max:
                 break
         self._scheduler.schedule(t, self._on_attempt)
 
@@ -245,7 +260,7 @@ class PopulationSimulator:
     def _pick_client(self) -> int:
         """A brand-new or returning client per the identity model."""
         rng = self.streams.get("identity")
-        if rng.uniform() < self.profile.new_client_probability:
+        if rng.random() < self.profile.new_client_probability:
             return self._directory.new_client()
         returning = self._directory.sample_returning(
             rng, exclude=self._connected_clients
@@ -261,22 +276,25 @@ class PopulationSimulator:
         class — what makes Fig 11's per-flow histogram bimodal rather
         than smeared.
         """
-        if client_id not in self._client_traits:
+        traits = self._client_traits.get(client_id)
+        if traits is None:
             rng = self.streams.get("links")
-            classes = self.profile.link_classes
-            weights = np.asarray([c.weight for c in classes], dtype=float)
-            chosen = classes[
-                int(rng.choice(len(classes), p=weights / weights.sum()))
+            chosen = self.profile.link_classes[
+                int(self._link_cdf.searchsorted(rng.random(), side="right"))
             ]
             multiplier = float(
-                np.clip(
-                    rng.normal(chosen.rate_multiplier_mean, chosen.rate_multiplier_std),
-                    0.55,
+                min(
+                    max(
+                        rng.normal(
+                            chosen.rate_multiplier_mean, chosen.rate_multiplier_std
+                        ),
+                        0.55,
+                    ),
                     chosen.rate_multiplier_max,
                 )
             )
-            self._client_traits[client_id] = (multiplier, chosen.name)
-        return self._client_traits[client_id]
+            traits = self._client_traits[client_id] = (multiplier, chosen.name)
+        return traits
 
     def _handle_attempt(self, forced_client: Optional[int]) -> None:
         now = self._scheduler.now
@@ -298,19 +316,12 @@ class PopulationSimulator:
         self._directory.record_establishment(client_id)
         self._connected_clients.add(client_id)
         multiplier, link_class = self._client_rate_traits(client_id)
-        rng = self.streams.get("sessions")
         duration = max(
             self.profile.session_duration_min,
-            float(
-                sample_lognormal(
-                    rng,
-                    self.profile.session_duration_mean,
-                    self.profile.session_duration_cv,
-                )
-            ),
+            self.streams.get("sessions").lognormal(*self._session_lognormal),
         )
-        wants_download = bool(
-            self.streams.get("downloads").uniform() < self.profile.download_probability
+        wants_download = (
+            self.streams.get("downloads").random() < self.profile.download_probability
         )
         end_time = min(now + duration, self.profile.duration)
         departure = self._scheduler.schedule(
@@ -359,7 +370,7 @@ class PopulationSimulator:
             state["departure"].cancel()
             client_id = state["client_id"]
             self._finish_session(session_id, now)
-            if rng.uniform() < outage.reconnect_fraction:
+            if rng.random() < outage.reconnect_fraction:
                 delay = outage.duration + float(
                     rng.exponential(outage.reconnect_delay_mean)
                 )

@@ -148,18 +148,21 @@ class Trace:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != self.timestamps.shape:
             raise ValueError("mask must be a boolean array matching the trace length")
+        # one scan of the mask, then a gather per column: boolean indexing
+        # would rescan the mask for every column
+        return self._take(np.flatnonzero(mask))
+
+    def _take(self, rows: np.ndarray) -> "Trace":
+        """A new trace of the rows at the ascending indices ``rows``.
+
+        Integer indexing copies, so the result never pins this trace's
+        arrays.
+        """
         return Trace(
-            timestamps=self.timestamps[mask],
-            directions=self.directions[mask],
-            src_addrs=self.src_addrs[mask],
-            dst_addrs=self.dst_addrs[mask],
-            src_ports=self.src_ports[mask],
-            dst_ports=self.dst_ports[mask],
-            payload_sizes=self.payload_sizes[mask],
-            protocols=self.protocols[mask],
             server_address=self.server_address,
             overhead=self.overhead,
             check_sorted=False,
+            **{name: getattr(self, name)[rows] for name in _COLUMNS},
         )
 
     # ------------------------------------------------------------------
@@ -200,9 +203,7 @@ class Trace:
             raise ValueError(f"end {end!r} before start {start!r}")
         lo = int(np.searchsorted(self.timestamps, start, side="left"))
         hi = int(np.searchsorted(self.timestamps, end, side="left"))
-        mask = np.zeros(len(self), dtype=bool)
-        mask[lo:hi] = True
-        return self.select(mask)
+        return self._take(np.arange(lo, hi))
 
     @property
     def total_payload_bytes(self) -> int:

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.gameserver.admission import AdmissionError, ClientDirectory, SlotTable
-from repro.gameserver.config import OutageSpec, quick_test_profile
-from repro.gameserver.population import simulate_population
+from repro.gameserver.config import (
+    ClientLinkClass,
+    OutageSpec,
+    olygamer_week,
+    quick_test_profile,
+)
+from repro.gameserver.population import PopulationSimulator, simulate_population
+from repro.sim.random import RandomStreams
 
 
 class TestSlotTable:
@@ -194,3 +200,95 @@ class TestOutages:
             s for s in population.sessions if s.start < 600.0 < s.end
         ]
         assert crossing == []
+
+
+#: Link-class weight vectors beyond the paper's: uniform, a zero weight,
+#: a vanishing weight, four classes.
+_OTHER_LINK_WEIGHTS = (
+    (1.0, 1.0, 1.0),
+    (0.5, 0.0, 0.5),
+    (1e-9, 1.0, 1.0),
+    (0.2, 0.3, 0.1, 0.4),
+)
+
+
+def _with_link_weights(weights):
+    return olygamer_week().replace(
+        link_classes=tuple(
+            ClientLinkClass(f"c{i}", w, 1.0 + i, 0.1, 2.0 + i)
+            for i, w in enumerate(weights)
+        )
+    )
+
+
+def _reference_rate_traits(rng, classes):
+    """The per-client trait draw as ``Generator.choice`` and ``np.clip`` make it."""
+    weights = np.asarray([c.weight for c in classes], dtype=float)
+    chosen = classes[int(rng.choice(len(classes), p=weights / weights.sum()))]
+    multiplier = float(
+        np.clip(
+            rng.normal(chosen.rate_multiplier_mean, chosen.rate_multiplier_std),
+            0.55,
+            chosen.rate_multiplier_max,
+        )
+    )
+    return multiplier, chosen.name
+
+
+class TestEventLoopDrawEquivalence:
+    """The event loop's cheaper draws take the same values from the same streams."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_equals_default_uniform(self, seed):
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        for _ in range(200):
+            assert a.uniform() == b.random()
+            # interleave another draw so a position slip would show
+            assert a.exponential(3.0) == b.exponential(3.0)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "profile",
+        [olygamer_week()] + [_with_link_weights(w) for w in _OTHER_LINK_WEIGHTS],
+        ids=["olygamer"] + [str(w) for w in _OTHER_LINK_WEIGHTS],
+    )
+    def test_link_cdf_search_equals_choice(self, profile):
+        cdf = PopulationSimulator(profile)._link_cdf
+        weights = np.asarray([c.weight for c in profile.link_classes], dtype=float)
+        p = weights / weights.sum()
+        for seed in range(100):
+            a = np.random.default_rng(seed)
+            b = np.random.default_rng(seed)
+            for _ in range(50):
+                expected = int(a.choice(len(p), p=p))
+                assert int(cdf.searchsorted(b.random(), side="right")) == expected
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            olygamer_week(),
+            # wide spreads, so both clip bounds are hit often
+            olygamer_week().replace(
+                link_classes=(
+                    ClientLinkClass("wide", 0.6, 1.0, 1.0, 1.5),
+                    ClientLinkClass("wider", 0.4, 2.0, 3.0, 3.0),
+                )
+            ),
+        ],
+        ids=["olygamer", "wide"],
+    )
+    def test_client_rate_traits_match_reference(self, seed, profile):
+        simulator = PopulationSimulator(profile, seed=seed)
+        reference = RandomStreams(seed).get("links")
+        for client_id in range(3000):
+            expected = _reference_rate_traits(reference, profile.link_classes)
+            assert simulator._client_rate_traits(client_id) == expected
+        # a returning client draws nothing
+        assert simulator._client_rate_traits(0) == simulator._client_traits[0]
+        assert (
+            simulator.streams.get("links").bit_generator.state
+            == reference.bit_generator.state
+        )

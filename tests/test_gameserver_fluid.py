@@ -1,10 +1,15 @@
 """Unit tests for the count-level (fluid) generator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gameserver.fluid import CountLevelGenerator, FluidSeries
 from repro.gameserver.generator import PacketLevelGenerator
+from repro.gameserver.population import PopulationResult, SessionRecord
 from repro.net.headers import OverheadModel
 
 
@@ -145,3 +150,68 @@ class TestHighResolutionWindow:
         high_rate = highres.total_counts.sum() / 60.0
         low_rate = per_second.total_counts[60:120].mean()
         assert high_rate == pytest.approx(low_rate, rel=0.2)
+
+
+def _reference_per_second_sums(profile, sessions):
+    """The difference-array sweep as a loop over sessions."""
+    nbins = int(math.ceil(profile.duration))
+    mult_diff = np.zeros(nbins + 1)
+    prob_diff = np.zeros(nbins + 1)
+    p = profile.snapshot_send_probability
+    for session in sessions:
+        first = min(nbins, max(0, int(session.start)))
+        last = min(nbins, max(0, int(math.ceil(session.end))))
+        if last <= first:
+            continue
+        mult_diff[first] += session.rate_multiplier
+        mult_diff[last] -= session.rate_multiplier
+        send_probability = min(1.0, p * session.rate_multiplier)
+        prob_diff[first] += send_probability
+        prob_diff[last] -= send_probability
+    return np.cumsum(mult_diff[:nbins]), np.cumsum(prob_diff[:nbins])
+
+
+#: Session bounds straddling a 600 s horizon: negative starts, ends past
+#: the horizon, whole and fractional seconds.
+_bounds = st.one_of(
+    st.floats(min_value=-50.0, max_value=700.0, allow_nan=False),
+    st.integers(min_value=-5, max_value=605).map(float),
+)
+_sessions = st.lists(
+    st.tuples(_bounds, _bounds, st.floats(min_value=0.05, max_value=4.0)),
+    max_size=60,
+)
+
+
+class TestPerSecondSums:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_sessions)
+    def test_vectorised_sums_equal_loop(self, quick_profile, rows):
+        # end <= start is kept: such sessions must contribute nothing
+        sessions = [
+            SessionRecord(i, i, start, end, multiplier, "modem", False)
+            for i, (start, end, multiplier) in enumerate(rows)
+        ]
+        population = PopulationResult(
+            profile=quick_profile,
+            sessions=sessions,
+            attempts=[],
+            map_change_times=[],
+            outages=(),
+            unique_attempting=0,
+            unique_establishing=0,
+        )
+        generator = CountLevelGenerator(quick_profile, population=population)
+        mult_sum, prob_sum = generator._per_second_sums()
+        ref_mult, ref_prob = _reference_per_second_sums(quick_profile, sessions)
+        assert mult_sum.dtype == ref_mult.dtype and prob_sum.dtype == ref_prob.dtype
+        assert np.array_equal(mult_sum, ref_mult)
+        assert np.array_equal(prob_sum, ref_prob)
+
+    def test_full_population_sums_equal_loop(self, full_profile, full_population):
+        generator = CountLevelGenerator(full_profile, population=full_population)
+        for got, want in zip(
+            generator._per_second_sums(),
+            _reference_per_second_sums(full_profile, full_population.sessions),
+        ):
+            assert np.array_equal(got, want)

@@ -145,3 +145,29 @@ class TestDownloadScheduler:
         transfer = DownloadScheduler(profile).plan_transfer(rng, start=0.0)
         assert len(transfer.ack_times) >= 1
         assert transfer.ack_size > 0
+
+    def test_overlapping_requests_served_in_order(self, rng):
+        # large downloads requested 0.1 s apart: each later request falls
+        # while the previous transfer is still being sent
+        profile = olygamer_week().replace(download_size_mean=50_000.0)
+        scheduler = DownloadScheduler(profile)
+        previous_end = 0.0
+        for i in range(20):
+            start = 0.1 * i
+            transfer = scheduler.plan_transfer(rng, start=start)
+            times = list(transfer.chunk_times)
+            assert times == sorted(times)
+            assert times[0] >= start
+            assert times[0] >= previous_end
+            assert transfer.start == start
+            previous_end = transfer.end
+        assert previous_end > 0.1 * 19
+
+    def test_seed5_default_window_builds(self):
+        # seed 5's week has a joiner whose download is requested before the
+        # previous download's last chunk; the limiter used to refuse it
+        from repro.workloads.scenarios import Scenario
+
+        trace = Scenario(olygamer_week(), seed=5).packet_window()
+        assert len(trace) > 0
+        assert np.all(np.diff(trace.timestamps) >= 0)

@@ -6,7 +6,7 @@ import pytest
 from repro.net.addresses import IPv4Address
 from repro.net.headers import HeaderOverhead, OverheadModel
 from repro.trace.packet import Direction, PacketRecord
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.trace import _COLUMNS, Trace, TraceBuilder
 
 SERVER = IPv4Address("10.0.0.2")
 CLIENT = IPv4Address("10.0.0.1")
@@ -152,6 +152,62 @@ class TestTraceQueries:
     def test_select_requires_bool_mask(self, synthetic_trace):
         with pytest.raises(ValueError):
             synthetic_trace.select(np.ones(len(synthetic_trace), dtype=int))
+
+    def test_select_requires_matching_shape(self, synthetic_trace):
+        with pytest.raises(ValueError):
+            synthetic_trace.select(np.ones(len(synthetic_trace) + 1, dtype=bool))
+        with pytest.raises(ValueError):
+            synthetic_trace.select(np.ones((1, len(synthetic_trace)), dtype=bool))
+
+    @pytest.mark.parametrize("kind", ["empty", "all", "single", "alternate"])
+    def test_select_matches_boolean_indexing(self, synthetic_trace, kind):
+        n = len(synthetic_trace)
+        mask = {
+            "empty": np.zeros(n, dtype=bool),
+            "all": np.ones(n, dtype=bool),
+            "single": np.arange(n) == 7,
+            "alternate": np.arange(n) % 2 == 0,
+        }[kind]
+        selected = synthetic_trace.select(mask)
+        assert len(selected) == int(mask.sum())
+        for name in _COLUMNS:
+            column = getattr(selected, name)
+            original = getattr(synthetic_trace, name)
+            assert column.dtype == original.dtype
+            assert np.array_equal(column, original[mask])
+        assert selected.server_address == synthetic_trace.server_address
+        assert selected.overhead is synthetic_trace.overhead
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_select_on_one_row_trace(self, keep):
+        trace = Trace.from_records([make_record(0.5)], server_address=SERVER)
+        selected = trace.select(np.array([keep]))
+        assert len(selected) == int(keep)
+        for name in _COLUMNS:
+            assert getattr(selected, name).dtype == getattr(trace, name).dtype
+        if keep:
+            assert selected.record(0) == trace.record(0)
+
+    def test_select_and_time_slice_copy_their_rows(self, synthetic_trace):
+        for part in (
+            synthetic_trace.select(np.ones(len(synthetic_trace), dtype=bool)),
+            synthetic_trace.time_slice(0.2, 0.5),
+        ):
+            for name in _COLUMNS:
+                assert not np.shares_memory(
+                    getattr(part, name), getattr(synthetic_trace, name)
+                )
+
+    @pytest.mark.parametrize("bounds", [(0.2, 0.5), (-1.0, 9.0), (0.3, 0.3), (5.0, 6.0)])
+    def test_time_slice_matches_mask(self, synthetic_trace, bounds):
+        start, end = bounds
+        window = synthetic_trace.time_slice(start, end)
+        ts = synthetic_trace.timestamps
+        mask = (ts >= start) & (ts < end)
+        for name in _COLUMNS:
+            column = getattr(window, name)
+            assert column.dtype == getattr(synthetic_trace, name).dtype
+            assert np.array_equal(column, getattr(synthetic_trace, name)[mask])
 
     def test_record_negative_index(self, synthetic_trace):
         last = synthetic_trace.record(-1)
