@@ -51,7 +51,7 @@ class PopulationAnalysis:
         """
         if not population.sessions:
             raise ValueError("population has no sessions")
-        durations = np.asarray([s.duration for s in population.sessions])
+        durations = population.sessions.duration
         # zero-duration sessions (outage-truncated joins) stay in the
         # means but cannot enter a positive-support fit
         fit = fit_best(

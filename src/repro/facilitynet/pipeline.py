@@ -32,6 +32,7 @@ from repro.fleet.cache import ShardCache
 from repro.fleet.execution import WindowTask, fleet_server_seed, shard_map_fold, simulate_window
 from repro.fleet.profiles import FleetProfile
 from repro.gameserver.fluid import FluidSeries
+from repro.gameserver.population import SessionTable
 from repro.sim.random import derive_seed
 from repro.trace.trace import Trace
 
@@ -135,7 +136,7 @@ def rack_ingress_traces(
     workers: Optional[int] = None,
     fanin: int = 8,
     cache: Optional[ShardCache] = None,
-    assignments: Optional[Tuple[tuple, ...]] = None,
+    assignments: Optional[Tuple[SessionTable, ...]] = None,
 ) -> Tuple[Trace, ...]:
     """Merged per-rack packet windows, one trace per rack.
 
@@ -148,7 +149,7 @@ def rack_ingress_traces(
     fleet simulation entirely; cached and recomputed ingress are
     bit-identical.
 
-    ``assignments`` (per-server session tuples from a
+    ``assignments`` (per-server session tables from a
     :class:`repro.matchmaking.MatchmakingResult`) switches the facility
     to *endogenous* ingress: each rack's offered load follows the
     populations the matchmaker assigned to its servers rather than the
@@ -180,7 +181,7 @@ def rack_ingress_traces(
         tasks = tuple(
             AssignedWindowTask(
                 profile=fleet.server_profile(index),
-                sessions=tuple(assignments[index]),
+                sessions=assignments[index],
                 seed=fleet_server_seed(fleet.seed, index),
                 start=float(start),
                 end=float(end),
@@ -407,7 +408,7 @@ class FacilityPipeline:
         fleet: FleetProfile,
         topology: FacilityTopology,
         cache: Optional[ShardCache] = None,
-        assignments: Optional[Tuple[tuple, ...]] = None,
+        assignments: Optional[Tuple[SessionTable, ...]] = None,
     ) -> None:
         if topology.n_servers != fleet.n_servers:
             raise ValueError(

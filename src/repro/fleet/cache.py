@@ -21,7 +21,8 @@ Robustness rules:
   on simulation code between version bumps, point ``--cache-dir`` at a
   fresh directory;
 * a task that cannot be fingerprinted (not a dataclass, or containing a
-  value with no stable canonical form) is simply computed, never cached;
+  value with no stable canonical form, such as an object-dtype array
+  whose bytes are element addresses) is simply computed, never cached;
 * a corrupt or truncated entry is treated as a miss, deleted, and
   recomputed — a killed run can never poison later ones;
 * writes go through a temporary file and ``os.replace``, so concurrent
@@ -50,7 +51,7 @@ from repro.kernels import KERNEL_VERSION
 from repro.obs.metrics import MetricsRegistry, registry as process_metrics
 
 #: Bump on any change to the entry layout or canonicalisation rules.
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class UnfingerprintableTask(ValueError):
@@ -73,6 +74,10 @@ def _canonical(value: Any) -> str:
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:  # the bytes are element addresses
+            raise UnfingerprintableTask(
+                f"no stable canonical form for a {value.dtype} array"
+            )
         digest = hashlib.sha256(np.ascontiguousarray(value).tobytes())
         return f"ndarray({value.dtype},{value.shape},{digest.hexdigest()})"
     if isinstance(value, np.generic):

@@ -28,6 +28,7 @@ from repro.fleet.execution import (
 from repro.fleet.profiles import FleetProfile
 from repro.gameserver.config import ServerProfile
 from repro.gameserver.fluid import FluidSeries
+from repro.gameserver.population import SessionTable
 from repro.trace.trace import Trace
 from repro.workloads.scenarios import Scenario
 
@@ -47,7 +48,7 @@ class FleetScenario:
 
     ``assignments`` switches the facility to *endogenous* populations:
     instead of each server running its profile's own arrival process,
-    per-server session lists (matchmaker output — see
+    per-server session tables (matchmaker output — see
     :meth:`from_matchmaking`) drive the count- and packet-level
     generators.  Everything else — sharding, caching, determinism — is
     unchanged.
@@ -57,7 +58,7 @@ class FleetScenario:
         self,
         fleet: FleetProfile,
         cache: Optional[ShardCache] = None,
-        assignments: Optional[Tuple[tuple, ...]] = None,
+        assignments: Optional[Tuple[SessionTable, ...]] = None,
     ) -> None:
         if assignments is not None and len(assignments) != fleet.n_servers:
             raise ValueError(
@@ -147,7 +148,7 @@ class FleetScenario:
             return simulate_assigned_series, tuple(
                 AssignedSeriesTask(
                     profile=profile,
-                    sessions=tuple(self.assignments[index]),
+                    sessions=self.assignments[index],
                     seed=self.server_seed(index),
                 )
                 for index, profile in enumerate(self.server_profiles)
@@ -168,7 +169,7 @@ class FleetScenario:
             return simulate_assigned_window, tuple(
                 AssignedWindowTask(
                     profile=profile,
-                    sessions=tuple(self.assignments[index]),
+                    sessions=self.assignments[index],
                     seed=self.server_seed(index),
                     start=start,
                     end=end,

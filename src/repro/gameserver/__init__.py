@@ -40,6 +40,7 @@ from repro.gameserver.population import (
     PopulationResult,
     PopulationSimulator,
     SessionRecord,
+    SessionTable,
     simulate_population,
 )
 from repro.gameserver.protocol import MessageType, PayloadModel, ProtocolModel
@@ -81,6 +82,7 @@ __all__ = [
     "RoundSchedule",
     "ServerProfile",
     "SessionRecord",
+    "SessionTable",
     "SlotTable",
     "TokenBucket",
     "WEEK_SECONDS",

@@ -184,11 +184,9 @@ class CountLevelGenerator:
         profile = self.profile
         nbins = int(math.ceil(profile.duration))
         sessions = self.population.sessions
-        starts = np.array([s.start for s in sessions], dtype=float)
-        ends = np.array([s.end for s in sessions], dtype=float)
-        multipliers = np.array([s.rate_multiplier for s in sessions], dtype=float)
-        first = np.clip(np.trunc(starts), 0, nbins).astype(np.int64)
-        last = np.clip(np.ceil(ends), 0, nbins).astype(np.int64)
+        multipliers = sessions.rate_multiplier
+        first = np.clip(np.trunc(sessions.start), 0, nbins).astype(np.int64)
+        last = np.clip(np.ceil(sessions.end), 0, nbins).astype(np.int64)
         kept = last > first
         index = np.column_stack((first[kept], last[kept])).ravel()
         send_probability = np.minimum(

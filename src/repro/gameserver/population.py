@@ -8,8 +8,8 @@ two-speed reconnection behaviour (address-savvy players rejoin in
 seconds–minutes; auto-discovery users take much longer).
 
 The output :class:`PopulationResult` is everything the higher fidelity
-levels need: the full session list (who was connected when, at what rate
-multiplier), attempt outcomes for Table I, and map-change/outage
+levels need: the full :class:`SessionTable` (who was connected when, at
+what rate multiplier), attempt outcomes for Table I, and map-change/outage
 timelines for the traffic dips in Figs 5 and 9.
 """
 
@@ -17,7 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -27,9 +37,8 @@ from repro.sim.engine import EventScheduler
 from repro.sim.random import RandomStreams, lognormal_params
 
 
-@dataclass(frozen=True)
-class SessionRecord:
-    """One established player session.
+class SessionRecord(NamedTuple):
+    """One established player session: a row of a :class:`SessionTable`.
 
     ``rate_multiplier`` scales the client's update rates (the Fig 11
     heterogeneity); ``link_class`` names the last-mile class it was drawn
@@ -50,9 +59,159 @@ class SessionRecord:
         """Connected seconds."""
         return self.end - self.start
 
-    def overlaps(self, start: float, end: float) -> bool:
-        """True if the session is active anywhere in ``[start, end)``."""
-        return self.start < end and self.end > start
+
+#: Column name -> dtype of a :class:`SessionTable` (``link_class`` holds
+#: codes into ``link_class_names``, never strings: an object array has no
+#: content-addressable bytes).
+_COLUMN_DTYPES = {
+    "session_id": np.dtype(np.int64),
+    "client_id": np.dtype(np.int64),
+    "start": np.dtype(np.float64),
+    "end": np.dtype(np.float64),
+    "rate_multiplier": np.dtype(np.float64),
+    "link_class": np.dtype(np.uint8),
+    "wants_download": np.dtype(np.bool_),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class SessionTable:
+    """Established sessions as parallel columns, one row per session.
+
+    The one representation of a session list from the engines that admit
+    sessions, through the per-server traffic tasks, to the shard cache's
+    content key (which hashes each column's bytes).  Iterating yields
+    :class:`SessionRecord` row views; vectorised consumers read the
+    columns.  Equality is column-wise and exact.
+    """
+
+    session_id: np.ndarray
+    client_id: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    rate_multiplier: np.ndarray
+    link_class: np.ndarray
+    wants_download: np.ndarray
+    link_class_names: Tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        size = None
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype:
+                raise ValueError(f"column {name!r} must be a {dtype} ndarray")
+            if column.ndim != 1:
+                raise ValueError(f"column {name!r} must be one-dimensional")
+            if size is None:
+                size = column.size
+            elif column.size != size:
+                raise ValueError(
+                    f"column {name!r} has {column.size} rows, expected {size}"
+                )
+        if not isinstance(self.link_class_names, tuple) or not all(
+            isinstance(n, str) for n in self.link_class_names
+        ):
+            raise ValueError("link_class_names must be a tuple of str")
+        if np.any(self.end < self.start):
+            raise ValueError("a session ends before it starts")
+        if size and int(self.link_class.max()) >= len(self.link_class_names):
+            raise ValueError("link_class code outside link_class_names")
+
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_tuples(
+        cls, rows: Sequence[tuple], link_class_names: Tuple[str, ...]
+    ) -> "SessionTable":
+        """A table of ``rows`` in order, each a tuple of the column values.
+
+        ``link_class`` is a code into ``link_class_names``.
+        :class:`PopulationSimulator` appends one tuple per finished
+        session and builds its table once, here.
+        """
+        columns = zip(*rows) if rows else [()] * len(_COLUMN_DTYPES)
+        return cls(
+            **{
+                name: np.asarray(column, dtype=dtype)
+                for (name, dtype), column in zip(_COLUMN_DTYPES.items(), columns)
+            },
+            link_class_names=tuple(link_class_names),
+        )
+
+    @classmethod
+    def from_rows(
+        cls, rows: Iterable[SessionRecord], link_class_names: Tuple[str, ...]
+    ) -> "SessionTable":
+        """A table of ``rows`` in order; link classes coded by ``link_class_names``."""
+        code = {name: index for index, name in enumerate(link_class_names)}
+        return cls.from_tuples(
+            [(*row[:5], code[row.link_class], row.wants_download) for row in rows],
+            link_class_names,
+        )
+
+    @classmethod
+    def empty(cls, link_class_names: Tuple[str, ...] = ()) -> "SessionTable":
+        """A table with no sessions."""
+        return cls.from_tuples([], link_class_names)
+
+    @classmethod
+    def concat(cls, tables: Iterable["SessionTable"]) -> "SessionTable":
+        """The rows of ``tables`` one after another (names must agree)."""
+        tables = tuple(tables)
+        if not tables:
+            raise ValueError("concat needs at least one table")
+        names = tables[0].link_class_names
+        if any(table.link_class_names != names for table in tables):
+            raise ValueError("cannot concat tables with different link classes")
+        return cls(
+            **{
+                name: np.concatenate([getattr(t, name) for t in tables])
+                for name in _COLUMN_DTYPES
+            },
+            link_class_names=names,
+        )
+
+    def take(self, index: np.ndarray) -> "SessionTable":
+        """The rows at ``index`` (integer positions or a boolean mask)."""
+        return SessionTable(
+            **{name: getattr(self, name)[index] for name in _COLUMN_DTYPES},
+            link_class_names=self.link_class_names,
+        )
+
+    # ------------------------------------------------------------------
+    # access
+    # ------------------------------------------------------------------
+    @property
+    def duration(self) -> np.ndarray:
+        """Connected seconds per session."""
+        return self.end - self.start
+
+    def __len__(self) -> int:
+        return int(self.session_id.size)
+
+    def __iter__(self) -> Iterator[SessionRecord]:
+        names = self.link_class_names
+        return map(
+            SessionRecord._make,
+            zip(
+                self.session_id.tolist(),
+                self.client_id.tolist(),
+                self.start.tolist(),
+                self.end.tolist(),
+                self.rate_multiplier.tolist(),
+                [names[code] for code in self.link_class.tolist()],
+                self.wants_download.tolist(),
+            ),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SessionTable):
+            return NotImplemented
+        return self.link_class_names == other.link_class_names and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _COLUMN_DTYPES
+        )
 
 
 @dataclass(frozen=True)
@@ -69,7 +228,7 @@ class PopulationResult:
     """Everything the session-level simulation produced."""
 
     profile: ServerProfile
-    sessions: List[SessionRecord]
+    sessions: SessionTable
     attempts: List[AttemptRecord]
     map_change_times: List[float]
     outages: Tuple[OutageSpec, ...]
@@ -100,7 +259,8 @@ class PopulationResult:
         """Average connected time per established session (seconds)."""
         if not self.sessions:
             return 0.0
-        return sum(s.duration for s in self.sessions) / len(self.sessions)
+        # Python's left-to-right sum, as over the records
+        return sum(self.sessions.duration.tolist()) / len(self.sessions)
 
     def mean_sessions_per_client(self) -> float:
         """Established sessions per unique establishing client."""
@@ -119,8 +279,8 @@ class PopulationResult:
         times = np.asarray(times, dtype=float)
         if not self.sessions:
             return np.zeros(times.shape, dtype=np.int64)
-        starts = np.sort([s.start for s in self.sessions])
-        ends = np.sort([s.end for s in self.sessions])
+        starts = np.sort(self.sessions.start)
+        ends = np.sort(self.sessions.end)
         started = np.searchsorted(starts, times, side="right")
         ended = np.searchsorted(ends, times, side="right")
         return (started - ended).astype(np.int64)
@@ -136,17 +296,20 @@ class PopulationResult:
         if bin_size <= 0:
             raise ValueError(f"bin_size must be positive, got {bin_size!r}")
         nbins = max(1, int(math.ceil(self.profile.duration / bin_size)))
-        counts = np.zeros(nbins, dtype=np.int64)
-        for session in self.sessions:
-            first = max(0, int(session.start // bin_size))
-            last = min(nbins - 1, int(session.end // bin_size))
-            if last >= first:
-                counts[first : last + 1] += 1
-        return counts
+        # +1 at each session's first bin, -1 past its last: integer
+        # counts, so the difference-array sweep is exact
+        first = np.maximum(0, self.sessions.start // bin_size).astype(np.int64)
+        last = np.minimum(nbins - 1, self.sessions.end // bin_size).astype(np.int64)
+        kept = last >= first
+        diff = np.bincount(first[kept], minlength=nbins + 1) - np.bincount(
+            last[kept] + 1, minlength=nbins + 1
+        )
+        return np.cumsum(diff[:nbins]).astype(np.int64)
 
-    def active_sessions(self, start: float, end: float) -> List[SessionRecord]:
+    def active_sessions(self, start: float, end: float) -> SessionTable:
         """Sessions overlapping ``[start, end)``, in start order."""
-        return [s for s in self.sessions if s.overlaps(start, end)]
+        sessions = self.sessions
+        return sessions.take((sessions.start < end) & (sessions.end > start))
 
     def gap_intervals(self) -> List[Tuple[float, float]]:
         """Intervals with no game traffic: map-change downtime and outages."""
@@ -175,13 +338,15 @@ class PopulationSimulator:
         self._scheduler = EventScheduler()
         self._slots = SlotTable(capacity=profile.max_players)
         self._directory = ClientDirectory()
-        self._sessions: List[SessionRecord] = []
+        # one column-ordered tuple per finished session (see SessionTable)
+        self._sessions: List[tuple] = []
         self._attempts: List[AttemptRecord] = []
-        # session_id -> (client_id, start, multiplier, link class, download, departure event)
+        # session_id -> (client_id, start, multiplier, link class code,
+        # download, departure event)
         self._active: Dict[int, dict] = {}
         self._connected_clients: Set[int] = set()
         self._next_session_id = 0
-        self._client_traits: Dict[int, Tuple[float, str]] = {}
+        self._client_traits: Dict[int, Tuple[float, int]] = {}
         self._outage_until = -1.0
         # per-call invariants of the event loop, computed once; the link
         # class CDF is the one ``Generator.choice(n, p=weights/sum)``
@@ -212,9 +377,12 @@ class PopulationSimulator:
         map_changes = np.arange(
             profile.map_duration, profile.duration, profile.map_duration
         )
+        sessions = SessionTable.from_tuples(
+            self._sessions, tuple(c.name for c in profile.link_classes)
+        )
         return PopulationResult(
             profile=profile,
-            sessions=sorted(self._sessions, key=lambda s: s.start),
+            sessions=sessions.take(np.argsort(sessions.start, kind="stable")),
             attempts=self._attempts,
             map_change_times=[float(t) for t in map_changes],
             outages=tuple(o for o in profile.outages if o.start < profile.duration),
@@ -269,8 +437,8 @@ class PopulationSimulator:
             return self._directory.new_client()
         return returning
 
-    def _client_rate_traits(self, client_id: int) -> Tuple[float, str]:
-        """Stable (rate multiplier, link class) per client.
+    def _client_rate_traits(self, client_id: int) -> Tuple[float, int]:
+        """Stable (rate multiplier, link class code) per client.
 
         Drawn once per client so a returning player keeps their link
         class — what makes Fig 11's per-flow histogram bimodal rather
@@ -279,9 +447,8 @@ class PopulationSimulator:
         traits = self._client_traits.get(client_id)
         if traits is None:
             rng = self.streams.get("links")
-            chosen = self.profile.link_classes[
-                int(self._link_cdf.searchsorted(rng.random(), side="right"))
-            ]
+            code = int(self._link_cdf.searchsorted(rng.random(), side="right"))
+            chosen = self.profile.link_classes[code]
             multiplier = float(
                 min(
                     max(
@@ -293,7 +460,7 @@ class PopulationSimulator:
                     chosen.rate_multiplier_max,
                 )
             )
-            traits = self._client_traits[client_id] = (multiplier, chosen.name)
+            traits = self._client_traits[client_id] = (multiplier, code)
         return traits
 
     def _handle_attempt(self, forced_client: Optional[int]) -> None:
@@ -344,14 +511,14 @@ class PopulationSimulator:
         self._slots.release(session_id)
         self._connected_clients.discard(state["client_id"])
         self._sessions.append(
-            SessionRecord(
-                session_id=session_id,
-                client_id=state["client_id"],
-                start=state["start"],
-                end=end_time,
-                rate_multiplier=state["multiplier"],
-                link_class=state["link_class"],
-                wants_download=state["download"],
+            (
+                session_id,
+                state["client_id"],
+                state["start"],
+                end_time,
+                state["multiplier"],
+                state["link_class"],
+                state["download"],
             )
         )
 

@@ -88,7 +88,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gameserver.population import SessionRecord
+from repro.gameserver.population import SessionTable
 from repro.matchmaking.policies import (
     POLICIES,
     CapacityAwarePolicy,
@@ -367,6 +367,37 @@ def _occurrence_ranks(choices: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _session_tables(
+    admissions: List[Tuple[int, int, float, float, bool]],
+    traits,
+    n_servers: int,
+) -> Tuple[SessionTable, ...]:
+    """Per-server session tables of ``admissions``, each in admission order.
+
+    A session's id is its admission index; its player's traits are
+    gathered here, once, rather than per admission.
+    """
+    server, player, start, end, storm = (
+        zip(*admissions) if admissions else ((), (), (), (), ())
+    )
+    server = np.asarray(server, dtype=np.int64)
+    player = np.asarray(player, dtype=np.int64)
+    table = SessionTable(
+        session_id=np.arange(server.size, dtype=np.int64),
+        client_id=player,
+        start=np.asarray(start, dtype=np.float64),
+        end=np.asarray(end, dtype=np.float64),
+        rate_multiplier=traits.rate_multipliers[player],
+        link_class=traits.link_class_index[player].astype(np.uint8),
+        wants_download=traits.wants_download[player]
+        | np.asarray(storm, dtype=bool),
+        link_class_names=traits.link_classes,
+    )
+    order = np.argsort(server, kind="stable")
+    bounds = np.cumsum(np.bincount(server, minlength=n_servers))[:-1]
+    return tuple(table.take(rows) for rows in np.split(order, bounds))
+
+
 def run_columnar(sim) -> "MatchmakingResult":
     """Run ``sim``'s closed loop.
 
@@ -419,8 +450,6 @@ def run_columnar(sim) -> "MatchmakingResult":
     traits = PlayerTraits.draw(config, seed)
     rtt_rows = [sim.rtt.row(r) for r in range(sim.rtt.n_regions)]
     player_region = traits.region_index
-    rate_multipliers = traits.rate_multipliers
-    wants_download_arr = traits.wants_download
     player_state = np.zeros(config.pool_size, dtype=np.int8)
     last_server = np.full(config.pool_size, -1, dtype=np.int64)
 
@@ -428,7 +457,9 @@ def run_columnar(sim) -> "MatchmakingResult":
     free = capacities.copy()
     total_free = int(capacities.sum())
     occupancy_trace = np.zeros((n_servers, n_epochs), dtype=np.int64)
-    sessions = [[] for _ in range(n_servers)]
+    # (server, player, start, end, in_storm) per admission, in admission
+    # order; the session tables are built from it once, after the loop
+    admissions: List[Tuple[int, int, float, float, bool]] = []
     session_rtts = [[] for _ in range(n_servers)]
     per_server_attempts = np.zeros(n_servers, dtype=np.int64)
     per_server_rejections = np.zeros(n_servers, dtype=np.int64)
@@ -443,7 +474,6 @@ def run_columnar(sim) -> "MatchmakingResult":
 
     attempts = admitted = rejected = balked = retried = 0
     repeat_assignments = 0
-    next_session_id = 0
     full_least_count = 0
     segments = vectorised_attempts = fallback_attempts = 0
     obs_session = obs.current_session()
@@ -515,7 +545,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             choices = rng_assign.integers(n_servers, size=n_attempts)
 
         def _admit(k: int, chosen: int) -> None:
-            nonlocal admitted, next_session_id, repeat_assignments, total_free
+            nonlocal admitted, repeat_assignments, total_free
             nonlocal ep_mult_sum, ep_mult_count, ep_shortened
             player = int(aplayers[k])
             when = atimes[k]
@@ -552,20 +582,8 @@ def run_columnar(sim) -> "MatchmakingResult":
             occupancy[chosen] += 1
             free[chosen] -= 1
             total_free -= 1
-            sessions[chosen].append(
-                SessionRecord(
-                    session_id=next_session_id,
-                    client_id=player,
-                    start=when,
-                    end=end,
-                    rate_multiplier=float(rate_multipliers[player]),
-                    link_class=traits.link_class_of(player),
-                    wants_download=bool(wants_download_arr[player])
-                    or in_storm,
-                )
-            )
+            admissions.append((chosen, player, when, end, in_storm))
             session_rtts[chosen].append(rtt_ms)
-            next_session_id += 1
             admitted += 1
             if chosen == int(last_server[player]):
                 repeat_assignments += 1
@@ -921,7 +939,7 @@ def run_columnar(sim) -> "MatchmakingResult":
         policy=policy.name,
         seed=seed,
         capacities=tuple(int(c) for c in capacities),
-        sessions=tuple(tuple(per_server) for per_server in sessions),
+        sessions=_session_tables(admissions, traits, n_servers),
         occupancy=occupancy_trace,
         admission=AdmissionStats(
             attempts=attempts,

@@ -40,7 +40,7 @@ import numpy as np
 from repro import obs
 from repro.core.facility import AdmissionStats, LatencyStats, OccupancyStats
 from repro.fleet.profiles import FleetProfile
-from repro.gameserver.population import SessionRecord
+from repro.gameserver.population import SessionTable
 from repro.matchmaking.columnar import run_columnar
 from repro.matchmaking.policies import SelectionPolicy, make_policy
 from repro.matchmaking.pool import PoolConfig
@@ -63,7 +63,7 @@ class MatchmakingResult:
     policy: str
     seed: int
     capacities: Tuple[int, ...]
-    sessions: Tuple[Tuple[SessionRecord, ...], ...]
+    sessions: Tuple[SessionTable, ...]
     occupancy: np.ndarray
     admission: AdmissionStats
     per_server_attempts: np.ndarray
@@ -140,13 +140,8 @@ class MatchmakingResult:
         for session_list, rtts in zip(self.sessions, self.session_rtts):
             if not session_list:
                 continue
-            starts = np.fromiter(
-                (record.start for record in session_list),
-                dtype=float,
-                count=len(session_list),
-            )
             epochs = np.minimum(
-                (starts / self.config.epoch_length).astype(np.int64),
+                (session_list.start / self.config.epoch_length).astype(np.int64),
                 self.n_epochs - 1,
             )
             np.add.at(sums, epochs, np.asarray(rtts, dtype=float))
@@ -169,12 +164,7 @@ class MatchmakingResult:
         for session_list, rtts in zip(self.sessions, self.session_rtts):
             rtts = np.asarray(rtts, dtype=float)
             if after > 0.0:
-                starts = np.fromiter(
-                    (record.start for record in session_list),
-                    dtype=float,
-                    count=len(session_list),
-                )
-                rtts = rtts[starts >= after]
+                rtts = rtts[session_list.start >= after]
             parts.append(rtts)
         return np.concatenate(parts)
 

@@ -381,10 +381,6 @@ class PlayerTraits:
             region_index=regions.astype(np.int64),
         )
 
-    def link_class_of(self, player_id: int) -> str:
-        """Link-class name of one player."""
-        return self.link_classes[int(self.link_class_index[player_id])]
-
     def region_of(self, player_id: int) -> str:
         """Region name of one player."""
         return self.region_names[int(self.region_index[player_id])]

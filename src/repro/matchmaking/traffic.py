@@ -8,7 +8,8 @@ machinery: picklable per-server task dataclasses
 module-level workers, shardable through
 :func:`repro.fleet.execution.shard_map_fold` and content-addressed by
 :class:`repro.fleet.cache.ShardCache` — a task fingerprints over the
-profile, the full assigned session tuple and the seed, so any change to
+profile, the assigned :class:`~repro.gameserver.population.SessionTable`
+(one hash per column) and the seed, so any change to
 placement (a different policy, pool size or seed) selects fresh cache
 entries while a warm re-run replays bit-identically.
 
@@ -21,7 +22,6 @@ serial and sharded paths are bit-identical by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -30,13 +30,13 @@ from repro.gameserver.fluid import FluidSeries
 from repro.gameserver.population import (
     AttemptRecord,
     PopulationResult,
-    SessionRecord,
+    SessionTable,
 )
 from repro.trace.trace import Trace
 
 
 def assigned_population(
-    profile: ServerProfile, sessions: Iterable[SessionRecord]
+    profile: ServerProfile, sessions: SessionTable
 ) -> PopulationResult:
     """A :class:`PopulationResult` for matchmaker-assigned sessions.
 
@@ -47,8 +47,8 @@ def assigned_population(
     the attempt log records the admissions — refusals happen at the
     matchmaker, not the slot table, in this mode.
     """
-    ordered = sorted(sessions, key=lambda s: (s.start, s.session_id))
-    clients = {record.client_id for record in ordered}
+    ordered = sessions.take(np.lexsort((sessions.session_id, sessions.start)))
+    n_clients = int(np.unique(ordered.client_id).size)
     map_changes = np.arange(
         profile.map_duration, profile.duration, profile.map_duration
     )
@@ -56,13 +56,15 @@ def assigned_population(
         profile=profile,
         sessions=ordered,
         attempts=[
-            AttemptRecord(record.start, record.client_id, accepted=True)
-            for record in ordered
+            AttemptRecord(start, client_id, accepted=True)
+            for start, client_id in zip(
+                ordered.start.tolist(), ordered.client_id.tolist()
+            )
         ],
         map_change_times=[float(t) for t in map_changes],
         outages=tuple(o for o in profile.outages if o.start < profile.duration),
-        unique_attempting=len(clients),
-        unique_establishing=len(clients),
+        unique_attempting=n_clients,
+        unique_establishing=n_clients,
     )
 
 
@@ -74,7 +76,7 @@ class AssignedSeriesTask:
     """Per-second fluid series of one server under assigned sessions."""
 
     profile: ServerProfile
-    sessions: Tuple[SessionRecord, ...]
+    sessions: SessionTable
     seed: int
 
 
@@ -83,7 +85,7 @@ class AssignedWindowTask:
     """Packet-level window of one server under assigned sessions."""
 
     profile: ServerProfile
-    sessions: Tuple[SessionRecord, ...]
+    sessions: SessionTable
     seed: int
     start: float
     end: float

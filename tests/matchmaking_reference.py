@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.facility import AdmissionStats
 from repro.fleet.profiles import FleetProfile
-from repro.gameserver.population import SessionRecord
+from repro.gameserver.population import SessionRecord, SessionTable
 from repro.matchmaking import (
     MatchmakingResult,
     MatchmakingSimulator,
@@ -241,7 +241,7 @@ def run_reference(sim: MatchmakingSimulator) -> MatchmakingResult:
                     start=when,
                     end=end,
                     rate_multiplier=float(traits.rate_multipliers[player]),
-                    link_class=traits.link_class_of(player),
+                    link_class=traits.link_classes[traits.link_class_index[player]],
                     wants_download=bool(traits.wants_download[player])
                     or in_storm,
                 )
@@ -265,7 +265,9 @@ def run_reference(sim: MatchmakingSimulator) -> MatchmakingResult:
         policy=policy.name,
         seed=sim.seed,
         capacities=tuple(int(c) for c in capacities),
-        sessions=tuple(tuple(per_server) for per_server in sessions),
+        sessions=tuple(
+            SessionTable.from_rows(rows, traits.link_classes) for rows in sessions
+        ),
         occupancy=occupancy_trace,
         admission=AdmissionStats(
             attempts=attempts,

@@ -35,6 +35,15 @@ def evaluate_array(task: ArrayTask) -> np.ndarray:
     return task.scale * rng.uniform(0.0, 1.0, 64)
 
 
+@dataclass(frozen=True)
+class LabelTask:
+    labels: np.ndarray
+
+
+def evaluate_labels(task: LabelTask) -> str:
+    return str(task.labels[0])
+
+
 class TestFingerprinting:
     def test_key_is_deterministic(self, tmp_path):
         cache = ShardCache(tmp_path)
@@ -72,6 +81,24 @@ class TestFingerprinting:
 
         with pytest.raises(UnfingerprintableTask):
             _canonical(Opaque())
+
+    def test_object_arrays_are_uncacheable(self, tmp_path):
+        # equal strings built at run time are distinct objects, so an
+        # object array's bytes (element addresses) differ between them
+        parts = ["mo", "dem"]
+        a = np.array(["".join(parts)], dtype=object)
+        b = np.array(["".join(parts)], dtype=object)
+        assert a[0] == b[0] and a[0] is not b[0]
+        for value in (a, np.array([(1, "x")], dtype=[("n", int), ("s", object)])):
+            with pytest.raises(UnfingerprintableTask):
+                _canonical(value)
+        cache = ShardCache(tmp_path)
+        assert cache.task_key(evaluate_labels, LabelTask(a)) is None
+        result = shard_map(
+            evaluate_labels, [LabelTask(a), LabelTask(b)], workers=1, cache=cache
+        )
+        assert result == ["modem", "modem"]
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.stores) == (0, 0, 0)
 
     def test_canonical_handles_real_window_tasks(self, quick_profile):
         from repro.fleet.execution import WindowTask, simulate_window

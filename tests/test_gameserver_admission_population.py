@@ -285,7 +285,8 @@ class TestEventLoopDrawEquivalence:
         reference = RandomStreams(seed).get("links")
         for client_id in range(3000):
             expected = _reference_rate_traits(reference, profile.link_classes)
-            assert simulator._client_rate_traits(client_id) == expected
+            multiplier, code = simulator._client_rate_traits(client_id)
+            assert (multiplier, profile.link_classes[code].name) == expected
         # a returning client draws nothing
         assert simulator._client_rate_traits(0) == simulator._client_traits[0]
         assert (

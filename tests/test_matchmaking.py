@@ -19,6 +19,7 @@ from repro.core.facility import (
 )
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
+from repro.gameserver.population import SessionTable
 from repro.matchmaking import (
     POLICIES,
     RTT_PROFILES,
@@ -586,7 +587,7 @@ class TestAssignedTraffic:
     def test_empty_assignment_means_silent_server(self, small_fleet):
         profile = small_fleet.server_profile(0)
         series = simulate_assigned_series(
-            AssignedSeriesTask(profile=profile, sessions=(), seed=7)
+            AssignedSeriesTask(profile=profile, sessions=SessionTable.empty(), seed=7)
         )
         assert len(series) == int(HORIZON)
         # no sessions -> no structural rate; only sub-packet clipped

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.fleet.cache import ShardCache
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
+from repro.gameserver.population import SessionTable
 from repro.matchmaking import (
     LatencyAwarePolicy,
     PoolConfig,
@@ -265,10 +266,10 @@ class TestEndogenousIngress:
         )
         # move every session to the servers of rack 0 (indices 0, 1)
         starved = (
-            result.sessions[0] + result.sessions[2],
-            result.sessions[1] + result.sessions[3],
-            (),
-            (),
+            SessionTable.concat((result.sessions[0], result.sessions[2])),
+            SessionTable.concat((result.sessions[1], result.sessions[3])),
+            SessionTable.empty(),
+            SessionTable.empty(),
         )
         ingress = rack_ingress_traces(
             fleet, topology, *WINDOW, workers=1, assignments=starved
