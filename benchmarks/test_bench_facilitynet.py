@@ -1,24 +1,18 @@
-"""Bench: facilitynet — busy-minute facility traffic through the tree.
+"""Bench: facilitynet — hop traversal alone on pre-simulated ingress.
 
-Times the full experiment (fleet windows, per-rack merge, four-ratio
-uplink sweep, worker-parity cross-check) and separately the hop
-traversal alone on cached ingress, so regressions in the shared FIFO
-kernel or the tail-drop link show up apart from fleet simulation cost.
+Times the rack, core and uplink hops on cached ingress, so regressions
+in the shared FIFO kernel or the tail-drop link show up apart from
+fleet simulation cost.  The experiment end to end is checked against
+its tolerances by ``tests/test_experiment_facilitynet.py``.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import run_experiment_bench
 from repro.experiments import facilitynet
 from repro.facilitynet.pipeline import rack_ingress_traces, run_hops
 from repro.facilitynet.report import ingress_envelope
 from repro.facilitynet.topology import build_topology, provision_from_envelope
 from repro.fleet.profiles import hosting_facility
-
-
-def test_bench_facilitynet_experiment(benchmark):
-    """The registered experiment end to end."""
-    run_experiment_bench(benchmark, facilitynet.run)
 
 
 def test_bench_facilitynet_hops_only(benchmark):

@@ -13,8 +13,9 @@ busy-server regime) and the engine's result must be bit-identical while
 clearing a ≥3x wall-clock floor at 10^6 players.
 
 Wall-clock floors are deliberately conservative (CI machines are
-noisy); the measured trajectory lives in ``BENCH_obs_*.json`` via
-``repro.obs.bench``, which is where trend regressions show up.
+noisy); trends are read from the repo benchmark, ``python3 -m
+benchmarks.perf`` (``matchmaking.attempts_per_s`` and the
+``provision``/``churn`` workloads).
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ loops and whether `repro-analyze watch` can keep up with a busy run:
   writer produces them (writers are rate-limited to ~4 rows/s/stage).
 
 Wall-clock floors are deliberately conservative (CI machines are
-noisy); the trend signal lives in the ``BENCH_obs_*.json`` trajectory.
+noisy); trends are read from the repo benchmark, ``python3 -m
+benchmarks.perf``: its untraced reps pay the disabled hook, and
+``obs.session_overhead_frac`` prices the traced path.
 """
 
 from __future__ import annotations

@@ -49,13 +49,12 @@ Top-level layout:
   metrics registry (cache hits, kernel fast-path vs fallback segments,
   admissions/balks, per-hop drops), streaming JSONL/npz artifact
   exporters with a per-run manifest (``repro-experiments
-  --trace-dir``), per-worker telemetry shipped back from sharded
-  subprocess tasks on their futures, and the ``BENCH_obs_*.json`` perf
-  trajectory; traced and untraced runs are bit-identical by
-  construction; :mod:`repro.obs.analysis` (the ``repro-analyze`` CLI)
-  loads finished trace directories back — span forests, per-phase
-  rollups, occupancy heatmaps, cross-run comparison — from artifacts
-  alone;
+  --trace-dir``) and per-worker telemetry shipped back from sharded
+  subprocess tasks on their futures; traced and untraced runs are
+  bit-identical by construction; :mod:`repro.obs.analysis` (the
+  ``repro-analyze`` CLI) loads finished trace directories back — span
+  forests, per-phase rollups, occupancy heatmaps, cross-run comparison
+  — from artifacts alone;
 * :mod:`repro.experiments` — one module per table/figure plus the
   fleet provisioning, facility network and matchmaking experiments,
   with a CLI runner (``repro-experiments``, see EXPERIMENTS.md).

@@ -19,7 +19,7 @@ Examples::
     repro-analyze summary trace/
     repro-analyze spans trace/ --limit 15
     repro-analyze heatmap trace/ --policy latency_aware
-    repro-analyze compare trace-a/ trace-b/ --bench BENCH_obs_ci.json
+    repro-analyze compare trace-a/ trace-b/
     repro-analyze watch trace/              # live: refreshing status table
     repro-analyze watch trace/ --once --strict   # CI: one frame, stall=fail
     repro-analyze export trace/ --format chrome-trace -o trace.json
@@ -289,46 +289,12 @@ def _cmd_heatmap(args) -> int:
 def _cmd_compare(args) -> int:
     from repro.obs import analysis
 
-    exit_code = 0
-    if args.trace_dir_b is not None:
-        run_a = _load_run_or_fail(args.trace_dir)
-        run_b = _load_run_or_fail(args.trace_dir_b)
-        if run_a is None or run_b is None:
-            return 2
-        print(analysis.compare(run_a, run_b).render())
-    elif args.bench is None:
-        print(
-            "error: compare needs a second trace dir, --bench FILE, or both",
-            file=sys.stderr,
-        )
+    run_a = _load_run_or_fail(args.trace_dir)
+    run_b = _load_run_or_fail(args.trace_dir_b)
+    if run_a is None or run_b is None:
         return 2
-
-    if args.bench is not None:
-        regressions = analysis.check_bench_trajectory(
-            args.bench, threshold=args.threshold
-        )
-        if not os.path.exists(args.bench):
-            # soft by contract, like every other trajectory shortfall —
-            # but say what actually happened
-            print(
-                f"bench trajectory {args.bench}: missing — nothing to "
-                "compare"
-            )
-        elif regressions:
-            # soft failure by contract: GitHub warning annotations, not a
-            # broken build — wall-clock trajectories are trend signals
-            for regression in regressions:
-                print(f"::warning ::bench regression: {regression.describe()}")
-            print(
-                f"{len(regressions)} bench figure(s) regressed more than "
-                f"{args.threshold:.0%} vs the prior median in {args.bench}"
-            )
-        else:
-            print(
-                f"bench trajectory {args.bench}: no figure more than "
-                f"{args.threshold:.0%} below the prior median"
-            )
-    return exit_code
+    print(analysis.compare(run_a, run_b).render())
+    return 0
 
 
 def _cmd_watch(args) -> int:
@@ -432,23 +398,10 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     heatmap.set_defaults(fn=_cmd_heatmap)
 
     compare = commands.add_parser(
-        "compare",
-        help="diff two runs' manifests/metric totals and/or check a "
-        "BENCH_obs_*.json trajectory for regressions",
+        "compare", help="diff two runs' manifests and metric totals"
     )
     compare.add_argument("trace_dir", help="first trace artifact directory")
-    compare.add_argument(
-        "trace_dir_b", nargs="?", default=None,
-        help="second trace artifact directory",
-    )
-    compare.add_argument(
-        "--bench", default=None, metavar="FILE",
-        help="also check this BENCH_obs_*.json perf trajectory",
-    )
-    compare.add_argument(
-        "--threshold", type=float, default=0.2, metavar="FRAC",
-        help="relative regression tolerance for --bench (default 0.2)",
-    )
+    compare.add_argument("trace_dir_b", help="second trace artifact directory")
     compare.set_defaults(fn=_cmd_compare)
 
     watch = commands.add_parser(

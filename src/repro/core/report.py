@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment outputs.
 
 Every experiment ends in a "paper vs measured" table printed to stdout
-(and captured by the bench harness).  This module is the single place
+by ``repro-experiments``.  This module is the single place
 that formats those tables, so all experiments report uniformly.
 """
 

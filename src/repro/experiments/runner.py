@@ -195,6 +195,13 @@ _cache_dir = _writable_directory
 _trace_dir = _writable_directory
 
 
+def _cannot_create(flag: str, path: str, error: OSError) -> int:
+    """Report a directory the OS refused to create; the CLI exit code."""
+    reason = error.strerror or error
+    print(f"error: cannot create {flag} {path!r}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv: List[str] = None) -> int:
     """CLI entry point: run experiments and print reports."""
     parser = argparse.ArgumentParser(
@@ -364,17 +371,20 @@ def main(argv: List[str] = None) -> int:
         print(f"error: {_unknown_experiment(unknown[0])}", file=sys.stderr)
         return 2
 
+    # _writable_directory only predicts that a directory can be made;
+    # the mkdir below is the real test, and it fails cleanly too
     if args.cache_dir is not None:
         from repro.fleet.cache import ShardCache
 
-        config = replace(config, cache=ShardCache(args.cache_dir))
+        try:
+            config = replace(config, cache=ShardCache(args.cache_dir))
+        except OSError as error:
+            return _cannot_create("--cache-dir", args.cache_dir, error)
 
-    manifest_path = None
-    trace_session = None
-    try:
-        if args.trace_dir is not None:
-            from repro import obs
+    if args.trace_dir is not None:
+        from repro import obs
 
+        try:
             obs.start_trace_session(
                 args.trace_dir,
                 sample_interval=args.sample_interval,
@@ -382,6 +392,12 @@ def main(argv: List[str] = None) -> int:
                 experiments=ids,
                 config_fingerprint=config_fingerprint(ids, args.seed, config),
             )
+        except OSError as error:
+            return _cannot_create("--trace-dir", args.trace_dir, error)
+
+    manifest_path = None
+    trace_session = None
+    try:
         outputs = run_experiments(ids, seed=args.seed, config=config)
     except RunConfigError as error:
         # a value judged only at run time (--pool-size against the

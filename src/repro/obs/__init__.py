@@ -10,8 +10,7 @@ Five layers, each usable alone:
   network publish into;
 * :mod:`repro.obs.export` — streaming JSON-lines and columnar ``.npz``
   exporters plus the per-run :class:`~repro.obs.export.TraceSession`
-  (artifact directory + manifest), and :mod:`repro.obs.bench`'s
-  ``BENCH_obs_*.json`` perf-trajectory records;
+  (artifact directory + manifest);
 * :mod:`repro.obs.analysis` — the read side: load a finished (or
   killed) trace directory into typed run objects, rebuild the span
   forest (including worker-task records shipped back from sharded

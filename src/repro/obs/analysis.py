@@ -20,9 +20,7 @@ operator (or the ``repro-analyze`` CLI) can interrogate:
   totals *re-derived* from the artifacts (worker span deltas, epoch and
   hop streams) and cross-checked against the manifest, so a trace
   directory is self-validating;
-* :func:`compare` — diff two runs' provenance and metric totals;
-  :func:`check_bench_trajectory` — flag throughput regressions in a
-  ``BENCH_obs_*.json`` trajectory.
+* :func:`compare` — diff two runs' provenance and metric totals.
 
 Every loader tolerates the streaming contract's failure mode: a killed
 writer leaves a torn final line, which is skipped while every complete
@@ -32,8 +30,6 @@ truncation offsets).
 
 from __future__ import annotations
 
-import json
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -42,15 +38,6 @@ import numpy as np
 
 from repro.obs.export import load_manifest, read_jsonl
 from repro.obs.metrics import MetricsRegistry
-
-#: Bench-trajectory figures where *higher* is better (regression =
-#: newest meaningfully below the median of the prior records).
-BENCH_THROUGHPUT_KEYS = (
-    "kernel_pps",
-    "cache_hit_rate_warm",
-    "matchmaking_columnar_players_per_s",
-    "matchmaking_qoe_players_per_s",
-)
 
 #: Counters bumped exactly once per identically-named span.  Their
 #: totals are recoverable by counting spans across the whole forest —
@@ -605,69 +592,3 @@ def compare(run_a: TraceRun, run_b: TraceRun) -> RunComparison:
     return RunComparison(
         a=run_a, b=run_b, provenance=provenance, metrics=metrics
     )
-
-
-# ----------------------------------------------------------------------
-# bench-trajectory regression check
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BenchRegression:
-    """The newest trajectory record fell below the prior median."""
-
-    metric: str
-    newest: float
-    median_prior: float
-
-    @property
-    def change(self) -> float:
-        """Relative change of the newest record vs the prior median."""
-        return (self.newest - self.median_prior) / self.median_prior
-
-    def describe(self) -> str:
-        return (
-            f"{self.metric}: {self.newest:.3g} vs prior median "
-            f"{self.median_prior:.3g} ({self.change:+.1%})"
-        )
-
-
-def check_bench_trajectory(
-    path, threshold: float = 0.2
-) -> List[BenchRegression]:
-    """Regressions of the newest ``BENCH_obs_*.json`` record.
-
-    Compares the last record's throughput figures against the median of
-    all prior records; a figure more than ``threshold`` below the median
-    is flagged.  Fewer than two records (or a missing/corrupt file)
-    means nothing to compare — an empty list, not an error: the caller
-    (CI's bench-smoke job) must soft-fail, never break the build.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1): {threshold!r}")
-    try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        records = loaded["records"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError):
-        return []
-    if not isinstance(records, list) or len(records) < 2:
-        return []
-    newest, priors = records[-1], records[:-1]
-    regressions = []
-    for key in BENCH_THROUGHPUT_KEYS:
-        value = newest.get(key)
-        history = [
-            r[key]
-            for r in priors
-            if isinstance(r.get(key), (int, float)) and r[key] > 0
-        ]
-        if not isinstance(value, (int, float)) or not history:
-            continue
-        median_prior = statistics.median(history)
-        if median_prior > 0 and value < (1.0 - threshold) * median_prior:
-            regressions.append(
-                BenchRegression(
-                    metric=key,
-                    newest=float(value),
-                    median_prior=float(median_prior),
-                )
-            )
-    return regressions

@@ -2,7 +2,7 @@
 
 Every table/figure experiment needs some subset of {population, packet
 window, fluid series} from the *same* simulated week.  :class:`Scenario`
-computes each lazily and caches it, so a bench suite running all
+computes each lazily and caches it, so a process running all
 experiments simulates the week's sessions once and reuses them.
 
 The default scaling policy: session-level artifacts use the full-week

@@ -1,8 +1,9 @@
 """Integration tests: full experiment pipelines on scaled-down scenarios.
 
-The bench suite runs every experiment at full scale; these tests verify
-the pipelines end-to-end at reduced cost and check the qualitative
-claims that must hold at any scale.
+``test_experiment_outputs.py`` runs every experiment at full scale
+against the paper; these tests verify the pipelines end-to-end at
+reduced cost and check the qualitative claims that must hold at any
+scale.
 """
 
 import numpy as np

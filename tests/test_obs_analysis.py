@@ -196,45 +196,6 @@ class TestCompare:
         assert "test.things" in comparison.render()
 
 
-class TestBenchTrajectory:
-    def _write(self, path, values):
-        path.write_text(
-            json.dumps({"records": [{"kernel_pps": v} for v in values]})
-        )
-
-    def test_regression_flagged_against_prior_median(self, tmp_path):
-        path = tmp_path / "BENCH_obs_test.json"
-        self._write(path, [100.0, 110.0, 105.0, 50.0])
-
-        regressions = analysis.check_bench_trajectory(path)
-        assert len(regressions) == 1
-        assert regressions[0].metric == "kernel_pps"
-        assert regressions[0].median_prior == pytest.approx(105.0)
-        assert regressions[0].change == pytest.approx(-55 / 105)
-        assert "kernel_pps" in regressions[0].describe()
-
-    def test_within_threshold_is_clean(self, tmp_path):
-        path = tmp_path / "BENCH_obs_test.json"
-        self._write(path, [100.0, 110.0, 105.0, 95.0])
-        assert analysis.check_bench_trajectory(path) == []
-
-    def test_soft_failure_inputs_never_raise(self, tmp_path):
-        """CI must never break on a missing/short/corrupt trajectory."""
-        assert analysis.check_bench_trajectory(tmp_path / "absent.json") == []
-
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{not json")
-        assert analysis.check_bench_trajectory(corrupt) == []
-
-        single = tmp_path / "single.json"
-        self._write(single, [100.0])
-        assert analysis.check_bench_trajectory(single) == []
-
-    def test_threshold_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            analysis.check_bench_trajectory(tmp_path / "x.json", threshold=0)
-
-
 class TestFacilityViews:
     @pytest.fixture(scope="class")
     def traced_run(self, tmp_path_factory):
