@@ -64,9 +64,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable_directory(path: str) -> Optional[str]:
+    """Why a file at ``path`` cannot be written, or ``None`` if it can."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return f"directory {directory} does not exist"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"directory {directory} is not writable"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
+    if not (math.isfinite(args.start) and math.isfinite(args.end)):
+        print("error: --start and --end must be finite", file=sys.stderr)
+        return 2
+    if args.start < 0:
+        print("error: --start must be >= 0", file=sys.stderr)
+        return 2
     if args.end <= args.start:
         print("error: --end must exceed --start", file=sys.stderr)
         return 2
@@ -82,6 +98,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+    # fail before the window is synthesised, not after
+    for flag, path in (("-o", args.output), ("--log", args.log)):
+        problem = path is not None and _unwritable_directory(path)
+        if problem:
+            print(f"error: {flag} {path}: {problem}", file=sys.stderr)
+            return 2
 
     scenario = Scenario(profile, seed=args.seed)
     trace = scenario.packet_window(args.start, args.end)

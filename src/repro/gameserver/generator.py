@@ -7,15 +7,20 @@ life: per-client update streams (periodic with path jitter — inbound is
 handshakes, disconnects, and rate-limited download transfers.  Map-change
 downtime and outages gate all game traffic to zero.
 
-Packets are synthesised per session with vectorised numpy arithmetic —
-no per-packet event dispatch — so multi-hour windows (millions of
-packets) generate in seconds.  The result is a standard
+Synthesis runs in two passes, with no per-packet event dispatch.  Per
+session, only what must stay in order runs: the session's random draws
+(update times, snapshot ticks and jitter, payload draws, downloads) and
+the masks that size the next draw.  Per window, once: the direction,
+address and port columns, round intensity and the payload rounding and
+clip, then one stable sort by timestamp — so multi-hour windows
+(millions of packets) generate in seconds.  The result is a standard
 :class:`repro.trace.Trace`, indistinguishable to the analysis layer from
 a parsed capture.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -25,9 +30,9 @@ from repro.gameserver.downloads import DownloadScheduler
 from repro.gameserver.population import PopulationResult, SessionRecord, simulate_population
 from repro.gameserver.protocol import CONTROL_PAYLOADS, MessageType, ProtocolModel
 from repro.gameserver.rounds import RoundSchedule
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, sample_truncated_normal
 from repro.trace.packet import Direction
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.trace import Trace
 
 #: Within-tick serialisation window: all snapshots of one tick leave the
 #: server NIC inside this many seconds (back-to-back small packets).
@@ -39,17 +44,83 @@ def _session_port(session: SessionRecord) -> int:
     return 1024 + (session.session_id * 7 + session.client_id) % 60000
 
 
-def _mask_gaps(times: np.ndarray, gaps: List[Tuple[float, float]]) -> np.ndarray:
-    """Boolean mask of times NOT inside any gap interval."""
-    if not gaps or times.size == 0:
-        return np.ones(times.shape, dtype=bool)
-    starts = np.asarray([g[0] for g in gaps])
-    ends = np.asarray([g[1] for g in gaps])
-    index = np.searchsorted(starts, times, side="right") - 1
-    inside = np.zeros(times.shape, dtype=bool)
-    valid = index >= 0
-    inside[valid] = times[valid] < ends[index[valid]]
-    return ~inside
+class _Gaps:
+    """The population's gap intervals (map changes, outages), sorted by start."""
+
+    def __init__(self, gaps: List[Tuple[float, float]]) -> None:
+        self._start_list = [g[0] for g in gaps]
+        self._end_list = [g[1] for g in gaps]
+        self._starts = np.asarray(self._start_list, dtype=float)
+        self._ends = np.asarray(self._end_list, dtype=float)
+
+    def keep(self, times: np.ndarray) -> np.ndarray:
+        """The sorted ``times`` that fall in no gap.
+
+        A time is tested against the last gap starting at or before it.
+        Only the gaps from the last one starting at or before
+        ``times[0]`` to the last one starting at or before ``times[-1]``
+        can decide a time of the block, so the mask runs over those
+        alone, and not at all when none of them ends after ``times[0]``.
+        """
+        if times.size == 0:
+            return times
+        first, last = float(times[0]), float(times[-1])
+        lo = max(bisect_right(self._start_list, first) - 1, 0)
+        hi = bisect_right(self._start_list, last)
+        if not any(gap_end > first for gap_end in self._end_list[lo:hi]):
+            return times
+        index = np.searchsorted(self._starts[lo:hi], times, side="right") - 1
+        inside = np.zeros(times.shape, dtype=bool)
+        valid = index >= 0
+        inside[valid] = times[valid] < self._ends[lo:hi][index[valid]]
+        return times[~inside]
+
+
+class _WindowRows:
+    """One window's packets, as drawn, in the order they are appended.
+
+    Each session appends a block of client updates, then a block of
+    snapshots towards the client: per block its timestamps, its raw
+    truncated-normal payload draws, and one entry of the fields shared
+    by every row of the block (count, direction, addresses, ports).
+    Scalar rows (handshakes, download chunks and acks) go to ``scalars``
+    and follow every block, in the order they were emitted.  Columns are
+    assembled from these once per window.
+    """
+
+    __slots__ = ("times", "draws", "blocks", "scalars")
+
+    def __init__(self) -> None:
+        self.times: List[np.ndarray] = []
+        self.draws: List[np.ndarray] = []
+        self.blocks: List[Tuple[int, int, int, int, int, int]] = []
+        self.scalars: List[Tuple[float, int, int, int, int, int, int]] = []
+
+    def add_block(
+        self,
+        times: np.ndarray,
+        draws: np.ndarray,
+        direction: Direction,
+        src: int,
+        dst: int,
+        src_port: int,
+        dst_port: int,
+    ) -> None:
+        self.times.append(times)
+        self.draws.append(draws)
+        self.blocks.append((times.size, int(direction), src, dst, src_port, dst_port))
+
+    def add(
+        self,
+        when: float,
+        direction: Direction,
+        src: int,
+        dst: int,
+        src_port: int,
+        dst_port: int,
+        payload: int,
+    ) -> None:
+        self.scalars.append((when, int(direction), src, dst, src_port, dst_port, payload))
 
 
 class PacketLevelGenerator:
@@ -105,28 +176,28 @@ class PacketLevelGenerator:
                 f"window [{window_start}, {window_end}) outside horizon "
                 f"[0, {profile.duration}]"
             )
-        gaps = self.population.gap_intervals()
-        builder = TraceBuilder(server_address=profile.server_address)
+        gaps = _Gaps(self.population.gap_intervals())
+        rows = _WindowRows()
         download_scheduler = DownloadScheduler(profile) if include_downloads else None
         for session in self.population.active_sessions(window_start, window_end):
-            self._emit_session(
-                builder, session, window_start, window_end, gaps, download_scheduler
+            self._draw_session(
+                rows, session, window_start, window_end, gaps, download_scheduler
             )
-        return builder.build(sort=True)
+        return self._assemble(rows)
 
     # ------------------------------------------------------------------
-    # per-session synthesis
+    # per-session draws
     # ------------------------------------------------------------------
     def _session_rng(self, session: SessionRecord) -> np.random.Generator:
         return self.streams.spawn(f"session-{session.session_id}").get("packets")
 
-    def _emit_session(
+    def _draw_session(
         self,
-        builder: TraceBuilder,
+        rows: _WindowRows,
         session: SessionRecord,
         window_start: float,
         window_end: float,
-        gaps: List[Tuple[float, float]],
+        gaps: _Gaps,
         download_scheduler: Optional[DownloadScheduler],
     ) -> None:
         rng = self._session_rng(session)
@@ -137,14 +208,12 @@ class PacketLevelGenerator:
         if end <= start:
             return
 
-        self._emit_handshake(builder, session, client_addr, port, window_start, window_end)
-        self._emit_client_updates(
-            builder, session, rng, client_addr, port, start, end, gaps
-        )
-        self._emit_snapshots(builder, session, rng, client_addr, port, start, end, gaps)
+        self._emit_handshake(rows, session, client_addr, port, window_start, window_end)
+        self._draw_client_updates(rows, session, rng, client_addr, port, start, end, gaps)
+        self._draw_snapshots(rows, session, rng, client_addr, port, start, end, gaps)
         if download_scheduler is not None and session.wants_download:
             self._emit_download(
-                builder,
+                rows,
                 session,
                 rng,
                 client_addr,
@@ -156,7 +225,7 @@ class PacketLevelGenerator:
 
     def _emit_handshake(
         self,
-        builder: TraceBuilder,
+        rows: _WindowRows,
         session: SessionRecord,
         client_addr: int,
         port: int,
@@ -177,22 +246,22 @@ class PacketLevelGenerator:
             if not window_start <= when < window_end:
                 continue
             if direction is Direction.IN:
-                builder.add(when, direction, client_addr, self.server_value, port,
-                            self.profile.server_port, payload)
+                rows.add(when, direction, client_addr, self.server_value, port,
+                         self.profile.server_port, payload)
             else:
-                builder.add(when, direction, self.server_value, client_addr,
-                            self.profile.server_port, port, payload)
+                rows.add(when, direction, self.server_value, client_addr,
+                         self.profile.server_port, port, payload)
 
-    def _emit_client_updates(
+    def _draw_client_updates(
         self,
-        builder: TraceBuilder,
+        rows: _WindowRows,
         session: SessionRecord,
         rng: np.random.Generator,
         client_addr: int,
         port: int,
         start: float,
         end: float,
-        gaps: List[Tuple[float, float]],
+        gaps: _Gaps,
     ) -> None:
         """The client's periodic movement/command stream (inbound)."""
         profile = self.profile
@@ -203,21 +272,15 @@ class PacketLevelGenerator:
             0.004, rng.normal(interval, profile.client_update_jitter, size=count)
         )
         times = start + rng.uniform(0.0, interval) + np.cumsum(spacings)
-        times = times[times < end]
-        times = times[_mask_gaps(times, gaps)]
+        times = gaps.keep(times[times < end])
         if times.size == 0:
             return
-        sizes = self.protocol.client_update.sample(rng, size=times.size)
-        n = times.size
-        builder.add_batch(
-            timestamps=times,
-            directions=np.full(n, int(Direction.IN), dtype=np.int8),
-            src_addrs=np.full(n, client_addr, dtype=np.uint32),
-            dst_addrs=np.full(n, self.server_value, dtype=np.uint32),
-            src_ports=np.full(n, port, dtype=np.uint16),
-            dst_ports=np.full(n, profile.server_port, dtype=np.uint16),
-            payload_sizes=sizes.astype(np.uint32),
+        model = self.protocol.client_update
+        draws = sample_truncated_normal(
+            rng, model.mean, model.std, model.minimum, model.maximum, size=times.size
         )
+        rows.add_block(times, draws, Direction.IN, client_addr, self.server_value,
+                       port, profile.server_port)
 
     def _snapshot_probability(self, session: SessionRecord) -> float:
         """Per-tick send probability towards this client.
@@ -229,16 +292,16 @@ class PacketLevelGenerator:
             min(1.0, self.profile.snapshot_send_probability * session.rate_multiplier)
         )
 
-    def _emit_snapshots(
+    def _draw_snapshots(
         self,
-        builder: TraceBuilder,
+        rows: _WindowRows,
         session: SessionRecord,
         rng: np.random.Generator,
         client_addr: int,
         port: int,
         start: float,
         end: float,
-        gaps: List[Tuple[float, float]],
+        gaps: _Gaps,
     ) -> None:
         """The server's tick-synchronised state flood (outbound)."""
         profile = self.profile
@@ -248,36 +311,24 @@ class PacketLevelGenerator:
             return
         ticks = np.arange(first_tick, end, tick)
         sent = rng.uniform(size=ticks.size) < self._snapshot_probability(session)
-        ticks = ticks[sent]
-        ticks = ticks[_mask_gaps(ticks, gaps)]
+        ticks = gaps.keep(ticks[sent])
         if ticks.size == 0:
             return
         # Stable per-client serialisation offset within the tick burst plus
         # sub-millisecond scheduling noise.
         offset = rng.uniform(0.0, TICK_SERIALIZATION_WINDOW)
         times = ticks + offset + rng.normal(0.0, 0.0004, size=ticks.size)
-        times = np.maximum(times, ticks)  # never before the tick itself
-        intensity = self.rounds.intensity(times)
-        base_sizes = self.protocol.server_snapshot.sample(rng, size=times.size)
-        sizes = np.clip(
-            np.rint(base_sizes * intensity),
-            profile.outbound_payload_min,
-            profile.outbound_payload_max,
-        ).astype(np.uint32)
-        n = times.size
-        builder.add_batch(
-            timestamps=times,
-            directions=np.full(n, int(Direction.OUT), dtype=np.int8),
-            src_addrs=np.full(n, self.server_value, dtype=np.uint32),
-            dst_addrs=np.full(n, client_addr, dtype=np.uint32),
-            src_ports=np.full(n, profile.server_port, dtype=np.uint16),
-            dst_ports=np.full(n, port, dtype=np.uint16),
-            payload_sizes=sizes,
+        np.maximum(times, ticks, out=times)  # never before the tick itself
+        model = self.protocol.server_snapshot
+        draws = sample_truncated_normal(
+            rng, model.mean, model.std, model.minimum, model.maximum, size=times.size
         )
+        rows.add_block(times, draws, Direction.OUT, self.server_value, client_addr,
+                       profile.server_port, port)
 
     def _emit_download(
         self,
-        builder: TraceBuilder,
+        rows: _WindowRows,
         session: SessionRecord,
         rng: np.random.Generator,
         client_addr: int,
@@ -292,13 +343,75 @@ class PacketLevelGenerator:
         for when, size in zip(transfer.chunk_times, transfer.chunk_sizes):
             if when >= session.end or not window_start <= when < window_end:
                 continue
-            builder.add(when, Direction.OUT, self.server_value, client_addr,
-                        profile.server_port, port, int(size))
+            rows.add(when, Direction.OUT, self.server_value, client_addr,
+                     profile.server_port, port, int(size))
         for when in transfer.ack_times:
             if when >= session.end or not window_start <= when < window_end:
                 continue
-            builder.add(when, Direction.IN, client_addr, self.server_value,
-                        port, profile.server_port, transfer.ack_size)
+            rows.add(when, Direction.IN, client_addr, self.server_value,
+                     port, profile.server_port, transfer.ack_size)
+
+    # ------------------------------------------------------------------
+    # per-window assembly
+    # ------------------------------------------------------------------
+    def _assemble(self, rows: _WindowRows) -> Trace:
+        """Freeze the window's rows into a time-sorted :class:`Trace`.
+
+        One stable argsort over every timestamp in append order, then one
+        gather per column, so rows with equal timestamps keep their append
+        order: blocks session by session, then the scalar rows.  The draw
+        lists are released as soon as they are concatenated, so only a
+        few full-size columns are alive at once.
+        """
+        profile = self.profile
+        if not rows.blocks and not rows.scalars:
+            return Trace.empty(profile.server_address)
+        # one row per block: count, direction, src, dst, src port, dst port
+        blocks = np.asarray(rows.blocks, dtype=np.int64).reshape(-1, 6)
+        counts = blocks[:, 0]
+        n_blocks = int(counts.sum())
+        # one sequence per field: time, direction, src, dst, ports, payload
+        scalars = list(zip(*rows.scalars)) or [()] * 7
+
+        def column(field: int, dtype: type) -> np.ndarray:
+            return np.concatenate((
+                np.repeat(blocks[:, field].astype(dtype), counts),
+                np.asarray(scalars[field], dtype=dtype),
+            ))
+
+        timestamps = np.concatenate(
+            rows.times + [np.asarray(scalars[0], dtype=np.float64)]
+        )
+        rows.times.clear()
+
+        # payloads: PayloadModel.sample's rounding for every block, then
+        # round-intensity scaling and the outbound clip for snapshots
+        base = np.rint(np.concatenate(rows.draws + [np.empty(0)])).astype(np.int64)
+        rows.draws.clear()
+        payloads = np.concatenate(
+            (base.astype(np.uint32), np.asarray(scalars[6], dtype=np.uint32))
+        )
+        snapshot = np.repeat(blocks[:, 1] == int(Direction.OUT), counts)
+        intensity = self.rounds.intensity(timestamps[:n_blocks][snapshot])
+        payloads[:n_blocks][snapshot] = np.clip(
+            np.rint(base[snapshot] * intensity),
+            profile.outbound_payload_min,
+            profile.outbound_payload_max,
+        ).astype(np.uint32)
+        del base, snapshot, intensity
+
+        order = np.argsort(timestamps, kind="stable")
+        return Trace(
+            timestamps=timestamps[order],
+            directions=column(1, np.int8)[order],
+            src_addrs=column(2, np.uint32)[order],
+            dst_addrs=column(3, np.uint32)[order],
+            src_ports=column(4, np.uint16)[order],
+            dst_ports=column(5, np.uint16)[order],
+            payload_sizes=payloads[order],
+            server_address=profile.server_address,
+            check_sorted=False,
+        )
 
 
 def generate_trace(

@@ -11,6 +11,7 @@ outbound size distributions match Table III and Figs 12–13.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +44,7 @@ def truncated_normal_mean(mu: float, sigma: float, low: float, high: float) -> f
     return mu + sigma * (_phi(a) - _phi(b)) / z
 
 
+@functools.lru_cache(maxsize=64)
 def solve_truncation_mu(
     target_mean: float, sigma: float, low: float, high: float, iterations: int = 200
 ) -> float:
@@ -51,6 +53,8 @@ def solve_truncation_mu(
     The truncated mean is strictly increasing in mu, so bisection over a
     bracket wide enough to pin the target converges unconditionally —
     including near the window edges where fixed-point iteration crawls.
+    Memoised: every packet generator solves the same two payload models
+    of its profile, and a facility builds one generator per server.
     """
     if not low < target_mean < high:
         raise ValueError(

@@ -25,6 +25,7 @@ Two implementations share the contract:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
@@ -183,23 +184,34 @@ def _scalar_fifo(
     fates: np.ndarray,
     departures: np.ndarray,
 ) -> List[Tuple[float, float]]:
-    """Per-packet reference loop; mutates ``fates``/``departures``."""
-    n = int(np.asarray(timestamps).size)
-    all_primary = primary_mask is None
+    """Per-packet reference loop; writes every entry of ``fates``/``departures``.
+
+    The loop reads Python floats from ``tolist()`` copies of the inputs
+    (the values ``float(timestamps[i])`` would give) and writes the
+    outputs back in one assignment each, after the loop.
+    """
+    times = np.asarray(timestamps, dtype=np.float64).tolist()
+    services = np.asarray(service_times, dtype=np.float64).tolist()
+    n = len(times)
+    primary = (
+        None if primary_mask is None
+        else np.asarray(primary_mask, dtype=bool).tolist()
+    )
+    fate = [1] * n
+    depart = [math.nan] * n
     blackout_index = 0
     freeze_windows: List[Tuple[float, float]] = []
     freeze_until = -1.0
     recent_drops: Deque[float] = deque()
 
-    engine_free = float(timestamps[0])
+    engine_free = times[0]
     # per-class queues: service completion times of packets waiting or in
     # service; packets whose completion <= now have left the buffer
     primary_backlog: Deque[float] = deque()
     secondary_backlog: Deque[float] = deque()
 
-    for i in range(n):
-        now = float(timestamps[i])
-        is_primary = all_primary or bool(primary_mask[i])
+    for i, now in enumerate(times):
+        is_primary = primary is None or primary[i]
 
         # expire finished packets from both buffers
         while primary_backlog and primary_backlog[0] <= now:
@@ -209,7 +221,7 @@ def _scalar_fifo(
 
         # secondary source frozen: the packet was never generated
         if not is_primary and now < freeze_until:
-            fates[i] = -1
+            fate[i] = -1
             continue
 
         if is_primary:
@@ -224,7 +236,7 @@ def _scalar_fifo(
                 and blackouts[blackout_index][0] <= now
             )
             if in_blackout or len(primary_backlog) >= primary_queue:
-                fates[i] = 0
+                fate[i] = 0
                 if freeze is not None:
                     recent_drops.append(now)
                     cutoff = now - freeze.window
@@ -241,18 +253,20 @@ def _scalar_fifo(
                 continue
         else:
             if len(secondary_backlog) >= secondary_queue:
-                fates[i] = 0
+                fate[i] = 0
                 continue
 
         start_service = max(now, engine_free)
-        finish = start_service + float(service_times[i])
+        finish = start_service + services[i]
         engine_free = finish
-        departures[i] = finish
+        depart[i] = finish
         if is_primary:
             primary_backlog.append(finish)
         else:
             secondary_backlog.append(finish)
 
+    fates[:] = fate
+    departures[:] = depart
     return freeze_windows
 
 
@@ -271,20 +285,28 @@ def _scalar_span(
 
     The drop-handling fallback of the vectorised fast path: identical
     float arithmetic to :func:`_scalar_fifo` with ``primary_mask=None``,
-    seeded with explicit queue state so it can resume mid-stream.
+    seeded with explicit queue state so it can resume mid-stream.  It
+    iterates ``tolist()`` copies of the span and writes all fates and
+    departures of ``[start, end)`` back once, after the loop; rows
+    outside the span are not touched.
     """
-    for i in range(start, end):
-        now = float(timestamps[i])
+    times = timestamps[start:end].tolist()
+    services = service_times[start:end].tolist()
+    fate = [1] * len(times)
+    depart = [math.nan] * len(times)
+    for k, now in enumerate(times):
         while backlog and backlog[0] <= now:
             backlog.popleft()
         if len(backlog) >= queue:
-            fates[i] = 0
+            fate[k] = 0
             continue
         start_service = max(now, engine_free)
-        finish = start_service + float(service_times[i])
+        finish = start_service + services[k]
         engine_free = finish
-        departures[i] = finish
+        depart[k] = finish
         backlog.append(finish)
+    fates[start:end] = fate
+    departures[start:end] = depart
     return engine_free, backlog
 
 
@@ -388,16 +410,15 @@ def _vectorized_fifo(
     # counts them.  Packets j >= i tied at finish == t[i] can only push
     # the count *past* i (occupancy below 0), never up to `queue`, so
     # the raw difference is safe to compare.  A busy period of length L
-    # can back up at most L - 1 packets, so a buffer at least as deep as
-    # the longest busy period can never overflow — skip the scan.
-    if int(np.diff(bounds).max()) <= queue:
-        _counters().fast_segments.inc(int(starts.size))
-        departures[:] = finishes
-        return
-    overflow = (
-        np.arange(n) - np.searchsorted(finishes, t, side="right") >= queue
-    )
-    if not overflow.any():
+    # can back up at most L - 1 packets, so a busy period no longer than
+    # the buffer can never overflow: only the rows of longer ones are
+    # scanned, and none when no busy period is longer.
+    seg_len = np.diff(bounds)
+    scanned = np.flatnonzero(np.repeat(seg_len > queue, seg_len))
+    overflow = scanned[
+        scanned - np.searchsorted(finishes, t[scanned], side="right") >= queue
+    ]
+    if overflow.size == 0:
         _counters().fast_segments.inc(int(starts.size))
         departures[:] = finishes
         return
@@ -415,8 +436,7 @@ def _vectorized_fifo(
         engine_free: float = float(t[a])
         backlog: Deque[float] = deque()
         while True:
-            departures[a:b] = np.nan
-            fates[a:b] = 1
+            # the span rewrites every fate and departure of [a, b)
             rerun_segments += 1
             engine_free, backlog = _scalar_span(
                 t, s, queue, fates, departures, a, b, engine_free, backlog

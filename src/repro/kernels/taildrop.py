@@ -8,6 +8,7 @@ may overflow fall back to the scalar recursion.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -30,19 +31,25 @@ def _scalar_tail_drop(
 ) -> Tuple[float, float]:
     """Authoritative per-packet recursion over ``[start, end)``.
 
-    Mutates ``fates``/``departures`` in place and returns the updated
-    ``(backlog, last_time)`` queue state.  The vectorised fast path of
-    :func:`tail_drop_link` must agree with this wherever it applies.
+    Writes every fate and departure of ``[start, end)`` in place and
+    returns the updated ``(backlog, last_time)`` queue state.  The loop
+    iterates ``tolist()`` copies of the span and writes the outputs back
+    once, after it.  The vectorised fast path of :func:`tail_drop_link`
+    must agree with this wherever it applies.
     """
-    for i in range(start, end):
-        now = float(timestamps[i])
+    times = timestamps[start:end].tolist()
+    fate = [1] * len(times)
+    depart = [math.nan] * len(times)
+    for k, (now, size) in enumerate(zip(times, sizes[start:end].tolist())):
         backlog = max(0.0, backlog - rate * (now - last_time))
         last_time = now
-        if backlog + float(sizes[i]) > buffer_bytes:
-            fates[i] = 0
+        if backlog + size > buffer_bytes:
+            fate[k] = 0
             continue
-        backlog += float(sizes[i])
-        departures[i] = now + backlog / rate
+        backlog += size
+        depart[k] = now + backlog / rate
+    fates[start:end] = fate
+    departures[start:end] = depart
     return backlog, last_time
 
 

@@ -250,7 +250,7 @@ class TraceBuilder:
 
     Append-oriented: uses Python lists of small chunks and converts to
     numpy once at :meth:`build` time.  ``add`` takes scalars (hot path
-    for the packet-level generator); ``add_batch`` takes arrays.
+    for the live server and the pcap reader); ``add_batch`` takes arrays.
     """
 
     def __init__(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.experiments import runner
 from repro.experiments.base import RunConfig
@@ -55,6 +56,41 @@ class TestSimulateCli:
     def test_end_beyond_week_rejected(self, tmp_path, capsys):
         out = str(tmp_path / "x.pcap")
         assert main(["--end", "99999999", "-o", out]) == 2
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ["--end", "nan"],
+            ["--start", "nan", "--end", "30"],
+            ["--end", "inf"],
+            ["--start", "-5", "--end", "30"],
+        ],
+    )
+    def test_non_finite_or_negative_window_rejected(self, tmp_path, capsys, window):
+        out = str(tmp_path / "x.pcap")
+        assert main([*window, "-o", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.pcap").exists()
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            lambda tmp: ["-o", str(tmp / "nodir" / "a.pcap")],
+            lambda tmp: ["-o", str(tmp / "a.npz"), "--log", str(tmp / "nodir" / "log")],
+        ],
+        ids=["output", "log"],
+    )
+    def test_missing_directory_rejected_before_simulating(
+        self, tmp_path, capsys, monkeypatch, paths
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the window was simulated")
+
+        monkeypatch.setattr(cli, "Scenario", no_simulation)
+        assert main(["--end", "30", *paths(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not exist" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExperimentsWorkersFlag:
