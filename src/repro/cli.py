@@ -125,6 +125,28 @@ def main(argv: Optional[List[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # repro-analyze: the read side of --trace-dir artifacts
 # ----------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    """argparse type: an integer > 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _load_run_or_fail(path: str):
     """Load a trace dir, or print a clean error and return ``None``."""
     from repro.obs import analysis
@@ -368,6 +390,10 @@ def _cmd_export(args) -> int:
     output = args.output
     if output is None:
         output = os.path.join(args.trace_dir, "trace_events.json")
+    problem = _unwritable_directory(output)
+    if problem:
+        print(f"error: -o {output}: {problem}", file=sys.stderr)
+        return 2
     count = write_chrome_trace(run, output)
     print(
         f"wrote {count} span events ({args.format}) to {output} "
@@ -399,7 +425,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     )
     spans.add_argument("trace_dir", help="trace artifact directory")
     spans.add_argument(
-        "--limit", type=int, default=20,
+        "--limit", type=_positive_int, default=20,
         help="rollup rows to print (default 20)",
     )
     spans.set_defaults(fn=_cmd_spans)
@@ -415,7 +441,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         help="restrict to one traced policy (default: all)",
     )
     heatmap.add_argument(
-        "--bins", type=int, default=12,
+        "--bins", type=_positive_int, default=12,
         help="epoch bins per heatmap row (default 12)",
     )
     heatmap.set_defaults(fn=_cmd_heatmap)
@@ -442,16 +468,16 @@ def build_analyze_parser() -> argparse.ArgumentParser:
         help="exit 1 when the run looks stalled",
     )
     watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
+        "--interval", type=_positive_float, default=1.0, metavar="SECONDS",
         help="refresh interval (default 1.0)",
     )
     watch.add_argument(
-        "--stall-factor", type=float, default=None, metavar="N",
+        "--stall-factor", type=_positive_float, default=None, metavar="N",
         help="stalled = no liveness signal for N x its expected "
         "interval (default 10)",
     )
     watch.add_argument(
-        "--stall-after", type=float, default=None, metavar="SECONDS",
+        "--stall-after", type=_positive_float, default=None, metavar="SECONDS",
         help="absolute stall budget in seconds (overrides --stall-factor)",
     )
     watch.set_defaults(fn=_cmd_watch)

@@ -38,7 +38,6 @@ _EXPORTS = {
     "bps_hop": "hops",
     "pps_hop": "hops",
     "FabricTraversal": "pipeline",
-    "FacilityPipeline": "pipeline",
     "HopReport": "pipeline",
     "PipelineResult": "pipeline",
     "finish_uplink": "pipeline",

@@ -2,14 +2,15 @@
 
 The executor pulls per-server packet windows from the fleet's sharded
 execution layer, folds each one straight into its rack's bounded-fan-in
-accumulator (so at most ``fanin`` per-server traces are alive at once,
-and the *full facility* trace is never materialised alongside them), and
-then walks the topology in traversal order: every rack's merged ingress
-through its ToR switch, the surviving rack egresses k-way-merged through
-the core fabric, and the core egress through the uplink.  Each hop's
-egress is re-timestamped at its departure times, so downstream hops see
-upstream queueing delay and loss — facility load interacting with shared
-queues rather than being a pure sum.
+accumulator (so at most :data:`~repro.fleet.aggregate.FANIN` per-server
+traces per rack are alive at once, and the *full facility* trace is
+never materialised alongside them), and then walks the topology in
+traversal order: every rack's merged ingress through its ToR switch,
+the surviving rack egresses k-way-merged through the core fabric, and
+the core egress through the uplink.  Each hop's egress is re-timestamped
+at its departure times, so downstream hops see upstream queueing delay
+and loss — facility load interacting with shared queues rather than
+being a pure sum.
 
 Determinism matches the fleet layer: per-server traces depend only on
 ``(fleet seed, server index)``, fold order is server-index order, and
@@ -29,8 +30,9 @@ from repro.facilitynet.hops import HopTraversal, bps_hop, pps_hop
 from repro.facilitynet.topology import FacilityTopology, LinkSpec, SwitchSpec
 from repro.fleet.aggregate import TraceAccumulator, kway_merge_traces
 from repro.fleet.cache import ShardCache
-from repro.fleet.execution import WindowTask, fleet_server_seed, shard_map_fold, simulate_window
+from repro.fleet.execution import shard_map_fold, simulate_window
 from repro.fleet.profiles import FleetProfile
+from repro.fleet.scenario import FleetScenario
 from repro.gameserver.fluid import FluidSeries
 from repro.gameserver.population import SessionTable
 from repro.sim.random import derive_seed
@@ -134,15 +136,16 @@ def rack_ingress_traces(
     start: float,
     end: float,
     workers: Optional[int] = None,
-    fanin: int = 8,
     cache: Optional[ShardCache] = None,
     assignments: Optional[Tuple[SessionTable, ...]] = None,
 ) -> Tuple[Trace, ...]:
     """Merged per-rack packet windows, one trace per rack.
 
-    Per-server windows are simulated (sharded when ``workers > 1``) and
-    folded in server-index order into per-rack bounded-fan-in
-    accumulators — peak memory is O(racks + fanin) per-server traces,
+    Per-server windows — the tasks of
+    :meth:`~repro.fleet.scenario.FleetScenario.window_tasks` — are
+    simulated (sharded when ``workers > 1``) and folded in server-index
+    order into per-rack bounded-fan-in accumulators — peak memory is
+    O(racks + :data:`~repro.fleet.aggregate.FANIN`) per-server traces,
     never the whole fleet, and the result is bit-identical for every
     worker count.  ``cache`` (``None``: no cache) replays per-server
     windows from disk, so a swept ratio or a re-run experiment skips the
@@ -165,40 +168,8 @@ def rack_ingress_traces(
             f"window [{start!r}, {end!r}) outside the fleet horizon "
             f"{fleet.horizon!r}"
         )
-    if assignments is not None and len(assignments) != fleet.n_servers:
-        raise ValueError(
-            f"{len(assignments)} assignment lists for a fleet of "
-            f"{fleet.n_servers} servers"
-        )
+    tasks = FleetScenario(fleet, assignments=assignments).window_tasks(start, end)
     rack_of = topology.server_to_rack()
-    if assignments is not None:
-        from repro.matchmaking.traffic import (
-            AssignedWindowTask,
-            simulate_assigned_window,
-        )
-
-        worker = simulate_assigned_window
-        tasks = tuple(
-            AssignedWindowTask(
-                profile=fleet.server_profile(index),
-                sessions=assignments[index],
-                seed=fleet_server_seed(fleet.seed, index),
-                start=float(start),
-                end=float(end),
-            )
-            for index in range(fleet.n_servers)
-        )
-    else:
-        worker = simulate_window
-        tasks = tuple(
-            WindowTask(
-                profile=fleet.server_profile(index),
-                seed=fleet_server_seed(fleet.seed, index),
-                start=float(start),
-                end=float(end),
-            )
-            for index in range(fleet.n_servers)
-        )
 
     def fold(
         state: Tuple[List[TraceAccumulator], int], trace: Trace
@@ -207,9 +178,9 @@ def rack_ingress_traces(
         accumulators[rack_of[next_index]].add(trace)
         return accumulators, next_index + 1
 
-    initial = ([TraceAccumulator(fanin=fanin) for _ in topology.racks], 0)
+    initial = ([TraceAccumulator() for _ in topology.racks], 0)
     accumulators, _ = shard_map_fold(
-        worker, tasks, fold, initial, workers=workers, cache=cache
+        simulate_window, tasks, fold, initial, workers=workers, cache=cache
     )
     return tuple(accumulator.result() for accumulator in accumulators)
 
@@ -392,77 +363,3 @@ def run_hops(
     """
     fabric = run_fabric(topology, ingress, start, end, seed=seed)
     return finish_uplink(topology, fabric, keep_delivered=keep_delivered)
-
-
-class FacilityPipeline:
-    """One fleet pushed through one facility topology, window by window.
-
-    Caches rack ingress traces per ``(start, end)`` window so repeated
-    runs (or sweeps over sibling topologies via :func:`run_hops`) pay
-    the fleet simulation once.  ``assignments`` switches every window to
-    endogenous ingress (see :func:`rack_ingress_traces`).
-    """
-
-    def __init__(
-        self,
-        fleet: FleetProfile,
-        topology: FacilityTopology,
-        cache: Optional[ShardCache] = None,
-        assignments: Optional[Tuple[SessionTable, ...]] = None,
-    ) -> None:
-        if topology.n_servers != fleet.n_servers:
-            raise ValueError(
-                f"topology houses {topology.n_servers} servers but the fleet "
-                f"has {fleet.n_servers}"
-            )
-        self.fleet = fleet
-        self.topology = topology
-        self.cache = cache
-        self.assignments = assignments
-        self._ingress: dict = {}
-
-    def ingress(
-        self,
-        start: float,
-        end: float,
-        workers: Optional[int] = None,
-        fanin: int = 8,
-    ) -> Tuple[Trace, ...]:
-        """Per-rack merged ingress for the window (cached in memory, and
-        on disk when a :class:`~repro.fleet.cache.ShardCache` is wired)."""
-        key = (float(start), float(end))
-        if key not in self._ingress:
-            self._ingress[key] = rack_ingress_traces(
-                self.fleet,
-                self.topology,
-                start,
-                end,
-                workers=workers,
-                fanin=fanin,
-                cache=self.cache,
-                assignments=self.assignments,
-            )
-        return self._ingress[key]
-
-    def run(
-        self,
-        start: float,
-        end: float,
-        workers: Optional[int] = None,
-        fanin: int = 8,
-        keep_delivered: bool = False,
-    ) -> PipelineResult:
-        """Simulate the window and walk it through every hop."""
-        ingress = self.ingress(start, end, workers=workers, fanin=fanin)
-        return run_hops(
-            self.topology,
-            ingress,
-            start,
-            end,
-            seed=self.fleet.seed,
-            keep_delivered=keep_delivered,
-        )
-
-    def clear_caches(self) -> None:
-        """Drop cached ingress windows."""
-        self._ingress.clear()

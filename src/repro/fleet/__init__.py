@@ -9,7 +9,10 @@ traffic.  This package provides the three layers:
   derived deterministically from one seed;
 * :mod:`repro.fleet.execution` — sharded per-server simulation across
   ``concurrent.futures`` workers with index-ordered folding, so results
-  are bit-identical for any worker count (including serial);
+  are bit-identical for any worker count (including serial); its two
+  tasks (:class:`SeriesTask`, :class:`WindowTask`) serve servers that
+  run their own arrival process and servers fed matchmaker-assigned
+  sessions alike;
 * :mod:`repro.fleet.aggregate` — streaming k-way merge of per-server
   fluid series and packet windows into facility-level
   :class:`~repro.gameserver.fluid.FluidSeries` /

@@ -10,7 +10,7 @@ fan-in buffer.
 
 Determinism: :class:`FluidAccumulator` adds series in index order, and
 :class:`TraceAccumulator` concatenates in index order with a *stable*
-timestamp sort, so batching (any ``fanin``) and worker count cannot
+timestamp sort, so batching (any fan-in) and worker count cannot
 change the result — ties between servers always resolve to the lower
 server index, and ties within a server keep generation order.
 """
@@ -132,22 +132,24 @@ def kway_merge_traces(traces: List[Trace]) -> Trace:
     )
 
 
+#: Per-server traces :class:`TraceAccumulator` buffers before one merge.
+FANIN = 8
+
+
 class TraceAccumulator:
     """Streaming facility trace with bounded fan-in.
 
     Feeding N per-server traces one at a time would either hold all N
     (flat k-way merge at the end) or re-sort the growing aggregate N
-    times (pairwise merge).  This buffers up to ``fanin`` pending traces
-    and collapses buffer + aggregate in one k-way merge, keeping at most
-    ``fanin`` per-server traces alive while doing O(N/fanin) sorts over
-    the aggregate.  Because the merge is stable and feeds arrive in
-    server-index order, the result is identical for every ``fanin``.
+    times (pairwise merge).  This buffers up to :data:`FANIN` pending
+    traces and collapses buffer + aggregate in one k-way merge, keeping
+    at most :data:`FANIN` per-server traces alive while doing one sort
+    over the aggregate per :data:`FANIN` servers.  Because the merge is
+    stable and feeds arrive in server-index order, the result equals one
+    flat k-way merge of every trace.
     """
 
-    def __init__(self, fanin: int = 8) -> None:
-        if fanin < 2:
-            raise ValueError(f"fanin must be >= 2: {fanin!r}")
-        self.fanin = fanin
+    def __init__(self) -> None:
         self._aggregate: Optional[Trace] = None
         self._pending: List[Trace] = []
         self.servers_added = 0
@@ -156,7 +158,7 @@ class TraceAccumulator:
         """Fold one server's trace in (returns self)."""
         self._pending.append(trace)
         self.servers_added += 1
-        if len(self._pending) >= self.fanin:
+        if len(self._pending) >= FANIN:
             self._collapse()
         return self
 

@@ -2,15 +2,18 @@
 
 Per-server simulation is the dominant cost of every facility experiment,
 and its tasks are pure functions: a :class:`~repro.fleet.execution.WindowTask`
-or :class:`~repro.fleet.execution.SeriesTask` fully determines its result.
-:class:`ShardCache` exploits that purity — each task is fingerprinted by
-a stable canonical form of its dataclass fields, the worker function's
-qualified name, and the :data:`repro.kernels.KERNEL_VERSION` tag, and
-the pickled result is stored under the fingerprint's SHA-256 digest.  A
-swept oversubscription ratio or a re-run experiment then replays
-per-server windows from disk instead of resimulating them, and results
-are bit-identical to a cold run (pickle round-trips float arrays
-exactly).
+or :class:`~repro.fleet.execution.SeriesTask` fully determines its result,
+whether the server runs its own arrival process (``sessions=None``) or
+the session table a matchmaker assigned it.  :class:`ShardCache`
+exploits that purity — each task is fingerprinted by a stable canonical
+form of its dataclass fields (an assigned table hashes column by
+column, so a different placement selects fresh entries), the worker
+function's qualified name, and the :data:`repro.kernels.KERNEL_VERSION`
+tag, and the pickled result is stored under the fingerprint's SHA-256
+digest.  A swept oversubscription ratio or a re-run experiment then
+replays per-server windows from disk instead of resimulating them, and
+results are bit-identical to a cold run (pickle round-trips float
+arrays exactly).
 
 Robustness rules:
 

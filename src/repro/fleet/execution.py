@@ -21,7 +21,11 @@ results — never all of them at once, regardless of fleet size or task
 skew.
 
 Worker payloads are module-level functions on picklable task tuples, so
-the same code path runs under fork and spawn start methods.
+the same code path runs under fork and spawn start methods.  The fleet's
+two tasks, :class:`SeriesTask` and :class:`WindowTask`, carry an
+optional matchmaker-assigned session table; their workers hand it to
+:class:`~repro.workloads.scenarios.Scenario`, which alone decides
+whether a server simulates its own arrivals or replays those sessions.
 
 When a trace session is active in the parent
 (:func:`repro.obs.current_session`), submitted tasks run under a
@@ -46,6 +50,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.gameserver.config import ServerProfile
 from repro.gameserver.fluid import FluidSeries
+from repro.gameserver.population import SessionTable
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -317,31 +322,42 @@ def shard_map(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SeriesTask:
-    """Per-second fluid series of one server."""
+    """Per-second fluid series of one server.
+
+    ``sessions=None`` runs the profile's own arrival process; a
+    :class:`~repro.gameserver.population.SessionTable` (matchmaker
+    output) replaces it — see :class:`~repro.workloads.scenarios.Scenario`.
+    """
 
     profile: ServerProfile
     seed: int
+    sessions: Optional[SessionTable] = None
 
 
 @dataclass(frozen=True)
 class WindowTask:
-    """Packet-level window of one server."""
+    """Packet-level window of one server (``sessions`` as in :class:`SeriesTask`)."""
 
     profile: ServerProfile
     seed: int
     start: float
     end: float
+    sessions: Optional[SessionTable] = None
 
 
 def simulate_series(task: SeriesTask) -> FluidSeries:
     """Worker: session-level week + count-level per-second series."""
     from repro.workloads.scenarios import Scenario
 
-    return Scenario(task.profile, seed=task.seed).per_second_series()
+    return Scenario(
+        task.profile, seed=task.seed, sessions=task.sessions
+    ).per_second_series()
 
 
 def simulate_window(task: WindowTask) -> Trace:
     """Worker: session-level week + packet-level window trace."""
     from repro.workloads.scenarios import Scenario
 
-    return Scenario(task.profile, seed=task.seed).packet_window(task.start, task.end)
+    return Scenario(
+        task.profile, seed=task.seed, sessions=task.sessions
+    ).packet_window(task.start, task.end)

@@ -110,19 +110,16 @@ class FleetScenario:
     def server_scenario(self, index: int) -> Scenario:
         """The (cached, in-process) single-server scenario for ``index``."""
         if index not in self._scenarios:
-            population = None
-            if self.assignments is not None:
-                from repro.matchmaking.traffic import assigned_population
-
-                population = assigned_population(
-                    self.server_profiles[index], self.assignments[index]
-                )
             self._scenarios[index] = Scenario(
                 self.server_profiles[index],
                 seed=self.server_seed(index),
-                population=population,
+                sessions=self.server_sessions(index),
             )
         return self._scenarios[index]
+
+    def server_sessions(self, index: int) -> Optional[SessionTable]:
+        """Sessions assigned to server ``index``; ``None``: its own arrivals."""
+        return None if self.assignments is None else self.assignments[index]
 
     def iter_server_series(self) -> Iterator[FluidSeries]:
         """Per-server per-second series, one at a time, in index order.
@@ -137,51 +134,31 @@ class FleetScenario:
     # ------------------------------------------------------------------
     # facility aggregates
     # ------------------------------------------------------------------
-    def _series_work(self):
-        """(worker fn, task tuple) for the per-server series stage."""
-        if self.assignments is not None:
-            from repro.matchmaking.traffic import (
-                AssignedSeriesTask,
-                simulate_assigned_series,
+    def series_tasks(self) -> Tuple[SeriesTask, ...]:
+        """One :func:`simulate_series` task per server, index order."""
+        return tuple(
+            SeriesTask(
+                profile=profile,
+                seed=self.server_seed(index),
+                sessions=self.server_sessions(index),
             )
-
-            return simulate_assigned_series, tuple(
-                AssignedSeriesTask(
-                    profile=profile,
-                    sessions=self.assignments[index],
-                    seed=self.server_seed(index),
-                )
-                for index, profile in enumerate(self.server_profiles)
-            )
-        return simulate_series, tuple(
-            SeriesTask(profile=profile, seed=self.server_seed(index))
             for index, profile in enumerate(self.server_profiles)
         )
 
-    def _window_work(self, start: float, end: float):
-        """(worker fn, task tuple) for one packet-window stage."""
-        if self.assignments is not None:
-            from repro.matchmaking.traffic import (
-                AssignedWindowTask,
-                simulate_assigned_window,
-            )
+    def window_tasks(self, start: float, end: float) -> Tuple[WindowTask, ...]:
+        """One :func:`simulate_window` task per server, index order.
 
-            return simulate_assigned_window, tuple(
-                AssignedWindowTask(
-                    profile=profile,
-                    sessions=self.assignments[index],
-                    seed=self.server_seed(index),
-                    start=start,
-                    end=end,
-                )
-                for index, profile in enumerate(self.server_profiles)
-            )
-        return simulate_window, tuple(
+        The facility network's rack ingress
+        (:func:`repro.facilitynet.pipeline.rack_ingress_traces`) folds
+        the same tasks, so its racks merge exactly these windows.
+        """
+        return tuple(
             WindowTask(
                 profile=profile,
                 seed=self.server_seed(index),
-                start=start,
-                end=end,
+                start=float(start),
+                end=float(end),
+                sessions=self.server_sessions(index),
             )
             for index, profile in enumerate(self.server_profiles)
         )
@@ -201,10 +178,9 @@ class FleetScenario:
                 for series in self.iter_server_series():
                     accumulator.add(series)
             else:
-                worker, tasks = self._series_work()
                 accumulator = shard_map_fold(
-                    worker,
-                    tasks,
+                    simulate_series,
+                    self.series_tasks(),
                     lambda acc, series: acc.add(series),
                     accumulator,
                     workers=workers,
@@ -222,18 +198,17 @@ class FleetScenario:
         start: float,
         end: float,
         workers: Optional[int] = None,
-        fanin: int = 8,
     ) -> Trace:
         """Merged facility packet trace for ``[start, end)``.
 
         Per-server windows are generated (in parallel when sharded) and
         k-way merged in server-index order with bounded fan-in; at most
-        ``fanin`` per-server traces are alive at once.  Cached per
-        window.
+        :data:`~repro.fleet.aggregate.FANIN` per-server traces are alive
+        at once.  Cached per window.
         """
         key = (float(start), float(end))
         if key not in self._aggregate_windows:
-            accumulator = TraceAccumulator(fanin=fanin)
+            accumulator = TraceAccumulator()
             if self.cache is None and resolve_workers(workers, self.n_servers) <= 1:
                 for index in range(self.n_servers):
                     # straight to the generator: reuse the cached
@@ -242,10 +217,9 @@ class FleetScenario:
                         self.server_scenario(index).packet_generator.generate(*key)
                     )
             else:
-                worker, tasks = self._window_work(*key)
                 accumulator = shard_map_fold(
-                    worker,
-                    tasks,
+                    simulate_window,
+                    self.window_tasks(*key),
                     lambda acc, trace: acc.add(trace),
                     accumulator,
                     workers=workers,

@@ -235,6 +235,39 @@ class PopulationResult:
     unique_attempting: int
     unique_establishing: int
 
+    @classmethod
+    def from_sessions(
+        cls, profile: ServerProfile, sessions: SessionTable
+    ) -> "PopulationResult":
+        """The population of a server whose sessions were assigned to it.
+
+        Stands in for :func:`simulate_population` when the session list
+        comes from the facility matchmaker instead of the server's own
+        arrival process.  Map-change and outage gaps still follow the
+        server profile (rotation is a server-side affair), and the
+        attempt log records the admissions — refusals happen at the
+        matchmaker, not the slot table, in this mode.
+        """
+        ordered = sessions.take(np.lexsort((sessions.session_id, sessions.start)))
+        n_clients = int(np.unique(ordered.client_id).size)
+        map_changes = np.arange(
+            profile.map_duration, profile.duration, profile.map_duration
+        )
+        return cls(
+            profile=profile,
+            sessions=ordered,
+            attempts=[
+                AttemptRecord(start, client_id, accepted=True)
+                for start, client_id in zip(
+                    ordered.start.tolist(), ordered.client_id.tolist()
+                )
+            ],
+            map_change_times=[float(t) for t in map_changes],
+            outages=tuple(o for o in profile.outages if o.start < profile.duration),
+            unique_attempting=n_clients,
+            unique_establishing=n_clients,
+        )
+
     @property
     def established_count(self) -> int:
         """Sessions actually admitted (Table I 'Established Connections')."""

@@ -39,14 +39,15 @@ replicas into one coupled facility:
   scenarios live in :data:`SCENARIOS` / :func:`make_scenario`.  QoE
   feedback (:class:`QoeConfig` on the pool: RTT-sensitive session
   durations, refusal-balk escalation) closes the loop the other way —
-  congestion → bad QoE → churn → load relief;
-* :mod:`repro.matchmaking.traffic` — picklable per-server traffic tasks
-  over assigned populations, sharded through
-  :func:`repro.fleet.execution.shard_map_fold` and cached by
-  :class:`repro.fleet.cache.ShardCache` — results are bit-identical for
-  any worker count and across warm/cold caches.
+  congestion → bad QoE → churn → load relief.
 
-Downstream wiring:
+Downstream wiring: a result's per-server session tables feed the
+fleet's own per-server tasks (:class:`repro.fleet.execution.SeriesTask`
+/ :class:`~repro.fleet.execution.WindowTask` with ``sessions=``), which
+:class:`repro.workloads.scenarios.Scenario` turns into traffic with
+:meth:`repro.gameserver.population.PopulationResult.from_sessions` —
+sharded and cached like any fleet task, bit-identical for any worker
+count and across warm/cold caches.
 :meth:`repro.fleet.scenario.FleetScenario.from_matchmaking` drives the
 fleet aggregates from a result;
 :func:`repro.facilitynet.pipeline.rack_ingress_traces` accepts
@@ -97,20 +98,11 @@ from repro.matchmaking.scenarios import (
     RegionalOutage,
     make_scenario,
 )
-from repro.matchmaking.traffic import (
-    AssignedSeriesTask,
-    AssignedWindowTask,
-    assigned_population,
-    simulate_assigned_series,
-    simulate_assigned_window,
-)
 
 __all__ = [
     "POLICIES",
     "RTT_PROFILES",
     "SCENARIOS",
-    "AssignedSeriesTask",
-    "AssignedWindowTask",
     "CapacityAwarePolicy",
     "CompiledScenario",
     "DemandEvent",
@@ -132,12 +124,9 @@ __all__ = [
     "RttProfile",
     "SelectionPolicy",
     "StickyPolicy",
-    "assigned_population",
     "make_policy",
     "make_rtt_profile",
     "make_scenario",
-    "simulate_assigned_series",
-    "simulate_assigned_window",
     "simulate_matchmaking",
     "validate_score_weight",
 ]

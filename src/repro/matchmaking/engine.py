@@ -24,7 +24,8 @@ Determinism and shard-friendliness:
   the matchmaker sent anywhere else;
 * the epoch loop itself is cheap and runs in-process; the expensive
   per-server *traffic synthesis* over the resulting assignments is the
-  sharded, cacheable stage (see :mod:`repro.matchmaking.traffic` and
+  sharded, cacheable stage (the fleet's own per-server tasks, fed the
+  assigned sessions — see
   :meth:`repro.fleet.scenario.FleetScenario.from_matchmaking`) — results
   are bit-identical for any worker count and across warm/cold caches.
 """

@@ -3,7 +3,10 @@
 Every table/figure experiment needs some subset of {population, packet
 window, fluid series} from the *same* simulated week.  :class:`Scenario`
 computes each lazily and caches it, so a process running all
-experiments simulates the week's sessions once and reuses them.
+experiments simulates the week's sessions once and reuses them.  It is
+also the one place that picks a server's population: its own arrival
+process, or a session table the matchmaker assigned to it — every fleet
+worker, serial or sharded, builds the same :class:`Scenario`.
 
 The default scaling policy: session-level artifacts use the full-week
 horizon (they are cheap and Table I quantities are totals); packet-level
@@ -18,7 +21,11 @@ from typing import Dict, Optional, Tuple
 from repro.gameserver.config import ServerProfile, olygamer_week
 from repro.gameserver.fluid import CountLevelGenerator, FluidSeries
 from repro.gameserver.generator import PacketLevelGenerator
-from repro.gameserver.population import PopulationResult, simulate_population
+from repro.gameserver.population import (
+    PopulationResult,
+    SessionTable,
+    simulate_population,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.trace.trace import Trace
@@ -31,21 +38,23 @@ DEFAULT_PACKET_WINDOW = (3600.0, 7200.0)
 class Scenario:
     """Lazily evaluated simulation state for one (profile, seed) pair.
 
-    ``population`` overrides the profile's own arrival process with an
-    externally produced session list (e.g. matchmaker-assigned sessions
-    from :func:`repro.matchmaking.assigned_population`); packet and
-    count generation then run over those sessions unchanged.
+    The one place that decides where a server's sessions come from: its
+    profile's own arrival process, or — when ``sessions`` is given — a
+    session table assigned to it from outside (the facility matchmaker's
+    placements, see :meth:`PopulationResult.from_sessions`).  Packet and
+    count generation then run over either population unchanged.
     """
 
     def __init__(
         self,
         profile: ServerProfile,
         seed: int = 0,
-        population: Optional[PopulationResult] = None,
+        sessions: Optional[SessionTable] = None,
     ) -> None:
         self.profile = profile
         self.seed = seed
-        self._population: Optional[PopulationResult] = population
+        self.sessions = sessions
+        self._population: Optional[PopulationResult] = None
         self._packet_generator: Optional[PacketLevelGenerator] = None
         self._fluid_generator: Optional[CountLevelGenerator] = None
         self._traces: Dict[Tuple[float, float], Trace] = {}
@@ -54,21 +63,25 @@ class Scenario:
     # ------------------------------------------------------------------
     @property
     def population(self) -> PopulationResult:
-        """The session-level week (simulated once)."""
-        if self._population is None:
-            with obs_trace.span("scenario.population", seed=self.seed):
-                self._population = simulate_population(
-                    self.profile, seed=self.seed
-                )
-            # passive accounting over the finished result — these bumps
-            # happen wherever the Scenario runs (parent *or* pool
-            # worker), so sharded runs report the same totals as serial
-            # ones once worker deltas are merged back
-            metrics = obs_metrics.registry()
-            metrics.counter("scenario.populations").inc()
-            metrics.counter("scenario.sessions").inc(
-                len(self._population.sessions)
+        """The session-level week (simulated or assembled once)."""
+        if self._population is not None:
+            return self._population
+        if self.sessions is not None:
+            # assigned sessions: nothing is simulated, so no span and no
+            # scenario.* accounting
+            self._population = PopulationResult.from_sessions(
+                self.profile, self.sessions
             )
+            return self._population
+        with obs_trace.span("scenario.population", seed=self.seed):
+            self._population = simulate_population(self.profile, seed=self.seed)
+        # passive accounting over the finished result — these bumps
+        # happen wherever the Scenario runs (parent *or* pool worker), so
+        # sharded runs report the same totals as serial ones once worker
+        # deltas are merged back
+        metrics = obs_metrics.registry()
+        metrics.counter("scenario.populations").inc()
+        metrics.counter("scenario.sessions").inc(len(self._population.sessions))
         return self._population
 
     @property

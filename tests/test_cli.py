@@ -916,6 +916,47 @@ class TestAnalyzeCli:
         assert analyze_main(["export", trace_dirs[0]]) == 0
         assert (Path(trace_dirs[0]) / "trace_events.json").is_file()
 
+    def test_export_to_missing_directory_is_a_clean_error(
+        self, trace_dirs, tmp_path, capsys
+    ):
+        from repro.cli import analyze_main
+
+        output = tmp_path / "nonexistent" / "dir" / "x.json"
+        assert analyze_main(["export", trace_dirs[0], "-o", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: -o ")
+        assert "does not exist" in err
+        assert "Traceback" not in err
+        assert not output.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spans", "--limit", "-3"),
+            ("spans", "--limit", "0"),
+            ("heatmap", "--bins", "0"),
+            ("heatmap", "--bins", "-1"),
+            ("watch", "--once", "--interval", "0"),
+            ("watch", "--once", "--interval", "nan"),
+            ("watch", "--once", "--stall-factor", "-2"),
+            ("watch", "--once", "--stall-factor", "inf"),
+            ("watch", "--once", "--stall-after", "-5"),
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_numeric_option_is_a_clean_argparse_error(
+        self, trace_dirs, argv, capsys
+    ):
+        from repro.cli import analyze_main
+
+        command, *options = argv
+        with pytest.raises(SystemExit) as excinfo:
+            analyze_main([command, trace_dirs[0], *options])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert options[-2] in err
+        assert "Traceback" not in err
+
     def test_export_missing_dir_is_a_clean_error(self, tmp_path, capsys):
         from repro.cli import analyze_main
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.facilitynet.pipeline import (
-    FacilityPipeline,
     finish_uplink,
     rack_ingress_traces,
     run_fabric,
@@ -18,7 +17,11 @@ from repro.facilitynet.report import (
     sweep_uplink_oversubscription,
 )
 from repro.facilitynet.topology import TIER_UPLINK, build_topology, provision_from_envelope
+from repro.fleet.aggregate import kway_merge_traces
 from repro.fleet.profiles import hosting_facility
+from repro.fleet.scenario import FleetScenario
+from repro.matchmaking import PoolConfig, simulate_matchmaking
+from repro.trace.trace import _COLUMNS
 
 N_SERVERS = 4
 N_RACKS = 2
@@ -43,6 +46,19 @@ def ingress(fleet, shape):
     return rack_ingress_traces(fleet, shape, *WINDOW, workers=1)
 
 
+@pytest.fixture(
+    scope="module", params=[None, "least_loaded"], ids=["exogenous", "least_loaded"]
+)
+def assignments(request, fleet):
+    """No assignments (each server's own arrivals), or a policy's placements."""
+    if request.param is None:
+        return None
+    config = PoolConfig.for_fleet(
+        fleet, demand_ratio=2.0, epoch_length=30.0, session_duration_mean=150.0
+    )
+    return simulate_matchmaking(fleet, request.param, config).sessions
+
+
 @pytest.fixture(scope="module")
 def envelope(ingress):
     return ingress_envelope(ingress, *WINDOW, percentile=100.0)
@@ -54,6 +70,27 @@ class TestRackIngress:
         for trace in ingress:
             assert len(trace) > 0
             assert np.all(np.diff(trace.timestamps) >= 0)
+
+    def test_rack_ingress_merges_the_fleet_server_windows(
+        self, fleet, shape, assignments
+    ):
+        """Rack ingress and the fleet scenario build the same server windows."""
+        ingress = rack_ingress_traces(
+            fleet, shape, *WINDOW, workers=1, assignments=assignments
+        )
+        scenario = FleetScenario(fleet, assignments=assignments)
+        rack_of = shape.server_to_rack()
+        for rack, trace in enumerate(ingress):
+            expected = kway_merge_traces(
+                [
+                    scenario.server_scenario(index).packet_window(*WINDOW)
+                    for index in range(N_SERVERS)
+                    if rack_of[index] == rack
+                ]
+            )
+            assert len(trace) > 0
+            for name in _COLUMNS:
+                assert np.array_equal(getattr(trace, name), getattr(expected, name))
 
     def test_sharded_matches_serial_bit_identically(self, fleet, shape, ingress):
         parallel = rack_ingress_traces(fleet, shape, *WINDOW, workers=2)
@@ -150,18 +187,6 @@ class TestRunHops:
         )
         with pytest.raises(ValueError):
             run_hops(topology, ingress[:1], *WINDOW, seed=fleet.seed)
-
-    def test_facility_pipeline_caches_ingress(self, fleet, envelope):
-        topology = provision_from_envelope(
-            envelope, n_servers=N_SERVERS, n_racks=N_RACKS
-        )
-        pipeline = FacilityPipeline(fleet, topology)
-        first = pipeline.ingress(*WINDOW, workers=1)
-        assert pipeline.ingress(*WINDOW, workers=1) is first
-        result = pipeline.run(*WINDOW, workers=1)
-        assert result.ingress_packets == sum(len(t) for t in first)
-        pipeline.clear_caches()
-        assert pipeline.ingress(*WINDOW, workers=1) is not first
 
 
 class TestReports:

@@ -10,11 +10,12 @@ from repro.fleet import (
     merge_fluid_series,
     sum_fluid_series,
 )
+from repro.fleet.aggregate import FANIN
 from repro.gameserver.fluid import FluidSeries
 from repro.net.addresses import IPv4Address
 from repro.net.headers import HeaderOverhead, OverheadModel
 from repro.trace.packet import Direction
-from repro.trace.trace import Trace, TraceBuilder
+from repro.trace.trace import _COLUMNS, Trace, TraceBuilder
 
 
 def make_series(values, bin_size=1.0, start=0.0):
@@ -120,25 +121,27 @@ class TestKwayMerge:
 
 class TestTraceAccumulator:
     def test_bounded_fanin_equals_flat_merge(self):
+        # more than two collapses plus a partial buffer: equal timestamps
+        # across traces must keep feed order through every merge
+        n = 2 * FANIN + 3
         traces = [
-            make_trace([0.1 * i, 1.0, 2.0 + 0.1 * i], payload=10 + i) for i in range(5)
+            make_trace([0.05 * i, 1.0, 2.0 + 0.05 * i], payload=10 + i)
+            for i in range(n)
         ]
         flat = kway_merge_traces(traces)
-        accumulator = TraceAccumulator(fanin=2)
+        accumulator = TraceAccumulator()
         for trace in traces:
             accumulator.add(trace)
         chunked = accumulator.result()
-        assert np.array_equal(flat.timestamps, chunked.timestamps)
-        assert np.array_equal(flat.payload_sizes, chunked.payload_sizes)
-        assert accumulator.servers_added == 5
+        for name in _COLUMNS:
+            assert np.array_equal(getattr(flat, name), getattr(chunked, name))
+        assert accumulator.servers_added == n
 
     def test_result_is_idempotent(self):
         accumulator = TraceAccumulator()
         accumulator.add(make_trace([0.0]))
         assert len(accumulator.result()) == len(accumulator.result()) == 1
 
-    def test_rejects_bad_fanin_and_empty_result(self):
-        with pytest.raises(ValueError):
-            TraceAccumulator(fanin=1)
+    def test_rejects_empty_result(self):
         with pytest.raises(ValueError):
             TraceAccumulator().result()

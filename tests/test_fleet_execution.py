@@ -68,15 +68,6 @@ class TestFleetDeterminism:
         assert len(serial) > 0
         assert_same_arrays(serial, sharded, TRACE_ARRAYS)
 
-    def test_fanin_does_not_change_merged_window(self):
-        wide = FleetScenario(small_fleet()).aggregate_packet_window(
-            0.0, 60.0, workers=1, fanin=16
-        )
-        narrow = FleetScenario(small_fleet()).aggregate_packet_window(
-            0.0, 60.0, workers=1, fanin=2
-        )
-        assert_same_arrays(wide, narrow, TRACE_ARRAYS)
-
     def test_different_fleet_seed_changes_aggregate(self, serial_series):
         other = FleetScenario(small_fleet(seed=6)).aggregate_per_second(workers=1)
         assert not np.array_equal(serial_series.in_counts, other.in_counts)

@@ -9,6 +9,7 @@ occupancy/admission/latency metrics in repro.core.facility.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.facility import (
     AdmissionStats,
     FacilityEnvelope,
@@ -17,9 +18,10 @@ from repro.core.facility import (
     occupancy_rtt_frontier,
     policy_multiplexing_gain,
 )
+from repro.fleet.execution import SeriesTask, simulate_series
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
-from repro.gameserver.population import SessionTable
+from repro.gameserver.population import PopulationResult, SessionTable
 from repro.matchmaking import (
     POLICIES,
     RTT_PROFILES,
@@ -30,7 +32,6 @@ from repro.matchmaking import (
     RttMatrix,
     RttProfile,
     SelectionPolicy,
-    assigned_population,
     make_policy,
     make_rtt_profile,
     make_scenario,
@@ -44,7 +45,7 @@ from repro.matchmaking.policies import (
     RandomPolicy,
     StickyPolicy,
 )
-from repro.matchmaking.traffic import AssignedSeriesTask, simulate_assigned_series
+from repro.workloads.scenarios import Scenario
 
 #: Small saturating facility shared by most tests.
 N_SERVERS = 3
@@ -577,17 +578,39 @@ class TestAssignedTraffic:
     def test_assigned_population_roundtrip(self, results, small_fleet):
         result = results["least_loaded"]
         profile = small_fleet.server_profile(0)
-        population = assigned_population(profile, result.sessions[0])
+        population = PopulationResult.from_sessions(profile, result.sessions[0])
         assert population.established_count == len(result.sessions[0])
         assert population.attempted_count == len(result.sessions[0])
         assert population.unique_attempting == population.unique_establishing
         starts = [s.start for s in population.sessions]
         assert starts == sorted(starts)
 
+    def test_assigned_scenario_simulates_nothing(self, results, small_fleet):
+        """Assigned sessions open no scenario.population span and bump no
+        scenario.* counter: nothing is simulated."""
+        result = results["least_loaded"]
+        profile = small_fleet.server_profile(0)
+        before = obs.registry().snapshot()
+        tracer = obs.trace.Tracer()
+        obs.trace.install_tracer(tracer)
+        try:
+            scenario = Scenario(profile, seed=7, sessions=result.sessions[0])
+            population = scenario.population
+        finally:
+            obs.trace.install_tracer(None)
+        assert population == PopulationResult.from_sessions(
+            profile, result.sessions[0]
+        )
+        assert tracer.records() == []
+        after = obs.registry().snapshot()
+        assert {k: v for k, v in after.items() if k.startswith("scenario.")} == {
+            k: v for k, v in before.items() if k.startswith("scenario.")
+        }
+
     def test_empty_assignment_means_silent_server(self, small_fleet):
         profile = small_fleet.server_profile(0)
-        series = simulate_assigned_series(
-            AssignedSeriesTask(profile=profile, sessions=SessionTable.empty(), seed=7)
+        series = simulate_series(
+            SeriesTask(profile=profile, seed=7, sessions=SessionTable.empty())
         )
         assert len(series) == int(HORIZON)
         # no sessions -> no structural rate; only sub-packet clipped

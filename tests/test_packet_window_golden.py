@@ -26,11 +26,10 @@ import numpy as np
 import pytest
 
 from repro import matchmaking
-from repro.fleet.execution import fleet_server_seed
+from repro.fleet.execution import WindowTask, fleet_server_seed, simulate_window
 from repro.fleet.profiles import hosting_facility
 from repro.fleet.scenario import FleetScenario
 from repro.gameserver.generator import PacketLevelGenerator
-from repro.matchmaking.traffic import AssignedWindowTask, simulate_assigned_window
 from repro.trace.packet import Direction
 from repro.trace.trace import _COLUMNS
 
@@ -78,12 +77,12 @@ def assigned_tasks():
         fleet, "latency_aware", config, seed=0, engine="columnar"
     )
     return [
-        AssignedWindowTask(
+        WindowTask(
             profile=fleet.server_profile(index),
-            sessions=result.sessions[index],
             seed=fleet_server_seed(fleet.seed, index),
             start=3000.0,
             end=3002.0,
+            sessions=result.sessions[index],
         )
         for index in range(fleet.n_servers)
     ]
@@ -91,7 +90,7 @@ def assigned_tasks():
 
 @pytest.mark.parametrize("index", sorted(GOLDEN_ASSIGNED))
 def test_assigned_two_second_window(assigned_tasks, index):
-    trace = simulate_assigned_window(assigned_tasks[index])
+    trace = simulate_window(assigned_tasks[index])
     assert (len(trace), _trace_digest(trace)) == GOLDEN_ASSIGNED[index]
 
 

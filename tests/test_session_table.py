@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet.cache import ShardCache
-from repro.fleet.execution import shard_map
+from repro.fleet.execution import SeriesTask, shard_map, simulate_series
 from repro.fleet.profiles import hosting_facility
 from repro.gameserver.fluid import fluid_series_equal
 from repro.gameserver.population import (
@@ -32,8 +32,6 @@ from repro.gameserver.population import (
     SessionTable,
 )
 from repro.matchmaking import PoolConfig, simulate_matchmaking
-from repro.matchmaking.traffic import AssignedSeriesTask, simulate_assigned_series
-
 NAMES = ("modem", "broadband", "lan")
 
 _COLUMNS = (
@@ -348,7 +346,7 @@ import sys, tempfile
 from repro.fleet.cache import ShardCache
 from repro.fleet.profiles import hosting_facility
 from repro.matchmaking import PoolConfig, simulate_matchmaking
-from repro.matchmaking.traffic import AssignedSeriesTask, simulate_assigned_series
+from repro.fleet.execution import SeriesTask, simulate_series
 
 fleet = hosting_facility(n_servers=3, duration=900.0, seed=3)
 config = PoolConfig.for_fleet(
@@ -356,11 +354,11 @@ config = PoolConfig.for_fleet(
     session_duration_mean=180.0, session_duration_min=5.0,
 )
 result = simulate_matchmaking(fleet, "least_loaded", config, seed=1)
-task = AssignedSeriesTask(
+task = SeriesTask(
     profile=fleet.server_profile(1), sessions=result.sessions[1], seed=7
 )
 with tempfile.TemporaryDirectory() as root:
-    print(ShardCache(root).task_key(simulate_assigned_series, task))
+    print(ShardCache(root).task_key(simulate_series, task))
 """
 
 
@@ -375,7 +373,7 @@ def assigned_task():
         session_duration_min=5.0,
     )
     result = simulate_matchmaking(fleet, "least_loaded", config, seed=1)
-    return AssignedSeriesTask(
+    return SeriesTask(
         profile=fleet.server_profile(1), sessions=result.sessions[1], seed=7
     )
 
@@ -402,7 +400,7 @@ class TestTaskKeys:
         assert keys[0] == keys[1]
         # and the in-process key of the same task agrees
         cache = ShardCache(tmp_path)
-        assert cache.task_key(simulate_assigned_series, assigned_task) == keys[0]
+        assert cache.task_key(simulate_series, assigned_task) == keys[0]
 
     @pytest.mark.parametrize("column", _COLUMNS)
     def test_every_column_moves_the_key(self, tmp_path, assigned_task, column):
@@ -422,9 +420,9 @@ class TestTaskKeys:
             values[2] = values[2] + 1
         changed = dataclasses.replace(sessions, **{column: values})
         assert changed != sessions
-        base = cache.task_key(simulate_assigned_series, assigned_task)
+        base = cache.task_key(simulate_series, assigned_task)
         moved = cache.task_key(
-            simulate_assigned_series,
+            simulate_series,
             dataclasses.replace(assigned_task, sessions=changed),
         )
         assert moved is not None and moved != base
@@ -437,18 +435,18 @@ class TestTaskKeys:
         renamed = dataclasses.replace(sessions, link_class_names=tuple(names))
         np.testing.assert_array_equal(renamed.link_class, sessions.link_class)
         assert cache.task_key(
-            simulate_assigned_series,
+            simulate_series,
             dataclasses.replace(assigned_task, sessions=renamed),
-        ) != cache.task_key(simulate_assigned_series, assigned_task)
+        ) != cache.task_key(simulate_series, assigned_task)
 
     def test_empty_table_keys_and_round_trips(self, tmp_path, assigned_task):
         task = dataclasses.replace(assigned_task, sessions=SessionTable.empty())
         cache = ShardCache(tmp_path)
-        key = cache.task_key(simulate_assigned_series, task)
+        key = cache.task_key(simulate_series, task)
         assert isinstance(key, str) and len(key) == 64
-        (cold,) = shard_map(simulate_assigned_series, [task], workers=1, cache=cache)
+        (cold,) = shard_map(simulate_series, [task], workers=1, cache=cache)
         assert (cache.stats.misses, cache.stats.stores) == (1, 1)
         cache.reset_stats()
-        (warm,) = shard_map(simulate_assigned_series, [task], workers=1, cache=cache)
+        (warm,) = shard_map(simulate_series, [task], workers=1, cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (1, 0)
         assert fluid_series_equal(cold, warm)
