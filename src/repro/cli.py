@@ -64,8 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unwritable_directory(path: str) -> Optional[str]:
+def _unwritable_file(path: str) -> Optional[str]:
     """Why a file at ``path`` cannot be written, or ``None`` if it can."""
+    if os.path.isdir(path):
+        return "path is a directory"
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         return f"directory {directory} does not exist"
@@ -101,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # fail before the window is synthesised, not after
     for flag, path in (("-o", args.output), ("--log", args.log)):
-        problem = path is not None and _unwritable_directory(path)
+        problem = path is not None and _unwritable_file(path)
         if problem:
             print(f"error: {flag} {path}: {problem}", file=sys.stderr)
             return 2
@@ -390,7 +392,7 @@ def _cmd_export(args) -> int:
     output = args.output
     if output is None:
         output = os.path.join(args.trace_dir, "trace_events.json")
-    problem = _unwritable_directory(output)
+    problem = _unwritable_file(output)
     if problem:
         print(f"error: -o {output}: {problem}", file=sys.stderr)
         return 2

@@ -40,18 +40,26 @@ attempt.
   server ``s`` is admitted iff ``r < free_s`` at span start: occupancy
   only grows, so the first ``free_s`` attempts per server land and the
   rest bounce.
-* **Saturated windows** (the four deterministic non-retry policies) —
-  once the facility is full, the steady state is a dense
+* **Saturated windows** (the five deterministic policies: all but
+  ``random``) — once the facility is full, the steady state is a dense
   departure/attempt alternation.  Over a ``[when, when +
   session_duration_min)`` window (capped at the epoch boundary) no
   in-window admission can end inside the window, so the departure set
-  is known up front; running the reflected free-slot walk over the
-  merged event sequence classifies every attempt, and for the longest
-  prefix where the free count never exceeds one the ``k``-th admitted
-  attempt provably lands on the ``k``-th departure's server (unique
-  open server; ``sticky``'s ``integers(1)`` draw consumes zero bits).
-  This batches the dominant post-warmup cadence thousands of events at
-  a time.
+  is known up front.  Walking the reflected free-slot count over the
+  merged event sequence classifies the attempts of its longest prefix
+  where the free count never exceeds one, and there the ``k``-th
+  admitted attempt provably lands on the ``k``-th departure's server
+  (unique open server; ``sticky``'s ``integers(1)`` draw consumes zero
+  bits).
+  ``capacity_aware`` refuses at the matchmaker when the facility is
+  full and retries or balks, and that too batches: its admissions draw
+  nothing from the assign stream, so refusing the window's refused
+  attempts first, in attempt order, draws the retry uniforms and
+  delays in the per-attempt loop's order; and a player attempts at
+  most once per epoch (retries re-enter at a later epoch start), so a
+  refused player is never an admitted one and the QoE refusal counts
+  and resets commute.  This batches the dominant post-warmup cadence
+  thousands of events at a time.
 * **Per-attempt step** — everything else (``sticky`` draws with a
   live-state-dependent bound, ``lowest_rtt``/``latency_aware`` re-rank
   as occupancy moves, every attempt of a custom policy) calls the
@@ -70,14 +78,21 @@ because IEEE float addition is monotone, truncated at the horizon), and
 per-attempt loop would drain nothing and admit/refuse exactly as the
 batch does.
 
-RNG discipline: the pool stream is consumed by two ``uniform(size=…)``
-calls per epoch; the assign stream is only touched where the
-per-attempt loop touches it (``random``'s pre-draw, ``select``'s own
-draws, the retry draws, in order); per-``(server, epoch)`` duration
-streams are refilled in blocks (``lognormal(mu, sigma, size=k)``
-consumes identically to ``k`` one-at-a-time draws).  The golden,
-property, QoE and shard/cache parity suites pin the result bit-identical
-to the oracle.
+RNG discipline: the pool stream is consumed by two ``random(n)`` calls
+per epoch (the same values and stream state as ``uniform(size=n)``);
+the assign stream is only touched where the per-attempt loop touches it
+(``random``'s pre-draw, ``select``'s own draws, the retry draws, in
+order; a scalar ``random()`` equals ``uniform()``).  The per-``(server,
+epoch)`` duration streams are seeded in bulk: one
+:func:`~repro.sim.random.seed_sequence_words` call yields the seed
+words of every stream, :func:`~repro.sim.random.pcg64_state` turns a
+stream's words into its PCG64 start state when the stream opens, and
+each stream is drawn in blocks on one shared generator
+(``lognormal(mu, sigma, size=k)`` consumes identically to ``k``
+one-at-a-time draws).  ``tests/test_sim_random.py`` pins these numpy
+identities; the golden, property, QoE and shard/cache parity suites pin
+the result bit-identical to the oracle, which still builds one
+``default_rng`` per stream and draws ``uniform``.
 """
 
 from __future__ import annotations
@@ -95,7 +110,12 @@ from repro.matchmaking.policies import (
     LeastLoadedPolicy,
     RandomPolicy,
 )
-from repro.sim.random import derive_seed, lognormal_params
+from repro.sim.random import (
+    derive_seed,
+    lognormal_params,
+    pcg64_state,
+    seed_sequence_words,
+)
 
 #: Player lifecycle states.
 _IDLE, _WAITING, _PLAYING = 0, 1, 2
@@ -138,36 +158,99 @@ def _counters() -> _ColumnarCounters:
     return _COUNTERS
 
 
+#: Session durations drawn per block of a ``(server, epoch)`` stream.
+_DURATION_BLOCK = 32
+
+
+class _DurationSource:
+    """Every ``(server, epoch)`` session-duration stream of one run.
+
+    Stream ``epoch * n_servers + server`` is the lognormal sequence of
+    ``np.random.default_rng(derive_seed(seed,
+    "matchmaking-server:{server}:{epoch}"))``.  Building that generator
+    per stream costs far more than its few draws, so the seed words of
+    all ``n_servers * n_epochs`` streams come from one
+    :func:`~repro.sim.random.seed_sequence_words` call, and every block
+    is drawn on one shared ``Generator`` whose bit generator is first
+    set to the stream's start state (:func:`~repro.sim.random.pcg64_state`,
+    taken only for the streams a run opens).
+    """
+
+    __slots__ = ("_words", "_n_servers", "_gen", "_bit_state", "_mu", "_sigma")
+
+    def __init__(
+        self, seed: int, n_servers: int, n_epochs: int, mu: float, sigma: float
+    ) -> None:
+        seeds = np.fromiter(
+            (
+                derive_seed(seed, f"matchmaking-server:{server}:{epoch}")
+                for epoch in range(n_epochs)
+                for server in range(n_servers)
+            ),
+            dtype=np.uint64,
+            count=n_epochs * n_servers,
+        )
+        self._words = seed_sequence_words(seeds)
+        self._n_servers = n_servers
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        self._bit_state = self._gen.bit_generator.state
+        self._mu = mu
+        self._sigma = sigma
+
+    def first_block(self, stream: int) -> List[float]:
+        """The first block of stream ``epoch * n_servers + server``."""
+        state, inc = pcg64_state(self._words[stream].tolist())
+        self._bit_state["state"] = {"state": state, "inc": inc}
+        self._gen.bit_generator.state = self._bit_state
+        return self._gen.lognormal(
+            self._mu, self._sigma, size=_DURATION_BLOCK
+        ).tolist()
+
+    def next_block(
+        self, stream: int, resume: Optional[dict]
+    ) -> Tuple[List[float], dict]:
+        """The block after the one that left the stream at ``resume``
+        (``None``: after its first block), and the state after it.
+
+        Most streams never need a second block, so the state is read
+        back only here; a first refill replays the first block.
+        """
+        if resume is None:
+            self.first_block(stream)
+        else:
+            self._gen.bit_generator.state = resume
+        values = self._gen.lognormal(self._mu, self._sigma, size=_DURATION_BLOCK)
+        return values.tolist(), self._gen.bit_generator.state
+
+
 class _DurationStream:
     """Block-buffered session-duration draws for one ``(server, epoch)``.
 
-    ``Generator.lognormal(mu, sigma, size=k)`` consumes the underlying
-    bit stream exactly as ``k`` scalar calls would, so refilling in
-    blocks keeps the draw sequence bit-identical to one
-    ``sample_lognormal`` per admission while amortising the per-call
-    Generator overhead.  Over-draw past the last admission is
-    harmless: the stream is scoped to this (server, epoch) and never
-    read again.
+    ``lognormal(mu, sigma, size=k)`` consumes the bit stream exactly as
+    ``k`` scalar draws, so the blocks equal, draw for draw, one
+    ``sample_lognormal`` per admission on the stream's own generator.
+    The first block is drawn when the stream opens; a refill continues
+    from the state the previous block left.  Over-draw past the last
+    admission is harmless: the stream is scoped to this (server, epoch)
+    and never read again.
     """
 
-    __slots__ = ("_rng", "_mu", "_sigma", "_buf", "_pos")
+    __slots__ = ("_source", "_stream", "_buf", "_pos", "_resume")
 
-    _BLOCK = 32
-
-    def __init__(self, seed: int, mu: float, sigma: float) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._mu = mu
-        self._sigma = sigma
-        self._buf = self._rng.lognormal(mu, sigma, size=self._BLOCK)
+    def __init__(self, source: _DurationSource, stream: int) -> None:
+        self._source = source
+        self._stream = stream
+        self._buf = source.first_block(stream)
         self._pos = 0
+        self._resume: Optional[dict] = None
 
     def next(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = self._rng.lognormal(
-                self._mu, self._sigma, size=self._BLOCK
+        if self._pos == _DURATION_BLOCK:
+            self._buf, self._resume = self._source.next_block(
+                self._stream, self._resume
             )
             self._pos = 0
-        value = float(self._buf[self._pos])
+        value = self._buf[self._pos]
         self._pos += 1
         return value
 
@@ -449,9 +532,13 @@ def run_columnar(sim) -> "MatchmakingResult":
 
     traits = PlayerTraits.draw(config, seed)
     rtt_rows = [sim.rtt.row(r) for r in range(sim.rtt.n_regions)]
+    # the per-admission reads take Python scalars from lists, not numpy
+    # scalars from arrays
+    rtt_values = [row.tolist() for row in rtt_rows]
     player_region = traits.region_index
     player_state = np.zeros(config.pool_size, dtype=np.int8)
-    last_server = np.full(config.pool_size, -1, dtype=np.int64)
+    last_server = [-1] * config.pool_size
+    durations = _DurationSource(seed, n_servers, n_epochs, mu, sigma)
 
     occupancy = np.zeros(n_servers, dtype=np.int64)
     free = capacities.copy()
@@ -506,7 +593,7 @@ def run_columnar(sim) -> "MatchmakingResult":
         # -- fresh arrivals from the idle pool --------------------------
         idle_players = np.flatnonzero(player_state == _IDLE)
         hazard = config.attempt_rate_at(0.5 * (t0 + t1))
-        draws = rng_pool.uniform(size=idle_players.size)
+        draws = rng_pool.random(idle_players.size)
         if compiled is not None:
             mask = draws < compiled.attempt_probabilities(
                 epoch, hazard, t1 - t0, player_region[idle_players]
@@ -515,7 +602,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             p_attempt = 1.0 - math.exp(-hazard * (t1 - t0))
             mask = draws < p_attempt
         aplayers = idle_players[mask]
-        offsets = rng_pool.uniform(size=int(mask.sum()))
+        offsets = rng_pool.random(np.count_nonzero(mask))
         atimes = t0 + offsets * (t1 - t0)
         # -- retries that came due this epoch ---------------------------
         if retries and retries[0][0] < t1:
@@ -538,6 +625,8 @@ def run_columnar(sim) -> "MatchmakingResult":
         aplayers = aplayers[order]
         player_state[aplayers] = _WAITING
         n_attempts = int(atimes.size)
+        atime_values = atimes.tolist()
+        aplayer_values = aplayers.tolist()
 
         if is_random:
             # one integers(n_servers) per attempt, nothing else, so the
@@ -547,20 +636,16 @@ def run_columnar(sim) -> "MatchmakingResult":
         def _admit(k: int, chosen: int) -> None:
             nonlocal admitted, repeat_assignments, total_free
             nonlocal ep_mult_sum, ep_mult_count, ep_shortened
-            player = int(aplayers[k])
-            when = atimes[k]
+            player = aplayer_values[k]
+            when = atime_values[k]
             admit_attempts[chosen] += 1
             stream = duration_streams.get(chosen)
             if stream is None:
                 stream = duration_streams[chosen] = _DurationStream(
-                    derive_seed(
-                        seed, f"matchmaking-server:{chosen}:{epoch}"
-                    ),
-                    mu,
-                    sigma,
+                    durations, epoch * n_servers + chosen
                 )
             duration = stream.next()
-            rtt_ms = float(rtt_rows[player_region[player]][chosen])
+            rtt_ms = rtt_values[player_region[player]][chosen]
             if qoe_on:
                 # the multiplier scales the raw draw, before the
                 # min-duration clamp, so duration >= min_dur still holds
@@ -585,7 +670,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             admissions.append((chosen, player, when, end, in_storm))
             session_rtts[chosen].append(rtt_ms)
             admitted += 1
-            if chosen == int(last_server[player]):
+            if chosen == last_server[player]:
                 repeat_assignments += 1
             last_server[player] = chosen
             player_state[player] = _PLAYING
@@ -598,7 +683,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             """
             nonlocal rejected, retried, balked
             nonlocal qoe_repeat_refusals, ep_repeat_refusals
-            player = int(aplayers[k])
+            player = aplayer_values[k]
             rejected += 1
             if qoe_on:
                 # escalation reuses the same uniform draw with a lower
@@ -611,10 +696,8 @@ def run_columnar(sim) -> "MatchmakingResult":
                 retry_p_k = qoe.retry_probability(retry_p, prior)
             else:
                 retry_p_k = retry_p
-            if retry_on_reject and rng_assign.uniform() < retry_p_k:
-                retry_at = float(atimes[k]) + float(
-                    rng_assign.exponential(retry_mean)
-                )
+            if retry_on_reject and rng_assign.random() < retry_p_k:
+                retry_at = atime_values[k] + rng_assign.exponential(retry_mean)
                 if retry_at < horizon:
                     heapq.heappush(retries, (retry_at, player))
                     retried += 1
@@ -637,7 +720,7 @@ def run_columnar(sim) -> "MatchmakingResult":
 
         i = 0
         while i < n_attempts:
-            when = atimes[i]
+            when = atime_values[i]
             total_free += deps.drain(
                 when, False, occupancy, free, player_state, n_servers,
                 careful,
@@ -646,7 +729,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             if (
                 stock
                 and total_free == 0
-                and not (is_random or is_capacity)
+                and not is_random
                 # the window walk assumes every in-window departure opens
                 # exactly one admittable slot; a server drained below a
                 # reduced effective capacity (negative free) breaks that,
@@ -658,105 +741,96 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # No in-window admission can end inside the window (IEEE
                 # float addition is monotone and durations >= min_dur),
                 # so the only departures are the already-scheduled ones.
-                # Run the reflected free-slot walk over the merged event
-                # sequence: while the free count never exceeds one, the
-                # k-th admitted attempt provably lands on the k-th
-                # departure's server under all four deterministic
+                # Walk the reflected free-slot count over the merged
+                # event sequence: while it never exceeds one, the k-th
+                # admitted attempt provably lands on the k-th
+                # departure's server under all five deterministic
                 # policies (unique open server; sticky's integers(1)
-                # draw consumes no bits).  A window where two departures
-                # pile up before an attempt bails to the generic spans.
+                # draw consumes no bits).  The walk stops before a
+                # departure that would open a second slot; the generic
+                # spans take over from there.
                 # capped at the epoch boundary: a departure at or past
                 # t1 is drained by the epoch-end strict drain (or the
                 # next epoch), never early — consuming it here would
                 # move its player into the idle pool one epoch too soon
                 # and shift the next epoch's arrival draw
-                window_end = min(float(when) + min_dur, t1)
+                window_end = min(when + min_dur, t1)
                 if deps.pending and deps.pending[0][0] < window_end:
                     window_end = deps.pending[0][0]
                 dhead = deps.head
                 dstop = int(deps.times.searchsorted(window_end, side="left"))
-                dep_t = deps.times[dhead:dstop]
-                n_dep = dstop - dhead
-                handled = False
-                if window_end > when and n_dep > 0:
-                    jw = int(atimes.searchsorted(window_end, side="left"))
-                    n_att = jw - i
-                    att_t = atimes[i:jw]
-                    ev_times = np.concatenate([dep_t, att_t])
-                    ev_is_att = np.zeros(n_dep + n_att, dtype=np.int8)
-                    ev_is_att[n_dep:] = 1
-                    # departures sort before attempts at equal times,
-                    # exactly as the per-attempt <=-drain does
-                    ev_order = np.lexsort((ev_is_att, ev_times))
-                    typ = ev_is_att[ev_order]
-                    steps = np.where(typ == 0, 1, -1)
-                    walk = np.cumsum(steps)
-                    reflected = walk - np.minimum.accumulate(
-                        np.minimum(walk, 0)
-                    )
-                    # process the longest prefix where the free count
-                    # never exceeds one; the event at the cut (a second
-                    # piled-up departure) is left for the generic spans.
-                    # Event 0 is always the attempt at `when` (the loop
-                    # drain consumed every departure <= when), so the
-                    # prefix contains at least one attempt and the loop
-                    # makes progress.
-                    if int(reflected.max()) <= 1:
-                        cut = reflected.size
+                if window_end > when and dstop > dhead:
+                    # a plain loop, not array passes: the walk usually
+                    # stops after a few events, long before window_end.
+                    # Departures go before attempts at equal times,
+                    # exactly as the per-attempt <=-drain does.  Event 0
+                    # is the refused attempt at `when` (the loop drain
+                    # consumed every departure <= when), so the walk
+                    # always makes progress.
+                    dep_t = deps.times[dhead:dstop].tolist()
+                    n_dep = len(dep_t)
+                    admits: List[int] = []
+                    refused: List[int] = []
+                    d = 0
+                    k = i
+                    slot_open = False
+                    while k < n_attempts and atime_values[k] < window_end:
+                        if d < n_dep and dep_t[d] <= atime_values[k]:
+                            if slot_open:
+                                break
+                            slot_open = True
+                            d += 1
+                        elif slot_open:
+                            slot_open = False
+                            admits.append(k)
+                            k += 1
+                        else:
+                            refused.append(k)
+                            k += 1
+                    dused = dhead + d
+                    dep_servers = deps.servers[dhead:dused]
+                    # consume the walked departures up front — the net
+                    # occupancy effect commutes with admissions
+                    deps.head = dused
+                    if d <= 4:
+                        for server in dep_servers.tolist():
+                            occupancy[server] -= 1
+                            free[server] += 1
                     else:
-                        cut = int(np.argmax(reflected >= 2))
-                    typ_prefix = typ[:cut]
-                    n_dep_used = int(np.count_nonzero(typ_prefix == 0))
-                    n_att_used = cut - n_dep_used
-                    if n_att_used > 0:
-                        before = np.empty(cut, dtype=np.int64)
-                        before[0] = 0
-                        before[1:] = reflected[: cut - 1]
-                        admit_mask_w = before[typ_prefix == 1] > 0
-                        dused = dhead + n_dep_used
-                        dep_servers = deps.servers[dhead:dused]
-                        # consume the prefix departures up front — the
-                        # net occupancy effect commutes with admissions
-                        deps.head = dused
-                        if n_dep_used <= 4:
-                            for k in range(dhead, dused):
-                                server = deps.servers[k]
-                                occupancy[server] -= 1
-                                free[server] += 1
-                        elif n_dep_used:
-                            counts = np.bincount(
-                                dep_servers, minlength=n_servers
-                            )
-                            occupancy -= counts
-                            free += counts
-                        player_state[deps.players[dhead:dused]] = _IDLE
-                        total_free += n_dep_used
-                        refused = np.flatnonzero(~admit_mask_w)
-                        if refused.size:
-                            rejected += int(refused.size)
-                            balked += int(refused.size)
-                            if qoe_on:
-                                _note_refusals(aplayers[i + refused])
-                            player_state[aplayers[i + refused]] = _IDLE
-                            if is_least:
-                                # refusals inside the window occur with
-                                # every free count at zero, so argmax
-                                # (select's attribution) is server 0
-                                full_least_count += int(refused.size)
-                        for rank, att in enumerate(
-                            np.flatnonzero(admit_mask_w)
-                        ):
-                            _admit(i + int(att), int(dep_servers[rank]))
-                        attempts += n_att_used
-                        segments += 1
-                        vectorised_attempts += n_att_used
-                        i += n_att_used
-                        handled = True
-                if handled:
+                        counts = np.bincount(dep_servers, minlength=n_servers)
+                        occupancy -= counts
+                        free += counts
+                    player_state[deps.players[dhead:dused]] = _IDLE
+                    total_free += d
+                    if is_capacity:
+                        # refusals draw retries from the assign stream,
+                        # admissions draw nothing from it: refusing in
+                        # attempt order first keeps the draw order
+                        for att in refused:
+                            _refuse(att)
+                    elif refused:
+                        refused_players = aplayers[refused]
+                        rejected += len(refused)
+                        balked += len(refused)
+                        if qoe_on:
+                            _note_refusals(refused_players)
+                        player_state[refused_players] = _IDLE
+                        if is_least:
+                            # refusals inside the window occur with every
+                            # free count at zero, so argmax (select's
+                            # attribution) is server 0
+                            full_least_count += len(refused)
+                    for att, server in zip(admits, dep_servers.tolist()):
+                        _admit(att, server)
+                    n_att_used = k - i
+                    attempts += n_att_used
+                    segments += 1
+                    vectorised_attempts += n_att_used
+                    i = k
                     continue
-                # degenerate window (no departures due, a horizon-edge
-                # attempt, or free count would exceed one): the plain
-                # full span below, up to the next departure
+                # degenerate window (no departures due, or a horizon-edge
+                # attempt): the plain full span below, up to the next
+                # departure
 
             if stock and total_free == 0:
                 # -- full-facility span: batch-refuse every attempt
@@ -807,7 +881,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # -- fill span: argmax(free) admits every attempt until
                 # a departure, a possible in-span session end, or free
                 # capacity could intervene ----------------------------
-                bound = min(deps.next_time(), min(float(when) + min_dur, horizon))
+                bound = min(deps.next_time(), min(when + min_dur, horizon))
                 j = int(atimes.searchsorted(bound, side="left"))
                 j = min(j, i + total_free)
                 if j <= i:
@@ -823,7 +897,7 @@ def run_columnar(sim) -> "MatchmakingResult":
 
             if is_random:
                 # -- random span: rank-vs-free admits, batched refusals
-                bound = min(deps.next_time(), min(float(when) + min_dur, horizon))
+                bound = min(deps.next_time(), min(when + min_dur, horizon))
                 j = int(atimes.searchsorted(bound, side="left"))
                 if j <= i:
                     j = i + 1
@@ -857,7 +931,7 @@ def run_columnar(sim) -> "MatchmakingResult":
             # select, refused by the slot table when the server is full
             attempts += 1
             fallback_attempts += 1
-            player = int(aplayers[i])
+            player = aplayer_values[i]
             if stock and total_free == 1:
                 # the unique open server wins under every deterministic
                 # stock policy, and sticky's integers(1) consumes no bits
@@ -866,7 +940,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                 chosen = policy.select(
                     occupancy,
                     eff_cap,
-                    int(last_server[player]),
+                    last_server[player],
                     rng_assign,
                     rtt=rtt_rows[player_region[player]],
                 )

@@ -204,6 +204,12 @@ class LowestRttPolicy(SelectionPolicy):
         return int(candidates[int(np.argmax(free))])
 
 
+#: Open-server count up to which :meth:`LatencyAwarePolicy.select`
+#: scores in Python floats; past it one vector pass over the open
+#: servers costs less than the per-server loop.
+_SCALAR_SCORE_MAX_OPEN = 12
+
+
 class LatencyAwarePolicy(SelectionPolicy):
     """Occupancy/QoE trade-off: ``α·free-slot share − β·normalised RTT``.
 
@@ -227,20 +233,47 @@ class LatencyAwarePolicy(SelectionPolicy):
     def select(
         self, occupancy, capacities, last_server, rng, rtt=None
     ) -> Optional[int]:
+        """The best-scoring open server, or ``None`` when all are full.
+
+        Both normalisations (largest capacity, worst row RTT) are
+        recomputed per call, with no memo that could go stale on a
+        mutated row or a per-epoch capacity vector: ``select`` stays a
+        pure function of its arguments.  Which of two equal scorings
+        runs depends on the open-server count alone: up to
+        ``_SCALAR_SCORE_MAX_OPEN`` open servers are scored in Python
+        floats, more in one numpy pass.  Each server's score goes
+        through the same IEEE operations either way, and ties go to
+        the lowest index.
+        """
         rtt = self._require_rtt(rtt)
         free = capacities - occupancy
-        closed = free <= 0
-        if closed.all():
+        open_servers = (free > 0).nonzero()[0]
+        if open_servers.size == 0:
             return None
-        free_share = free / max(int(capacities.max()), 1)
-        # normalisation is recomputed per call — one reduction over a
-        # handful of servers — to keep select a pure function of its
-        # arguments (no memo that could go stale on mutated rows)
+        share_scale = max(int(capacities.max()), 1)
         rtt_scale = float(rtt.max())
-        normalised_rtt = rtt / rtt_scale if rtt_scale > 0 else rtt
-        score = self.alpha * free_share - self.beta * normalised_rtt
-        score[closed] = -np.inf
-        return int(score.argmax())
+        if open_servers.size <= _SCALAR_SCORE_MAX_OPEN:
+            # the strict > keeps ties on the lowest index, as argmax does
+            alpha, beta = self.alpha, self.beta
+            best, best_score = -1, -math.inf
+            for server in open_servers.tolist():
+                server_rtt = rtt.item(server)
+                if rtt_scale > 0:
+                    server_rtt = server_rtt / rtt_scale
+                score = (
+                    alpha * (free.item(server) / share_scale)
+                    - beta * server_rtt
+                )
+                if best < 0 or score > best_score:
+                    best, best_score = server, score
+            return best
+        open_rtt = rtt[open_servers]
+        normalised_rtt = open_rtt / rtt_scale if rtt_scale > 0 else open_rtt
+        score = (
+            self.alpha * (free[open_servers] / share_scale)
+            - self.beta * normalised_rtt
+        )
+        return int(open_servers[int(score.argmax())])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(alpha={self.alpha}, beta={self.beta})"

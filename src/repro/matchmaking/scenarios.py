@@ -279,10 +279,12 @@ class CompiledScenario:
         Scenario-free runs compute the scalar ``1 - exp(-hazard * dt)``;
         with a scenario active the engine and its test oracle call this
         vectorised form for *every* epoch (scaled or not), so they share
-        one set of IEEE operations.
+        one set of IEEE operations.  The expression is evaluated once
+        per region and gathered per player: each element goes through
+        the same operations as the per-player form.
         """
         scale = self.hazard_scale[epoch]
-        return 1.0 - np.exp(-hazard * scale[player_regions] * dt)
+        return (1.0 - np.exp(-hazard * scale * dt))[player_regions]
 
     def capacities_at(self, epoch: int, capacities: np.ndarray) -> np.ndarray:
         """Effective per-server slot counts for ``epoch``.

@@ -29,6 +29,83 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_MULT_L, _SS_MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SS_XSHIFT = 16
+_SS_POOL_SIZE = 4
+_UINT32_MASK = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
+_PCG64_MULT = (0x2360ED051FC65DA4 << 64) | 0x4385DF649FCCF645
+_UINT128_MASK = (1 << 128) - 1
+
+
+def seed_sequence_words(seeds: Sequence[int]) -> np.ndarray:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` per seed.
+
+    One row of four uint64 words per seed: the words ``PCG64`` (and so
+    ``np.random.default_rng(seed)``) seeds itself from, with
+    ``SeedSequence``'s uint32 hash mix run over all seeds at once
+    instead of one object per seed.  Seeds are 64-bit unsigned ints:
+    at most two uint32 words, which ``SeedSequence`` zero-pads to its
+    four-word pool, so one word layout covers them all.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & _UINT32_MASK
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_SS_XSHIFT))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = x * np.uint32(_SS_MIX_MULT_L) - y * np.uint32(_SS_MIX_MULT_R)
+        return value ^ (value >> np.uint32(_SS_XSHIFT))
+
+    zeros = np.zeros(seeds.size, dtype=np.uint32)
+    entropy = [
+        (seeds & np.uint64(_UINT32_MASK)).astype(np.uint32),
+        (seeds >> np.uint64(32)).astype(np.uint32),
+    ] + [zeros] * (_SS_POOL_SIZE - 2)
+    words = np.empty((seeds.size, 8), dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        # SeedSequence.mix_entropy
+        pool = [hashmix(word) for word in entropy]
+        for src in range(_SS_POOL_SIZE):
+            for dst in range(_SS_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        # SeedSequence.generate_state: eight uint32 words cycling the
+        # pool, paired little-endian into four uint64s
+        hash_const = _SS_INIT_B
+        for k in range(8):
+            value = pool[k % _SS_POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _SS_MULT_B) & _UINT32_MASK
+            value = value * np.uint32(hash_const)
+            words[:, k] = value ^ (value >> np.uint32(_SS_XSHIFT))
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def pcg64_state(words: Sequence[int]) -> Tuple[int, int]:
+    """PCG64 ``(state, inc)`` after seeding from four SeedSequence words.
+
+    ``pcg64_state(seed_sequence_words([seed])[0])`` is where
+    ``np.random.default_rng(seed)`` starts.  A fresh generator has no
+    buffered ``uint32``, so setting ``{"state": state, "inc": inc}``
+    (with ``has_uint32`` 0) on any PCG64 bit generator makes it draw
+    exactly what ``default_rng(seed)`` would.
+    """
+    hi_seed, lo_seed, hi_inc, lo_inc = map(int, words)
+    # pcg_setseq_128_srandom_r: inc = initseq << 1 | 1; state = 0;
+    # step; state += initstate; step
+    inc = ((((hi_inc << 64) | lo_inc) << 1) | 1) & _UINT128_MASK
+    init = (hi_seed << 64) | lo_seed
+    return ((inc + init) * _PCG64_MULT + inc) & _UINT128_MASK, inc
+
+
 class RandomStreams:
     """A factory of named, independent :class:`numpy.random.Generator` streams.
 

@@ -92,6 +92,29 @@ class TestSimulateCli:
         assert err.startswith("error: ") and "does not exist" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            lambda tmp: ["-o", str(tmp / "out")],
+            lambda tmp: ["-o", str(tmp / "a.npz"), "--log", str(tmp / "out")],
+        ],
+        ids=["output", "log"],
+    )
+    def test_existing_directory_rejected_before_simulating(
+        self, tmp_path, capsys, monkeypatch, paths
+    ):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the window was simulated")
+
+        monkeypatch.setattr(cli, "Scenario", no_simulation)
+        (tmp_path / "out").mkdir()
+        assert main(["--end", "30", *paths(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is a directory" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestExperimentsWorkersFlag:
     @pytest.mark.parametrize("value", ["0", "-1", "-8"])
@@ -928,6 +951,20 @@ class TestAnalyzeCli:
         assert "does not exist" in err
         assert "Traceback" not in err
         assert not output.parent.exists()
+
+    def test_export_to_existing_directory_is_a_clean_error(
+        self, trace_dirs, tmp_path, capsys
+    ):
+        from repro.cli import analyze_main
+
+        output = tmp_path / "out"
+        output.mkdir()
+        assert analyze_main(["export", trace_dirs[0], "-o", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: -o ")
+        assert "is a directory" in err
+        assert "Traceback" not in err
+        assert list(output.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

@@ -115,7 +115,8 @@ class TestSaturatedWindows:
     """The departure/attempt window fast path, at flash-crowd demand."""
 
     @pytest.mark.parametrize(
-        "policy", ["least_loaded", "sticky", "lowest_rtt", "latency_aware"]
+        "policy",
+        ["least_loaded", "sticky", "capacity_aware", "lowest_rtt", "latency_aware"],
     )
     def test_saturated_parity(self, policy):
         # long sessions + 12x demand keep the facility pinned full, the
@@ -127,6 +128,56 @@ class TestSaturatedWindows:
         )
         assert scalar.admission.rejected > scalar.admission.admitted
         _assert_identical(scalar, columnar)
+
+    @staticmethod
+    def _saturated_capacity_aware(coupled):
+        """Oracle and engine capacity_aware runs at saturating demand,
+        plain or with QoE + ``regional_outage`` (careful-mode epochs)."""
+        fleet, config, rtt = _scenario(
+            demand_ratio=12.0, session_duration_mean=600.0
+        )
+        scenario = None
+        if coupled:
+            config = config.replace(qoe=QoeConfig(enabled=True))
+            scenario = make_scenario("regional_outage", config.n_epochs)
+        return (
+            simulate_reference(
+                fleet, "capacity_aware", config, rtt=rtt, seed=3, scenario=scenario
+            ),
+            simulate_matchmaking(
+                fleet, "capacity_aware", config, rtt=rtt, seed=3, scenario=scenario
+            ),
+        )
+
+    def test_capacity_aware_qoe_outage_parity(self):
+        # in-window refusals draw their retries from the assign stream
+        # and count QoE refusals, through careful-mode outage epochs
+        scalar, columnar = self._saturated_capacity_aware(coupled=True)
+        assert scalar.admission.retried > 0 and scalar.admission.balked > 0
+        assert scalar.qoe_repeat_refusals > 0
+        _assert_identical(scalar, columnar)
+
+    @pytest.mark.parametrize(
+        "coupled, unbatched_segments",
+        # segment counts of the same runs with capacity_aware kept off
+        # the saturated-window path (fill and full spans only)
+        [(False, 207), (True, 205)],
+        ids=["plain", "qoe-outage"],
+    )
+    def test_capacity_aware_takes_saturated_windows(
+        self, coupled, unbatched_segments
+    ):
+        from repro.obs.metrics import registry, reset_metrics
+
+        reset_metrics()
+        _, columnar = self._saturated_capacity_aware(coupled)
+        reg = registry()
+        segments = reg.counter("matchmaking.columnar.segments").value
+        fallback = reg.counter(
+            "matchmaking.columnar.scalar_fallback_attempts"
+        ).value
+        assert fallback == 0
+        assert segments < unbatched_segments
 
     def test_window_path_actually_vectorises(self):
         from repro.obs.metrics import registry, reset_metrics

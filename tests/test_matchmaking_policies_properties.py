@@ -159,3 +159,92 @@ class TestPoliciesArePureFunctions:
         assert np.array_equal(occupancy, before[0])
         assert np.array_equal(capacities, before[1])
         assert np.array_equal(rtt, before[2])
+
+
+def _latency_aware_numpy(policy, occupancy, capacities, rtt):
+    """The one-pass numpy body ``LatencyAwarePolicy.select`` had before
+    it scored a few open servers in Python floats: the reference the
+    current ``select`` must agree with on every input."""
+    free = capacities - occupancy
+    closed = free <= 0
+    if closed.all():
+        return None
+    free_share = free / max(int(capacities.max()), 1)
+    rtt_scale = float(rtt.max())
+    normalised_rtt = rtt / rtt_scale if rtt_scale > 0 else rtt
+    score = policy.alpha * free_share - policy.beta * normalised_rtt
+    score[closed] = -np.inf
+    return int(score.argmax())
+
+
+@st.composite
+def crowded_snapshots(draw):
+    """Facilities large enough to reach both scoring paths, with small
+    capacities and a coarse RTT grid so that tied scores are common."""
+    n_servers = draw(st.integers(min_value=1, max_value=40))
+    capacities = np.asarray(
+        draw(st.lists(st.integers(1, 4), min_size=n_servers, max_size=n_servers)),
+        dtype=np.int64,
+    )
+    occupancy = np.asarray(
+        [draw(st.integers(0, int(cap))) for cap in capacities], dtype=np.int64
+    )
+    rtt_values = st.one_of(
+        st.sampled_from([0.0, 10.0, 20.0, 40.0]),
+        st.floats(min_value=0.0, max_value=500.0),
+    )
+    rtt = np.asarray(
+        draw(st.lists(rtt_values, min_size=n_servers, max_size=n_servers)),
+        dtype=float,
+    )
+    return occupancy, capacities, rtt
+
+
+class TestLatencyAwareMatchesNumpyBody:
+    weights = st.one_of(
+        st.sampled_from([0.0, 0.25, 1.0, 2.0]),
+        st.floats(min_value=0.0, max_value=10.0),
+    )
+
+    @given(snapshot=crowded_snapshots(), alpha=weights, beta=weights)
+    @settings(max_examples=300, deadline=None)
+    def test_select_equals_numpy_body(self, snapshot, alpha, beta):
+        occupancy, capacities, rtt = snapshot
+        policy = LatencyAwarePolicy(alpha=alpha, beta=beta)
+        rng = np.random.default_rng(0)
+        assert policy.select(
+            occupancy, capacities, -1, rng, rtt=rtt
+        ) == _latency_aware_numpy(policy, occupancy, capacities, rtt)
+
+    @pytest.mark.parametrize("n_servers", [3, 40])
+    @pytest.mark.parametrize(
+        "case",
+        ["all closed", "one open", "alpha 0", "beta 0", "zero rtt", "tied"],
+    )
+    def test_edge_cases(self, case, n_servers):
+        rng = np.random.default_rng(5)
+        capacities = np.full(n_servers, 4, dtype=np.int64)
+        occupancy = rng.integers(0, 4, n_servers)
+        rtt = rng.uniform(5.0, 80.0, n_servers)
+        alpha, beta = 1.0, 1.0
+        if case == "all closed":
+            occupancy = capacities.copy()
+        elif case == "one open":
+            occupancy = capacities.copy()
+            occupancy[n_servers // 2] -= 1
+        elif case == "alpha 0":
+            alpha = 0.0
+        elif case == "beta 0":
+            beta = 0.0
+        elif case == "zero rtt":
+            rtt = np.zeros(n_servers)
+        else:  # every server scores the same: the lowest index wins
+            occupancy = np.ones(n_servers, dtype=np.int64)
+            rtt = np.full(n_servers, 30.0)
+        policy = LatencyAwarePolicy(alpha=alpha, beta=beta)
+        chosen = policy.select(occupancy, capacities, -1, rng, rtt=rtt)
+        assert chosen == _latency_aware_numpy(policy, occupancy, capacities, rtt)
+        if case == "all closed":
+            assert chosen is None
+        elif case == "tied":
+            assert chosen == 0

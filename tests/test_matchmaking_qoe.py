@@ -16,6 +16,7 @@ truncation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from matchmaking_reference import simulate_reference
 
 from repro import obs
@@ -37,6 +38,7 @@ from repro.matchmaking import (
     make_scenario,
     simulate_matchmaking,
 )
+from repro.matchmaking.scenarios import CompiledScenario
 
 POLICY_NAMES = sorted(POLICIES)
 SCENARIO_NAMES = sorted(SCENARIOS)
@@ -311,6 +313,44 @@ class TestCoupledDownstreamParity:
 
 class TestScenarios:
     """Scenario compilation, validation and drain semantics."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hazard=st.floats(min_value=0.0, max_value=0.5, allow_subnormal=False),
+        dt=st.floats(min_value=1e-3, max_value=600.0),
+        scales=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 3.5]),
+                st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_per_region_attempt_probabilities_equal_per_player(
+        self, hazard, dt, scales, data
+    ):
+        # the engine and its oracle share this method, so parity alone
+        # cannot catch a drift: pin it against the per-player expression
+        n_regions = len(scales)
+        regions = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, n_regions - 1), min_size=0, max_size=300)
+            ),
+            dtype=np.int64,
+        )
+        compiled = CompiledScenario(
+            name="probe",
+            hazard_scale=np.asarray([np.ones(n_regions), scales]),
+            capacity_scale=np.ones((2, 1)),
+            force_downloads=np.zeros(2, dtype=bool),
+        )
+        got = compiled.attempt_probabilities(1, hazard, dt, regions)
+        scale = compiled.hazard_scale[1]
+        expected = 1.0 - np.exp(-hazard * scale[regions] * dt)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_event_window_validation(self):
         with pytest.raises(ValueError):

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.matchmaking.columnar import _DurationSource, _DurationStream
 from repro.sim.random import (
     DiscreteEmpirical,
     RandomStreams,
     derive_seed,
     lognormal_params,
+    pcg64_state,
     sample_lognormal,
     sample_truncated_normal,
+    seed_sequence_words,
 )
 
 
@@ -130,3 +135,84 @@ class TestDiscreteEmpirical:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             DiscreteEmpirical([], [])
+
+
+class TestNumpyIdentities:
+    """numpy behaviour the matchmaking engine relies on for bit-identity.
+
+    If numpy's SeedSequence or PCG64 seeding, or the draw paths below,
+    ever change, these fail here instead of silently moving every
+    matchmaking output.
+    """
+
+    @staticmethod
+    def _assert_states_match(seeds):
+        words = seed_sequence_words(seeds)
+        assert words.shape == (len(seeds), 4) and words.dtype == np.uint64
+        for seed, row in zip(seeds, words):
+            assert np.array_equal(
+                row, np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            ), seed
+            state, inc = pcg64_state(row)
+            expected = np.random.default_rng(seed).bit_generator.state
+            assert expected["state"] == {"state": state, "inc": inc}, seed
+            assert expected["has_uint32"] == 0
+
+    def test_bulk_states_at_word_boundaries(self):
+        self._assert_states_match([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bulk_states_match_default_rng(self, seeds):
+        self._assert_states_match(seeds)
+
+    def test_bulk_words_of_no_seeds(self):
+        assert seed_sequence_words([]).shape == (0, 4)
+
+    def test_set_state_draws_as_default_rng(self):
+        seed = derive_seed(3, "matchmaking-server:5:7")
+        state, inc = pcg64_state(seed_sequence_words([seed])[0])
+        shared = np.random.Generator(np.random.PCG64(0))
+        # leave it mid-stream with half a uint64 buffered
+        shared.integers(10, dtype=np.uint32)
+        full = shared.bit_generator.state
+        assert full["has_uint32"] == 1
+        full.update(state={"state": state, "inc": inc}, has_uint32=0, uinteger=0)
+        shared.bit_generator.state = full
+        fresh = np.random.default_rng(seed)
+        assert np.array_equal(
+            shared.lognormal(5.0, 0.8, size=40), fresh.lognormal(5.0, 0.8, size=40)
+        )
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 64, 65, 100])
+    def test_refilled_duration_stream_equals_scalar_draws(self, count):
+        # two streams interleave on the source's one shared generator
+        mu, sigma = lognormal_params(300.0, 1.2)
+        source = _DurationSource(9, n_servers=3, n_epochs=4, mu=mu, sigma=sigma)
+        streams = {
+            (server, epoch): _DurationStream(source, epoch * 3 + server)
+            for server, epoch in ((2, 3), (0, 1))
+        }
+        drawn = {key: [] for key in streams}
+        for _ in range(count):
+            for key, stream in streams.items():
+                drawn[key].append(stream.next())
+        for (server, epoch), values in drawn.items():
+            scalar = np.random.default_rng(
+                derive_seed(9, f"matchmaking-server:{server}:{epoch}")
+            )
+            assert values == [float(scalar.lognormal(mu, sigma)) for _ in range(count)]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 1000])
+    def test_uniform_array_equals_random(self, n):
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        assert np.array_equal(a.uniform(size=n), b.random(n))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_scalar_uniform_equals_random(self):
+        a, b = np.random.default_rng(22), np.random.default_rng(22)
+        for _ in range(200):
+            x, y = a.uniform(), b.random()
+            assert type(x) is type(y) is float
+            assert x == y
+        assert a.bit_generator.state == b.bit_generator.state
