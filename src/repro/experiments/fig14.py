@@ -13,8 +13,7 @@ from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.experiments.table4 import NAT_WINDOW
-from repro.router.nat import NatDevice
-from repro.workloads.scenarios import olygamer_scenario
+from repro.workloads.scenarios import olygamer_nat_replay
 
 EXPERIMENT_ID = "fig14"
 TITLE = "Per-second incoming packet load for NAT experiment (Fig 14)"
@@ -22,9 +21,7 @@ TITLE = "Per-second incoming packet load for NAT experiment (Fig 14)"
 
 def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the two incoming-path series and their contrast."""
-    scenario = olygamer_scenario(seed)
-    trace = scenario.packet_window(*NAT_WINDOW)
-    result = NatDevice(seed=seed + 100).run(trace)
+    result = olygamer_nat_replay(seed, *NAT_WINDOW)
     analysis = NatAnalysis.from_result(result)
     series = analysis.series
     offered = series.clients_to_nat.rates

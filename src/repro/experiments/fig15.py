@@ -14,8 +14,7 @@ from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.experiments.table4 import NAT_WINDOW
-from repro.router.nat import NatDevice
-from repro.workloads.scenarios import olygamer_scenario
+from repro.workloads.scenarios import olygamer_nat_replay
 
 EXPERIMENT_ID = "fig15"
 TITLE = "Per-second outgoing packet load for NAT experiment (Fig 15)"
@@ -23,9 +22,7 @@ TITLE = "Per-second outgoing packet load for NAT experiment (Fig 15)"
 
 def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the outgoing series and the freeze correlation."""
-    scenario = olygamer_scenario(seed)
-    trace = scenario.packet_window(*NAT_WINDOW)
-    result = NatDevice(seed=seed + 100).run(trace)
+    result = olygamer_nat_replay(seed, *NAT_WINDOW)
     analysis = NatAnalysis.from_result(result)
     series = analysis.series
     out_offered = series.server_to_nat.rates

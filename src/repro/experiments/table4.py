@@ -12,8 +12,8 @@ from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
 from repro.experiments.base import ExperimentOutput, RunConfig
-from repro.router.nat import NatDevice
-from repro.workloads.scenarios import olygamer_scenario
+from repro.router.device import DeviceProfile
+from repro.workloads.scenarios import olygamer_nat_replay
 
 EXPERIMENT_ID = "table4"
 TITLE = "NAT experiment (Table IV)"
@@ -23,10 +23,7 @@ NAT_WINDOW = (3600.0, 5400.0)
 
 def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce Table IV by running a 30-minute map through the device."""
-    scenario = olygamer_scenario(seed)
-    trace = scenario.packet_window(*NAT_WINDOW)
-    device = NatDevice(seed=seed + 100)
-    result = device.run(trace)
+    result = olygamer_nat_replay(seed, *NAT_WINDOW)
     analysis = NatAnalysis.from_result(result)
 
     window = NAT_WINDOW[1] - NAT_WINDOW[0]
@@ -51,7 +48,7 @@ def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
         rows=rows,
         notes=[
             f"30-minute map (t=[{NAT_WINDOW[0]:.0f},{NAT_WINDOW[1]:.0f})s) through a "
-            f"{device.device_profile.lookup_rate:.0f} pps device",
+            f"{DeviceProfile().lookup_rate:.0f} pps device",
             f"{analysis.freeze_count} game freezes, "
             f"{analysis.stall_count} device stalls, "
             f"mean forwarding delay {analysis.mean_forwarding_delay*1000:.2f} ms",

@@ -10,6 +10,7 @@ several seconds" (Section III-A, the outage behaviour).
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -136,31 +137,28 @@ class GameClient:
     def _schedule_next_update(self) -> None:
         if self.state is not ClientState.CONNECTED:
             return
-        spacing = max(
-            0.004, float(self.rng.normal(self.update_interval, self.update_jitter))
+        spacing = self.rng.normal(self.update_interval, self.update_jitter)
+        self._send_event = self.scheduler.schedule_in(
+            spacing if spacing > 0.004 else 0.004, self._send_update
         )
-        self._send_event = self.scheduler.schedule_in(spacing, self._send_update)
 
     def _send_update(self) -> None:
         if self.state is not ClientState.CONNECTED:
             return
-        self._check_liveness()
-        if self.state is not ClientState.CONNECTED:
+        if self.scheduler.now - self.last_heard > self.timeout:
+            # the liveness rule: the server has been silent too long
+            self.timed_out = True
+            self.state = ClientState.DISCONNECTED
+            self.server.on_client_timeout(self)
             return
         self.updates_sent += 1
         uplink = self.path.uplink
         rng = self.rng
         if not uplink.sample_loss(rng):
             self.scheduler.schedule_in(
-                uplink.sample_delay(rng), lambda: self.server.on_client_update(self)
+                uplink.sample_delay(rng), partial(self.server.on_client_update, self)
             )
         self._schedule_next_update()
-
-    def _check_liveness(self) -> None:
-        if self.scheduler.now - self.last_heard > self.timeout:
-            self.timed_out = True
-            self.state = ClientState.DISCONNECTED
-            self.server.on_client_timeout(self)
 
     # ------------------------------------------------------------------
     # downlink reception

@@ -42,12 +42,15 @@ class PathProfile:
         """One delivery delay (never below half the base latency)."""
         if self.jitter == 0.0:
             return self.latency
+        floor = self.latency * 0.5
         delay = rng.normal(self.latency, self.jitter)
-        return float(max(self.latency * 0.5, delay))
+        return delay if delay > floor else floor
 
     def sample_loss(self, rng: np.random.Generator) -> bool:
         """Whether a packet is lost to ambient path loss."""
-        return bool(self.loss_rate > 0.0 and rng.uniform() < self.loss_rate)
+        # ``random()`` is the same draw as ``uniform()``, without the
+        # argument handling
+        return self.loss_rate > 0.0 and rng.random() < self.loss_rate
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,15 @@ Packets can be routed through a transport (e.g.
 :class:`~repro.router.livedevice.LiveForwardingDevice`) so device drops
 feed back into gameplay, closing the loop the offline Table IV pipeline
 approximates.  The server records every packet it sends and receives
-into a :class:`~repro.trace.trace.TraceBuilder` at its own vantage
-point — the same tap position as the paper's tcpdump.
+at its own vantage point — the same tap position as the paper's
+tcpdump — and :meth:`GameServer.trace` freezes them into a
+:class:`~repro.trace.trace.Trace`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +36,9 @@ from repro.trace.trace import Trace, TraceBuilder
 SERVER_TIMEOUT_S = 5.0
 #: Inbound starvation window that stalls the game logic (the freeze).
 FREEZE_DETECT_S = 0.35
+
+_IN = int(Direction.IN)
+_OUT = int(Direction.OUT)
 
 
 class GameServer:
@@ -71,7 +76,10 @@ class GameServer:
         self.freeze_seconds = 0.0
         self._frozen_since: Optional[float] = None
         self.timeouts = 0
-        self.builder = TraceBuilder(server_address=profile.server_address)
+        # one (time, direction, src, dst, src port, dst port, size) row per
+        # packet at the tap; client (address, port) pairs by client id
+        self._packets: List[Tuple[float, int, int, int, int, int, int]] = []
+        self._endpoints: Dict[int, Tuple[int, int]] = {}
         self._tick_stop = scheduler.schedule_periodic(
             profile.tick_interval, self.on_tick, priority=-1, label="server-tick"
         )
@@ -117,8 +125,7 @@ class GameServer:
         if client.client_id not in self.clients:
             return
         now = self.scheduler.now
-        size = self.protocol.client_update.sample(self.rng)
-        self._record(Direction.IN, client, int(size))
+        self._record(Direction.IN, client, self.protocol.client_update.sample(self.rng))
         self._last_heard[client.client_id] = now
         self._last_inbound = now
         if self._frozen_since is not None:
@@ -139,32 +146,35 @@ class GameServer:
             if self._frozen_since is None:
                 self._frozen_since = now
             return
-        probability = self.profile.snapshot_send_probability
+        probability = min(1.0, self.profile.snapshot_send_probability)
+        rng = self.rng
+        snapshot = self.protocol.server_snapshot
+        schedule_in = self.scheduler.schedule_in
+        emit = self._emit_snapshot
         serialization = 0.0
         for client in list(self.clients.values()):
-            if self.rng.uniform() >= min(1.0, probability):
+            # ``random()`` is the same draw as ``uniform()``
+            if rng.random() >= probability:
                 continue
-            size = self.protocol.server_snapshot.sample(self.rng)
+            size = snapshot.sample(rng)
             # the NIC serialises the burst: ~0.2 ms per small packet at
             # the access link, matching the packet-level generator's
             # 4 ms tick-serialisation window
             serialization += 0.0002
-            self.scheduler.schedule_in(
-                serialization,
-                lambda c=client, s=int(size): self._emit_snapshot(c, s),
-            )
+            schedule_in(serialization, partial(emit, client, size))
 
     def _emit_snapshot(self, client: GameClient, size: int) -> None:
         if client.client_id not in self.clients:
             return
         self._record(Direction.OUT, client, size)
-        self._send_to_client(client, lambda c=client: self._deliver_snapshot(c))
+        self._send_to_client(client, partial(self._deliver_snapshot, client))
 
     def _deliver_snapshot(self, client: GameClient) -> None:
-        if client.path.downlink.sample_loss(client.rng):
+        downlink = client.path.downlink
+        rng = client.rng
+        if downlink.sample_loss(rng):
             return
-        delay = client.path.downlink.sample_delay(client.rng)
-        self.scheduler.schedule_in(delay, client.deliver_snapshot)
+        self.scheduler.schedule_in(downlink.sample_delay(rng), client.deliver_snapshot)
 
     def _sweep_timeouts(self, now: float) -> None:
         stale = [
@@ -190,17 +200,23 @@ class GameServer:
     def _record(self, direction: Direction, client: GameClient, size: int) -> None:
         profile = self.profile
         client_id = client.client_id
-        client_addr = (profile.client_address_base.value + client_id) & 0xFFFFFFFF
-        port = 27005 + client_id % 1000
-        server_addr = profile.server_address.value
-        server_port = profile.server_port
-        now = self.scheduler.now
+        endpoint = self._endpoints.get(client_id)
+        if endpoint is None:
+            endpoint = self._endpoints[client_id] = (
+                (profile.client_address_base.value + client_id) & 0xFFFFFFFF,
+                27005 + client_id % 1000,
+            )
+        client_addr, port = endpoint
         if direction is Direction.IN:
-            self.builder.add(now, direction, client_addr, server_addr,
-                             port, server_port, size)
+            self._packets.append((
+                self.scheduler.now, _IN, client_addr, profile.server_address.value,
+                port, profile.server_port, size,
+            ))
         else:
-            self.builder.add(now, direction, server_addr, client_addr,
-                             server_port, port, size)
+            self._packets.append((
+                self.scheduler.now, _OUT, profile.server_address.value, client_addr,
+                profile.server_port, port, size,
+            ))
 
     # ------------------------------------------------------------------
     @property
@@ -214,7 +230,10 @@ class GameServer:
 
     def trace(self) -> Trace:
         """The packets seen at the server's tap so far."""
-        return self.builder.build()
+        builder = TraceBuilder(server_address=self.profile.server_address)
+        if self._packets:
+            builder.add_batch(*zip(*self._packets))
+        return builder.build()
 
 
 def run_closed_loop(
@@ -235,22 +254,17 @@ def run_closed_loop(
 
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1: {n_clients!r}")
+    if not np.isfinite(duration):
+        # the server ticks forever: a non-finite horizon never returns
+        raise ValueError(f"duration must be finite: {duration!r}")
     if duration <= 0:
         raise ValueError(f"duration must be positive: {duration!r}")
     scheduler = EventScheduler()
     streams = RandomStreams(seed)
     device = transport_factory(scheduler) if transport_factory else None
+    transport = device.submit if device is not None else None
 
-    def transport(direction: Direction, deliver: Callable[[], None]) -> bool:
-        if device is None:
-            deliver()
-            return True
-        return device.submit(direction, deliver)
-
-    server = GameServer(
-        profile, scheduler, seed=seed,
-        transport=transport if device is not None else None,
-    )
+    server = GameServer(profile, scheduler, seed=seed, transport=transport)
 
     clients: List[GameClient] = []
     class_names = [c.name for c in profile.link_classes]
@@ -298,17 +312,13 @@ class _TransportWrappedServer:
         self._transport = transport
 
     def on_connect_request(self, client: GameClient) -> None:
-        self._transport(
-            Direction.IN, lambda: self._server.on_connect_request(client)
-        )
+        self._transport(Direction.IN, partial(self._server.on_connect_request, client))
 
     def on_client_update(self, client: GameClient) -> None:
-        self._transport(
-            Direction.IN, lambda: self._server.on_client_update(client)
-        )
+        self._transport(Direction.IN, partial(self._server.on_client_update, client))
 
     def on_disconnect(self, client: GameClient) -> None:
-        self._transport(Direction.IN, lambda: self._server.on_disconnect(client))
+        self._transport(Direction.IN, partial(self._server.on_disconnect, client))
 
     def on_client_timeout(self, client: GameClient) -> None:
         self._server.on_client_timeout(client)

@@ -12,15 +12,25 @@ game + web workloads.  Game traffic is many tiny packets to a small,
 stable set of destinations; web traffic is fewer, larger packets across
 a Zipf-heavy destination population — the mix where preferential
 policies pay off.
+
+:meth:`RouteCache.access` is the per-packet API and the reference
+semantics.  :func:`simulate_cache` replays a whole stream through one
+loop per policy that leaves the cache exactly as a loop of ``access``
+calls would (``tests/test_route_cache_oracle.py`` checks it).  The LFU
+victim search is the O(1) count-bucket scheme of Shah, Mitra & Matani,
+"An O(1) algorithm for implementing the LFU cache eviction scheme"
+(2010): entries sit in one bucket per access count, each bucket in
+recency order, so the first entry of the lowest bucket is the entry
+``min`` would pick — the first minimum in recency order.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -202,6 +212,14 @@ def simulate_cache(
 
     ``labels`` optionally tags each packet with a traffic-class name for
     per-class hit accounting.
+
+    Equivalent to calling ``cache.access(int(key), int(size), str(label))``
+    per packet, but the stream runs through one loop per policy over
+    plain Python columns: LRU and size-preferential never read the global
+    frequency table, so it is filled in bulk afterwards; LFU and
+    frequency-preferential find their victim in O(1) from count buckets;
+    the loop only records a hit flag per packet, and the counters and
+    per-class tallies are added to ``cache.stats`` once at the end.
     """
     destinations = np.asarray(destinations)
     sizes = np.asarray(sizes)
@@ -209,12 +227,164 @@ def simulate_cache(
         raise ValueError("destinations and sizes must have matching shapes")
     if labels is not None and len(labels) != destinations.size:
         raise ValueError("labels must match the packet count")
-    # plain Python columns: indexing numpy scalars per packet costs more
-    # than the lookup itself
-    keys = map(int, destinations.tolist())
-    lengths = map(int, sizes.tolist())
-    tags = repeat(None) if labels is None else map(str, np.asarray(labels).tolist())
-    access = cache.access
-    for key, size, label in zip(keys, lengths, tags):
-        access(key, size, label)
-    return cache.stats
+    keys = _python_ints(destinations)
+    policy = cache.policy
+    if policy is EvictionPolicy.LRU:
+        hit = _lru_loop(cache, keys)
+    elif policy is EvictionPolicy.SIZE_PREFERENTIAL:
+        hit = _lru_loop(cache, keys, _python_ints(sizes))
+    elif policy is EvictionPolicy.LFU:
+        hit = _lfu_loop(cache, keys, preferential=False)
+    elif policy is EvictionPolicy.FREQUENCY_PREFERENTIAL:
+        hit = _lfu_loop(cache, keys, preferential=True)
+    else:  # pragma: no cover - exhaustive enum
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy is not EvictionPolicy.FREQUENCY_PREFERENTIAL:
+        frequency = cache._frequency
+        for key, count in Counter(keys).items():
+            frequency[key] = frequency.get(key, 0) + count
+    stats = cache.stats
+    hits = hit.count(1)
+    stats.hits += hits
+    stats.misses += len(keys) - hits
+    if labels is not None and keys:
+        _tally_classes(stats, np.frombuffer(hit, dtype=bool), labels)
+    return stats
+
+
+def _python_ints(values: np.ndarray) -> List[int]:
+    """A column as Python ints (numpy scalars cost more than the lookup)."""
+    column = values.tolist()
+    return column if values.dtype.kind in "iu" else [int(v) for v in column]
+
+
+# The loops below run on a plain dict copy of ``cache._entries``: popping
+# a key and setting it again moves it to the end, which costs less than
+# ``OrderedDict.move_to_end``.  The copy goes back into the cache at the
+# end, in the same recency order.
+
+
+def _lru_loop(
+    cache: RouteCache, keys: List[int], sizes: Optional[List[int]] = None
+) -> bytearray:
+    """LRU, or size-preferential when ``sizes`` is given.
+
+    Size-preferential is LRU in which a packet above the size threshold
+    may fill spare capacity but never evicts.
+    """
+    entries = dict(cache._entries)
+    take = entries.pop
+    capacity = cache.capacity
+    threshold = float("inf") if sizes is None else cache.size_threshold
+    hit = bytearray()
+    mark = hit.append
+    insertions = evictions = rejected = 0
+    for key, size in zip(keys, repeat(0) if sizes is None else sizes):
+        count = take(key, 0)
+        if count:
+            entries[key] = count + 1
+            mark(1)
+            continue
+        mark(0)
+        if len(entries) >= capacity:
+            if size > threshold:
+                rejected += 1
+                continue
+            del entries[next(iter(entries))]
+            evictions += 1
+        entries[key] = 1
+        insertions += 1
+    cache._entries = OrderedDict(entries)
+    cache.stats.insertions += insertions
+    cache.stats.evictions += evictions
+    cache.stats.rejected_insertions += rejected
+    return hit
+
+
+def _lfu_loop(cache: RouteCache, keys: List[int], preferential: bool) -> bytearray:
+    """LFU, or frequency-preferential when ``preferential``, over count buckets.
+
+    ``buckets[c]`` holds the cached keys with entry count ``c`` in
+    recency order: a key enters a bucket only when it is inserted or hit,
+    which is also when it moves to the end of ``entries``.
+    """
+    entries = dict(cache._entries)
+    take = entries.pop
+    capacity = cache.capacity
+    frequency = cache._frequency
+    buckets: Dict[int, Dict[int, None]] = {}
+    for key, count in entries.items():
+        buckets.setdefault(count, {})[key] = None
+    lowest = min(buckets, default=1)
+    hit = bytearray()
+    mark = hit.append
+    insertions = evictions = rejected = 0
+    seen = 0
+    for key in keys:
+        if preferential:
+            seen = frequency.get(key, 0) + 1
+            frequency[key] = seen
+        count = take(key, 0)
+        if count:
+            up = count + 1
+            entries[key] = up
+            mark(1)
+            bucket = buckets[count]
+            if len(bucket) == 1 and up not in buckets:
+                # the key is its bucket's only member: move the bucket up
+                buckets[up] = buckets.pop(count)
+            else:
+                del bucket[key]
+                if not bucket:
+                    del buckets[count]
+                upper = buckets.get(up)
+                if upper is None:
+                    buckets[up] = {key: None}
+                else:
+                    upper[key] = None
+            if count == lowest and count not in buckets:
+                lowest = up
+            continue
+        mark(0)
+        if len(entries) >= capacity:
+            if preferential and seen < lowest:
+                rejected += 1
+                continue
+            bucket = buckets[lowest]
+            victim = next(iter(bucket))
+            del bucket[victim]
+            if not bucket:
+                del buckets[lowest]
+            del entries[victim]
+            evictions += 1
+        entries[key] = 1
+        insertions += 1
+        ones = buckets.get(1)
+        if ones is None:
+            buckets[1] = {key: None}
+        else:
+            ones[key] = None
+        lowest = 1
+    cache._entries = OrderedDict(entries)
+    cache.stats.insertions += insertions
+    cache.stats.evictions += evictions
+    cache.stats.rejected_insertions += rejected
+    return hit
+
+
+def _tally_classes(stats: CacheStats, hit: np.ndarray, labels: np.ndarray) -> None:
+    """Add per-class hits and misses, each dict's new keys in first-seen order."""
+    tags = np.asarray(labels)
+    if tags.dtype.kind != "U":
+        tags = np.array([str(tag) for tag in tags.tolist()])
+    names, codes = np.unique(tags, return_inverse=True)
+    names = names.tolist()
+    for tally, mask in ((stats.class_hits, hit), (stats.class_misses, ~hit)):
+        chosen = codes[mask]
+        counts = np.bincount(chosen, minlength=len(names))
+        first = np.full(len(names), chosen.size)
+        np.minimum.at(first, chosen, np.arange(chosen.size))
+        present = np.flatnonzero(counts)
+        for code in present[np.argsort(first[present])].tolist():
+            name = names[code]
+            tally[name] = tally.get(name, 0) + int(counts[code])

@@ -66,6 +66,8 @@ class LiveForwardingDevice:
         seed: int = 0,
         horizon: float = float("inf"),
     ) -> None:
+        if np.isnan(horizon):
+            raise ValueError(f"horizon must not be NaN: {horizon!r}")
         self.scheduler = scheduler
         self.profile = profile if profile is not None else DeviceProfile()
         self.stats = LiveDeviceStats()
@@ -98,22 +100,6 @@ class LiveForwardingDevice:
             )
             windows.append((t, t + duration))
 
-    def _service_time(self) -> float:
-        if self._sigma == 0.0:
-            return self._mean_service
-        return float(self._rng.lognormal(self._mu, self._sigma))
-
-    def _in_stall(self, now: float) -> bool:
-        while (
-            self._stall_index < len(self._stalls)
-            and self._stalls[self._stall_index][1] <= now
-        ):
-            self._stall_index += 1
-        return (
-            self._stall_index < len(self._stalls)
-            and self._stalls[self._stall_index][0] <= now
-        )
-
     def submit(
         self,
         direction: Direction,
@@ -137,7 +123,16 @@ class LiveForwardingDevice:
         if direction is Direction.IN:
             backlog = wan
             stats.offered_in += 1
-            if self._in_stall(now) or len(wan) >= self.profile.wan_queue:
+            # skip the stall windows that ended by now; inbound packets
+            # are dropped while the next one is open
+            stalls = self._stalls
+            index = self._stall_index
+            while index < len(stalls) and stalls[index][1] <= now:
+                index += 1
+            self._stall_index = index
+            if (
+                index < len(stalls) and stalls[index][0] <= now
+            ) or len(wan) >= self.profile.wan_queue:
                 stats.dropped_in += 1
                 return False
             stats.forwarded_in += 1
@@ -149,8 +144,12 @@ class LiveForwardingDevice:
                 return False
             stats.forwarded_out += 1
 
-        start = max(now, self._engine_free)
-        finish = start + self._service_time()
+        free = self._engine_free
+        start = free if free > now else now
+        if self._sigma == 0.0:
+            finish = start + self._mean_service
+        else:
+            finish = start + self._rng.lognormal(self._mu, self._sigma)
         self._engine_free = finish
         backlog.append(finish)
         stats.delays.append(finish - now)

@@ -21,6 +21,10 @@ from repro.trace.packet import Direction
 from repro.trace.trace import Trace
 
 
+#: Forwarded packets whose endpoints are copied to Python at a time.
+_UPKEEP_BLOCK = 8192
+
+
 class NatTableFullError(RuntimeError):
     """Raised when the mapping table cannot admit another flow."""
 
@@ -170,14 +174,26 @@ class NatDevice:
         Table IV accounting.
         """
         forwarding = self.engine.process(trace)
-        fates = forwarding.fates
-        out_dir = np.int8(Direction.OUT)
-        for i in np.flatnonzero(fates == 1):
-            now = float(trace.timestamps[i])
-            if trace.directions[i] == out_dir:
-                self.table.touch(int(trace.dst_addrs[i]), int(trace.dst_ports[i]), now)
-            else:
-                self.table.touch(int(trace.src_addrs[i]), int(trace.src_ports[i]), now)
+        table = self.table
+        bindings = table._bindings
+        forwarded = np.flatnonzero(forwarding.fates == 1)
+        # in blocks, so the Python copies stay small next to the trace
+        for start in range(0, forwarded.size, _UPKEEP_BLOCK):
+            rows = forwarded[start:start + _UPKEEP_BLOCK]
+            # the remote endpoint of each forwarded packet, as Python
+            # scalars: the destination of outbound packets, the source of
+            # inbound ones
+            outbound = trace.directions[rows] == np.int8(Direction.OUT)
+            addrs = np.where(outbound, trace.dst_addrs[rows], trace.src_addrs[rows])
+            ports = np.where(outbound, trace.dst_ports[rows], trace.src_ports[rows])
+            for key, now in zip(
+                zip(addrs.tolist(), ports.tolist()), trace.timestamps[rows].tolist()
+            ):
+                binding = bindings.get(key)
+                if binding is None:
+                    table.touch(*key, now)
+                else:  # the common case, inlined from ``touch``
+                    binding.last_used = now
         return NatExperimentResult(
             forwarding=forwarding,
             table_created=self.table.created_total,

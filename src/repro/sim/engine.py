@@ -12,7 +12,8 @@ Callbacks may schedule further events (including at the current time).
 Events at equal timestamps run in deterministic ``(priority, insertion)``
 order: the heap holds ``(time, priority, seq, event)`` tuples, and ``seq``
 is unique, so comparisons never reach the event and run in C.  Time never
-goes backwards: scheduling into the past raises :class:`SimulationError`.
+goes backwards: scheduling into the past (or at NaN, which compares false
+with every time) raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -71,14 +72,15 @@ class EventScheduler:
 
         Returns the :class:`Event` handle, which can be cancelled.
         Scheduling exactly at the current time is allowed (the event runs
-        before time advances); scheduling strictly in the past raises.
+        before time advances); scheduling strictly in the past, or at NaN,
+        raises.
         """
-        if time < self._now:
+        if not (time >= self._now):
             raise SimulationError(
                 f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
             )
         seq = self._seq
-        event = Event(time, seq, callback, priority=priority, label=label)
+        event = Event(time, seq, callback, priority, label)
         self._seq = seq + 1
         heappush(self._heap, (event.time, priority, seq, event))
         return event
@@ -93,7 +95,7 @@ class EventScheduler:
         """Schedule ``callback`` after ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, priority=priority, label=label)
+        return self.schedule(self._now + delay, callback, priority, label)
 
     def schedule_periodic(
         self,
@@ -121,10 +123,10 @@ class EventScheduler:
             callback()
             if not state["stopped"]:
                 state["event"] = self.schedule(
-                    state["event"].time + interval, fire, priority=priority, label=label
+                    state["event"].time + interval, fire, priority, label
                 )
 
-        state["event"] = self.schedule(first, fire, priority=priority, label=label)
+        state["event"] = self.schedule(first, fire, priority, label)
 
         def stop() -> None:
             state["stopped"] = True
@@ -160,14 +162,15 @@ class EventScheduler:
         Parameters
         ----------
         end_time:
-            Inclusive horizon in seconds.
+            Inclusive horizon in seconds; an earlier time or NaN raises
+            :class:`SimulationError`.
         max_events:
             Optional safety valve; raises :class:`SimulationError` when
             exceeded (useful against accidental event storms in tests).
 
         Returns the number of events executed by this call.
         """
-        if end_time < self._now:
+        if not (end_time >= self._now):
             raise SimulationError(
                 f"cannot run until t={end_time:.9f} before now={self._now:.9f}"
             )
@@ -176,13 +179,14 @@ class EventScheduler:
         done = EventState.EXECUTED
         executed = 0
         while heap:
-            time, _, _, event = heap[0]
+            entry = heappop(heap)
+            event = entry[3]
             if event.state is cancelled:
-                heappop(heap)
                 continue
+            time = entry[0]
             if time > end_time:
+                heappush(heap, entry)  # the earliest entry goes straight back
                 break
-            heappop(heap)
             self._now = time
             event.state = done
             self._executed += 1

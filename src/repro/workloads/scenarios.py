@@ -28,6 +28,7 @@ from repro.gameserver.population import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.router.nat import NatDevice, NatExperimentResult
 from repro.trace.trace import Trace
 
 #: Default packet-level analysis window: one busy hour starting at the
@@ -138,6 +139,7 @@ class Scenario:
 
 
 _scenario_cache: Dict[Tuple[str, int], Scenario] = {}
+_nat_replay_cache: Dict[Tuple[int, float, float], NatExperimentResult] = {}
 
 
 def olygamer_scenario(seed: int = 0) -> Scenario:
@@ -148,6 +150,32 @@ def olygamer_scenario(seed: int = 0) -> Scenario:
     return _scenario_cache[key]
 
 
+def olygamer_nat_replay(seed: int, start: float, end: float) -> NatExperimentResult:
+    """The paper week's [start, end) window through the default NAT box.
+
+    ``NatDevice(seed=seed + 100).run(olygamer_scenario(seed).packet_window(start, end))``,
+    replayed once per process and shared by Table IV and Figs 14-15.  The
+    result's arrays are read-only, so no caller can change what the next
+    one reads.
+    """
+    key = (seed, float(start), float(end))
+    if key not in _nat_replay_cache:
+        result = NatDevice(seed=seed + 100).run(
+            olygamer_scenario(seed).packet_window(start, end)
+        )
+        forwarding = result.forwarding
+        for column in (
+            forwarding.fates,
+            forwarding.departures,
+            forwarding.directions,
+            forwarding.timestamps,
+        ):
+            column.flags.writeable = False
+        _nat_replay_cache[key] = result
+    return _nat_replay_cache[key]
+
+
 def clear_scenario_cache() -> None:
-    """Reset the process-wide scenario cache (used by tests)."""
+    """Reset the process-wide scenario and NAT replay caches (used by tests)."""
     _scenario_cache.clear()
+    _nat_replay_cache.clear()

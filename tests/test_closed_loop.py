@@ -1,5 +1,9 @@
 """Unit and integration tests for the closed-loop simulation."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,6 +104,34 @@ class TestCleanLoop:
             run_closed_loop(quick_test_profile(), 0, 10.0)
         with pytest.raises(ValueError):
             run_closed_loop(quick_test_profile(), 4, 0.0)
+
+    def test_non_finite_duration_rejected(self):
+        # a non-finite horizon would tick forever, so run it in a child
+        # interpreter with a timeout
+        _assert_raises_value_error_promptly(
+            "from repro.gameserver.config import quick_test_profile\n"
+            "from repro.gameserver.server import run_closed_loop\n"
+            "for duration in (float('nan'), float('inf'), float('-inf')):\n"
+            "    try:\n"
+            "        run_closed_loop(quick_test_profile(), 2, duration)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'{duration} accepted')\n"
+        )
+
+
+def _assert_raises_value_error_promptly(script: str) -> None:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the simulation did not return within 60 s")
+    assert proc.returncode == 0, proc.stderr or proc.stdout
 
 
 class TestClientStateMachine:
@@ -216,6 +248,22 @@ class TestLiveDeviceUnit:
         assert delivered == [0, 1, 2, 3, 4]
         # FIFO service at 10 ms/packet: 5 packets take ~50 ms
         assert device.stats.forwarded_in == 5
+
+    def test_nan_horizon_rejected(self):
+        _assert_raises_value_error_promptly(
+            "from repro.router.livedevice import LiveForwardingDevice\n"
+            "from repro.sim.engine import EventScheduler\n"
+            "try:\n"
+            "    LiveForwardingDevice(EventScheduler(), horizon=float('nan'))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('NaN horizon accepted')\n"
+        )
+
+    def test_infinite_horizon_is_accepted(self):
+        device = LiveForwardingDevice(EventScheduler(), horizon=float("inf"))
+        assert device._stalls
+        assert all(np.isfinite(window).all() for window in device._stalls)
 
     def test_queue_overflow_drops(self):
         scheduler = EventScheduler()

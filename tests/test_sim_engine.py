@@ -154,6 +154,22 @@ class TestBounds:
         with pytest.raises(SimulationError):
             sched.run_until(1000.0, max_events=100)
 
+    def test_nan_time_rejected(self):
+        sched = EventScheduler()
+        with pytest.raises(SimulationError):
+            sched.schedule(float("nan"), lambda: None)
+        assert sched.pending_count == 0
+
+    def test_nan_horizon_rejected(self):
+        # max_events only keeps a faulty scheduler from spinning forever:
+        # the NaN must be refused before any event runs
+        sched = EventScheduler()
+        sched.schedule_periodic(0.05, lambda: None)
+        with pytest.raises(SimulationError, match="before now"):
+            sched.run_until(float("nan"), max_events=100)
+        assert sched.executed_count == 0
+        assert sched.now == 0.0
+
     def test_run_drains_heap(self):
         sched = EventScheduler()
         for i in range(5):

@@ -9,7 +9,13 @@ from repro.workloads.links import (
     narrowest_link,
     saturation_report,
 )
-from repro.workloads.scenarios import Scenario, clear_scenario_cache, olygamer_scenario
+from repro.router.nat import NatDevice
+from repro.workloads.scenarios import (
+    Scenario,
+    clear_scenario_cache,
+    olygamer_nat_replay,
+    olygamer_scenario,
+)
 from repro.workloads.web import WebTrafficModel, generate_web_packets, interleave_streams
 from repro.gameserver.config import quick_test_profile
 
@@ -131,3 +137,23 @@ class TestScenario:
         assert a is b
         clear_scenario_cache()
         assert olygamer_scenario(seed=123) is not a
+
+    def test_nat_replay_runs_once_per_seed_and_window(self):
+        clear_scenario_cache()
+        window = (3600.0, 3630.0)
+        replay = olygamer_nat_replay(0, *window)
+        assert olygamer_nat_replay(0, *window) is replay
+        assert olygamer_nat_replay(0, 3600.0, 3640.0) is not replay
+        fresh = NatDevice(seed=100).run(olygamer_scenario(0).packet_window(*window))
+        for name in ("fates", "departures", "directions", "timestamps"):
+            column = getattr(replay.forwarding, name)
+            assert np.array_equal(column, getattr(fresh.forwarding, name), equal_nan=True)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+        assert (replay.table_created, replay.table_peak) == (
+            fresh.table_created, fresh.table_peak,
+        )
+        clear_scenario_cache()
+        assert olygamer_nat_replay(0, *window) is not replay
+        clear_scenario_cache()
