@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.stats.histogram import EmpiricalCDF, Histogram, histogram
+from repro.stats.histogram import EmpiricalCDF, Histogram
+from repro.trace.packet import Direction
 from repro.trace.trace import Trace
 
 #: Fig 12's truncation point: "only a negligible number of packets
@@ -43,21 +44,28 @@ class PacketSizeAnalysis:
     def from_trace(
         cls, trace: Trace, bin_width: float = 10.0, truncate: float = FIGURE_TRUNCATION_BYTES
     ) -> "PacketSizeAnalysis":
-        """Analyse payload sizes of a trace (Fig 12/13 pipelines)."""
+        """Analyse payload sizes of a trace (Fig 12/13 pipelines).
+
+        Reads only ``payload_sizes`` and ``directions``; each direction's
+        sizes keep trace order, so the means are summed in that order.
+        """
         if len(trace) == 0:
             raise ValueError("cannot analyse an empty trace")
         sizes = trace.payload_sizes.astype(float)
-        inbound = trace.inbound().payload_sizes.astype(float)
-        outbound = trace.outbound().payload_sizes.astype(float)
+        inbound = sizes[trace.direction_mask(Direction.IN)]
+        outbound = sizes[trace.direction_mask(Direction.OUT)]
         if inbound.size == 0 or outbound.size == 0:
             raise ValueError("trace must contain packets in both directions")
+        total_cdf = EmpiricalCDF.from_samples(sizes)
+        inbound_cdf = EmpiricalCDF.from_samples(inbound)
+        outbound_cdf = EmpiricalCDF.from_samples(outbound)
         return cls(
-            total_pdf=histogram(sizes, bin_width, low=0.0, high=truncate),
-            inbound_pdf=histogram(inbound, bin_width, low=0.0, high=truncate),
-            outbound_pdf=histogram(outbound, bin_width, low=0.0, high=truncate),
-            total_cdf=EmpiricalCDF.from_samples(sizes),
-            inbound_cdf=EmpiricalCDF.from_samples(inbound),
-            outbound_cdf=EmpiricalCDF.from_samples(outbound),
+            total_pdf=total_cdf.histogram(bin_width, low=0.0, high=truncate),
+            inbound_pdf=inbound_cdf.histogram(bin_width, low=0.0, high=truncate),
+            outbound_pdf=outbound_cdf.histogram(bin_width, low=0.0, high=truncate),
+            total_cdf=total_cdf,
+            inbound_cdf=inbound_cdf,
+            outbound_cdf=outbound_cdf,
             mean_total=float(sizes.mean()),
             mean_in=float(inbound.mean()),
             mean_out=float(outbound.mean()),

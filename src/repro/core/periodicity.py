@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.stats.autocorr import burstiness_index, dominant_period, peak_to_mean_ratio
 from repro.stats.binning import bin_events
+from repro.trace.packet import Direction
 from repro.trace.trace import Trace
 
 
@@ -43,15 +44,15 @@ class PeriodicityAnalysis:
         if len(trace) == 0:
             raise ValueError("cannot analyse an empty trace")
         start, end = trace.start_time, trace.end_time
-        outbound = trace.outbound()
-        inbound = trace.inbound()
-        if len(outbound) < 10 or len(inbound) < 10:
+        outbound = trace.timestamps[trace.direction_mask(Direction.OUT)]
+        inbound = trace.timestamps[trace.direction_mask(Direction.IN)]
+        if outbound.size < 10 or inbound.size < 10:
             raise ValueError("window too small for periodicity analysis")
         out_counts = bin_events(
-            outbound.timestamps, bin_size, start_time=start, end_time=end
+            outbound, bin_size, start_time=start, end_time=end
         ).counts
         in_counts = bin_events(
-            inbound.timestamps, bin_size, start_time=start, end_time=end
+            inbound, bin_size, start_time=start, end_time=end
         ).counts
         period = dominant_period(
             out_counts, bin_size, max_period=max_period, min_period=2 * bin_size

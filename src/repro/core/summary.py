@@ -12,7 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.gameserver.population import PopulationResult
+from repro.trace.packet import Direction
 from repro.trace.trace import Trace
 
 
@@ -70,24 +73,34 @@ class NetworkUsage:
         """Compute usage from a packet trace.
 
         ``duration`` overrides the trace's first-to-last span (use the
-        window length so idle tails count toward rates).
+        window length so idle tails count toward rates).  Reads only the
+        ``directions`` and ``payload_sizes`` columns: per-direction
+        counts and integer payload sums, exact in any order.
         """
-        inbound = trace.inbound()
-        outbound = trace.outbound()
         span = duration if duration > 0 else trace.duration
         if span <= 0:
             raise ValueError("cannot compute rates over a zero-length window")
+        payload = trace.payload_sizes
+        wire_total = trace.overhead.wire_bytes_total
+        app_bytes = trace.total_payload_bytes
+        inbound = trace.direction_mask(Direction.IN)
+        outbound = trace.direction_mask(Direction.OUT)
+        packets_in = int(np.count_nonzero(inbound))
+        packets_out = int(np.count_nonzero(outbound))
+        # a zeroed copy sums faster than a masked reduction
+        app_in = int((payload * inbound).sum(dtype=np.int64))
+        app_out = int((payload * outbound).sum(dtype=np.int64))
         return cls(
             duration=span,
             total_packets=len(trace),
-            packets_in=len(inbound),
-            packets_out=len(outbound),
-            wire_bytes=trace.total_wire_bytes,
-            wire_bytes_in=inbound.total_wire_bytes,
-            wire_bytes_out=outbound.total_wire_bytes,
-            app_bytes=trace.total_payload_bytes,
-            app_bytes_in=inbound.total_payload_bytes,
-            app_bytes_out=outbound.total_payload_bytes,
+            packets_in=packets_in,
+            packets_out=packets_out,
+            wire_bytes=wire_total(app_bytes, len(trace)),
+            wire_bytes_in=wire_total(app_in, packets_in),
+            wire_bytes_out=wire_total(app_out, packets_out),
+            app_bytes=app_bytes,
+            app_bytes_in=app_in,
+            app_bytes_out=app_out,
         )
 
     # -- Table II rows ---------------------------------------------------

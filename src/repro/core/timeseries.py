@@ -59,22 +59,36 @@ def packet_load_series(
 
     ``direction=None`` aggregates both directions.  Weights are wire
     bytes so the bandwidth axis matches Table II's accounting.
+
+    Reads only the window's rows: a binary search on the sorted
+    timestamps takes every row from one bin before ``start_time`` to
+    two bins past ``end_time`` (``bin_events`` keeps events past
+    ``end_time`` that fall in the last bin when the bin count rounds
+    up), and :func:`bin_events` then applies its own in-range rule to
+    those rows alone, in trace order, so every bin equals binning the
+    whole direction.
     """
     if direction is None:
-        sub = trace
         label = "total"
     elif direction is Direction.IN:
-        sub = trace.inbound()
         label = "in"
     else:
-        sub = trace.outbound()
-        label = "out"
+        direction, label = Direction.OUT, "out"
     start = trace.start_time if start_time is None else start_time
     end = trace.end_time if end_time is None else end_time
+    timestamps = trace.timestamps
+    lo = int(np.searchsorted(timestamps, start - bin_size, side="left"))
+    hi = int(np.searchsorted(timestamps, end + 2 * bin_size, side="right"))
+    times = timestamps[lo:hi]
+    wire = trace.payload_sizes[lo:hi].astype(np.int64) + trace.overhead.per_packet
+    if direction is not None:
+        mask = trace.directions[lo:hi] == np.int8(direction)
+        times = times[mask]
+        wire = wire[mask]
     series = bin_events(
-        sub.timestamps,
+        times,
         bin_size,
-        weights=sub.wire_sizes().astype(float),
+        weights=wire.astype(float),
         start_time=start,
         end_time=end,
     )

@@ -23,6 +23,7 @@ from repro.core.report import ComparisonRow
 from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.router.cache import (
     CacheStats,
+    ClassLabels,
     EvictionPolicy,
     LookupCostModel,
     RouteCache,
@@ -54,10 +55,11 @@ def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     )
 
     cost_model = LookupCostModel()
+    classes = ClassLabels.encode(labels)
     results: Dict[EvictionPolicy, CacheStats] = {}
     for policy in EvictionPolicy:
         cache = RouteCache(CACHE_CAPACITY, policy=policy)
-        results[policy] = simulate_cache(keys, sizes, cache, labels=labels)
+        results[policy] = simulate_cache(keys, sizes, cache, labels=classes)
 
     lru = results[EvictionPolicy.LRU]
     size_pref = results[EvictionPolicy.SIZE_PREFERENTIAL]

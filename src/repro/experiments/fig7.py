@@ -39,12 +39,12 @@ def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     # dispersion measured over a longer stretch for stability
     window = trace.time_slice(start, start + 60.0)
     in_counts = np.histogram(
-        window.inbound().timestamps, bins=int(60.0 / BIN_SIZE),
-        range=(start, start + 60.0),
+        window.timestamps[window.direction_mask(Direction.IN)],
+        bins=int(60.0 / BIN_SIZE), range=(start, start + 60.0),
     )[0].astype(float)
     out_counts = np.histogram(
-        window.outbound().timestamps, bins=int(60.0 / BIN_SIZE),
-        range=(start, start + 60.0),
+        window.timestamps[window.direction_mask(Direction.OUT)],
+        bins=int(60.0 / BIN_SIZE), range=(start, start + 60.0),
     )[0].astype(float)
     in_burst = burstiness_index(in_counts)
     out_burst = burstiness_index(out_counts)

@@ -216,9 +216,9 @@ class CountLevelGenerator:
 
     # ------------------------------------------------------------------
     def per_second(self) -> FluidSeries:
-        """Per-second counts/bytes over the full horizon."""
+        """Per-second counts/bytes over the full horizon (the same on every call)."""
         profile = self.profile
-        rng = self.streams.get("fluid")
+        rng = self.streams.fresh("fluid")
         mult_sum, prob_sum = self._per_second_sums()
         open_fraction = 1.0 - self._gap_fraction_per_second()
         seconds = mult_sum.size
@@ -271,13 +271,14 @@ class CountLevelGenerator:
         per bin around the structural rate.  Suitable for variance-time
         analysis over windows where packet-level generation would be too
         large, at the cost of slightly idealised inbound dispersion.
+        Every call with the same arguments returns the same series.
         """
         profile = self.profile
         if bin_size <= 0 or bin_size > 1.0:
             raise ValueError(f"bin_size must lie in (0, 1] seconds: {bin_size!r}")
         if not 0.0 <= window_start < window_end <= profile.duration + 1e-9:
             raise ValueError("window outside horizon")
-        rng = self.streams.get("fluid-highres")
+        rng = self.streams.fresh("fluid-highres")
         nbins = int(math.ceil((window_end - window_start) / bin_size))
         mult_sum, prob_sum = self._per_second_sums()
         gaps = self.population.gap_intervals()
@@ -328,13 +329,25 @@ class CountLevelGenerator:
 
 
 def _times_open(times: np.ndarray, gaps) -> np.ndarray:
-    """True where ``times`` fall outside every gap interval."""
+    """False where the last gap starting at or before ``times`` still runs.
+
+    ``gaps`` is a list of ``(start, end)`` sorted by start, as
+    :meth:`PopulationResult.gap_intervals` returns it.  ``times`` must
+    be ascending (both callers pass an ``arange``): gap ``k`` then
+    governs the times in ``[start_k, start_{k+1})`` and closes the
+    contiguous run of them in ``[start_k, min(end_k, start_{k+1}))``,
+    found by two binary searches per gap and cleared as one slice.  A
+    gap nested in an earlier, longer one ends the closure at its own
+    end, and of gaps with equal starts the last one counts.
+    """
+    open_mask = np.ones(times.shape, dtype=bool)
     if not gaps or times.size == 0:
-        return np.ones(times.shape, dtype=bool)
+        return open_mask
     starts = np.asarray([g[0] for g in gaps])
     ends = np.asarray([g[1] for g in gaps])
-    index = np.searchsorted(starts, times, side="right") - 1
-    open_mask = np.ones(times.shape, dtype=bool)
-    valid = index >= 0
-    open_mask[valid] = times[valid] >= ends[index[valid]]
+    stops = np.minimum(ends, np.append(starts[1:], np.inf))
+    first = np.searchsorted(times, starts, side="left").tolist()
+    last = np.searchsorted(times, stops, side="left").tolist()
+    for lo, hi in zip(first, last):
+        open_mask[lo:hi] = False
     return open_mask

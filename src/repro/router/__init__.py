@@ -16,6 +16,7 @@ from repro.router.ablation import (
 )
 from repro.router.cache import (
     CacheStats,
+    ClassLabels,
     EvictionPolicy,
     LookupCostModel,
     RouteCache,
@@ -35,6 +36,7 @@ __all__ = [
     "BufferSweepPoint",
     "CacheStats",
     "CapacitySweepPoint",
+    "ClassLabels",
     "DEVICE_DELAY_BUDGET_S",
     "DeviceProfile",
     "EvictionPolicy",

@@ -30,7 +30,7 @@ import enum
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +87,32 @@ class CacheStats:
             self.misses += 1
             if label is not None:
                 self.class_misses[label] = self.class_misses.get(label, 0) + 1
+
+
+@dataclass(frozen=True)
+class ClassLabels:
+    """Per-packet traffic-class labels, encoded once for many replays.
+
+    ``codes[i]`` indexes ``names`` for packet ``i``.  Encoding a label
+    column sorts its strings, which costs more than tallying one replay,
+    so a sweep that replays one stream under several policies encodes
+    it once and passes the result to every :func:`simulate_cache` call.
+    """
+
+    names: Tuple[str, ...]
+    codes: np.ndarray
+
+    @classmethod
+    def encode(cls, labels: np.ndarray) -> "ClassLabels":
+        """Encode a column of label strings (anything ``str`` accepts)."""
+        tags = np.asarray(labels)
+        if tags.dtype.kind != "U":
+            tags = np.array([str(tag) for tag in tags.tolist()])
+        names, codes = np.unique(tags, return_inverse=True)
+        return cls(tuple(names.tolist()), codes)
+
+    def __len__(self) -> int:
+        return int(self.codes.size)
 
 
 class RouteCache:
@@ -206,12 +232,13 @@ def simulate_cache(
     destinations: np.ndarray,
     sizes: np.ndarray,
     cache: RouteCache,
-    labels: Optional[np.ndarray] = None,
+    labels: Union[np.ndarray, ClassLabels, None] = None,
 ) -> CacheStats:
     """Run a packet stream (dest key + size arrays) through a route cache.
 
     ``labels`` optionally tags each packet with a traffic-class name for
-    per-class hit accounting.
+    per-class hit accounting, as a column of names or as
+    :class:`ClassLabels` encoded once for several replays of a stream.
 
     Equivalent to calling ``cache.access(int(key), int(size), str(label))``
     per packet, but the stream runs through one loop per policy over
@@ -372,13 +399,13 @@ def _lfu_loop(cache: RouteCache, keys: List[int], preferential: bool) -> bytearr
     return hit
 
 
-def _tally_classes(stats: CacheStats, hit: np.ndarray, labels: np.ndarray) -> None:
+def _tally_classes(
+    stats: CacheStats, hit: np.ndarray, labels: Union[np.ndarray, ClassLabels]
+) -> None:
     """Add per-class hits and misses, each dict's new keys in first-seen order."""
-    tags = np.asarray(labels)
-    if tags.dtype.kind != "U":
-        tags = np.array([str(tag) for tag in tags.tolist()])
-    names, codes = np.unique(tags, return_inverse=True)
-    names = names.tolist()
+    if not isinstance(labels, ClassLabels):
+        labels = ClassLabels.encode(labels)
+    names, codes = labels.names, labels.codes
     for tally, mask in ((stats.class_hits, hit), (stats.class_misses, ~hit)):
         chosen = codes[mask]
         counts = np.bincount(chosen, minlength=len(names))

@@ -130,6 +130,15 @@ class RandomStreams:
             )
         return self._streams[name]
 
+    def fresh(self, name: str) -> np.random.Generator:
+        """A new generator at the start of ``name``'s sequence.
+
+        It draws what the first :meth:`get` of ``name`` drew, whatever
+        ``get``'s generator has drawn since, so a method that draws only
+        from ``fresh`` returns the same result on every call.
+        """
+        return np.random.default_rng(derive_seed(self.master_seed, name))
+
     def spawn(self, name: str) -> "RandomStreams":
         """Create a child stream family (e.g. one per simulated client)."""
         return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))

@@ -82,19 +82,26 @@ def histogram(
     Samples outside the range count toward ``total_samples`` but not any
     bin — this is the truncation semantics of the paper's Fig 12.
     """
+    samples = np.asarray(samples, dtype=float)
+    edges = _bin_edges(samples.max() if samples.size else None, bin_width, low, high)
+    counts, _ = np.histogram(samples, bins=edges)
+    return Histogram(bin_edges=edges, counts=counts.astype(np.int64), total_samples=int(samples.size))
+
+
+def _bin_edges(
+    top: Optional[float], bin_width: float, low: float, high: Optional[float]
+) -> np.ndarray:
+    """:func:`histogram`'s bin edges; ``top`` is the sample maximum (None if empty)."""
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width!r}")
-    samples = np.asarray(samples, dtype=float)
     if high is None:
-        top = float(samples.max()) if samples.size else low + bin_width
+        top = float(top) if top is not None else low + bin_width
         nbins = max(1, int(np.ceil((top - low) / bin_width + 1e-9)))
     else:
         if high <= low:
             raise ValueError(f"high {high!r} must exceed low {low!r}")
         nbins = max(1, int(np.round((high - low) / bin_width)))
-    edges = low + bin_width * np.arange(nbins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    return Histogram(bin_edges=edges, counts=counts.astype(np.int64), total_samples=int(samples.size))
+    return low + bin_width * np.arange(nbins + 1)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,30 @@ class EmpiricalCDF:
         if samples.size == 0:
             raise ValueError("cannot build a CDF from zero samples")
         return cls(sorted_samples=np.sort(samples))
+
+    def histogram(
+        self, bin_width: float, low: float = 0.0, high: Optional[float] = None
+    ) -> Histogram:
+        """:func:`histogram` of the same samples, counted without re-sorting.
+
+        ``np.histogram`` with explicit edges sorts the samples and counts
+        each bin with binary searches (left edges half-open, the last bin
+        closed); the same searches on the already sorted samples give the
+        same counts.
+        """
+        ordered = self.sorted_samples
+        edges = _bin_edges(ordered[-1], bin_width, low, high)
+        cumulative = np.concatenate(
+            [
+                np.searchsorted(ordered, edges[:-1], side="left"),
+                np.searchsorted(ordered, edges[-1:], side="right"),
+            ]
+        )
+        return Histogram(
+            bin_edges=edges,
+            counts=np.diff(cumulative).astype(np.int64),
+            total_samples=int(ordered.size),
+        )
 
     def __call__(self, x) -> np.ndarray:
         """P(X <= x), evaluated elementwise."""

@@ -93,10 +93,12 @@ def load_trace(path: str, server_address: Optional[IPv4Address] = None) -> Trace
                 protocols=archive["protocols"],
                 server_address=address,
                 overhead=overhead,
-                check_sorted=False,
             )
         except KeyError as exc:
             raise TraceFormatError(f"{path}: missing column {exc}") from exc
+        except ValueError as exc:
+            # unequal columns, or timestamps out of order or NaN
+            raise TraceFormatError(f"{path}: {exc}") from exc
     declared = metadata.get("packets")
     if declared is not None and declared != len(trace):
         raise TraceFormatError(

@@ -73,8 +73,11 @@ class Trace:
                 raise ValueError(
                     f"column {name} has shape {column.shape}, expected ({n},)"
                 )
-        if check_sorted and n > 1 and np.any(np.diff(self.timestamps) < 0):
-            raise ValueError("trace timestamps must be non-decreasing")
+        # a NaN compares false both ways, so the pairwise check alone
+        # would pass [0, 2, NaN, 1]; every binary-search window needs order
+        ts = self.timestamps
+        if check_sorted and (np.isnan(ts).any() or np.any(ts[1:] < ts[:-1])):
+            raise ValueError("trace timestamps must be non-decreasing and not NaN")
         self.server_address = server_address
         self.overhead = overhead if overhead is not None else OverheadModel(
             WIRE_OVERHEAD_UDP_V4
@@ -190,20 +193,37 @@ class Trace:
         return self.directions == np.int8(direction)
 
     def inbound(self) -> "Trace":
-        """Sub-trace of client-to-server packets."""
+        """Sub-trace of client-to-server packets.
+
+        A full copy of all eight columns: an analysis that reads one or
+        two columns should index them with :meth:`direction_mask`.
+        """
         return self.select(self.direction_mask(Direction.IN))
 
     def outbound(self) -> "Trace":
-        """Sub-trace of server-to-client packets."""
+        """Sub-trace of server-to-client packets.
+
+        A full copy of all eight columns: an analysis that reads one or
+        two columns should index them with :meth:`direction_mask`.
+        """
         return self.select(self.direction_mask(Direction.OUT))
 
     def time_slice(self, start: float, end: float) -> "Trace":
-        """Packets with ``start <= timestamp < end`` (uses binary search)."""
+        """Packets with ``start <= timestamp < end`` (uses binary search).
+
+        The rows are contiguous, so each column is one slice, copied so
+        the result never pins this trace's arrays.
+        """
         if end < start:
             raise ValueError(f"end {end!r} before start {start!r}")
         lo = int(np.searchsorted(self.timestamps, start, side="left"))
         hi = int(np.searchsorted(self.timestamps, end, side="left"))
-        return self._take(np.arange(lo, hi))
+        return Trace(
+            server_address=self.server_address,
+            overhead=self.overhead,
+            check_sorted=False,
+            **{name: getattr(self, name)[lo:hi].copy() for name in _COLUMNS},
+        )
 
     @property
     def total_payload_bytes(self) -> int:
@@ -369,6 +389,9 @@ class TraceBuilder:
         if sort:
             order = np.argsort(columns["timestamps"], kind="stable")
             columns = {name: col[order] for name, col in columns.items()}
+            # argsort puts any NaN last, where the order check would see it
+            if order.size and np.isnan(columns["timestamps"][-1]):
+                raise ValueError("trace timestamps must not be NaN")
         return Trace(
             server_address=self.server_address,
             overhead=self.overhead,

@@ -132,6 +132,18 @@ class TestHighResolutionWindow:
         inbound = window.in_counts.reshape(-1, 5).sum(axis=0)
         assert inbound.max() < 0.5 * inbound.sum()
 
+    def test_repeated_calls_draw_the_same_series(self, quick_profile, quick_population):
+        # each call starts its stream afresh, so a second run of an
+        # experiment on a cached scenario reproduces the first
+        generator = CountLevelGenerator(
+            quick_profile, population=quick_population, seed=11
+        )
+        first = generator.high_resolution_window(60.0, 120.0, bin_size=0.010)
+        second = generator.high_resolution_window(60.0, 120.0, bin_size=0.010)
+        assert np.array_equal(first.in_counts, second.in_counts)
+        assert np.array_equal(first.out_counts, second.out_counts)
+        assert np.array_equal(generator.per_second().in_counts, generator.per_second().in_counts)
+
     def test_invalid_windows_rejected(self, quick_profile, quick_population):
         generator = CountLevelGenerator(
             quick_profile, population=quick_population, seed=11

@@ -5,6 +5,7 @@ import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.router.cache import (
+    ClassLabels,
     EvictionPolicy,
     LookupCostModel,
     RouteCache,
@@ -211,6 +212,28 @@ class TestEvictionGolden:
             stats.rejected_insertions,
         )
         assert (counts, stats.class_hits, stats.class_misses) == self.GOLDEN[policy]
+
+    def test_labels_encoded_once_tally_like_a_label_column(self):
+        keys, sizes, labels = _mixed_stream()
+        classes = ClassLabels.encode(labels)
+        assert classes.names == ("game", "web") and len(classes) == keys.size
+        for policy in EvictionPolicy:
+            column = simulate_cache(keys, sizes, RouteCache(4, policy=policy), labels=labels)
+            encoded = simulate_cache(keys, sizes, RouteCache(4, policy=policy), labels=classes)
+            assert encoded == column
+            # first-seen key order of the per-class dicts is kept too
+            assert list(encoded.class_hits) == list(column.class_hits)
+            assert list(encoded.class_misses) == list(column.class_misses)
+
+    def test_non_string_labels_encoded_by_str(self):
+        classes = ClassLabels.encode(np.asarray([3, 1, 3, 2]))
+        assert classes.names == ("1", "2", "3")
+        assert classes.codes.tolist() == [2, 0, 2, 1]
+
+    def test_encoded_labels_must_match_the_stream(self):
+        classes = ClassLabels.encode(np.asarray(["game"] * 3))
+        with pytest.raises(ValueError, match="labels"):
+            simulate_cache(np.arange(4), np.zeros(4), RouteCache(2), labels=classes)
 
     def test_lfu_tie_evicts_the_first_equal_count_entry(self):
         cache = RouteCache(3, policy=EvictionPolicy.LFU)

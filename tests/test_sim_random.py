@@ -39,6 +39,13 @@ class TestRandomStreams:
         b = RandomStreams(2).get("x").uniform(size=10)
         assert not np.allclose(a, b)
 
+    def test_fresh_restarts_the_named_sequence(self):
+        streams = RandomStreams(42)
+        first = streams.get("a").uniform(size=5)
+        assert np.array_equal(streams.fresh("a").uniform(size=5), first)
+        assert streams.fresh("a") is not streams.fresh("a")
+        assert streams.names() == ("a",)
+
     def test_spawn_is_reproducible(self):
         a = RandomStreams(7).spawn("child").get("s").uniform(size=4)
         b = RandomStreams(7).spawn("child").get("s").uniform(size=4)

@@ -54,6 +54,27 @@ class TestCompactFormat:
         with pytest.raises(TraceFormatError, match="metadata"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "timestamps", [[0.0, 2.0, 1.0], [0.0, 2.0, np.nan, 3.0], [np.nan]]
+    )
+    def test_unordered_timestamps_rejected(self, tmp_path, timestamps):
+        # every binary-search window over a loaded trace relies on the order
+        n = len(timestamps)
+        unordered = Trace(
+            timestamps=np.asarray(timestamps),
+            directions=np.zeros(n),
+            src_addrs=np.zeros(n),
+            dst_addrs=np.zeros(n),
+            src_ports=np.zeros(n),
+            dst_ports=np.zeros(n),
+            payload_sizes=np.zeros(n),
+            check_sorted=False,
+        )
+        path = str(tmp_path / "unordered.npz")
+        save_trace(unordered, path)
+        with pytest.raises(TraceFormatError, match="non-decreasing"):
+            load_trace(path)
+
     def test_empty_trace_roundtrip(self, tmp_path):
         path = str(tmp_path / "empty.npz")
         save_trace(Trace.empty(server_address=SERVER), path)

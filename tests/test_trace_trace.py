@@ -99,6 +99,51 @@ class TestTraceConstruction:
                 payload_sizes=np.asarray([10, 10]),
             )
 
+    @pytest.mark.parametrize(
+        "timestamps",
+        [[0.0, 2.0, np.nan, 1.0], [0.0, np.nan, 1.0], [np.nan], [np.nan, np.nan], [1.0, np.nan]],
+    )
+    def test_nan_timestamp_rejected_as_out_of_order(self, timestamps):
+        # a NaN compares false both ways, so a pairwise check passes it
+        n = len(timestamps)
+        with pytest.raises(ValueError, match="non-decreasing and not NaN"):
+            Trace(
+                timestamps=np.asarray(timestamps),
+                directions=np.zeros(n),
+                src_addrs=np.zeros(n),
+                dst_addrs=np.zeros(n),
+                src_ports=np.zeros(n),
+                dst_ports=np.zeros(n),
+                payload_sizes=np.zeros(n),
+            )
+
+    def test_infinite_and_repeated_timestamps_are_in_order(self):
+        timestamps = np.asarray([-np.inf, 0.0, 0.0, np.inf, np.inf])
+        trace = Trace(
+            timestamps=timestamps,
+            directions=np.zeros(5),
+            src_addrs=np.zeros(5),
+            dst_addrs=np.zeros(5),
+            src_ports=np.zeros(5),
+            dst_ports=np.zeros(5),
+            payload_sizes=np.zeros(5),
+        )
+        assert len(trace.time_slice(0.0, 1.0)) == 2
+
+    @pytest.mark.parametrize("sort", [True, False])
+    def test_builder_rejects_nan_timestamp(self, sort):
+        builder = TraceBuilder()
+        for t in (0.0, np.nan, 1.0):
+            builder.add_record(make_record(t))
+        with pytest.raises(ValueError, match="NaN"):
+            builder.build(sort=sort)
+
+    def test_builder_of_an_empty_batch_is_empty(self):
+        builder = TraceBuilder()
+        empty = np.zeros(0)
+        builder.add_batch(empty, empty, empty, empty, empty, empty, empty)
+        assert len(builder.build()) == 0
+
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             Trace(
@@ -208,6 +253,13 @@ class TestTraceQueries:
             column = getattr(window, name)
             assert column.dtype == getattr(synthetic_trace, name).dtype
             assert np.array_equal(column, getattr(synthetic_trace, name)[mask])
+
+    def test_time_slice_copies_are_contiguous(self, synthetic_trace):
+        window = synthetic_trace.time_slice(0.2, 0.5)
+        for name in _COLUMNS:
+            column = getattr(window, name)
+            assert column.flags.c_contiguous and column.flags.owndata
+            assert not np.shares_memory(column, getattr(synthetic_trace, name))
 
     def test_record_negative_index(self, synthetic_trace):
         last = synthetic_trace.record(-1)
