@@ -7,11 +7,10 @@ a significantly larger mean.
 
 from __future__ import annotations
 
-from repro.core.packetsize import PacketSizeAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
 from repro.experiments.base import ExperimentOutput, RunConfig
-from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
+from repro.workloads.scenarios import olygamer_packet_sizes
 
 EXPERIMENT_ID = "fig12"
 TITLE = "Packet size probability density functions (Fig 12)"
@@ -19,9 +18,7 @@ TITLE = "Packet size probability density functions (Fig 12)"
 
 def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the per-direction payload-size PDFs."""
-    scenario = olygamer_scenario(seed)
-    trace = scenario.packet_window(*DEFAULT_PACKET_WINDOW)
-    analysis = PacketSizeAnalysis.from_trace(trace)
+    analysis = olygamer_packet_sizes(seed)
     rows = [
         ComparisonRow("mean payload in", paperdata.MEAN_PAYLOAD_BYTES_IN,
                       analysis.mean_in, unit="B", tolerance_factor=1.2),

@@ -9,11 +9,10 @@ observed was above 400 bytes."
 
 from __future__ import annotations
 
-from repro.core.packetsize import PacketSizeAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
 from repro.experiments.base import ExperimentOutput, RunConfig
-from repro.workloads.scenarios import DEFAULT_PACKET_WINDOW, olygamer_scenario
+from repro.workloads.scenarios import olygamer_packet_sizes
 
 EXPERIMENT_ID = "fig13"
 TITLE = "Packet size cumulative distribution functions (Fig 13)"
@@ -21,9 +20,7 @@ TITLE = "Packet size cumulative distribution functions (Fig 13)"
 
 def run(seed: int = 0, config: RunConfig = RunConfig()) -> ExperimentOutput:
     """Reproduce the payload-size CDFs and their headline quantiles."""
-    scenario = olygamer_scenario(seed)
-    trace = scenario.packet_window(*DEFAULT_PACKET_WINDOW)
-    analysis = PacketSizeAnalysis.from_trace(trace)
+    analysis = olygamer_packet_sizes(seed)
     rows = [
         ComparisonRow("inbound packets under 60B", 0.99,
                       analysis.fraction_under(paperdata.INBOUND_SIZE_BOUND, "in"),

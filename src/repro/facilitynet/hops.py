@@ -21,7 +21,6 @@ instead of being a pure sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -116,22 +115,18 @@ class HopTraversal:
         index = np.clip(index, 0, nbins - 1)
         payload = self.ingress.payload_sizes.astype(np.float64)
         forwarded = self.fates == 1
-
-        def binned(values: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
-            out = np.zeros(nbins)
-            if mask is None:
-                np.add.at(out, index, values)
-            else:
-                np.add.at(out, index[mask], values[mask])
-            return out
-
+        carried = index[forwarded]
+        # bincount sums each bin in row order like `np.add.at` did; the
+        # sums are counts and integer-valued byte totals, exact either way
         return FluidSeries(
             bin_size=float(bin_size),
             start_time=float(start),
-            in_counts=binned(np.ones(self.offered)),
-            out_counts=binned(np.ones(self.offered), forwarded),
-            in_bytes=binned(payload),
-            out_bytes=binned(payload, forwarded),
+            in_counts=np.bincount(index, minlength=nbins).astype(np.float64),
+            out_counts=np.bincount(carried, minlength=nbins).astype(np.float64),
+            in_bytes=np.bincount(index, weights=payload, minlength=nbins),
+            out_bytes=np.bincount(
+                carried, weights=payload[forwarded], minlength=nbins
+            ),
         )
 
 

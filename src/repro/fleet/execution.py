@@ -14,9 +14,14 @@ are not reorderable).  This module pins both down:
   out-of-order completions — the fold sees exactly the serial order, so
   serial and parallel runs are bit-identical.
 
-The fold consumes each result as soon as its index is reached, and
-submissions are capped at twice the worker count in flight (running or
-buffered), so peak memory is the accumulator plus O(workers) per-server
+Pool submissions are chunks: each future runs a run of
+``ceil(misses / (8 * workers))`` consecutive tasks still to compute
+(:func:`_chunk_size`), so short per-server tasks do not pay one pool
+round trip each, and about eight chunks per worker keep the workers
+balanced.  The fold consumes each result as soon as its index is
+reached, and at most ``2 * workers * chunk`` tasks are in flight
+(submitted and not yet folded: running, or finished and buffered), so
+peak memory is the accumulator plus O(workers × chunk) per-server
 results — never all of them at once, regardless of fleet size or task
 skew.
 
@@ -28,7 +33,7 @@ optional matchmaker-assigned session table; their workers hand it to
 whether a server simulates its own arrivals or replays those sessions.
 
 When a trace session is active in the parent
-(:func:`repro.obs.current_session`), submitted tasks run under a
+(:func:`repro.obs.current_session`), each task of a chunk runs under a
 lightweight per-worker tracer: the worker resets its (subprocess-local)
 metrics registry, wraps the task in a ``fleet.worker_task`` span, and
 ships the resulting span records plus metric deltas back *on the same
@@ -139,9 +144,33 @@ def _merge_worker_telemetry(telemetry) -> None:
     obs_metrics.registry().merge_state(telemetry["metrics"])
 
 
+def _run_chunk(fn, tasks: list, indexes: list, epoch_s: Optional[float]) -> list:
+    """Worker: ``fn`` over a run of tasks, results in task order.
+
+    ``epoch_s`` is the parent session's epoch when it is tracing (then
+    each task runs under :func:`_traced_call` and keeps its own
+    ``task_index`` span and metric deltas), ``None`` otherwise.
+    """
+    if epoch_s is None:
+        return [fn(task) for task in tasks]
+    return [
+        _traced_call(fn, task, index, epoch_s)
+        for task, index in zip(tasks, indexes)
+    ]
+
+
 # ----------------------------------------------------------------------
 # ordered map/fold
 # ----------------------------------------------------------------------
+#: Target number of submitted chunks per worker (see :func:`_chunk_size`).
+_CHUNKS_PER_WORKER = 8
+
+
+def _chunk_size(n_tasks: int, workers: int) -> int:
+    """Tasks per pool submission: about ``_CHUNKS_PER_WORKER`` chunks per worker."""
+    return max(1, -(-n_tasks // (_CHUNKS_PER_WORKER * workers)))
+
+
 def shard_map_fold(
     fn: Callable[[T], R],
     tasks: Sequence[T],
@@ -233,42 +262,51 @@ def _shard_map_fold(
     # when the parent is tracing, wrap each submitted task so the worker
     # ships its span records + metric deltas back with the result
     tracer = obs_trace.current_tracer()
+    epoch_s = tracer.epoch_s if tracer is not None else None
 
+    # One future per run of `chunk` consecutive misses: tasks as short
+    # as a few milliseconds otherwise spend their time on pool round
+    # trips.  About `_CHUNKS_PER_WORKER` chunks per worker keep the
+    # workers balanced when task costs differ.
+    chunk = _chunk_size(len(miss_indexes), workers)
     accumulator = initial
     next_index = 0
     submit_cursor = 0
+    in_flight = 0  # tasks submitted and not yet folded
     out_of_order: dict = {}
-    # Cap in-flight work (running + buffered results) so a slow early
+    # Cap in-flight *tasks* (running + buffered results) so a slow early
     # task cannot pile the other N-1 results into the buffer — this is
     # what keeps peak memory independent of fleet size.
-    max_in_flight = 2 * workers
+    max_in_flight = 2 * workers * chunk
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        index_of: dict = {}
+        indexes_of: dict = {}
         pending: set = set()
 
         def top_up() -> None:
-            nonlocal submit_cursor
-            while (
-                submit_cursor < len(miss_indexes)
-                and len(pending) + len(out_of_order) < max_in_flight
-            ):
-                index = miss_indexes[submit_cursor]
-                if tracer is not None:
-                    future = pool.submit(
-                        _traced_call, fn, tasks[index], index, tracer.epoch_s
-                    )
-                else:
-                    future = pool.submit(fn, tasks[index])
-                index_of[future] = index
+            nonlocal submit_cursor, in_flight
+            while submit_cursor < len(miss_indexes):
+                indexes = miss_indexes[submit_cursor : submit_cursor + chunk]
+                if in_flight + len(indexes) > max_in_flight:
+                    break
+                future = pool.submit(
+                    _run_chunk,
+                    fn,
+                    [tasks[index] for index in indexes],
+                    indexes,
+                    epoch_s,
+                )
+                indexes_of[future] = indexes
                 pending.add(future)
-                submit_cursor += 1
+                submit_cursor += len(indexes)
+                in_flight += len(indexes)
 
         def drain_ready() -> None:
             """Fold everything available at ``next_index``, in order."""
-            nonlocal accumulator, next_index
+            nonlocal accumulator, next_index, in_flight
             while next_index < len(tasks):
                 if next_index in out_of_order:
                     value = out_of_order.pop(next_index)
+                    in_flight -= 1
                     if tracer is not None:
                         # telemetry merges strictly in task-index order,
                         # so absorbed spans and metric folds are
@@ -293,7 +331,9 @@ def _shard_map_fold(
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                out_of_order[index_of.pop(future)] = future.result()
+                out_of_order.update(
+                    zip(indexes_of.pop(future), future.result())
+                )
             drain_ready()
             top_up()
         drain_ready()

@@ -17,8 +17,11 @@ Two implementations share the contract:
   drains, the no-drop Lindley recursion is evaluated per busy period
   with vectorised sequential sums, and a cumulative-backlog scan finds
   busy periods that would overflow the buffer — only those rerun the
-  scalar loop.  Its fates and departures are bit-identical to the
-  scalar kernel (pinned by ``tests/test_kernels_fifo.py``).
+  scalar loop, and each resumes at its first overflowing arrival: every
+  packet before it is admitted, so the no-drop finishes already there
+  are exact.  Its fates and departures are bit-identical to the scalar
+  kernel (pinned by ``tests/test_kernels_fifo.py`` and
+  ``tests/test_kernels_reference.py``).
 
 :func:`fifo_forward` dispatches between them automatically.
 """
@@ -26,6 +29,7 @@ Two implementations share the contract:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional, Sequence, Tuple
@@ -289,25 +293,50 @@ def _scalar_span(
     iterates ``tolist()`` copies of the span and writes all fates and
     departures of ``[start, end)`` back once, after the loop; rows
     outside the span are not touched.
+
+    The buffer test is O(1): with sorted arrivals, non-negative service
+    times, and a ``backlog``/``engine_free`` state the loop itself could
+    reach (the fast path passes no other), admitted finish times never
+    decrease, so the packets still in the buffer at ``now`` — those
+    finishing after it — are a suffix of the admitted finishes, and the
+    buffer is full exactly when the ``queue``-th last of them is past
+    ``now``.  A ring of the last ``queue`` finishes answers that with one
+    comparison, without expiring anything per packet, in O(``queue``)
+    memory.  The returned backlog is cut back to what
+    :func:`_scalar_fifo`'s deque holds after the span's last arrival:
+    the finishes past it, plus the last packet's own finish when it was
+    admitted, even if that equals the arrival time.
     """
+    if start >= end:
+        return engine_free, backlog
     times = timestamps[start:end].tolist()
     services = service_times[start:end].tolist()
     fate = [1] * len(times)
     depart = [math.nan] * len(times)
+    # oldest slot at `pos`; -inf marks a slot not yet written.  A span
+    # that cannot fill `queue` slots gets one more slot than it can
+    # write, so its ring never wraps and never reports a full buffer.
+    size = min(queue, len(backlog) + len(times) + 1)
+    held = list(backlog)[-size:]
+    ring = [-math.inf] * (size - len(held)) + held
+    pos = 0
     for k, now in enumerate(times):
-        while backlog and backlog[0] <= now:
-            backlog.popleft()
-        if len(backlog) >= queue:
+        if ring[pos] > now:
             fate[k] = 0
             continue
-        start_service = max(now, engine_free)
-        finish = start_service + services[k]
-        engine_free = finish
-        depart[k] = finish
-        backlog.append(finish)
+        if now > engine_free:
+            engine_free = now
+        engine_free += services[k]
+        depart[k] = engine_free
+        ring[pos] = engine_free
+        pos += 1
+        if pos == size:
+            pos = 0
     fates[start:end] = fate
     departures[start:end] = depart
-    return engine_free, backlog
+    finishes = ring[pos:] + ring[:pos]  # oldest first
+    last = len(finishes) - 1 if fate[-1] else len(finishes)
+    return engine_free, deque(finishes[bisect_right(finishes, times[-1], 0, last):])
 
 
 # ----------------------------------------------------------------------
@@ -367,9 +396,9 @@ def _vectorized_fifo(
     periods come from the closed-form no-drop workload, exact finish
     times are recomputed per busy period with the scalar loop's own
     addition order, and a cumulative-backlog scan flags busy periods
-    whose queue would overflow — only those rerun the scalar recursion.
-    All float comparisons below are exact, so every output bit matches
-    :func:`_scalar_fifo`.
+    whose queue would overflow — only those rerun the scalar recursion,
+    from their first overflowing arrival on.  All float comparisons
+    below are exact, so every output bit matches :func:`_scalar_fifo`.
     """
     n = t.size
     # closed-form no-drop finishes (different summation order than the
@@ -426,15 +455,26 @@ def _vectorized_fifo(
     departures[:] = finishes
     rerun_segments = 0
     seg_of = np.cumsum(is_start) - 1
-    dirty = np.unique(seg_of[overflow])
+    overflow_segs = seg_of[overflow]
+    # each dirty busy period's first overflowing row (`overflow` is sorted)
+    first = np.empty(overflow.size, dtype=bool)
+    first[0] = True
+    np.not_equal(overflow_segs[1:], overflow_segs[:-1], out=first[1:])
     processed_until = 0
-    for j in dirty:
-        j = int(j)
+    for j, o in zip(overflow_segs[first].tolist(), overflow[first].tolist()):
         if int(bounds[j]) < processed_until:
             continue  # swallowed by the previous chain
-        a, b = int(bounds[j]), int(bounds[j + 1])
-        engine_free: float = float(t[a])
-        backlog: Deque[float] = deque()
+        # Rows before the first overflow `o` admit every packet, so
+        # the no-drop finishes (and departures) already written for
+        # them are exact: the rerun starts at `o` with the state the
+        # scalar loop has there — the engine frees at the previous
+        # finish, and the buffer holds the earlier finishes still
+        # pending at t[o] (at the first overflow these are exactly the
+        # last `queue` finishes, all inside this busy period).
+        held = finishes[max(int(bounds[j]), o - queue):o]
+        engine_free: float = float(finishes[o - 1])
+        backlog: Deque[float] = deque(held[held > t[o]].tolist())
+        a, b = o, int(bounds[j + 1])
         while True:
             # the span rewrites every fate and departure of [a, b)
             rerun_segments += 1

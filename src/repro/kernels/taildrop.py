@@ -41,7 +41,11 @@ def _scalar_tail_drop(
     fate = [1] * len(times)
     depart = [math.nan] * len(times)
     for k, (now, size) in enumerate(zip(times, sizes[start:end].tolist())):
-        backlog = max(0.0, backlog - rate * (now - last_time))
+        # `max(0.0, x)` without the builtin call: the negated test keeps
+        # its result for -0.0 and NaN too (both give 0.0)
+        backlog -= rate * (now - last_time)
+        if not backlog > 0.0:
+            backlog = 0.0
         last_time = now
         if backlog + size > buffer_bytes:
             fate[k] = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.core.packetsize import PacketSizeAnalysis
 from repro.gameserver.config import ServerProfile, olygamer_week
 from repro.gameserver.fluid import CountLevelGenerator, FluidSeries
 from repro.gameserver.generator import PacketLevelGenerator
@@ -140,6 +141,7 @@ class Scenario:
 
 _scenario_cache: Dict[Tuple[str, int], Scenario] = {}
 _nat_replay_cache: Dict[Tuple[int, float, float], NatExperimentResult] = {}
+_packet_size_cache: Dict[Tuple[int, float, float], PacketSizeAnalysis] = {}
 
 
 def olygamer_scenario(seed: int = 0) -> Scenario:
@@ -175,7 +177,34 @@ def olygamer_nat_replay(seed: int, start: float, end: float) -> NatExperimentRes
     return _nat_replay_cache[key]
 
 
+def olygamer_packet_sizes(
+    seed: int,
+    start: float = DEFAULT_PACKET_WINDOW[0],
+    end: float = DEFAULT_PACKET_WINDOW[1],
+) -> PacketSizeAnalysis:
+    """The paper week's [start, end) payload-size distributions.
+
+    ``PacketSizeAnalysis.from_trace(olygamer_scenario(seed).packet_window(start, end))``,
+    analysed once per process and shared by Figs 12 and 13.  The
+    analysis's arrays are read-only, so no caller can change what the
+    next one reads.
+    """
+    key = (seed, float(start), float(end))
+    if key not in _packet_size_cache:
+        analysis = PacketSizeAnalysis.from_trace(
+            olygamer_scenario(seed).packet_window(start, end)
+        )
+        for cdf in (analysis.total_cdf, analysis.inbound_cdf, analysis.outbound_cdf):
+            cdf.sorted_samples.flags.writeable = False
+        for pdf in (analysis.total_pdf, analysis.inbound_pdf, analysis.outbound_pdf):
+            pdf.bin_edges.flags.writeable = False
+            pdf.counts.flags.writeable = False
+        _packet_size_cache[key] = analysis
+    return _packet_size_cache[key]
+
+
 def clear_scenario_cache() -> None:
-    """Reset the process-wide scenario and NAT replay caches (used by tests)."""
+    """Reset the process-wide scenario, NAT replay and packet-size caches (used by tests)."""
     _scenario_cache.clear()
     _nat_replay_cache.clear()
+    _packet_size_cache.clear()

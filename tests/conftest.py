@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.gameserver.config import ServerProfile, quick_test_profile
 from repro.gameserver.generator import PacketLevelGenerator
@@ -11,6 +12,11 @@ from repro.gameserver.population import PopulationResult, simulate_population
 from repro.net.addresses import IPv4Address
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace, TraceBuilder
+
+# `--hypothesis-profile=deep`: ten times hypothesis's default example
+# count for the `@given` tests that leave `max_examples` to the profile
+# (the kernel-oracle sweeps); tier-1 runs the default profile
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -27,6 +27,30 @@ def poisson_trace(rate=500.0, duration=10.0, seed=3, payload=120):
     return builder.build()
 
 
+def _add_at_series(traversal, start, end, bin_size):
+    """``HopTraversal.series``'s columns as ``np.add.at`` sums (the oracle)."""
+    nbins = int(np.ceil((end - start) / bin_size))
+    index = ((traversal.ingress.timestamps - start) / bin_size).astype(np.int64)
+    index = np.clip(index, 0, nbins - 1)
+    payload = traversal.ingress.payload_sizes.astype(np.float64)
+    forwarded = traversal.fates == 1
+
+    def binned(values, mask=None):
+        out = np.zeros(nbins)
+        if mask is None:
+            np.add.at(out, index, values)
+        else:
+            np.add.at(out, index[mask], values[mask])
+        return out
+
+    return {
+        "in_counts": binned(np.ones(traversal.offered)),
+        "out_counts": binned(np.ones(traversal.offered), forwarded),
+        "in_bytes": binned(payload),
+        "out_bytes": binned(payload, forwarded),
+    }
+
+
 class TestFifoForwardKernel:
     def test_empty_stream(self):
         result = fifo_forward(np.empty(0), np.empty(0), primary_queue=4)
@@ -201,6 +225,24 @@ class TestTraceHops:
         drops = series.in_counts - series.out_counts
         assert float(drops.sum()) == traversal.dropped
         assert np.all(drops >= 0)
+
+    @pytest.mark.parametrize("bin_size", [0.25, 1.0, 0.7])
+    def test_series_bit_identical_to_add_at_binning(self, bin_size):
+        # mixed payloads, a lossy hop, and packets before `start` and
+        # past `end` that clip into the first and last bins
+        rng = np.random.default_rng(41)
+        builder = TraceBuilder(server_address=SERVER)
+        for t in np.sort(rng.uniform(0.0, 8.0, 4000)):
+            builder.add(float(t), Direction.OUT, SERVER.value, CLIENT.value,
+                        27015, 1000, int(rng.integers(0, 1400)))
+        traversal = bps_hop(builder.build(), rate_bps=2e6, buffer_bytes=20_000)
+        assert traversal.dropped > 0
+        series = traversal.series(1.0, 7.0, bin_size)
+        reference = _add_at_series(traversal, 1.0, 7.0, bin_size)
+        for column in ("in_counts", "out_counts", "in_bytes", "out_bytes"):
+            got, want = getattr(series, column), reference[column]
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_bps_hop_uses_wire_sizes(self):
         trace = poisson_trace(rate=200.0, duration=5.0, payload=0)

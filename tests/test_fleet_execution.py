@@ -5,6 +5,10 @@ facility aggregates for 1, 2, and 4 workers — the whole point of
 index-derived seeds plus index-ordered folding.
 """
 
+import os
+import time
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,8 @@ from repro.fleet import (
     shard_map,
     shard_map_fold,
 )
+from repro.fleet.cache import ShardCache
+from repro.fleet.execution import _chunk_size
 from repro.gameserver.config import quick_test_profile
 
 FLUID_ARRAYS = ("in_counts", "out_counts", "in_bytes", "out_bytes")
@@ -128,3 +134,93 @@ def _explode_on_two(x: int) -> int:
     if x == 2:
         raise ValueError("boom")
     return x
+
+
+@dataclass(frozen=True)
+class DrawTask:
+    """A cacheable task whose result is a few seeded float draws."""
+
+    seed: int
+
+
+def _draw(task: DrawTask) -> np.ndarray:
+    return np.random.default_rng(task.seed).random(4)
+
+
+def _explode_on_four(x: int) -> int:
+    if x == 4:
+        raise ValueError("boom at 4")
+    return x
+
+
+def _mark_started(task) -> int:
+    """Leave a marker when the task starts; task 0 is slow."""
+    root, index = task
+    with open(os.path.join(root, str(index)), "w"):
+        pass
+    if index == 0:
+        time.sleep(0.3)
+    return index
+
+
+class TestChunkedSubmissions:
+    """Pool futures carry runs of tasks; the fold still sees task order."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n_tasks", [1, 15, 17, 257])
+    def test_order_and_bit_identity(self, n_tasks, workers):
+        tasks = [DrawTask(seed) for seed in range(n_tasks)]
+        serial = shard_map(_draw, tasks, workers=1)
+        sharded = shard_map(_draw, tasks, workers=workers)
+        assert len(sharded) == n_tasks
+        for a, b in zip(serial, sharded):
+            assert a.tobytes() == b.tobytes()
+
+    def test_chunk_size_rule(self):
+        # about eight chunks per worker, never empty
+        assert _chunk_size(256, 2) == 16
+        assert _chunk_size(64, 2) == 4
+        assert _chunk_size(16, 2) == 1
+        assert _chunk_size(1, 3) == 1
+        assert _chunk_size(257, 3) == 11
+
+    def test_partly_warm_cache_splits_miss_runs(self, tmp_path):
+        tasks = [DrawTask(seed) for seed in range(60)]
+        warm = tasks[::3]
+        cache = ShardCache(tmp_path)
+        shard_map(_draw, warm, workers=1, cache=cache)
+        # the 40 misses run three to a chunk, and each chunk's indexes
+        # skip the cached tasks between them
+        assert _chunk_size(40, 2) == 3
+        cache = ShardCache(tmp_path)
+        sharded = shard_map(_draw, tasks, workers=2, cache=cache)
+        serial = shard_map(_draw, tasks, workers=1)
+        for a, b in zip(serial, sharded):
+            assert a.tobytes() == b.tobytes()
+        assert (cache.stats.hits, cache.stats.misses) == (20, 40)
+        assert cache.stats.stores == 40
+
+    def test_exception_in_the_middle_of_a_chunk_propagates(self):
+        # 48 tasks on 2 workers run in chunks of 3: task 4 is the middle
+        # one of the chunk [3, 4, 5]
+        assert _chunk_size(48, 2) == 3
+        with pytest.raises(ValueError, match="boom at 4"):
+            shard_map(_explode_on_four, list(range(48)), workers=2)
+
+    def test_in_flight_tasks_stay_within_the_cap(self, tmp_path):
+        workers, n_tasks = 2, 64
+        chunk = _chunk_size(n_tasks, workers)
+        depths = []
+
+        def fold(folded, index):
+            # tasks started and not yet folded, this one included
+            depths.append(len(os.listdir(tmp_path)) - folded)
+            assert index == folded
+            return folded + 1
+
+        tasks = [(str(tmp_path), index) for index in range(n_tasks)]
+        assert shard_map_fold(_mark_started, tasks, fold, 0, workers=workers) == n_tasks
+        # the slow first task lets the others run ahead up to the cap,
+        # which counts tasks (2 x workers x chunk), not futures
+        assert max(depths) <= 2 * workers * chunk
+        assert max(depths) > 2 * workers

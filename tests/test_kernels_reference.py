@@ -7,6 +7,10 @@ loops in their one-numpy-scalar-per-packet form.  Every case here
 compares fates, departures, returned queue state and freeze windows
 with exact equality: the list form changes where values are read and
 written, never a float expression.
+
+The ``@given`` sweeps run under the active hypothesis profile: tier-1
+uses the default one, and ``--hypothesis-profile=deep`` (registered in
+``conftest.py``) runs ten times as many examples.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernels_reference import (
     reference_fifo,
@@ -22,7 +28,7 @@ from kernels_reference import (
     reference_tail_drop,
     reference_tail_drop_link,
 )
-from repro.kernels import FreezePolicy, fifo_forward, tail_drop_link
+from repro.kernels import FreezePolicy, fifo, fifo_forward, tail_drop_link
 from repro.kernels.fifo import _scalar_fifo, _scalar_span
 from repro.kernels.taildrop import _scalar_tail_drop
 
@@ -157,5 +163,240 @@ class TestTailDrop:
         fates, departures = _outputs(t.size)
         state = _scalar_tail_drop(t, sizes, rate, 20_000.0, fates, departures,
                                   1000, 4000, 15_000.0, float(t[999]))
+        assert_same(fates, departures, ref_fates, ref_departures)
+        assert state == ref_state
+
+
+# ----------------------------------------------------------------------
+# the fast path's drop spans, resumed at their first overflow
+# ----------------------------------------------------------------------
+def _stream(seed, n, load, service):
+    """A sorted arrival stream and its service times.
+
+    ``constant`` and ``jittered`` (lognormal, cv 0.3) services see
+    Poisson arrivals at ``load`` times the service rate; ``lattice``
+    puts arrivals and services (zeros included) on a 0.5 grid, so
+    finishes tie with arrivals exactly.
+    """
+    rng = np.random.default_rng(seed)
+    if service == "lattice":
+        t = np.sort(rng.integers(0, max(1, int(n / load)), n)) * 0.5
+        return t.astype(np.float64), rng.integers(0, 3, n) * 0.5
+    mean = 1e-3
+    t = np.cumsum(rng.exponential(mean / load, n))
+    if service == "constant":
+        return t, np.full(n, mean)
+    sigma = np.sqrt(np.log(1.09))
+    return t, rng.lognormal(np.log(mean) - 0.5 * sigma**2, sigma, n)
+
+
+def _busy_periods(t, s):
+    """``[head, end)`` of each no-drop busy period (the scalar recursion)."""
+    heads, free = [], -np.inf
+    for i, (now, service) in enumerate(zip(t.tolist(), s.tolist())):
+        if not free > now:
+            heads.append(i)
+        free = max(now, free) + service
+    return list(zip(heads, heads[1:] + [t.size]))
+
+
+def _recorded_spans(monkeypatch):
+    """Record the ``[start, end)`` of every ``_scalar_span`` call."""
+    spans = []
+
+    def recording(timestamps, service_times, queue, fates, departures,
+                  start, end, engine_free, backlog):
+        spans.append((start, end))
+        return _scalar_span(timestamps, service_times, queue, fates,
+                            departures, start, end, engine_free, backlog)
+
+    monkeypatch.setattr(fifo, "_scalar_span", recording)
+    return spans
+
+
+class TestFifoResume:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1500),
+        load=st.floats(0.5, 3.0),
+        queue=st.sampled_from([1, 2, 128]),
+        service=st.sampled_from(["constant", "jittered", "lattice"]),
+    )
+    @example(seed=1, n=1500, load=3.0, queue=128, service="constant")
+    @example(seed=2, n=1500, load=2.0, queue=2, service="lattice")
+    def test_fifo_forward_matches_oracle(self, seed, n, load, queue, service):
+        t, s = _stream(seed, n, load, service)
+        ref_fates, ref_departures = _outputs(n)
+        reference_fifo(t, s, None, queue, 1, (), None, ref_fates, ref_departures)
+        result = fifo_forward(t, s, primary_queue=queue)
+        assert_same(result.fates, result.departures, ref_fates, ref_departures)
+
+    def test_first_overflow_deep_inside_a_long_busy_period(self, monkeypatch):
+        # arrivals 1% faster than service: one busy period whose backlog
+        # grows by a packet every ~100 arrivals, so the buffer of 8
+        # first overflows ~800 rows past the period's head
+        t = np.arange(3000) / 1.01
+        s = np.ones(t.size)
+        spans = _recorded_spans(monkeypatch)
+        fates = assert_fifo_matches(t, s, primary_queue=8)
+        first_drop = int(np.flatnonzero(fates == 0)[0])
+        assert first_drop > 700
+        assert spans == [(first_drop, t.size)]
+
+    @pytest.mark.parametrize("queue", [1, 2, 3])
+    def test_arrival_equal_to_a_no_drop_finish_at_the_resume_row(self, queue):
+        # integral times, unit services: the first overflow's arrival
+        # equals the finish just before the buffered ones, which has
+        # left the buffer (finish <= now) — the resume state excludes it
+        t = np.concatenate([np.zeros(queue), np.ones(queue + 2), [2.0, 9.0, 9.0]])
+        s = np.ones(t.size)
+        fates = assert_fifo_matches(t, s, primary_queue=queue)
+        assert (fates == 0).any()
+
+    def test_residual_work_carried_across_a_candidate_boundary(self, monkeypatch):
+        # With drops the engine frees no later than the no-drop finish,
+        # so a validated boundary always drains; the chain that carries
+        # residual work into the next busy period is a safety net.  Run
+        # it: each span hands on a phantom finish just past the next
+        # candidate boundary (it occupies no arrival's buffer slot:
+        # arrivals are distinct and the queue is deep enough), so the
+        # chain reruns the following busy periods from carried state.
+        rng = np.random.default_rng(12)
+        bursts = np.repeat(np.cumsum(rng.exponential(50.0, 30)), 40)
+        t = np.sort(bursts + rng.uniform(0.0, 10.0, bursts.size))
+        s = rng.uniform(0.5, 1.5, t.size)
+        spans = []
+
+        def carrying(timestamps, service_times, queue, fates, departures,
+                     start, end, engine_free, backlog):
+            spans.append((start, end))
+            engine_free, backlog = _scalar_span(
+                timestamps, service_times, queue, fates, departures,
+                start, end, engine_free, backlog,
+            )
+            if end < timestamps.size and len(spans) % 2:
+                backlog.append(float(np.nextafter(timestamps[end], np.inf)))
+            return engine_free, backlog
+
+        monkeypatch.setattr(fifo, "_scalar_span", carrying)
+        fates = assert_fifo_matches(t, s, primary_queue=12)
+        assert (fates == 0).any()
+        # some span picked up exactly where the previous one ended
+        assert any(a == prev_end for (_, prev_end), (a, _) in zip(spans, spans[1:]))
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        queue=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_scalar_span_state_with_zero_services(self, seed, n, queue, data):
+        # lattice times with zero services: the last admitted finish can
+        # equal its own arrival, and the returned backlog still holds it
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.integers(0, max(1, n // 2), n)) * 0.5
+        s = np.where(rng.random(n) < 0.5, 0.0, rng.integers(0, 3, n) * 0.5)
+        start = data.draw(st.integers(0, n))
+        end = data.draw(st.integers(start, n))
+        # queue state at `start`, from the oracle itself
+        warm_fates, warm_departures = _outputs(n)
+        engine_free, backlog = reference_span(
+            t, s, queue, warm_fates, warm_departures, 0, start,
+            float(t[0]), deque(),
+        )
+        ref_fates, ref_departures = _outputs(n)
+        ref_state = reference_span(t, s, queue, ref_fates, ref_departures,
+                                   start, end, engine_free, deque(backlog))
+        fates, departures = _outputs(n)
+        state = _scalar_span(t, s, queue, fates, departures,
+                             start, end, engine_free, deque(backlog))
+        assert_same(fates, departures, ref_fates, ref_departures)
+        assert state[0] == ref_state[0]
+        assert list(state[1]) == list(ref_state[1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("queue", [2, 16])
+    def test_scalar_rows_start_at_the_first_overflow(self, monkeypatch, seed, queue):
+        rng = np.random.default_rng(seed)
+        # bursts at 2x the service rate between idle gaps: the buffer
+        # first overflows part-way into each bursty busy period
+        bursts = np.repeat(np.cumsum(rng.exponential(200.0, 30)), 80)
+        t = np.sort(bursts + rng.uniform(0.0, 40.0, bursts.size))
+        s = rng.uniform(0.5, 1.5, t.size)  # 80 arrivals in 40 time units
+        spans = _recorded_spans(monkeypatch)
+        fates = assert_fifo_matches(t, s, primary_queue=queue)
+        rows = sum(end - start for start, end in spans)
+        # a busy period drops first at its first overflow, so the
+        # scalar rows are bounded by the dirty periods' rows from there
+        dirty_rows = tail_rows = 0
+        for head, end in _busy_periods(t, s):
+            drops = np.flatnonzero(fates[head:end] == 0)
+            if drops.size:
+                dirty_rows += end - head
+                tail_rows += end - head - int(drops[0])
+        assert 0 < rows <= tail_rows < dirty_rows
+
+
+# ----------------------------------------------------------------------
+# tail-drop sweeps
+# ----------------------------------------------------------------------
+class TestTailDropSweep:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3000),
+        load=st.floats(0.3, 4.0),
+        buffer_packets=st.floats(1.0, 40.0),
+        lattice=st.booleans(),
+    )
+    def test_scalar_loop_matches_oracle(self, seed, n, load, buffer_packets, lattice):
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice([60.0, 90.0, 576.0, 1500.0], n)
+        rate = 500_000.0  # B/s
+        mean_gap = sizes.mean() / rate / load
+        if lattice:  # arrivals tie exactly, on a power-of-two grid
+            t = np.cumsum(rng.integers(0, 3, n)) * 2.0**-12
+        else:
+            t = np.cumsum(rng.exponential(mean_gap, n))
+        buffer_bytes = buffer_packets * 576.0
+        ref_fates, ref_departures = _outputs(n)
+        ref_state = reference_tail_drop(t, sizes, rate, buffer_bytes, ref_fates,
+                                        ref_departures, 0, n, 0.0, float(t[0]))
+        fates, departures = _outputs(n)
+        state = _scalar_tail_drop(t, sizes, rate, buffer_bytes, fates,
+                                  departures, 0, n, 0.0, float(t[0]))
+        assert_same(fates, departures, ref_fates, ref_departures)
+        assert state == ref_state
+        # the link's closed-form chunks round departures differently from
+        # the recursion (by an ulp or so), never a fate
+        link_fates, link_departures = tail_drop_link(t, sizes, 8.0 * rate,
+                                                     buffer_bytes)
+        np.testing.assert_array_equal(link_fates, ref_fates)
+        np.testing.assert_allclose(link_departures, ref_departures,
+                                   rtol=1e-12, atol=0.0)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 500),
+        backlog=st.floats(0.0, 30_000.0),
+        data=st.data(),
+    )
+    def test_scalar_span_resumes_queue_state(self, seed, n, backlog, data):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 0.1, n))
+        sizes = rng.integers(0, 1500, n).astype(float)
+        start = data.draw(st.integers(0, n - 1))
+        end = data.draw(st.integers(start, n))
+        args = (2e5, 20_000.0)
+        state_in = (backlog, float(t[start]) - float(rng.uniform(0.0, 0.05)))
+        ref_fates, ref_departures = _outputs(n)
+        ref_state = reference_tail_drop(t, sizes, *args, ref_fates,
+                                        ref_departures, start, end, *state_in)
+        fates, departures = _outputs(n)
+        state = _scalar_tail_drop(t, sizes, *args, fates, departures,
+                                  start, end, *state_in)
         assert_same(fates, departures, ref_fates, ref_departures)
         assert state == ref_state

@@ -24,13 +24,17 @@ import pytest
 from repro import obs
 from repro.fleet.execution import (
     SeriesTask,
+    _chunk_size,
     fleet_server_seed,
+    shard_map,
     shard_map_fold,
     simulate_series,
 )
 from repro.fleet.profiles import hosting_facility
 from repro.gameserver.fluid import fluid_series_equal
 from repro.obs import analysis
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.obs.export import load_manifest
 
 SEED = 5
@@ -140,6 +144,37 @@ class TestWorkerSpans:
 
         assert run.forest.worker_nodes() == []
         assert any(node.name == "fleet.shard" for node in run.forest)
+
+
+def _counted_work(task: int) -> int:
+    """A light task that opens a span and bumps a counter by its own value."""
+    with obs_trace.span("test.chunk_work", value=task):
+        obs_metrics.registry().counter("test.chunk_work").inc(task)
+    return task
+
+
+class TestChunkedTelemetry:
+    def test_each_task_of_a_chunk_ships_its_own_span_and_deltas(self, tmp_path):
+        n_tasks, workers = 40, 2
+        assert _chunk_size(n_tasks, workers) == 3  # several tasks per future
+        obs.start_trace_session(tmp_path, seed=SEED, workers=workers)
+        try:
+            result = shard_map(_counted_work, list(range(n_tasks)), workers=workers)
+        finally:
+            obs.end_trace_session()
+        assert result == list(range(n_tasks))
+        run = analysis.load_run(tmp_path)
+
+        nodes = run.forest.worker_nodes()
+        assert sorted(node.task_index for node in nodes) == list(range(n_tasks))
+        for node in nodes:
+            # the root worker span carries this task's delta alone
+            delta = node.metrics.get("test.chunk_work", {})
+            assert delta.get("value", 0) == node.task_index
+            (child,) = node.children
+            assert child.name == "test.chunk_work"
+            assert child.task_index == node.task_index
+        assert run.metric_totals["test.chunk_work"] == sum(range(n_tasks))
 
 
 class TestBitIdentity:

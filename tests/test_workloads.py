@@ -9,11 +9,13 @@ from repro.workloads.links import (
     narrowest_link,
     saturation_report,
 )
+from repro.core.packetsize import PacketSizeAnalysis
 from repro.router.nat import NatDevice
 from repro.workloads.scenarios import (
     Scenario,
     clear_scenario_cache,
     olygamer_nat_replay,
+    olygamer_packet_sizes,
     olygamer_scenario,
 )
 from repro.workloads.web import WebTrafficModel, generate_web_packets, interleave_streams
@@ -156,4 +158,29 @@ class TestScenario:
         )
         clear_scenario_cache()
         assert olygamer_nat_replay(0, *window) is not replay
+        clear_scenario_cache()
+
+    def test_packet_sizes_analysed_once_per_seed_and_window(self):
+        clear_scenario_cache()
+        window = (3600.0, 3630.0)
+        analysis = olygamer_packet_sizes(0, *window)
+        assert olygamer_packet_sizes(0, *window) is analysis
+        assert olygamer_packet_sizes(0, 3600.0, 3640.0) is not analysis
+        fresh = PacketSizeAnalysis.from_trace(olygamer_scenario(0).packet_window(*window))
+        for name in ("total", "inbound", "outbound"):
+            cdf = getattr(analysis, f"{name}_cdf")
+            assert np.array_equal(cdf.sorted_samples, getattr(fresh, f"{name}_cdf").sorted_samples)
+            pdf = getattr(analysis, f"{name}_pdf")
+            fresh_pdf = getattr(fresh, f"{name}_pdf")
+            assert np.array_equal(pdf.counts, fresh_pdf.counts)
+            assert np.array_equal(pdf.bin_edges, fresh_pdf.bin_edges)
+            for column in (cdf.sorted_samples, pdf.counts, pdf.bin_edges):
+                assert not column.flags.writeable
+                with pytest.raises(ValueError):
+                    column[0] = column[0]
+        assert (analysis.mean_total, analysis.mean_in, analysis.mean_out) == (
+            fresh.mean_total, fresh.mean_in, fresh.mean_out,
+        )
+        clear_scenario_cache()
+        assert olygamer_packet_sizes(0, *window) is not analysis
         clear_scenario_cache()
