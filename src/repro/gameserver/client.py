@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.gameserver.network import ClientPath
 from repro.sim.engine import EventScheduler
+from repro.trace.packet import Direction
 
 #: Engine liveness window: silence longer than this drops the link.
 DEFAULT_TIMEOUT_S = 5.0
@@ -29,6 +30,17 @@ class ClientState(enum.Enum):
     CONNECTING = "connecting"
     CONNECTED = "connected"
     DISCONNECTED = "disconnected"
+
+
+_CONNECTED = ClientState.CONNECTED
+
+
+def _inbound(transport, handler, client) -> Callable[[], None]:
+    """``handler(client)`` as one call, offered to ``transport`` first."""
+    deliver = partial(handler, client)
+    if transport is None:
+        return deliver
+    return partial(transport, Direction.IN, deliver)
 
 
 class GameClient:
@@ -53,6 +65,11 @@ class GameClient:
         desynchronised at the server).
     timeout:
         Liveness window before the client declares the server gone.
+    transport:
+        Optional callable ``(direction, deliver) -> bool`` (the live NAT
+        device) that each connect request, update and disconnect is
+        offered to as an inbound packet once it crosses the uplink.
+        ``None`` hands them to the server directly.
     """
 
     def __init__(
@@ -65,6 +82,7 @@ class GameClient:
         update_interval: float = 0.0485,
         update_jitter: float = 0.012,
         timeout: float = DEFAULT_TIMEOUT_S,
+        transport: Optional[Callable[[Direction, Callable[[], None]], bool]] = None,
     ) -> None:
         if update_interval <= 0:
             raise ValueError(f"update_interval must be positive: {update_interval!r}")
@@ -82,6 +100,12 @@ class GameClient:
         self.updates_sent = 0
         self.timed_out = False
         self._send_event = None
+        # the messages' arrivals at the far end of the uplink and the
+        # update timer's callback, bound once
+        self._request_arrives = _inbound(transport, server.on_connect_request, self)
+        self._update_arrives = _inbound(transport, server.on_client_update, self)
+        self._leave_arrives = _inbound(transport, server.on_disconnect, self)
+        self._send_next = self._send_update
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -93,19 +117,15 @@ class GameClient:
         self.state = ClientState.CONNECTING
         if not self.path.uplink.sample_loss(self.rng):
             delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.schedule_in(
-                delay, lambda: self.server.on_connect_request(self)
-            )
+            self.scheduler.call_in(delay, self._request_arrives)
         else:
             # lost handshake: retry once after a second, as the engine does
-            self.scheduler.schedule_in(1.0, self._retry_connect)
+            self.scheduler.call_in(1.0, self._retry_connect)
 
     def _retry_connect(self) -> None:
         if self.state is ClientState.CONNECTING:
             delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.schedule_in(
-                delay, lambda: self.server.on_connect_request(self)
-            )
+            self.scheduler.call_in(delay, self._request_arrives)
 
     def on_connect_reply(self, accepted: bool) -> None:
         """Server's answer arrives on the downlink."""
@@ -120,32 +140,31 @@ class GameClient:
 
     def disconnect(self) -> None:
         """Leave the game voluntarily (session over)."""
-        if self.state is not ClientState.CONNECTED:
+        if self.state is not _CONNECTED:
             return
         self.state = ClientState.DISCONNECTED
         if self._send_event is not None:
             self._send_event.cancel()
         if not self.path.uplink.sample_loss(self.rng):
             delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.schedule_in(
-                delay, lambda: self.server.on_disconnect(self)
-            )
+            self.scheduler.call_in(delay, self._leave_arrives)
 
     # ------------------------------------------------------------------
     # the periodic command stream
     # ------------------------------------------------------------------
     def _schedule_next_update(self) -> None:
-        if self.state is not ClientState.CONNECTED:
+        if self.state is not _CONNECTED:
             return
         spacing = self.rng.normal(self.update_interval, self.update_jitter)
         self._send_event = self.scheduler.schedule_in(
-            spacing if spacing > 0.004 else 0.004, self._send_update
+            spacing if spacing > 0.004 else 0.004, self._send_next
         )
 
     def _send_update(self) -> None:
-        if self.state is not ClientState.CONNECTED:
+        if self.state is not _CONNECTED:
             return
-        if self.scheduler.now - self.last_heard > self.timeout:
+        scheduler = self.scheduler
+        if scheduler.now - self.last_heard > self.timeout:
             # the liveness rule: the server has been silent too long
             self.timed_out = True
             self.state = ClientState.DISCONNECTED
@@ -155,17 +174,19 @@ class GameClient:
         uplink = self.path.uplink
         rng = self.rng
         if not uplink.sample_loss(rng):
-            self.scheduler.schedule_in(
-                uplink.sample_delay(rng), partial(self.server.on_client_update, self)
-            )
-        self._schedule_next_update()
+            scheduler.call_in(uplink.sample_delay(rng), self._update_arrives)
+        # the next update (``_schedule_next_update``; still connected)
+        spacing = rng.normal(self.update_interval, self.update_jitter)
+        self._send_event = scheduler.schedule_in(
+            spacing if spacing > 0.004 else 0.004, self._send_next
+        )
 
     # ------------------------------------------------------------------
     # downlink reception
     # ------------------------------------------------------------------
     def deliver_snapshot(self) -> None:
         """A server snapshot arrives (already past path loss/delay)."""
-        if self.state is not ClientState.CONNECTED:
+        if self.state is not _CONNECTED:
             return
         self.snapshots_received = self.snapshots_received + 1
         self.last_heard = self.scheduler.now

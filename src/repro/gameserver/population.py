@@ -402,7 +402,7 @@ class PopulationSimulator:
         self._schedule_next_attempt()
         for outage in profile.outages:
             if outage.start < profile.duration:
-                self._scheduler.schedule(
+                self._scheduler.call_at(
                     outage.start, lambda o=outage: self._begin_outage(o), priority=-1
                 )
         self._scheduler.run_until(profile.duration)
@@ -452,7 +452,7 @@ class PopulationSimulator:
                 return
             if random() <= rate_at(t) / lam_max:
                 break
-        self._scheduler.schedule(t, self._on_attempt)
+        self._scheduler.call_at(t, self._on_attempt)
 
     def _on_attempt(self) -> None:
         self._handle_attempt(forced_client=None)
@@ -580,7 +580,7 @@ class PopulationSimulator:
                 )
             when = now + delay
             if when < self.profile.duration:
-                self._scheduler.schedule(
+                self._scheduler.call_at(
                     when,
                     lambda cid=client_id: self._handle_attempt(forced_client=cid),
                 )

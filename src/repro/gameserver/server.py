@@ -40,6 +40,9 @@ FREEZE_DETECT_S = 0.35
 _IN = int(Direction.IN)
 _OUT = int(Direction.OUT)
 
+#: A tap row's (direction, src, dst, src port, dst port) prefix.
+_Key = Tuple[int, int, int, int, int]
+
 
 class GameServer:
     """The live server endpoint.
@@ -67,6 +70,8 @@ class GameServer:
         self.profile = profile
         self.scheduler = scheduler
         self.protocol = ProtocolModel.from_profile(profile)
+        self._update_size = self.protocol.client_update.sample
+        self._snapshot_size = self.protocol.server_snapshot.sample
         self.transport = transport
         self.rng = RandomStreams(seed).get("live-server")
         self.slots = SlotTable(capacity=profile.max_players)
@@ -76,10 +81,13 @@ class GameServer:
         self.freeze_seconds = 0.0
         self._frozen_since: Optional[float] = None
         self.timeouts = 0
-        # one (time, direction, src, dst, src port, dst port, size) row per
-        # packet at the tap; client (address, port) pairs by client id
-        self._packets: List[Tuple[float, int, int, int, int, int, int]] = []
-        self._endpoints: Dict[int, Tuple[int, int]] = {}
+        # one (time, key, size) row per packet at the tap, where the key is
+        # the (direction, src, dst, src port, dst port) prefix of the
+        # client's in- or outbound rows, built on the client's first packet
+        self._packets: List[Tuple[float, _Key, int]] = []
+        self._keys: Dict[int, Tuple[_Key, _Key]] = {}
+        # each client's snapshot delivery (through the transport), bound once
+        self._snapshot_sends: Dict[int, Callable[[], None]] = {}
         self._tick_stop = scheduler.schedule_periodic(
             profile.tick_interval, self.on_tick, priority=-1, label="server-tick"
         )
@@ -96,11 +104,14 @@ class GameServer:
         if accepted:
             self.clients[client.client_id] = client
             self._last_heard[client.client_id] = now
+            deliver = partial(self._deliver_snapshot, client)
+            self._snapshot_sends[client.client_id] = (
+                deliver if self.transport is None
+                else partial(self.transport, Direction.OUT, deliver)
+            )
         self._record(Direction.OUT, client,
                      CONTROL_PAYLOADS[MessageType.CONNECT_REPLY])
-        self._send_to_client(
-            client, lambda c=client, a=accepted: c.on_connect_reply(a)
-        )
+        self._send_to_client(partial(client.on_connect_reply, accepted))
 
     def on_disconnect(self, client: GameClient) -> None:
         """A voluntary disconnect arrives."""
@@ -122,11 +133,14 @@ class GameServer:
     # ------------------------------------------------------------------
     def on_client_update(self, client: GameClient) -> None:
         """A movement/command packet arrives (post-path, post-device)."""
-        if client.client_id not in self.clients:
+        client_id = client.client_id
+        if client_id not in self.clients:
             return
         now = self.scheduler.now
-        self._record(Direction.IN, client, self.protocol.client_update.sample(self.rng))
-        self._last_heard[client.client_id] = now
+        self._packets.append((
+            now, self._keys[client_id][0], self._update_size(self.rng)
+        ))
+        self._last_heard[client_id] = now
         self._last_inbound = now
         if self._frozen_since is not None:
             self.freeze_seconds += now - self._frozen_since
@@ -148,33 +162,34 @@ class GameServer:
             return
         probability = min(1.0, self.profile.snapshot_send_probability)
         rng = self.rng
-        snapshot = self.protocol.server_snapshot
-        schedule_in = self.scheduler.schedule_in
+        random = rng.random
+        snapshot_size = self._snapshot_size
+        call_in = self.scheduler.call_in
         emit = self._emit_snapshot
         serialization = 0.0
-        for client in list(self.clients.values()):
+        for client_id in list(self.clients):
             # ``random()`` is the same draw as ``uniform()``
-            if rng.random() >= probability:
+            if random() >= probability:
                 continue
-            size = snapshot.sample(rng)
+            size = snapshot_size(rng)
             # the NIC serialises the burst: ~0.2 ms per small packet at
             # the access link, matching the packet-level generator's
             # 4 ms tick-serialisation window
             serialization += 0.0002
-            schedule_in(serialization, partial(emit, client, size))
+            call_in(serialization, partial(emit, client_id, size))
 
-    def _emit_snapshot(self, client: GameClient, size: int) -> None:
-        if client.client_id not in self.clients:
+    def _emit_snapshot(self, client_id: int, size: int) -> None:
+        if client_id not in self.clients:
             return
-        self._record(Direction.OUT, client, size)
-        self._send_to_client(client, partial(self._deliver_snapshot, client))
+        self._packets.append((self.scheduler.now, self._keys[client_id][1], size))
+        self._snapshot_sends[client_id]()
 
     def _deliver_snapshot(self, client: GameClient) -> None:
         downlink = client.path.downlink
         rng = client.rng
         if downlink.sample_loss(rng):
             return
-        self.scheduler.schedule_in(downlink.sample_delay(rng), client.deliver_snapshot)
+        self.scheduler.call_in(downlink.sample_delay(rng), client.deliver_snapshot)
 
     def _sweep_timeouts(self, now: float) -> None:
         stale = [
@@ -189,34 +204,33 @@ class GameServer:
     # ------------------------------------------------------------------
     # transport and recording
     # ------------------------------------------------------------------
-    def _send_to_client(
-        self, client: GameClient, deliver: Callable[[], None]
-    ) -> None:
+    def _send_to_client(self, deliver: Callable[[], None]) -> None:
         if self.transport is None:
             deliver()
         else:
             self.transport(Direction.OUT, deliver)
 
     def _record(self, direction: Direction, client: GameClient, size: int) -> None:
-        profile = self.profile
+        """Tap one control packet (first contact caches the client's keys)."""
         client_id = client.client_id
-        endpoint = self._endpoints.get(client_id)
-        if endpoint is None:
-            endpoint = self._endpoints[client_id] = (
-                (profile.client_address_base.value + client_id) & 0xFFFFFFFF,
-                27005 + client_id % 1000,
-            )
-        client_addr, port = endpoint
-        if direction is Direction.IN:
-            self._packets.append((
-                self.scheduler.now, _IN, client_addr, profile.server_address.value,
-                port, profile.server_port, size,
-            ))
-        else:
-            self._packets.append((
-                self.scheduler.now, _OUT, profile.server_address.value, client_addr,
-                profile.server_port, port, size,
-            ))
+        keys = self._keys.get(client_id)
+        if keys is None:
+            keys = self._keys[client_id] = self._client_keys(client_id)
+        self._packets.append(
+            (self.scheduler.now, keys[0 if direction is Direction.IN else 1], size)
+        )
+
+    def _client_keys(self, client_id: int) -> Tuple[_Key, _Key]:
+        """The inbound and outbound row prefixes of one client."""
+        profile = self.profile
+        client_addr = (profile.client_address_base.value + client_id) & 0xFFFFFFFF
+        port = 27005 + client_id % 1000
+        server_addr = profile.server_address.value
+        server_port = profile.server_port
+        return (
+            (_IN, client_addr, server_addr, port, server_port),
+            (_OUT, server_addr, client_addr, server_port, port),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -232,7 +246,8 @@ class GameServer:
         """The packets seen at the server's tap so far."""
         builder = TraceBuilder(server_address=self.profile.server_address)
         if self._packets:
-            builder.add_batch(*zip(*self._packets))
+            timestamps, keys, sizes = zip(*self._packets)
+            builder.add_batch(timestamps, *zip(*keys), sizes)
         return builder.build()
 
 
@@ -276,16 +291,15 @@ def run_closed_loop(
         client = GameClient(
             client_id=client_id,
             scheduler=scheduler,
-            server=_TransportWrappedServer(server, transport)
-            if device is not None
-            else server,
+            server=server,
             path=path_for_class(link_class),
             rng=streams.spawn(f"client-{client_id}").get("client"),
             update_interval=profile.client_update_interval,
             update_jitter=profile.client_update_jitter,
+            transport=transport,
         )
         clients.append(client)
-        scheduler.schedule(
+        scheduler.call_at(
             float(streams.get("joins").uniform(0.0, 2.0)), client.connect
         )
 
@@ -298,27 +312,3 @@ def run_closed_loop(
         "trace": server.trace(),
         "scheduler": scheduler,
     }
-
-
-class _TransportWrappedServer:
-    """Routes client->server messages through the device transport.
-
-    Clients call the same methods as on a bare server; each call is
-    offered to the device as an inbound packet first.
-    """
-
-    def __init__(self, server: GameServer, transport) -> None:
-        self._server = server
-        self._transport = transport
-
-    def on_connect_request(self, client: GameClient) -> None:
-        self._transport(Direction.IN, partial(self._server.on_connect_request, client))
-
-    def on_client_update(self, client: GameClient) -> None:
-        self._transport(Direction.IN, partial(self._server.on_client_update, client))
-
-    def on_disconnect(self, client: GameClient) -> None:
-        self._transport(Direction.IN, partial(self._server.on_disconnect, client))
-
-    def on_client_timeout(self, client: GameClient) -> None:
-        self._server.on_client_timeout(client)

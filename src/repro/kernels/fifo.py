@@ -453,17 +453,14 @@ def _vectorized_fifo(
         return
 
     departures[:] = finishes
-    rerun_segments = 0
     seg_of = np.cumsum(is_start) - 1
     overflow_segs = seg_of[overflow]
     # each dirty busy period's first overflowing row (`overflow` is sorted)
     first = np.empty(overflow.size, dtype=bool)
     first[0] = True
     np.not_equal(overflow_segs[1:], overflow_segs[:-1], out=first[1:])
-    processed_until = 0
+    rerun_segments = int(np.count_nonzero(first))
     for j, o in zip(overflow_segs[first].tolist(), overflow[first].tolist()):
-        if int(bounds[j]) < processed_until:
-            continue  # swallowed by the previous chain
         # Rows before the first overflow `o` admit every packet, so
         # the no-drop finishes (and departures) already written for
         # them are exact: the rerun starts at `o` with the state the
@@ -472,29 +469,23 @@ def _vectorized_fifo(
         # pending at t[o] (at the first overflow these are exactly the
         # last `queue` finishes, all inside this busy period).
         held = finishes[max(int(bounds[j]), o - queue):o]
-        engine_free: float = float(finishes[o - 1])
         backlog: Deque[float] = deque(held[held > t[o]].tolist())
-        a, b = o, int(bounds[j + 1])
-        while True:
-            # the span rewrites every fate and departure of [a, b)
-            rerun_segments += 1
-            engine_free, backlog = _scalar_span(
-                t, s, queue, fates, departures, a, b, engine_free, backlog
-            )
-            if b >= n:
-                break
+        b = int(bounds[j + 1])
+        # the span rewrites every fate and departure of [o, b)
+        engine_free, backlog = _scalar_span(
+            t, s, queue, fates, departures, o, b, float(finishes[o - 1]), backlog
+        )
+        # With drops the engine frees no later than the no-drop finish
+        # (float addition and `max` are monotone), and the boundaries
+        # were validated against those finishes, so the span drains at
+        # its boundary and the busy periods after it stand as computed.
+        if b < n:
             boundary = float(t[b])
-            while backlog and backlog[0] <= boundary:
-                backlog.popleft()
-            if not backlog and engine_free <= boundary:
-                break  # drained exactly: downstream busy periods stand
-            # residual work leaks past the candidate boundary (possible
-            # only through ulp-level ties): keep the scalar recursion
-            # going through the next busy period (b < n, so j + 1 is a
-            # valid segment and bounds[j + 2] exists)
-            j += 1
-            a, b = b, int(bounds[j + 1])
-        processed_until = b
+            if engine_free > boundary or (backlog and backlog[-1] > boundary):
+                raise RuntimeError(
+                    f"FIFO rerun of rows [{o}, {b}) still holds work at its "
+                    f"boundary t={boundary!r}: the busy-period split is invalid"
+                )
     counters = _counters()
     counters.scalar_fallback_segments.inc(rerun_segments)
-    counters.fast_segments.inc(max(int(starts.size) - rerun_segments, 0))
+    counters.fast_segments.inc(int(starts.size) - rerun_segments)

@@ -35,7 +35,11 @@ def _scalar_tail_drop(
     returns the updated ``(backlog, last_time)`` queue state.  The loop
     iterates ``tolist()`` copies of the span and writes the outputs back
     once, after it.  The vectorised fast path of :func:`tail_drop_link`
-    must agree with this wherever it applies.
+    evaluates the chunks whose workload stays within the buffer in closed
+    form.  It sums in another order, so it agrees with this recursion on
+    every fate but only to within 1e-12 relative on departures (they can
+    differ by an ulp or so): the contract the parity suite
+    (``tests/test_kernels_reference.py``) checks.
     """
     times = timestamps[start:end].tolist()
     fate = [1] * len(times)

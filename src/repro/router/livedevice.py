@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Tuple
+from itertools import repeat
+from typing import Callable, Deque, Iterator, List, Tuple
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from repro.router.device import DeviceProfile
 from repro.sim.engine import EventScheduler
 from repro.sim.random import RandomStreams
 from repro.trace.packet import Direction
+
+_IN = Direction.IN
+
+#: Service times drawn per refill of the device's block.
+SERVICE_BLOCK = 1024
 
 
 @dataclass
@@ -75,8 +81,11 @@ class LiveForwardingDevice:
         self._engine_free = scheduler.now
         self._wan_backlog: Deque[float] = deque()
         self._lan_backlog: Deque[float] = deque()
+        self._wan_queue = self.profile.wan_queue
+        self._lan_queue = self.profile.lan_queue
         self._stalls: List[Tuple[float, float]] = self._draw_stalls(horizon)
         self._stall_index = 0
+        self._stall_start, self._stall_end = self._stall_window(0)
         self._mean_service = 1.0 / self.profile.lookup_rate
         if self.profile.service_cv > 0:
             sigma = float(np.sqrt(np.log(1.0 + self.profile.service_cv**2)))
@@ -85,6 +94,12 @@ class LiveForwardingDevice:
         else:
             self._sigma = 0.0
             self._mu = 0.0
+        # service times in the order accepted packets take them; nothing
+        # else reads the stream after the stalls, so drawing them a block
+        # at a time gives the same values as one draw per packet
+        self._service: Iterator[float] = (
+            repeat(self._mean_service) if self._sigma == 0.0 else iter(())
+        )
 
     def _draw_stalls(self, horizon: float) -> List[Tuple[float, float]]:
         windows: List[Tuple[float, float]] = []
@@ -100,6 +115,26 @@ class LiveForwardingDevice:
             )
             windows.append((t, t + duration))
 
+    def _stall_window(self, index: int) -> Tuple[float, float]:
+        """Window ``index``, or one that never opens past the last."""
+        if index < len(self._stalls):
+            return self._stalls[index]
+        return (float("inf"), float("inf"))
+
+    def _next_stall(self, now: float) -> None:
+        """Skip the stall windows that ended by ``now``."""
+        stalls = self._stalls
+        index = self._stall_index
+        while index < len(stalls) and stalls[index][1] <= now:
+            index += 1
+        self._stall_index = index
+        self._stall_start, self._stall_end = self._stall_window(index)
+
+    def _refill_service(self) -> float:
+        block = self._rng.lognormal(self._mu, self._sigma, SERVICE_BLOCK).tolist()
+        self._service = iter(block)
+        return next(self._service)
+
     def submit(
         self,
         direction: Direction,
@@ -113,45 +148,39 @@ class LiveForwardingDevice:
         scheduler = self.scheduler
         now = scheduler.now
         stats = self.stats
-        wan = self._wan_backlog
-        lan = self._lan_backlog
-        while wan and wan[0] <= now:
-            wan.popleft()
-        while lan and lan[0] <= now:
-            lan.popleft()
-
-        if direction is Direction.IN:
-            backlog = wan
+        # each side's backlog holds the finish times of its packets still
+        # in the device; only the offered side's needs expiring
+        if direction is _IN:
+            backlog = self._wan_backlog
+            while backlog and backlog[0] <= now:
+                backlog.popleft()
             stats.offered_in += 1
-            # skip the stall windows that ended by now; inbound packets
-            # are dropped while the next one is open
-            stalls = self._stalls
-            index = self._stall_index
-            while index < len(stalls) and stalls[index][1] <= now:
-                index += 1
-            self._stall_index = index
-            if (
-                index < len(stalls) and stalls[index][0] <= now
-            ) or len(wan) >= self.profile.wan_queue:
+            # inbound packets are dropped while a stall window is open
+            if now >= self._stall_end:
+                self._next_stall(now)
+            if now >= self._stall_start or len(backlog) >= self._wan_queue:
                 stats.dropped_in += 1
                 return False
             stats.forwarded_in += 1
         else:
-            backlog = lan
+            backlog = self._lan_backlog
+            while backlog and backlog[0] <= now:
+                backlog.popleft()
             stats.offered_out += 1
-            if len(lan) >= self.profile.lan_queue:
+            if len(backlog) >= self._lan_queue:
                 stats.dropped_out += 1
                 return False
             stats.forwarded_out += 1
 
         free = self._engine_free
         start = free if free > now else now
-        if self._sigma == 0.0:
-            finish = start + self._mean_service
-        else:
-            finish = start + self._rng.lognormal(self._mu, self._sigma)
+        try:
+            service = next(self._service)
+        except StopIteration:
+            service = self._refill_service()
+        finish = start + service
         self._engine_free = finish
         backlog.append(finish)
         stats.delays.append(finish - now)
-        scheduler.schedule(finish, deliver)
+        scheduler.call_at(finish, deliver)
         return True

@@ -4,24 +4,34 @@ The scheduler is the single source of simulated time for every model in
 the repository.  Usage pattern::
 
     sched = EventScheduler()
-    sched.schedule(0.050, tick)           # absolute time
-    sched.schedule_in(0.020, on_packet)   # relative to now
+    sched.schedule(0.050, tick)           # absolute time, cancellable handle
+    sched.call_in(0.020, on_packet)       # relative to now, fire-and-forget
     sched.run_until(3600.0)
 
 Callbacks may schedule further events (including at the current time).
 Events at equal timestamps run in deterministic ``(priority, insertion)``
-order: the heap holds ``(time, priority, seq, event)`` tuples, and ``seq``
-is unique, so comparisons never reach the event and run in C.  Time never
-goes backwards: scheduling into the past (or at NaN, which compares false
-with every time) raises :class:`SimulationError`.
+order: the heap holds ``(time, priority, seq, callback)`` tuples, and
+``seq`` is unique, so comparisons never reach the callback and run in C.
+Fire-and-forget events (:meth:`~EventScheduler.call_at`,
+:meth:`~EventScheduler.call_in`) put the bare callback in the entry; the
+cancellable ones (:meth:`~EventScheduler.schedule`,
+:meth:`~EventScheduler.schedule_in`, :meth:`~EventScheduler.schedule_periodic`)
+put an :class:`~repro.sim.events.Event` handle there, which runs its
+callback when called unless it was cancelled.  Both kinds draw ``seq``
+from one counter, so they interleave exactly as if every event had a
+handle.  Time never goes backwards: scheduling into the past (or at NaN,
+which compares false with every time) raises :class:`SimulationError`.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event, EventState
+
+_PENDING = EventState.PENDING
 
 
 class SimulationError(RuntimeError):
@@ -35,32 +45,64 @@ class EventScheduler:
     ----------
     start_time:
         Initial simulation clock value in seconds (default 0.0).
+
+    Attributes
+    ----------
+    now:
+        Current simulation time in seconds, always a Python ``float``.
+        A plain attribute so the per-packet callbacks read it without a
+        call; only the run methods advance it.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: List[Tuple[float, int, int, Event]] = []
-        self._seq = 0
+        self.now = float(start_time)
+        self._heap: List[Tuple[float, int, int, Callable[[], Any]]] = []
+        self._next_seq = count().__next__
         self._executed = 0
-        self._running = False
-        self._stopped = False
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def pending_count(self) -> int:
         """Number of events still pending (excludes lazily-cancelled ones)."""
-        pending = EventState.PENDING
-        return sum(1 for entry in self._heap if entry[3].state is pending)
+        return sum(
+            1
+            for entry in self._heap
+            if not isinstance(entry[3], Event) or entry[3].state is _PENDING
+        )
 
     @property
     def executed_count(self) -> int:
         """Total number of callbacks executed so far."""
         return self._executed
 
+    # ------------------------------------------------------------------
+    # fire-and-forget events
+    # ------------------------------------------------------------------
+    def call_at(
+        self, time: float, callback: Callable[[], Any], priority: int = 0
+    ) -> None:
+        """Run ``callback`` at absolute simulation ``time``; no handle.
+
+        The same ordering and checks as :meth:`schedule`, for callers that
+        never cancel.
+        """
+        if not (time >= self.now):
+            self._refuse_time(time)
+        heappush(self._heap, (float(time), priority, self._next_seq(), callback))
+
+    def call_in(
+        self, delay: float, callback: Callable[[], Any], priority: int = 0
+    ) -> None:
+        """Run ``callback`` ``delay`` seconds from now; no handle."""
+        if not (delay >= 0):
+            self._refuse_delay(delay)
+        heappush(
+            self._heap,
+            (float(self.now + delay), priority, self._next_seq(), callback),
+        )
+
+    # ------------------------------------------------------------------
+    # cancellable events
+    # ------------------------------------------------------------------
     def schedule(
         self,
         time: float,
@@ -75,14 +117,10 @@ class EventScheduler:
         before time advances); scheduling strictly in the past, or at NaN,
         raises.
         """
-        if not (time >= self._now):
-            raise SimulationError(
-                f"cannot schedule at t={time:.9f} before now={self._now:.9f}"
-            )
-        seq = self._seq
-        event = Event(time, seq, callback, priority, label)
-        self._seq = seq + 1
-        heappush(self._heap, (event.time, priority, seq, event))
+        if not (time >= self.now):
+            self._refuse_time(time)
+        event = Event(time, self._next_seq(), callback, priority, label, self)
+        heappush(self._heap, (event.time, priority, event.seq, event))
         return event
 
     def schedule_in(
@@ -93,9 +131,13 @@ class EventScheduler:
         label: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule(self._now + delay, callback, priority, label)
+        if not (delay >= 0):
+            self._refuse_delay(delay)
+        event = Event(
+            self.now + delay, self._next_seq(), callback, priority, label, self
+        )
+        heappush(self._heap, (event.time, priority, event.seq, event))
+        return event
 
     def schedule_periodic(
         self,
@@ -114,41 +156,51 @@ class EventScheduler:
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
-        state = {"stopped": False, "event": None}
-        first = self._now + interval if start is None else start
+        stopped = False
 
         def fire() -> None:
-            if state["stopped"]:
-                return
+            nonlocal handle
             callback()
-            if not state["stopped"]:
-                state["event"] = self.schedule(
-                    state["event"].time + interval, fire, priority, label
-                )
+            if not stopped:
+                handle = self.schedule(handle.time + interval, fire, priority, label)
 
-        state["event"] = self.schedule(first, fire, priority, label)
+        handle = self.schedule(
+            self.now + interval if start is None else start, fire, priority, label
+        )
 
         def stop() -> None:
-            state["stopped"] = True
-            event = state["event"]
-            if event is not None:
-                event.cancel()
+            nonlocal stopped
+            stopped = True
+            handle.cancel()
 
         return stop
 
+    def _refuse_time(self, time: float) -> None:
+        raise SimulationError(
+            f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
+        )
+
+    def _refuse_delay(self, delay: float) -> None:
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        self._refuse_time(self.now + delay)  # NaN
+
+    # ------------------------------------------------------------------
+    # running
+    # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the heap is empty.
         """
-        while self._heap:
-            event = heappop(self._heap)[3]
-            if event.state is EventState.CANCELLED:
+        heap = self._heap
+        while heap:
+            time, _, _, callback = heappop(heap)
+            if isinstance(callback, Event) and callback.state is not _PENDING:
                 continue
-            self._now = event.time
-            event.state = EventState.EXECUTED
+            self.now = time
             self._executed += 1
-            event.callback()
+            callback()
             return True
         return False
 
@@ -170,34 +222,30 @@ class EventScheduler:
 
         Returns the number of events executed by this call.
         """
-        if not (end_time >= self._now):
+        if not (end_time >= self.now):
             raise SimulationError(
-                f"cannot run until t={end_time:.9f} before now={self._now:.9f}"
+                f"cannot run until t={end_time:.9f} before now={self.now:.9f}"
             )
         heap = self._heap
-        cancelled = EventState.CANCELLED
-        done = EventState.EXECUTED
-        executed = 0
+        start = self._executed
+        limit = None if max_events is None else start + max_events
+        # every popped entry counts as executed up front; a cancelled
+        # handle takes its count back when called (Event.__call__), so a
+        # bare callback costs the loop no check at all
         while heap:
-            entry = heappop(heap)
-            event = entry[3]
-            if event.state is cancelled:
-                continue
-            time = entry[0]
+            time, priority, seq, callback = heappop(heap)
             if time > end_time:
-                heappush(heap, entry)  # the earliest entry goes straight back
+                heappush(heap, (time, priority, seq, callback))
                 break
-            self._now = time
-            event.state = done
+            self.now = time
             self._executed += 1
-            event.callback()
-            executed += 1
-            if max_events is not None and executed > max_events:
+            callback()
+            if limit is not None and self._executed > limit:
                 raise SimulationError(
                     f"exceeded max_events={max_events} before t={end_time}"
                 )
-        self._now = end_time
-        return executed
+        self.now = float(end_time)
+        return self._executed - start
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event heap is empty.

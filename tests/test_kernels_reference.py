@@ -254,14 +254,13 @@ class TestFifoResume:
         fates = assert_fifo_matches(t, s, primary_queue=queue)
         assert (fates == 0).any()
 
-    def test_residual_work_carried_across_a_candidate_boundary(self, monkeypatch):
+    def test_rerun_span_that_does_not_drain_raises(self, monkeypatch):
         # With drops the engine frees no later than the no-drop finish,
-        # so a validated boundary always drains; the chain that carries
-        # residual work into the next busy period is a safety net.  Run
-        # it: each span hands on a phantom finish just past the next
-        # candidate boundary (it occupies no arrival's buffer slot:
-        # arrivals are distinct and the queue is deep enough), so the
-        # chain reruns the following busy periods from carried state.
+        # so a validated boundary always drains and the busy periods
+        # after a rerun span stand.  A span that hands on a phantom
+        # finish just past its boundary (as if residual work leaked into
+        # the next busy period) breaks that invariant: the kernel must
+        # refuse it rather than keep the stale rows downstream.
         rng = np.random.default_rng(12)
         bursts = np.repeat(np.cumsum(rng.exponential(50.0, 30)), 40)
         t = np.sort(bursts + rng.uniform(0.0, 10.0, bursts.size))
@@ -275,15 +274,18 @@ class TestFifoResume:
                 timestamps, service_times, queue, fates, departures,
                 start, end, engine_free, backlog,
             )
-            if end < timestamps.size and len(spans) % 2:
+            if end < timestamps.size:
                 backlog.append(float(np.nextafter(timestamps[end], np.inf)))
             return engine_free, backlog
 
-        monkeypatch.setattr(fifo, "_scalar_span", carrying)
+        # unpatched, the stream drops packets inside spans that end
+        # before the last row, so the patched kernel reaches the check
         fates = assert_fifo_matches(t, s, primary_queue=12)
         assert (fates == 0).any()
-        # some span picked up exactly where the previous one ended
-        assert any(a == prev_end for (_, prev_end), (a, _) in zip(spans, spans[1:]))
+        monkeypatch.setattr(fifo, "_scalar_span", carrying)
+        with pytest.raises(RuntimeError, match="still holds work at its boundary"):
+            fifo_forward(t, s, primary_queue=12)
+        assert len(spans) == 1 and spans[0][1] < t.size
 
     @settings(deadline=None)
     @given(

@@ -113,6 +113,67 @@ GOLDEN_BEHIND = {
     "delays": "94238ac51ee0e72d",
 }
 
+#: Seed and device seed of the profile variants below (20 clients, 30 s,
+#: device horizon 40 s).
+VARIANT_SEED = 7
+VARIANT_DEVICE_SEED = 57
+
+
+def _behind_variant(profile: DeviceProfile):
+    def factory(scheduler):
+        return LiveForwardingDevice(
+            scheduler, profile, seed=VARIANT_DEVICE_SEED, horizon=DURATION_S + 10.0
+        )
+
+    return run_closed_loop(
+        olygamer_week(), N_CLIENTS, DURATION_S, seed=VARIANT_SEED,
+        transport_factory=factory,
+    )
+
+
+#: Device variants that reach the branches the default profile does not:
+#: constant service (``service_cv=0``), a one-slot LAN buffer (outbound
+#: drops), and stalls long enough that both ends time out (the client's
+#: send-event cancel and the server's liveness sweep).
+GOLDEN_VARIANTS = {
+    "constant_service": {
+        "trace": "3ba69cbcbbc916a7",
+        "executed": 66144,
+        "freeze_seconds": "0.006414036734391004",
+        "timeouts": 0,
+        "players": 20,
+        "clients": "96d5ed76d569d5fe",
+        "device": (11776, 11591, 185, 10143, 10143, 0),
+        "delays": "28d0449b8837bb8c",
+    },
+    "lan_queue_1": {
+        "trace": "bee1e52525245923",
+        "executed": 49217,
+        "freeze_seconds": "0.01229568906362033",
+        "timeouts": 0,
+        "players": 19,
+        "clients": "8951a1c8a2bec842",
+        "device": (11510, 11363, 147, 10040, 2098, 7942),
+        "delays": "8f1bfa1fa5e3ed3f",
+    },
+    "long_stalls": {
+        "trace": "bb7a3149668c9768",
+        "executed": 10934,
+        "freeze_seconds": "0.0",
+        "timeouts": 20,
+        "players": 0,
+        "clients": "5931ba1abbb06601",
+        "device": (3209, 955, 2254, 993, 993, 0),
+        "delays": "1515473a9890d940",
+    },
+}
+
+VARIANT_PROFILES = {
+    "constant_service": DeviceProfile(service_cv=0.0),
+    "lan_queue_1": DeviceProfile(lan_queue=1),
+    "long_stalls": DeviceProfile(stall_interval_mean=3.0, stall_duration_mean=3.0),
+}
+
 #: One minute of the 2-hour paper profile (seed 5) through the NAT box,
 #: at the default idle timeout and at one short enough to expire a binding.
 GOLDEN_NAT = {
@@ -147,6 +208,13 @@ class TestClosedLoopGolden:
         # the pin covers the feedback paths: inbound drops and a freeze
         assert summary["device"][2] > 0
         assert float(summary["freeze_seconds"]) > 0.0
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN_VARIANTS))
+    def test_device_variant(self, variant):
+        result = _behind_variant(VARIANT_PROFILES[variant])
+        assert _loop_summary(result) == GOLDEN_VARIANTS[variant]
+        if variant == "long_stalls":
+            assert sum(c.timed_out for c in result["clients"]) == N_CLIENTS
 
 
 @pytest.fixture(scope="module")

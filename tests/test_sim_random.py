@@ -210,6 +210,22 @@ class TestNumpyIdentities:
             )
             assert values == [float(scalar.lognormal(mu, sigma)) for _ in range(count)]
 
+    #: (mu, sigma) of the live device's default service time (1250
+    #: lookups/s, CV 0.35), and a wide one
+    _LOGNORMAL = [(-7.188678000613483, 0.3399387307063912), (0.5, 1.3)]
+
+    @pytest.mark.parametrize("mu, sigma", _LOGNORMAL)
+    @pytest.mark.parametrize("n", [1, 3, 1024])
+    def test_lognormal_blocks_equal_scalar_draws(self, mu, sigma, n):
+        # the live device draws service times a block at a time and
+        # consumes them in order: each block, a refill's included, must
+        # be the next n scalar draws
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(2):
+            block = a.lognormal(mu, sigma, size=n).tolist()
+            assert block == [b.lognormal(mu, sigma) for _ in range(n)]
+            assert a.bit_generator.state == b.bit_generator.state
+
     @pytest.mark.parametrize("n", [0, 1, 7, 1000])
     def test_uniform_array_equals_random(self, n):
         a, b = np.random.default_rng(21), np.random.default_rng(21)
