@@ -64,11 +64,28 @@ attempt.
   live-state-dependent bound, ``lowest_rtt``/``latency_aware`` re-rank
   as occupancy moves, every attempt of a custom policy) calls the
   policy's own ``select`` on the live occupancy, so each policy is
-  defined once, in :mod:`repro.matchmaking.policies`.  When exactly one
-  slot is open, the deterministic stock policies provably choose the
-  single open server — and ``sticky``'s ``integers(1)`` draw consumes
-  zero bits from the stream — so the common post-warmup
-  ``[departure, admission]`` cadence skips the call.
+  defined once, in :mod:`repro.matchmaking.policies`.  ``latency_aware``
+  scores through the policy's own ``pick``, the body of its ``select``,
+  without ``select``'s per-call normalisations: its latency terms
+  (``rtt_terms``) are a function of the RTT row alone, so they are
+  computed once per region for the run, the free-slot share's scale
+  (the largest effective capacity) once per epoch, and the free counts
+  are the engine's own.  When exactly one slot is open, the
+  deterministic stock policies provably choose the single open server
+  — and ``sticky``'s ``integers(1)`` draw consumes zero bits from the
+  stream — so the common post-warmup ``[departure, admission]``
+  cadence skips the call.  So does a fill span of one attempt (one
+  slot open, or the next attempt already past the span's bound): its
+  single pick is the argmax.
+
+Per-event state is read as Python scalars.  The departure columns keep
+their next departure as a cached float (``next_col``, refreshed
+wherever the head or the columns move), so the per-attempt "anything
+due?" test compares two floats; a session's QoE multiplier comes from a
+region x server table built once per run with ``duration_multiplier``;
+and careful mode tests ``free.min() >= 0`` only until it first holds in
+an epoch — every admission needs ``free > 0`` and drains only raise
+``free``, so it then holds for the rest of the epoch.
 
 Span boundaries are conservative three ways: the next pending departure
 (strictly later than the current attempt), the earliest time an
@@ -79,11 +96,17 @@ per-attempt loop would drain nothing and admit/refuse exactly as the
 batch does.
 
 RNG discipline: the pool stream is consumed by two ``random(n)`` calls
-per epoch (the same values and stream state as ``uniform(size=n)``);
-the assign stream is only touched where the per-attempt loop touches it
-(``random``'s pre-draw, ``select``'s own draws, the retry draws, in
-order; a scalar ``random()`` equals ``uniform()``).  The per-``(server,
-epoch)`` duration streams are seeded in bulk: one
+per epoch (the same values and stream state as ``uniform(size=n)``).
+The first is compared against the idle players' attempt
+probabilities; with a scenario these come per region
+(:meth:`~repro.matchmaking.scenarios.CompiledScenario.region_attempt_probabilities`,
+the expression the oracle gathers per player), and an epoch whose
+regions all share one value (every epoch whose hazard is unscaled)
+compares against that scalar instead of gathering it per player — the
+same mask.  The assign stream is only touched where the per-attempt
+loop touches it (``random``'s pre-draw, ``select``'s own draws, the
+retry draws, in order; a scalar ``random()`` equals ``uniform()``).
+The per-``(server, epoch)`` duration streams are seeded in bulk: one
 :func:`~repro.sim.random.seed_sequence_words` call yields the seed
 words of every stream, :func:`~repro.sim.random.pcg64_state` turns a
 stream's words into its PCG64 start state when the stream opens, and
@@ -107,6 +130,7 @@ from repro.gameserver.population import SessionTable
 from repro.matchmaking.policies import (
     POLICIES,
     CapacityAwarePolicy,
+    LatencyAwarePolicy,
     LeastLoadedPolicy,
     RandomPolicy,
 )
@@ -117,8 +141,10 @@ from repro.sim.random import (
     seed_sequence_words,
 )
 
-#: Player lifecycle states.
-_IDLE, _WAITING, _PLAYING = 0, 1, 2
+#: Player states.  Only idleness is ever read (the next epoch's arrival
+#: draw is over the idle players), so a player attempting this epoch is
+#: busy from its attempt until it balks or its session ends.
+_IDLE, _BUSY = 0, 1
 
 #: Fill spans shorter than this use the plain argmax-and-decrement loop;
 #: the token sort only pays off once it amortises over many picks.
@@ -265,29 +291,36 @@ class _DepartureColumns:
     Drain *order* inside one call never matters to the engine (occupancy
     decrements commute and no randomness is drawn), only the drained
     set, which both representations define by time alone.
+
+    ``next_col`` caches the column departure at ``head`` as a Python
+    float (``inf`` past the end): every move of ``head`` or ``times``
+    goes through :meth:`set_head`, so the per-attempt peeks read a
+    float instead of indexing the array.
     """
 
-    __slots__ = ("times", "servers", "players", "head", "pending")
+    __slots__ = ("times", "servers", "players", "head", "next_col", "pending")
 
     def __init__(self) -> None:
         self.times = np.empty(0, dtype=np.float64)
         self.servers = np.empty(0, dtype=np.int64)
         self.players = np.empty(0, dtype=np.int64)
         self.head = 0
+        self.next_col = math.inf
         self.pending: List[Tuple[float, int, int]] = []
+
+    def set_head(self, head: int) -> None:
+        """Consume the columns up to ``head`` and refresh ``next_col``."""
+        self.head = head
+        self.next_col = (
+            self.times.item(head) if head < self.times.size else math.inf
+        )
 
     def next_time(self) -> float:
         """Earliest pending departure time (``inf`` when none)."""
-        if self.head < self.times.size:
-            earliest = self.times[self.head]
-        else:
-            earliest = math.inf
+        earliest = self.next_col
         if self.pending and self.pending[0][0] < earliest:
             earliest = self.pending[0][0]
         return earliest
-
-    def push(self, end: float, server: int, player: int) -> None:
-        heapq.heappush(self.pending, (end, server, player))
 
     def drain(
         self,
@@ -310,40 +343,34 @@ class _DepartureColumns:
         ``free`` climbs back above zero (drain semantics — downed
         servers stop admitting while sessions play out).
         """
-        # fast exit: nothing due — one scalar peek per source instead of
+        pending = self.pending
+        # fast exit: nothing due — one float peek per source instead of
         # a searchsorted per attempt
-        if (
-            self.head >= self.times.size
-            or (
-                self.times[self.head] >= until
-                if strict
-                else self.times[self.head] > until
-            )
-        ) and (
-            not self.pending
-            or (
-                self.pending[0][0] >= until
-                if strict
-                else self.pending[0][0] > until
-            )
-        ):
+        if strict:
+            if self.next_col >= until and (
+                not pending or pending[0][0] >= until
+            ):
+                return 0
+        elif self.next_col > until and (not pending or pending[0][0] > until):
             return 0
         opened = 0
+        head = self.head
         stop = int(
             self.times.searchsorted(until, side="left" if strict else "right")
         )
-        if stop > self.head:
-            lo, hi = self.head, stop
+        if stop > head:
+            lo, hi = head, stop
             if hi - lo <= 4:
                 # the steady-state case is one departure at a time; a
                 # bincount over every server would dwarf the work
+                servers, players = self.servers, self.players
                 for k in range(lo, hi):
-                    server = self.servers[k]
+                    server = servers.item(k)
                     occupancy[server] -= 1
                     free[server] += 1
                     if not careful or free[server] > 0:
                         opened += 1
-                    player_state[self.players[k]] = _IDLE
+                    player_state[players.item(k)] = _IDLE
             else:
                 counts = np.bincount(
                     self.servers[lo:hi], minlength=n_servers
@@ -358,13 +385,11 @@ class _DepartureColumns:
                     free += counts
                     opened += hi - lo
                 player_state[self.players[lo:hi]] = _IDLE
-            self.head = hi
-        while self.pending and (
-            self.pending[0][0] < until
-            if strict
-            else self.pending[0][0] <= until
+            self.set_head(hi)
+        while pending and (
+            pending[0][0] < until if strict else pending[0][0] <= until
         ):
-            _, server, player = heapq.heappop(self.pending)
+            _, server, player = heapq.heappop(pending)
             occupancy[server] -= 1
             free[server] += 1
             if not careful or free[server] > 0:
@@ -373,7 +398,10 @@ class _DepartureColumns:
         return opened
 
     def merge_pending(self) -> None:
-        """Fold the epoch's admissions into the sorted columns."""
+        """Fold the epoch's admissions into the sorted columns.
+
+        ``pending`` is cleared in place, so a caller may keep it bound.
+        """
         if not self.pending and self.head == 0:
             return
         live_t = self.times[self.head :]
@@ -398,15 +426,15 @@ class _DepartureColumns:
             live_t = np.concatenate([live_t, new_t])
             live_s = np.concatenate([live_s, new_s])
             live_p = np.concatenate([live_p, new_p])
-            self.pending = []
+            self.pending.clear()
         order = np.argsort(live_t, kind="stable")
         self.times = live_t[order]
         self.servers = live_s[order]
         self.players = live_p[order]
-        self.head = 0
+        self.set_head(0)
 
 
-def _fill_span_choices(free: np.ndarray, m: int) -> np.ndarray:
+def _fill_span_choices(free: np.ndarray, m: int) -> List[int]:
     """First ``m`` picks of repeated ``argmax(free)``-and-decrement.
 
     Token view: server ``s`` holds tokens at levels ``free_s .. 1``;
@@ -414,15 +442,15 @@ def _fill_span_choices(free: np.ndarray, m: int) -> np.ndarray:
     ``(-level, server)`` lexicographic order.  Only levels that can
     appear among the first ``m`` picks are materialised: the k-th pick's
     level is at least ``max(free) - k + 1``, because the running maximum
-    drops by at most one per pick.
+    drops by at most one per pick.  (One-pick spans never get here: the
+    engine admits their argmax directly.)
     """
-    if m == 1:
-        return (int(free.argmax()),)
     if m < _TOKEN_SPAN_MIN:
         scratch = free.copy()
-        picks = np.empty(m, dtype=np.int64)
-        for k in range(m):
-            picks[k] = s = int(scratch.argmax())
+        picks = []
+        for _ in range(m):
+            s = int(scratch.argmax())
+            picks.append(s)
             scratch[s] -= 1
         return picks
     floor = max(int(free.max()) - m, 0)
@@ -432,7 +460,7 @@ def _fill_span_choices(free: np.ndarray, m: int) -> np.ndarray:
     block_start = np.repeat(np.cumsum(reps) - reps, reps)
     levels = np.repeat(free, reps) - (np.arange(total) - block_start)
     order = np.lexsort((servers, -levels))
-    return servers[order[:m]]
+    return servers[order[:m]].tolist()
 
 
 def _occurrence_ranks(choices: np.ndarray) -> np.ndarray:
@@ -450,15 +478,21 @@ def _occurrence_ranks(choices: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _session_tables(
+def _per_server_sessions(
     admissions: List[Tuple[int, int, float, float, bool]],
     traits,
     n_servers: int,
-) -> Tuple[SessionTable, ...]:
-    """Per-server session tables of ``admissions``, each in admission order.
+    rtt_table: np.ndarray,
+    mult_table: Optional[np.ndarray],
+):
+    """Per-server views of ``admissions``, each in admission order.
 
-    A session's id is its admission index; its player's traits are
-    gathered here, once, rather than per admission.
+    Returns the admissions per server, the session tables, the session
+    RTTs and (with ``mult_table``, else ``()``) the QoE multipliers.  A
+    session's id is its admission index; its player's traits are
+    gathered here, once, rather than per admission, and so are its RTT
+    and multiplier, which depend on its ``(player region, server)``
+    alone: entries of the region x server tables the loop read.
     """
     server, player, start, end, storm = (
         zip(*admissions) if admissions else ((), (), (), (), ())
@@ -476,9 +510,18 @@ def _session_tables(
         | np.asarray(storm, dtype=bool),
         link_class_names=traits.link_classes,
     )
+    counts = np.bincount(server, minlength=n_servers)
     order = np.argsort(server, kind="stable")
-    bounds = np.cumsum(np.bincount(server, minlength=n_servers))[:-1]
-    return tuple(table.take(rows) for rows in np.split(order, bounds))
+    groups = np.split(order, np.cumsum(counts)[:-1])
+    region = traits.region_index[player]
+    rtts = rtt_table[region, server]
+    mults = mult_table[region, server] if mult_table is not None else None
+    return (
+        counts,
+        tuple(table.take(rows) for rows in groups),
+        tuple(rtts[rows] for rows in groups),
+        tuple(mults[rows] for rows in groups) if mults is not None else (),
+    )
 
 
 def run_columnar(sim) -> "MatchmakingResult":
@@ -517,7 +560,6 @@ def run_columnar(sim) -> "MatchmakingResult":
     refusal_counts = (
         np.zeros(config.pool_size, dtype=np.int64) if qoe_on else None
     )
-    qoe_multipliers: List[List[float]] = [[] for _ in range(n_servers)]
     qoe_repeat_refusals = 0
 
     # the vectorised spans are proven for the six stock classes only; a
@@ -528,13 +570,25 @@ def run_columnar(sim) -> "MatchmakingResult":
     is_random = policy_type is RandomPolicy
     is_least = policy_type is LeastLoadedPolicy
     is_capacity = policy_type is CapacityAwarePolicy
+    is_latency = policy_type is LatencyAwarePolicy
     retry_on_reject = policy.retry_on_reject
 
     traits = PlayerTraits.draw(config, seed)
     rtt_rows = [sim.rtt.row(r) for r in range(sim.rtt.n_regions)]
-    # the per-admission reads take Python scalars from lists, not numpy
-    # scalars from arrays
-    rtt_values = [row.tolist() for row in rtt_rows]
+    rtt_table = np.asarray(rtt_rows, dtype=np.float64)
+    if is_latency:
+        # the scorer's latency term is a function of the RTT row alone:
+        # computed once per region, scored through the policy's own pick
+        pick = policy.pick
+        region_terms = [policy.rtt_terms(row) for row in rtt_rows]
+    if qoe_on:
+        # a session's multiplier depends on its (region, server) alone;
+        # the per-admission reads take Python floats from lists
+        mult_table = [
+            [qoe.duration_multiplier(rtt_ms) for rtt_ms in row.tolist()]
+            for row in rtt_rows
+        ]
+        retry_p_at: Dict[int, float] = {}
     player_region = traits.region_index
     player_state = np.zeros(config.pool_size, dtype=np.int8)
     last_server = [-1] * config.pool_size
@@ -545,17 +599,15 @@ def run_columnar(sim) -> "MatchmakingResult":
     total_free = int(capacities.sum())
     occupancy_trace = np.zeros((n_servers, n_epochs), dtype=np.int64)
     # (server, player, start, end, in_storm) per admission, in admission
-    # order; the session tables are built from it once, after the loop
+    # order; the per-server sessions, RTTs, multipliers and admitted
+    # attempt counts are built from it once, after the loop
     admissions: List[Tuple[int, int, float, float, bool]] = []
-    session_rtts = [[] for _ in range(n_servers)]
     per_server_attempts = np.zeros(n_servers, dtype=np.int64)
     per_server_rejections = np.zeros(n_servers, dtype=np.int64)
-    # per-admission attempt attribution accumulates in a plain list —
-    # scalar increments of a numpy array are several times slower —
-    # and folds into per_server_attempts at the end
-    admit_attempts = [0] * n_servers
 
     deps = _DepartureColumns()
+    pending = deps.pending
+    heappush = heapq.heappush
     retries = []  # (retry_time, player) min-heap
     eff_cap = capacities
 
@@ -575,7 +627,7 @@ def run_columnar(sim) -> "MatchmakingResult":
         rng_assign = np.random.default_rng(
             derive_seed(seed, f"matchmaking-assign:{epoch}")
         )
-        duration_streams: Dict[int, _DurationStream] = {}
+        duration_streams: List[Optional[_DurationStream]] = [None] * n_servers
         # scenario modulation: per-epoch effective capacities mean the
         # incrementally-maintained free counts must be rebased
         if compiled is not None:
@@ -584,9 +636,16 @@ def run_columnar(sim) -> "MatchmakingResult":
             total_free = (
                 int(np.maximum(free, 0).sum()) if careful else int(free.sum())
             )
+        share_scale = max(int(eff_cap.max()), 1)
+        # careful mode: whether free.min() >= 0 is known to hold.  Once it
+        # holds it holds for the rest of the epoch — every admission
+        # needs free > 0 and drains only raise free
+        free_nonneg = not careful
+        assign_random = rng_assign.random
+        assign_exponential = rng_assign.exponential
         in_storm = compiled is not None and compiled.forces_downloads(epoch)
         ep_mult_sum = 0.0
-        ep_mult_count = 0
+        ep_admitted_before = admitted
         ep_shortened = 0
         ep_repeat_refusals = 0
 
@@ -595,14 +654,21 @@ def run_columnar(sim) -> "MatchmakingResult":
         hazard = config.attempt_rate_at(0.5 * (t0 + t1))
         draws = rng_pool.random(idle_players.size)
         if compiled is not None:
-            mask = draws < compiled.attempt_probabilities(
-                epoch, hazard, t1 - t0, player_region[idle_players]
+            region_p = compiled.region_attempt_probabilities(
+                epoch, hazard, t1 - t0
             )
+            if (region_p == region_p[0]).all():
+                # every region alike (an unscaled hazard): the per-player
+                # gather would only repeat one value
+                hits = (draws < region_p.item(0)).nonzero()[0]
+            else:
+                per_player = region_p[player_region[idle_players]]
+                hits = (draws < per_player).nonzero()[0]
         else:
             p_attempt = 1.0 - math.exp(-hazard * (t1 - t0))
-            mask = draws < p_attempt
-        aplayers = idle_players[mask]
-        offsets = rng_pool.random(np.count_nonzero(mask))
+            hits = (draws < p_attempt).nonzero()[0]
+        aplayers = idle_players[hits]
+        offsets = rng_pool.random(hits.size)
         atimes = t0 + offsets * (t1 - t0)
         # -- retries that came due this epoch ---------------------------
         if retries and retries[0][0] < t1:
@@ -623,7 +689,7 @@ def run_columnar(sim) -> "MatchmakingResult":
         order = np.lexsort((aplayers, atimes))
         atimes = atimes[order]
         aplayers = aplayers[order]
-        player_state[aplayers] = _WAITING
+        player_state[aplayers] = _BUSY
         n_attempts = int(atimes.size)
         atime_values = atimes.tolist()
         aplayer_values = aplayers.tolist()
@@ -635,26 +701,22 @@ def run_columnar(sim) -> "MatchmakingResult":
 
         def _admit(k: int, chosen: int) -> None:
             nonlocal admitted, repeat_assignments, total_free
-            nonlocal ep_mult_sum, ep_mult_count, ep_shortened
+            nonlocal ep_mult_sum, ep_shortened
             player = aplayer_values[k]
             when = atime_values[k]
-            admit_attempts[chosen] += 1
-            stream = duration_streams.get(chosen)
+            stream = duration_streams[chosen]
             if stream is None:
                 stream = duration_streams[chosen] = _DurationStream(
                     durations, epoch * n_servers + chosen
                 )
             duration = stream.next()
-            rtt_ms = rtt_values[player_region[player]][chosen]
             if qoe_on:
                 # the multiplier scales the raw draw, before the
                 # min-duration clamp, so duration >= min_dur still holds
                 # (the window proofs rely on it)
-                multiplier = qoe.duration_multiplier(rtt_ms)
+                multiplier = mult_table[player_region.item(player)][chosen]
                 duration *= multiplier
-                qoe_multipliers[chosen].append(multiplier)
                 ep_mult_sum += multiplier
-                ep_mult_count += 1
                 if multiplier < 1.0:
                     ep_shortened += 1
                 refusal_counts[player] = 0
@@ -663,17 +725,15 @@ def run_columnar(sim) -> "MatchmakingResult":
             end = when + duration
             if end > horizon:
                 end = horizon
-            deps.push(end, chosen, player)
+            heappush(pending, (end, chosen, player))
             occupancy[chosen] += 1
             free[chosen] -= 1
             total_free -= 1
             admissions.append((chosen, player, when, end, in_storm))
-            session_rtts[chosen].append(rtt_ms)
             admitted += 1
             if chosen == last_server[player]:
                 repeat_assignments += 1
             last_server[player] = chosen
-            player_state[player] = _PLAYING
 
         def _refuse(k: int) -> None:
             """One refused attempt: QoE refusal count, then retry or balk.
@@ -688,16 +748,20 @@ def run_columnar(sim) -> "MatchmakingResult":
             if qoe_on:
                 # escalation reuses the same uniform draw with a lower
                 # threshold; counted before incrementing
-                prior = int(refusal_counts[player])
-                refusal_counts[player] += 1
+                prior = refusal_counts.item(player)
+                refusal_counts[player] = prior + 1
                 if prior:
                     qoe_repeat_refusals += 1
                     ep_repeat_refusals += 1
-                retry_p_k = qoe.retry_probability(retry_p, prior)
+                retry_p_k = retry_p_at.get(prior)
+                if retry_p_k is None:
+                    retry_p_k = retry_p_at[prior] = qoe.retry_probability(
+                        retry_p, prior
+                    )
             else:
                 retry_p_k = retry_p
-            if retry_on_reject and rng_assign.random() < retry_p_k:
-                retry_at = atime_values[k] + rng_assign.exponential(retry_mean)
+            if retry_on_reject and assign_random() < retry_p_k:
+                retry_at = atime_values[k] + assign_exponential(retry_mean)
                 if retry_at < horizon:
                     heapq.heappush(retries, (retry_at, player))
                     retried += 1
@@ -721,10 +785,13 @@ def run_columnar(sim) -> "MatchmakingResult":
         i = 0
         while i < n_attempts:
             when = atime_values[i]
-            total_free += deps.drain(
-                when, False, occupancy, free, player_state, n_servers,
-                careful,
-            )
+            # the call only when a departure is due: most attempts find
+            # none, and the peek is two float comparisons
+            if deps.next_col <= when or (pending and pending[0][0] <= when):
+                total_free += deps.drain(
+                    when, False, occupancy, free, player_state, n_servers,
+                    careful,
+                )
 
             if (
                 stock
@@ -734,7 +801,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # exactly one admittable slot; a server drained below a
                 # reduced effective capacity (negative free) breaks that,
                 # so those epochs take the plain full span instead
-                and (not careful or int(free.min()) >= 0)
+                and (free_nonneg or (free_nonneg := int(free.min()) >= 0))
             ):
                 # -- saturated window: batch a whole [when, when+min_dur)
                 # window of the departure/attempt alternation ----------
@@ -755,8 +822,8 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # move its player into the idle pool one epoch too soon
                 # and shift the next epoch's arrival draw
                 window_end = min(when + min_dur, t1)
-                if deps.pending and deps.pending[0][0] < window_end:
-                    window_end = deps.pending[0][0]
+                if pending and pending[0][0] < window_end:
+                    window_end = pending[0][0]
                 dhead = deps.head
                 dstop = int(deps.times.searchsorted(window_end, side="left"))
                 if window_end > when and dstop > dhead:
@@ -791,7 +858,7 @@ def run_columnar(sim) -> "MatchmakingResult":
                     dep_servers = deps.servers[dhead:dused]
                     # consume the walked departures up front — the net
                     # occupancy effect commutes with admissions
-                    deps.head = dused
+                    deps.set_head(dused)
                     if d <= 4:
                         for server in dep_servers.tolist():
                             occupancy[server] -= 1
@@ -882,13 +949,23 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # a departure, a possible in-span session end, or free
                 # capacity could intervene ----------------------------
                 bound = min(deps.next_time(), min(when + min_dur, horizon))
-                j = int(atimes.searchsorted(bound, side="left"))
-                j = min(j, i + total_free)
-                if j <= i:
+                if (
+                    total_free == 1
+                    or i + 1 == n_attempts
+                    or atime_values[i + 1] >= bound
+                ):
+                    # a one-attempt span: its single pick is the argmax
+                    m = 1
                     j = i + 1
-                m = j - i
-                for k, chosen in enumerate(_fill_span_choices(free, m)):
-                    _admit(i + k, int(chosen))
+                    _admit(i, int(free.argmax()))
+                else:
+                    j = int(atimes.searchsorted(bound, side="left"))
+                    j = min(j, i + total_free)
+                    if j <= i:
+                        j = i + 1
+                    m = j - i
+                    for k, chosen in enumerate(_fill_span_choices(free, m)):
+                        _admit(i + k, chosen)
                 attempts += m
                 segments += 1
                 vectorised_attempts += m
@@ -937,13 +1014,21 @@ def run_columnar(sim) -> "MatchmakingResult":
                 # stock policy, and sticky's integers(1) consumes no bits
                 chosen = int(free.argmax())
             else:
-                chosen = policy.select(
-                    occupancy,
-                    eff_cap,
-                    last_server[player],
-                    rng_assign,
-                    rtt=rtt_rows[player_region[player]],
-                )
+                if is_latency:
+                    # select without its per-call normalisations: the
+                    # engine's own free counts, the epoch's share scale
+                    # and the region's cached latency terms
+                    chosen = pick(
+                        free, share_scale, region_terms[player_region[player]]
+                    )
+                else:
+                    chosen = policy.select(
+                        occupancy,
+                        eff_cap,
+                        last_server[player],
+                        rng_assign,
+                        rtt=rtt_rows[player_region[player]],
+                    )
                 if chosen is None or free[chosen] <= 0:
                     if chosen is not None:
                         per_server_attempts[chosen] += 1
@@ -981,8 +1066,9 @@ def run_columnar(sim) -> "MatchmakingResult":
             # new fields ride only on qoe/scenario runs, keeping the
             # off-run artifact rows byte-identical to history
             if qoe_on:
+                ep_admitted = admitted - ep_admitted_before
                 row["qoe_mean_multiplier"] = (
-                    ep_mult_sum / ep_mult_count if ep_mult_count else 1.0
+                    ep_mult_sum / ep_admitted if ep_admitted else 1.0
                 )
                 row["qoe_sessions_shortened"] = ep_shortened
                 row["qoe_repeat_refusals"] = ep_repeat_refusals
@@ -997,7 +1083,16 @@ def run_columnar(sim) -> "MatchmakingResult":
             policy=policy.name,
         )
 
-    per_server_attempts += np.asarray(admit_attempts, dtype=np.int64)
+    admitted_per_server, sessions, session_rtts, qoe_multipliers = (
+        _per_server_sessions(
+            admissions,
+            traits,
+            n_servers,
+            rtt_table,
+            np.asarray(mult_table, dtype=np.float64) if qoe_on else None,
+        )
+    )
+    per_server_attempts += admitted_per_server
     if full_least_count:
         per_server_attempts[0] += full_least_count
         per_server_rejections[0] += full_least_count
@@ -1013,7 +1108,7 @@ def run_columnar(sim) -> "MatchmakingResult":
         policy=policy.name,
         seed=seed,
         capacities=tuple(int(c) for c in capacities),
-        sessions=_session_tables(admissions, traits, n_servers),
+        sessions=sessions,
         occupancy=occupancy_trace,
         admission=AdmissionStats(
             attempts=attempts,
@@ -1026,14 +1121,8 @@ def run_columnar(sim) -> "MatchmakingResult":
         per_server_rejections=per_server_rejections,
         repeat_assignments=repeat_assignments,
         rtt=sim.rtt,
-        session_rtts=tuple(
-            np.asarray(rtts, dtype=float) for rtts in session_rtts
-        ),
-        qoe_multipliers=(
-            tuple(np.asarray(mults, dtype=float) for mults in qoe_multipliers)
-            if qoe_on
-            else ()
-        ),
+        session_rtts=session_rtts,
+        qoe_multipliers=qoe_multipliers,
         qoe_repeat_refusals=qoe_repeat_refusals,
         scenario_name=(sim.scenario.name if sim.scenario is not None else None),
     )

@@ -308,7 +308,7 @@ class MatchmakingSimulator:
         metrics.counter("matchmaking.balked").inc(admission.balked)
         metrics.counter("matchmaking.retried").inc(admission.retried)
         metrics.histogram("matchmaking.epoch_occupancy").observe_many(
-            result.occupancy.sum(axis=0).tolist()
+            result.occupancy.sum(axis=0)
         )
         if result.config.qoe.enabled:
             # emitted only when the coupling is on, so off-run manifests
@@ -328,7 +328,7 @@ class MatchmakingSimulator:
             if mults.size:
                 metrics.histogram(
                     "matchmaking.qoe.duration_multiplier"
-                ).observe_many(mults.tolist())
+                ).observe_many(mults)
         session = obs.current_session()
         if session is not None:
             # region geometry and per-server session RTTs ride along so

@@ -238,41 +238,56 @@ class LatencyAwarePolicy(SelectionPolicy):
         Both normalisations (largest capacity, worst row RTT) are
         recomputed per call, with no memo that could go stale on a
         mutated row or a per-epoch capacity vector: ``select`` stays a
-        pure function of its arguments.  Which of two equal scorings
-        runs depends on the open-server count alone: up to
-        ``_SCALAR_SCORE_MAX_OPEN`` open servers are scored in Python
-        floats, more in one numpy pass.  Each server's score goes
-        through the same IEEE operations either way, and ties go to
-        the lowest index.
+        pure function of its arguments.  The scoring itself is
+        :meth:`pick` over :meth:`rtt_terms`, which the columnar engine
+        calls directly with the terms cached per region and the share
+        scale per epoch.
         """
         rtt = self._require_rtt(rtt)
-        free = capacities - occupancy
+        return self.pick(
+            capacities - occupancy,
+            max(int(capacities.max()), 1),
+            self.rtt_terms(rtt),
+        )
+
+    def rtt_terms(self, rtt: np.ndarray) -> np.ndarray:
+        """The score's latency term per server: ``beta * rtt / max(rtt)``.
+
+        An all-zero (or non-positive) row is not normalised: the term is
+        ``beta * rtt``.  A function of the row alone, so a caller may
+        compute it once per RTT row and reuse it across calls.
+        """
+        rtt = np.asarray(rtt, dtype=np.float64)
+        rtt_scale = float(rtt.max())
+        return self.beta * (rtt / rtt_scale if rtt_scale > 0 else rtt)
+
+    def pick(
+        self, free: np.ndarray, share_scale: int, terms: np.ndarray
+    ) -> Optional[int]:
+        """The argmax of ``alpha * free / share_scale - terms`` over the
+        servers with ``free > 0``, or ``None`` when there are none.
+
+        Which of two equal scorings runs depends on the open-server
+        count alone: up to ``_SCALAR_SCORE_MAX_OPEN`` open servers are
+        scored in Python floats, more in one numpy pass.  Each server's
+        score goes through the same IEEE operations either way, and ties
+        go to the lowest index.
+        """
         open_servers = (free > 0).nonzero()[0]
         if open_servers.size == 0:
             return None
-        share_scale = max(int(capacities.max()), 1)
-        rtt_scale = float(rtt.max())
         if open_servers.size <= _SCALAR_SCORE_MAX_OPEN:
             # the strict > keeps ties on the lowest index, as argmax does
-            alpha, beta = self.alpha, self.beta
+            alpha = self.alpha
             best, best_score = -1, -math.inf
             for server in open_servers.tolist():
-                server_rtt = rtt.item(server)
-                if rtt_scale > 0:
-                    server_rtt = server_rtt / rtt_scale
-                score = (
-                    alpha * (free.item(server) / share_scale)
-                    - beta * server_rtt
-                )
+                share = free.item(server) / share_scale
+                score = alpha * share - terms.item(server)
                 if best < 0 or score > best_score:
                     best, best_score = server, score
             return best
-        open_rtt = rtt[open_servers]
-        normalised_rtt = open_rtt / rtt_scale if rtt_scale > 0 else open_rtt
-        score = (
-            self.alpha * (free[open_servers] / share_scale)
-            - self.beta * normalised_rtt
-        )
+        share = free[open_servers] / share_scale
+        score = self.alpha * share - terms[open_servers]
         return int(open_servers[int(score.argmax())])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -244,9 +244,11 @@ class DemandScenario:
 class CompiledScenario:
     """A scenario resolved to per-epoch modulation arrays.
 
-    Both engines call the same three methods per epoch, so scenario
-    arithmetic is shared code and bit-identity between them is by
-    construction.
+    The engine and its test oracle call the same methods per epoch (the
+    engine takes :meth:`region_attempt_probabilities`, which the
+    oracle's :meth:`attempt_probabilities` gathers per player), so
+    scenario arithmetic is shared code and bit-identity between them is
+    by construction.
     """
 
     name: str
@@ -283,8 +285,22 @@ class CompiledScenario:
         per region and gathered per player: each element goes through
         the same operations as the per-player form.
         """
+        return self.region_attempt_probabilities(epoch, hazard, dt)[
+            player_regions
+        ]
+
+    def region_attempt_probabilities(
+        self, epoch: int, hazard: float, dt: float
+    ) -> np.ndarray:
+        """Per-region attempt probability for ``epoch``: the one
+        expression :meth:`attempt_probabilities` gathers per player.
+
+        The columnar engine compares its draws against this vector
+        directly (against one scalar when every region's value is
+        equal, as it is whenever the epoch's hazard is unscaled).
+        """
         scale = self.hazard_scale[epoch]
-        return (1.0 - np.exp(-hazard * scale * dt))[player_regions]
+        return 1.0 - np.exp(-hazard * scale * dt)
 
     def capacities_at(self, epoch: int, capacities: np.ndarray) -> np.ndarray:
         """Effective per-server slot counts for ``epoch``.

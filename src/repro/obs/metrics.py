@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Union
 
+import numpy as np
+
 Number = Union[int, float]
 
 
@@ -95,9 +97,37 @@ class Histogram:
             self.max = value
 
     def observe_many(self, values) -> None:
-        """Observe an iterable/array of values (vector-friendly)."""
-        for value in values:
-            self.observe(value)
+        """Observe an iterable/array of values, in one vector pass.
+
+        Leaves exactly the state :meth:`observe` would, value by value:
+        ``total`` is the last entry of a cumulative sum seeded with the
+        current total (``np.add.accumulate`` adds sequentially, as the
+        loop does), and ``min``/``max`` ignore NaN (the loop's ``<`` and
+        ``>`` are false for it) and keep the first-seen of equal values
+        (``-0.0`` after ``0.0`` does not replace it).
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not values.size:
+            return
+        self.count += int(values.size)
+        # Python float addition overflows to inf (and inf - inf gives
+        # NaN) without a warning; so does this sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = np.cumsum(np.concatenate(([self.total], values)))
+        self.total = totals.item(-1)
+        nan = np.isnan(values)
+        if nan.any():
+            values = values[~nan]
+            if not values.size:
+                return
+        low = values[(values == values.min()).argmax()].item()
+        if low < self.min:
+            self.min = low
+        high = values[(values == values.max()).argmax()].item()
+        if high > self.max:
+            self.max = high
 
     def merge(self, count: int, total: float, min_: float, max_: float) -> None:
         """Fold another histogram's summary state into this one.

@@ -468,3 +468,92 @@ class TestDrainBoundary:
             session_duration_min=400.0,
         )
         _assert_identical(scalar, columnar)
+
+
+class TestSixteenServerParity:
+    """Facilities past ``latency_aware``'s 12-open switch, so the
+    engine's cached scorer runs its vector branch against the oracle's
+    ``select``; and outage epochs on every stock path the flag-cached
+    ``free.min() >= 0`` test guards."""
+
+    @staticmethod
+    def _runs(policy, coupled, scenario=None, **kwargs):
+        fleet, config, rtt = _scenario(n_servers=16, **kwargs)
+        if coupled:
+            config = config.replace(qoe=QoeConfig(enabled=True))
+            if scenario is None:
+                scenario = make_scenario("regional_outage", config.n_epochs)
+        return (
+            simulate_reference(
+                fleet, policy, config, rtt=rtt, seed=3, scenario=scenario
+            ),
+            simulate_matchmaking(
+                fleet, policy, config, rtt=rtt, seed=3, scenario=scenario
+            ),
+        )
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["plain", "qoe-outage"])
+    @pytest.mark.parametrize("policy", ["latency_aware", "capacity_aware"])
+    def test_bit_identical(self, policy, coupled, monkeypatch):
+        open_counts = []
+        pick = LatencyAwarePolicy.pick
+
+        def counting_pick(self, free, share_scale, terms):
+            open_counts.append(int(np.count_nonzero(free > 0)))
+            return pick(self, free, share_scale, terms)
+
+        monkeypatch.setattr(LatencyAwarePolicy, "pick", counting_pick)
+        scalar, columnar = self._runs(
+            policy, coupled, demand_ratio=3.0, session_duration_mean=300.0
+        )
+        _assert_identical(scalar, columnar)
+        assert scalar.admission.rejected > 0
+        if policy == "latency_aware":
+            # both scoring branches ran, in the engine and in the oracle
+            assert max(open_counts) > 12 and min(open_counts) <= 12
+
+    @pytest.mark.parametrize(
+        "policy",
+        # alpha 3 weights the free-slot share enough that scoring it on
+        # the configured rather than the effective largest capacity
+        # would move placements here
+        ["latency_aware", LatencyAwarePolicy(alpha=3.0, beta=1.0), "capacity_aware"],
+        ids=["latency_aware", "latency_aware-alpha3", "capacity_aware"],
+    )
+    def test_deep_outage_bit_identical(self, policy):
+        # half the slots of eight servers, the four largest among them,
+        # gone for epochs 5-9 at saturating demand: the largest effective
+        # capacity drops, occupancy drains from above it, and within an
+        # outage epoch free.min() turns non-negative
+        down = (0, 2, 3, 5, 6, 9, 12, 15)
+        scenario = DemandScenario(
+            "deep_outage",
+            (RegionalOutage(5, 10, servers=down, capacity_scale=0.5),),
+        )
+        scalar, columnar = self._runs(
+            policy,
+            True,
+            scenario=scenario,
+            demand_ratio=3.0,
+            session_duration_mean=180.0,
+        )
+        _assert_identical(scalar, columnar)
+        capacities = np.asarray(scalar.capacities)
+        assert capacities[list(down)].max() == capacities.max()
+        assert np.any(
+            scalar.occupancy[list(down), 5:10]
+            > capacities[list(down), None] // 2
+        )
+
+    def test_regional_demand_gathers_per_player(self):
+        # an outage that also moves its region's demand: the regions'
+        # attempt probabilities differ, so the arrival draw is compared
+        # against a per-player gather, not one scalar
+        scenario = DemandScenario(
+            "outage_with_demand",
+            (RegionalOutage(3, 8, region="eu", capacity_scale=0.0, demand_scale=2.5),),
+        )
+        scalar, columnar = self._runs(
+            "latency_aware", True, scenario=scenario, demand_ratio=1.5
+        )
+        _assert_identical(scalar, columnar)

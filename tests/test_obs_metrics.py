@@ -1,8 +1,11 @@
 """Tests for the process-local metrics registry (repro.obs.metrics)."""
 
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -72,6 +75,56 @@ class TestHistogram:
         assert hist.count == 0
         assert hist.min == math.inf
         assert hist.max == -math.inf
+
+
+def _observe_loop(hist, values):
+    """The per-value loop ``Histogram.observe_many`` must reproduce."""
+    for value in values:
+        hist.observe(value)
+
+
+def _state(hist):
+    """Histogram state with floats as bit patterns (NaN and -0.0 exact)."""
+    bits = lambda x: struct.pack("<d", x)  # noqa: E731
+    return hist.count, bits(hist.total), bits(hist.min), bits(hist.max)
+
+
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]),
+    st.integers(min_value=-(2**60), max_value=2**60),
+)
+
+
+class TestObserveManyEqualsTheLoop:
+    @given(
+        prior=st.lists(_values, max_size=5),
+        values=st.lists(_values, max_size=40),
+        as_array=st.booleans(),
+    )
+    def test_same_state_as_observing_one_at_a_time(self, prior, values, as_array):
+        looped, batched = Histogram("a"), Histogram("b")
+        _observe_loop(looped, prior)
+        _observe_loop(batched, prior)
+        _observe_loop(looped, values)
+        if as_array:
+            batched.observe_many(np.asarray(values, dtype=np.float64))
+        else:
+            batched.observe_many(values)
+        assert _state(batched) == _state(looped)
+        assert type(batched.total) is float
+        assert type(batched.min) is float and type(batched.max) is float
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [math.nan], [0.0, -0.0], [-0.0, 0.0], [math.nan, -0.0, 0.0, 3]],
+        ids=["empty", "nan only", "zero first", "minus zero first", "mixed"],
+    )
+    def test_edge_cases(self, values):
+        looped, batched = Histogram("a"), Histogram("b")
+        _observe_loop(looped, values)
+        batched.observe_many(iter(values))
+        assert _state(batched) == _state(looped)
 
 
 class TestMetricsRegistry:
