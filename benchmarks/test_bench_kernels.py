@@ -4,7 +4,9 @@ The facility pipeline's hop cost is dominated by the pps FIFO kernel;
 these benches time the authoritative scalar loop against the idle-period
 block-decomposition fast path on the same high-utilisation Poisson
 stream, and pin the acceptance bar: the fast path must stay bit-identical
-and at least 5x faster at 10^6 packets.
+and at least 5x faster at 10^6 packets.  A NAT-shaped two-class stream
+(tick bursts, stalls, freezes) pins the same for the NAT replay's
+calls: bit-identical and at least 3x faster.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import time
 
 import numpy as np
 
+from repro.kernels import FreezePolicy
 from repro.kernels.fifo import _scalar_fifo, fifo_forward
 
 #: Queue depth of the benched hop (deep enough that the stream below
@@ -98,3 +101,88 @@ def test_fifo_fast_path_speedup_and_parity_1m():
         f"-> {speedup:.1f}x at 10^6 packets"
     )
     assert speedup >= 5.0, f"fast path only {speedup:.1f}x faster"
+
+
+#: The NAT replay's device (``repro.router.device.DeviceProfile``
+#: defaults): WAN queue, LAN queue, and the freeze policy.
+NAT_QUEUES = (9, 19)
+NAT_FREEZE = FreezePolicy(threshold=12, window=0.5, duration=0.45, lag=0.10)
+
+
+def nat_stream(n: int, seed: int = 11):
+    """A NAT-shaped stream of about ``n`` packets: 20-packet server tick
+    bursts every 50 ms on the LAN (secondary) side, Poisson WAN
+    (primary) arrivals at the same mean rate, lognormal services around
+    a 1250 pps lookup engine, and ~0.2 s WAN stalls every ~21 s."""
+    rng = np.random.default_rng(seed)
+    horizon = n / 800.0
+    ticks = np.arange(0.0, horizon, 0.05)
+    lan = (ticks[:, None] + np.arange(20) * 7e-4).ravel()
+    wan = np.cumsum(rng.exponential(1.0 / 400.0, int(horizon * 400.0)))
+    t = np.concatenate([lan, wan[wan < horizon]])
+    order = np.argsort(t, kind="stable")
+    timestamps = t[order]
+    primary = (order >= lan.size)
+    sigma = np.sqrt(np.log(1.0 + 0.35**2))
+    services = rng.lognormal(np.log(8e-4) - 0.5 * sigma**2, sigma, t.size)
+    starts = np.cumsum(rng.exponential(21.0, int(horizon / 10.0)))
+    starts = starts[starts < horizon]
+    stalls = list(zip(starts.tolist(),
+                      (starts + rng.exponential(0.22, starts.size)).tolist()))
+    return timestamps, services, primary, stalls
+
+
+def run_nat_scalar(timestamps, service_times, primary, stalls):
+    n = timestamps.size
+    fates = np.ones(n, dtype=np.int8)
+    departures = np.full(n, np.nan)
+    windows = _scalar_fifo(timestamps, service_times, primary, *NAT_QUEUES,
+                           stalls, NAT_FREEZE, fates, departures)
+    return fates, departures, windows
+
+
+def run_nat_fast(timestamps, service_times, primary, stalls):
+    return fifo_forward(timestamps, service_times, primary_mask=primary,
+                        primary_queue=NAT_QUEUES[0],
+                        secondary_queue=NAT_QUEUES[1], blackouts=stalls,
+                        freeze=NAT_FREEZE)
+
+
+def test_bench_fifo_two_class_1m(benchmark):
+    """The two-class fast path on the NAT-shaped stream at 10^6 packets."""
+    stream = nat_stream(1_000_000)
+    result = benchmark.pedantic(run_nat_fast, args=stream, rounds=1,
+                                iterations=1)
+    assert (result.fates == -1).any() and (result.fates == 0).any()
+
+
+def test_fifo_two_class_fast_path_speedup_and_parity_1m():
+    """Acceptance bar: bit-identical and >= 3x faster at 10^6 NAT packets.
+
+    Best of repeated runs on both sides, as for the single-class floor.
+    """
+    stream = nat_stream(1_000_000)
+
+    scalar_seconds = float("inf")
+    for _ in range(2):
+        start = time.perf_counter()
+        fates, departures, windows = run_nat_scalar(*stream)
+        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
+
+    fast_seconds = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        result = run_nat_fast(*stream)
+        fast_seconds = min(fast_seconds, time.perf_counter() - start)
+
+    np.testing.assert_array_equal(result.fates, fates)
+    assert np.array_equal(result.departures, departures, equal_nan=True)
+    assert result.freeze_windows == windows
+    # the stream exercises every rule: overflow drops, stall drops, freezes
+    assert windows and (fates == -1).any() and (fates == 0).any()
+    speedup = scalar_seconds / fast_seconds
+    print(
+        f"\nscalar {scalar_seconds:.3f} s, two-class fast path "
+        f"{fast_seconds:.3f} s -> {speedup:.1f}x at 10^6 NAT packets"
+    )
+    assert speedup >= 3.0, f"two-class fast path only {speedup:.1f}x faster"

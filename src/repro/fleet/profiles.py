@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.gameserver.config import ServerProfile, olygamer_week
 from repro.net.addresses import IPv4Address
 from repro.sim.random import RandomStreams, derive_seed, sample_lognormal
@@ -122,9 +124,7 @@ class FleetProfile:
                 f"server index {index} out of range for fleet of {self.n_servers}"
             )
         base = self.base_profile
-        rng = RandomStreams(derive_seed(self.seed, f"fleet-profile:{index}")).get(
-            "heterogeneity"
-        )
+        rng = self._heterogeneity(index)
         slots = int(self.slot_choices[int(rng.integers(len(self.slot_choices)))])
         popularity = (
             float(sample_lognormal(rng, 1.0, self.popularity_cv))
@@ -146,6 +146,21 @@ class FleetProfile:
             diurnal_phase=2.0 * math.pi * phase_hours / 24.0,
             map_duration=map_duration,
         )
+
+    def _heterogeneity(self, index: int) -> np.random.Generator:
+        """Server ``index``'s profile stream; its first draw picks the slots."""
+        return RandomStreams(derive_seed(self.seed, f"fleet-profile:{index}")).get(
+            "heterogeneity"
+        )
+
+    def server_slots(self) -> np.ndarray:
+        """Every server's ``max_players``, in server-index order (int64),
+        without building the profiles."""
+        slots = np.empty(self.n_servers, dtype=np.int64)
+        for index in range(self.n_servers):
+            rng = self._heterogeneity(index)
+            slots[index] = self.slot_choices[int(rng.integers(len(self.slot_choices)))]
+        return slots
 
     def server_profiles(self) -> Tuple[ServerProfile, ...]:
         """All per-server profiles, in server-index order."""

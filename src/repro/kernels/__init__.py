@@ -6,10 +6,12 @@ concentration point in a hosting facility:
 * :mod:`repro.kernels.fifo` — the pps-bound store-and-forward FIFO
   (:func:`fifo_forward`): strictly work-conserving by arrival with
   per-class finite buffers, optional blackout windows and a starvation
-  ("freeze") policy.  The plain single-class case dispatches to a numpy
+  ("freeze") policy.  Every call on a sorted stream dispatches to a numpy
   idle-period block decomposition that is bit-identical to the scalar
-  loop; :class:`repro.router.device.ForwardingEngine` and the facility
-  rack/core switches (:mod:`repro.facilitynet.hops`) both delegate here.
+  loop, which reruns only the busy periods that drop or suppress
+  packets; :class:`repro.router.device.ForwardingEngine` and the
+  facility rack/core switches (:mod:`repro.facilitynet.hops`) both
+  delegate here.
 * :mod:`repro.kernels.taildrop` — the bps-bound tail-drop link
   (:func:`tail_drop_link`): a byte-buffered FIFO drained at wire rate,
   evaluated chunk-wise with a vectorised Lindley closed form.

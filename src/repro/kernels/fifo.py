@@ -10,20 +10,26 @@ Two implementations share the contract:
 
 * :func:`_scalar_fifo` — the authoritative per-packet loop, supporting
   two classes, blackout windows on the primary class and the starvation
-  ("freeze") policy coupling primary drops to secondary output;
-* :func:`_vectorized_fifo` — a numpy idle-period block decomposition for
-  the plain single-class case (no classes, no blackouts, no freeze):
+  ("freeze") policy coupling primary drops to secondary output.  It can
+  run a span of rows from an explicit :class:`_FifoState` and leave the
+  state for the next span;
+* :func:`_vectorized_fifo` — a numpy idle-period block decomposition:
   the arrival stream is segmented at points where the engine provably
-  drains, the no-drop Lindley recursion is evaluated per busy period
-  with vectorised sequential sums, and a cumulative-backlog scan finds
-  busy periods that would overflow the buffer — only those rerun the
-  scalar loop, and each resumes at its first overflowing arrival: every
-  packet before it is admitted, so the no-drop finishes already there
-  are exact.  Its fates and departures are bit-identical to the scalar
+  drains, and the no-drop Lindley recursion is evaluated per busy
+  period with vectorised sequential sums.  Scans over that no-drop run
+  then find the busy periods where it is wrong — a class's buffer would
+  overflow, a primary arrival falls in a blackout — and only those
+  rerun a scalar loop, from their first such row on: every packet
+  before it is forwarded, so the no-drop finishes already there are
+  exact.  A plain single-class stream reruns on :func:`_scalar_span`
+  (O(1) buffer test); anything else on :func:`_scalar_fifo`, carried on
+  while a freeze it triggered still suppresses secondary packets.  Its
+  fates, departures and freeze windows are bit-identical to the scalar
   kernel (pinned by ``tests/test_kernels_fifo.py`` and
   ``tests/test_kernels_reference.py``).
 
-:func:`fifo_forward` dispatches between them automatically.
+:func:`fifo_forward` takes the fast path for every sorted stream with
+non-negative service times, and the scalar loop for any other.
 """
 
 from __future__ import annotations
@@ -82,10 +88,15 @@ def _counters() -> _FifoCounters:
 class FreezePolicy:
     """Starvation coupling between primary-class drops and secondary output.
 
-    When ``threshold`` primary drops land within ``window`` seconds, the
-    secondary source pauses for ``duration`` seconds starting ``lag``
-    seconds later — the paper's Fig 15 game-freeze mechanism, kept here
-    so the kernel can reproduce :mod:`repro.router.device` exactly.
+    When ``threshold`` primary drops land within ``window`` seconds, a
+    freeze is recorded as the window ``(trigger + lag, trigger + lag +
+    duration)``: the paper's Fig 15 game-freeze mechanism, kept here so
+    the kernel can reproduce :mod:`repro.router.device` exactly.  The
+    secondary source is suppressed from the triggering drop itself up to
+    the window's end (a secondary arrival is suppressed whenever it lies
+    before the current ``freeze_until``), so suppression starts ``lag``
+    seconds before the recorded window opens.  A new freeze needs its
+    window to start at or after the current one's end.
     """
 
     threshold: int
@@ -132,8 +143,9 @@ def fifo_forward(
     class subject to ``blackouts`` (arrivals inside a blackout window
     are dropped) and whose drops feed the optional ``freeze`` policy;
     ``None`` treats every packet as primary — a plain single-queue
-    pps-bound hop, which dispatches to the vectorised idle-period fast
-    path (bit-identical to the scalar loop).
+    pps-bound hop.  Every sorted stream with non-negative service times
+    dispatches to the vectorised idle-period fast path, bit-identical to
+    the scalar loop; any other stream runs the scalar loop.
     """
     n = int(np.asarray(timestamps).size)
     fates = np.ones(n, dtype=np.int8)
@@ -145,23 +157,27 @@ def fifo_forward(
     if primary_queue < 1 or secondary_queue < 1:
         raise ValueError("queue capacities must be >= 1")
 
-    if primary_mask is None and freeze is None and len(blackouts) == 0:
-        t = np.ascontiguousarray(timestamps, dtype=np.float64)
-        s = np.ascontiguousarray(service_times, dtype=np.float64)
-        # the fast path assumes a sorted stream and sane services; any
-        # violation (or NaN) falls back to the authoritative loop
-        if (
-            s.size == n
-            and bool(np.all(s >= 0.0))
-            and bool(np.all(t[1:] >= t[:-1]))
-        ):
-            counters.fast_path_calls.inc()
-            _vectorized_fifo(t, s, primary_queue, fates, departures)
-            return KernelResult(fates, departures, [])
+    t = np.ascontiguousarray(timestamps, dtype=np.float64)
+    s = np.ascontiguousarray(service_times, dtype=np.float64)
+    mask = None if primary_mask is None else np.asarray(primary_mask, dtype=bool)
+    # the fast path assumes a sorted stream and sane services; any
+    # violation (or NaN) falls back to the authoritative loop
+    if (
+        s.size == n
+        and (mask is None or mask.shape == (n,))
+        and bool(np.all(s >= 0.0))
+        and bool(np.all(t[1:] >= t[:-1]))
+    ):
+        counters.fast_path_calls.inc()
+        freeze_windows = _vectorized_fifo(
+            t, s, mask, primary_queue, secondary_queue, blackouts, freeze,
+            fates, departures,
+        )
+        return KernelResult(fates, departures, freeze_windows)
 
     counters.scalar_calls.inc()
     freeze_windows = _scalar_fifo(
-        timestamps,
+        t,
         service_times,
         primary_mask,
         primary_queue,
@@ -177,6 +193,37 @@ def fifo_forward(
 # ----------------------------------------------------------------------
 # authoritative scalar kernel
 # ----------------------------------------------------------------------
+class _FifoState:
+    """The two-class loop's queue state between two rows.
+
+    ``primary_backlog``/``secondary_backlog`` hold the service
+    completion times of packets waiting or in service (packets whose
+    completion is at or before the next arrival have left the buffer);
+    ``blackout_index`` is the loop's pointer into the blackout windows;
+    ``recent_drops`` are the primary drop times the freeze policy still
+    counts, and ``freeze_windows`` every freeze recorded so far.
+    """
+
+    __slots__ = (
+        "engine_free",
+        "primary_backlog",
+        "secondary_backlog",
+        "blackout_index",
+        "freeze_until",
+        "recent_drops",
+        "freeze_windows",
+    )
+
+    def __init__(self, engine_free: float) -> None:
+        self.engine_free = engine_free
+        self.primary_backlog: Deque[float] = deque()
+        self.secondary_backlog: Deque[float] = deque()
+        self.blackout_index = 0
+        self.freeze_until = -1.0
+        self.recent_drops: Deque[float] = deque()
+        self.freeze_windows: List[Tuple[float, float]] = []
+
+
 def _scalar_fifo(
     timestamps: np.ndarray,
     service_times: np.ndarray,
@@ -187,32 +234,46 @@ def _scalar_fifo(
     freeze: Optional[FreezePolicy],
     fates: np.ndarray,
     departures: np.ndarray,
+    start: int = 0,
+    end: Optional[int] = None,
+    state: Optional[_FifoState] = None,
 ) -> List[Tuple[float, float]]:
-    """Per-packet reference loop; writes every entry of ``fates``/``departures``.
+    """Per-packet reference loop over rows ``[start, end)``.
 
-    The loop reads Python floats from ``tolist()`` copies of the inputs
+    Writes every entry of ``fates``/``departures`` in the span and
+    returns the freeze windows recorded so far.  With no ``state`` the
+    loop starts from an idle device at the first row; the fast path
+    passes its own :class:`_FifoState`, which the loop reads on entry
+    and leaves as it stands after row ``end - 1``, so a later call can
+    resume from it.
+
+    The loop reads Python floats from ``tolist()`` copies of the span
     (the values ``float(timestamps[i])`` would give) and writes the
     outputs back in one assignment each, after the loop.
     """
-    times = np.asarray(timestamps, dtype=np.float64).tolist()
-    services = np.asarray(service_times, dtype=np.float64).tolist()
-    n = len(times)
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if end is None:
+        end = timestamps.size
+    if state is None:
+        state = _FifoState(float(timestamps[0]))
+    if start >= end:
+        return state.freeze_windows
+    times = timestamps[start:end].tolist()
+    services = np.asarray(service_times, dtype=np.float64)[start:end].tolist()
     primary = (
         None if primary_mask is None
-        else np.asarray(primary_mask, dtype=bool).tolist()
+        else np.asarray(primary_mask, dtype=bool)[start:end].tolist()
     )
-    fate = [1] * n
-    depart = [math.nan] * n
-    blackout_index = 0
-    freeze_windows: List[Tuple[float, float]] = []
-    freeze_until = -1.0
-    recent_drops: Deque[float] = deque()
-
-    engine_free = times[0]
-    # per-class queues: service completion times of packets waiting or in
-    # service; packets whose completion <= now have left the buffer
-    primary_backlog: Deque[float] = deque()
-    secondary_backlog: Deque[float] = deque()
+    fate = [1] * len(times)
+    depart = [math.nan] * len(times)
+    blackout_index = state.blackout_index
+    n_blackouts = len(blackouts)
+    freeze_windows = state.freeze_windows
+    freeze_until = state.freeze_until
+    recent_drops = state.recent_drops
+    engine_free = state.engine_free
+    primary_backlog = state.primary_backlog
+    secondary_backlog = state.secondary_backlog
 
     for i, now in enumerate(times):
         is_primary = primary is None or primary[i]
@@ -223,7 +284,9 @@ def _scalar_fifo(
         while secondary_backlog and secondary_backlog[0] <= now:
             secondary_backlog.popleft()
 
-        # secondary source frozen: the packet was never generated
+        # secondary source frozen: the packet was never generated.  The
+        # test is against `freeze_until` alone, so suppression starts at
+        # the triggering drop, `lag` before the recorded window opens.
         if not is_primary and now < freeze_until:
             fate[i] = -1
             continue
@@ -231,12 +294,12 @@ def _scalar_fifo(
         if is_primary:
             # advance past finished blackout windows
             while (
-                blackout_index < len(blackouts)
+                blackout_index < n_blackouts
                 and blackouts[blackout_index][1] <= now
             ):
                 blackout_index += 1
             in_blackout = (
-                blackout_index < len(blackouts)
+                blackout_index < n_blackouts
                 and blackouts[blackout_index][0] <= now
             )
             if in_blackout or len(primary_backlog) >= primary_queue:
@@ -269,8 +332,11 @@ def _scalar_fifo(
         else:
             secondary_backlog.append(finish)
 
-    fates[:] = fate
-    departures[:] = depart
+    state.engine_free = engine_free
+    state.blackout_index = blackout_index
+    state.freeze_until = freeze_until
+    fates[start:end] = fate
+    departures[start:end] = depart
     return freeze_windows
 
 
@@ -386,19 +452,23 @@ def _exact_busy_finishes(
 def _vectorized_fifo(
     t: np.ndarray,
     s: np.ndarray,
-    queue: int,
+    primary_mask: Optional[np.ndarray],
+    primary_queue: int,
+    secondary_queue: int,
+    blackouts: Sequence[Tuple[float, float]],
+    freeze: Optional[FreezePolicy],
     fates: np.ndarray,
     departures: np.ndarray,
-) -> None:
-    """Idle-period fast path for the plain single-class FIFO.
+) -> List[Tuple[float, float]]:
+    """Idle-period fast path; returns the freeze windows.
 
     Mirrors the tail-drop link's fast path one level up: candidate busy
     periods come from the closed-form no-drop workload, exact finish
     times are recomputed per busy period with the scalar loop's own
-    addition order, and a cumulative-backlog scan flags busy periods
-    whose queue would overflow — only those rerun the scalar recursion,
-    from their first overflowing arrival on.  All float comparisons
-    below are exact, so every output bit matches :func:`_scalar_fifo`.
+    addition order, and only the busy periods where the no-drop run
+    would drop or suppress a packet rerun a scalar loop, from the first
+    such row on.  All float comparisons below are exact, so every
+    output bit matches :func:`_scalar_fifo`.
     """
     n = t.size
     # closed-form no-drop finishes (different summation order than the
@@ -409,6 +479,7 @@ def _vectorized_fifo(
     is_start = np.empty(n, dtype=bool)
     is_start[0] = True
     np.less_equal(f_hat[:-1], t[1:], out=is_start[1:])
+    del cum, f_hat
     starts = np.flatnonzero(is_start)
     bounds = np.append(starts, n)
 
@@ -422,25 +493,91 @@ def _vectorized_fifo(
     # binary search) falls back to the scalar loop outright.
     interior_idle = np.any((~is_start[1:]) & (finishes[:-1] < t[1:]))
     boundary_busy = np.any(finishes[starts[1:] - 1] > t[starts[1:]])
+    del is_start
+    single_class = primary_mask is None and freeze is None and len(blackouts) == 0
+    counters = _counters()
     if (
         interior_idle
         or boundary_busy
         or bool(np.any(np.diff(finishes) < 0.0))
     ):
-        _counters().scalar_fallback_segments.inc(int(starts.size))
-        _scalar_span(
-            t, s, queue, fates, departures, 0, n, float(t[0]), deque()
+        counters.scalar_fallback_segments.inc(int(starts.size))
+        if single_class:
+            _scalar_span(
+                t, s, primary_queue, fates, departures, 0, n, float(t[0]), deque()
+            )
+            return []
+        return _scalar_fifo(
+            t, s, primary_mask, primary_queue, secondary_queue, blackouts,
+            freeze, fates, departures,
         )
-        return
 
-    # cumulative-backlog scan: packets in system when packet i arrives =
-    # i minus the admitted packets already departed (finish <= t[i]).
-    # Every earlier busy period has drained, so one global searchsorted
-    # counts them.  Packets j >= i tied at finish == t[i] can only push
-    # the count *past* i (occupancy below 0), never up to `queue`, so
-    # the raw difference is safe to compare.  A busy period of length L
-    # can back up at most L - 1 packets, so a busy period no longer than
-    # the buffer can never overflow: only the rows of longer ones are
+    departures[:] = finishes
+    if single_class:
+        rerun_segments = _single_class_reruns(
+            t, s, primary_queue, starts, bounds, finishes, fates, departures
+        )
+        freeze_windows: List[Tuple[float, float]] = []
+    else:
+        rerun_segments, freeze_windows = _two_class_reruns(
+            t, s, primary_mask, primary_queue, secondary_queue, blackouts,
+            freeze, starts, bounds, finishes, fates, departures,
+        )
+    counters.scalar_fallback_segments.inc(rerun_segments)
+    counters.fast_segments.inc(int(starts.size) - rerun_segments)
+    return freeze_windows
+
+
+def _check_drained(
+    engine_free: float,
+    backlogs: Sequence[Deque[float]],
+    start: int,
+    end: int,
+    t: np.ndarray,
+) -> None:
+    """Refuse a rerun span that still holds work at busy-period head ``end``.
+
+    With drops (and suppressions) the engine frees no later than the
+    no-drop finish (float addition and ``max`` are monotone), and the
+    boundaries were validated against those finishes, so a span always
+    drains at its boundary and the busy periods after it stand as
+    computed.
+    """
+    if end < t.size:
+        boundary = float(t[end])
+        busy_until = max([engine_free] + [backlog[-1] for backlog in backlogs if backlog])
+        if busy_until > boundary:
+            raise RuntimeError(
+                f"FIFO rerun of rows [{start}, {end}) still holds work at its "
+                f"boundary t={boundary!r}: the busy-period split is invalid"
+            )
+
+
+def _single_class_reruns(
+    t: np.ndarray,
+    s: np.ndarray,
+    queue: int,
+    starts: np.ndarray,
+    bounds: np.ndarray,
+    finishes: np.ndarray,
+    fates: np.ndarray,
+    departures: np.ndarray,
+) -> int:
+    """Rerun the overflowing busy periods of a plain single-class stream.
+
+    A cumulative-backlog scan finds them, and each resumes on
+    :func:`_scalar_span` at its first overflowing arrival: every packet
+    before it is admitted, so the no-drop finishes already written there
+    are exact.  Returns the number of busy periods rerun.
+    """
+    # packets in system when packet i arrives = i minus the admitted
+    # packets already departed (finish <= t[i]).  Every earlier busy
+    # period has drained, so one global searchsorted counts them.
+    # Packets j >= i tied at finish == t[i] can only push the count
+    # *past* i (occupancy below 0), never up to `queue`, so the raw
+    # difference is safe to compare.  A busy period of length L can back
+    # up at most L - 1 packets, so a busy period no longer than the
+    # buffer can never overflow: only the rows of longer ones are
     # scanned, and none when no busy period is longer.
     seg_len = np.diff(bounds)
     scanned = np.flatnonzero(np.repeat(seg_len > queue, seg_len))
@@ -448,18 +585,12 @@ def _vectorized_fifo(
         scanned - np.searchsorted(finishes, t[scanned], side="right") >= queue
     ]
     if overflow.size == 0:
-        _counters().fast_segments.inc(int(starts.size))
-        departures[:] = finishes
-        return
-
-    departures[:] = finishes
-    seg_of = np.cumsum(is_start) - 1
-    overflow_segs = seg_of[overflow]
+        return 0
+    overflow_segs = np.searchsorted(starts, overflow, side="right") - 1
     # each dirty busy period's first overflowing row (`overflow` is sorted)
     first = np.empty(overflow.size, dtype=bool)
     first[0] = True
     np.not_equal(overflow_segs[1:], overflow_segs[:-1], out=first[1:])
-    rerun_segments = int(np.count_nonzero(first))
     for j, o in zip(overflow_segs[first].tolist(), overflow[first].tolist()):
         # Rows before the first overflow `o` admit every packet, so
         # the no-drop finishes (and departures) already written for
@@ -475,17 +606,137 @@ def _vectorized_fifo(
         engine_free, backlog = _scalar_span(
             t, s, queue, fates, departures, o, b, float(finishes[o - 1]), backlog
         )
-        # With drops the engine frees no later than the no-drop finish
-        # (float addition and `max` are monotone), and the boundaries
-        # were validated against those finishes, so the span drains at
-        # its boundary and the busy periods after it stand as computed.
-        if b < n:
-            boundary = float(t[b])
-            if engine_free > boundary or (backlog and backlog[-1] > boundary):
-                raise RuntimeError(
-                    f"FIFO rerun of rows [{o}, {b}) still holds work at its "
-                    f"boundary t={boundary!r}: the busy-period split is invalid"
-                )
-    counters = _counters()
-    counters.scalar_fallback_segments.inc(rerun_segments)
-    counters.fast_segments.inc(int(starts.size) - rerun_segments)
+        _check_drained(engine_free, (backlog,), o, b, t)
+    return int(np.count_nonzero(first))
+
+
+def _two_class_reruns(
+    t: np.ndarray,
+    s: np.ndarray,
+    primary_mask: Optional[np.ndarray],
+    primary_queue: int,
+    secondary_queue: int,
+    blackouts: Sequence[Tuple[float, float]],
+    freeze: Optional[FreezePolicy],
+    starts: np.ndarray,
+    bounds: np.ndarray,
+    finishes: np.ndarray,
+    fates: np.ndarray,
+    departures: np.ndarray,
+) -> Tuple[int, List[Tuple[float, float]]]:
+    """Rerun, on :func:`_scalar_fifo`, the rows where classes, blackouts
+    or a freeze make the no-drop run wrong.
+
+    A row is *dirty* when the no-drop run would drop it: a primary
+    arrival inside a blackout, or an arrival that finds its own side's
+    buffer full.  Up to the first dirty row of a busy period every
+    packet is forwarded at its no-drop finish, so a rerun starts there
+    with the queue state the loop has at that row, and runs to the head
+    of the next clean busy period — further, to the first clean one
+    that starts at or after ``freeze_until``, while a freeze it
+    triggered would still suppress secondary packets.  Drops and
+    suppressions only
+    remove work, so each span drains at its last boundary; the busy
+    periods between spans drop nothing, so the carried drop history,
+    freeze and blackout pointer stay the loop's own.  Returns the number
+    of busy periods rerun and the freeze windows.
+    """
+    n = t.size
+    primary = np.ones(n, dtype=bool) if primary_mask is None else primary_mask
+    dirty = np.zeros(n, dtype=bool)
+    # The single-class backlog scan, split by side.  Finishes are
+    # monotone, so the packets departed by t[i] are the prefix [0, m),
+    # m = searchsorted(finishes, t[i]), and a side's packets in system
+    # at arrival i are its rows in [m, i): a difference of the side's
+    # running row count.  (Ties m > i only drive the count below 0.)
+    # Only busy periods with more of a side's rows than its buffer
+    # holds can overflow it, so only their rows are scanned.
+    seg_len = np.diff(bounds)
+    primary_before = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(primary, out=primary_before[1:])
+    primary_rows = np.diff(primary_before[bounds])
+    crowded = (primary_rows > primary_queue) | (seg_len - primary_rows > secondary_queue)
+    scanned = np.flatnonzero(np.repeat(crowded, seg_len))
+    if scanned.size:
+        departed = finishes.searchsorted(t[scanned], side="right")
+        held_primary = primary_before[scanned] - primary_before[departed]
+        dirty[scanned] = np.where(
+            primary[scanned],
+            held_primary >= primary_queue,
+            scanned - departed - held_primary >= secondary_queue,
+        )
+        del departed, held_primary
+    del primary_before, scanned
+    if len(blackouts):
+        # The loop's pointer rests, at each primary arrival, on the
+        # first window whose end is past it (it only moves forward, and
+        # every window it passed ended earlier), and the arrival is in a
+        # blackout iff that window has started.  Windows may overlap, so
+        # the first end past t is found on the running maximum of ends.
+        # Such an arrival lies inside that window, so only rows inside
+        # some window are tested.
+        windows = np.asarray(blackouts, dtype=np.float64).reshape(-1, 2)
+        lo = t.searchsorted(windows[:, 0])
+        lengths = np.maximum(t.searchsorted(windows[:, 1]) - lo, 0)
+        offsets = np.cumsum(lengths) - lengths
+        rows = np.arange(int(lengths.sum())) + np.repeat(lo - offsets, lengths)
+        rows = rows[primary[rows]]
+        arrivals = t[rows]
+        pointer = np.maximum.accumulate(windows[:, 1]).searchsorted(
+            arrivals, side="right"
+        )
+        open_ = pointer < windows.shape[0]
+        rows, arrivals, pointer = rows[open_], arrivals[open_], pointer[open_]
+        dirty[rows[windows[pointer, 0] <= arrivals]] = True
+    flagged = np.flatnonzero(dirty)
+    del dirty
+    flagged_period = starts.searchsorted(flagged, side="right") - 1
+    # a span runs on through back-to-back dirty busy periods, to the
+    # head of the next clean one (index `starts.size`: the stream's end)
+    clean = np.ones(starts.size + 1, dtype=bool)
+    clean[flagged_period] = False
+    clean_periods = np.flatnonzero(clean)
+    del clean
+
+    state = _FifoState(float(t[0]))
+    head_times = t[starts]
+    # at most `primary_queue` + `secondary_queue` packets are in system
+    # before the first dirty row of a busy period
+    held_rows = primary_queue + secondary_queue
+    rerun_segments = 0
+    k = 0
+    while k < flagged.size:
+        o = int(flagged[k])
+        j = int(flagged_period[k])
+        head = int(bounds[j])
+        lo = max(head, o - held_rows)
+        held = finishes[lo:o]
+        pending = held > t[o]
+        held, held_primary = held[pending], primary[lo:o][pending]
+        state.engine_free = float(finishes[o - 1]) if o > head else float(t[o])
+        state.primary_backlog = deque(held[held_primary].tolist())
+        state.secondary_backlog = deque(held[~held_primary].tolist())
+        start, last = o, j
+        while True:
+            stop = int(clean_periods[clean_periods.searchsorted(last + 1)])
+            end = int(bounds[stop])
+            _scalar_fifo(
+                t, s, primary_mask, primary_queue, secondary_queue, blackouts,
+                freeze, fates, departures, start, end, state,
+            )
+            if end == n or t[end] >= state.freeze_until:
+                break
+            # the freeze still suppresses secondary rows: carry on
+            # through the last busy period that starts before it ends
+            start = end
+            last = int(head_times.searchsorted(state.freeze_until)) - 1
+        _check_drained(
+            state.engine_free,
+            (state.primary_backlog, state.secondary_backlog),
+            o,
+            end,
+            t,
+        )
+        rerun_segments += stop - j
+        k = int(flagged.searchsorted(end))
+    return rerun_segments, state.freeze_windows

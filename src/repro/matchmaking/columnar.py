@@ -539,8 +539,7 @@ def run_columnar(sim) -> "MatchmakingResult":
     config = sim.config
     fleet = sim.fleet
     seed = sim.seed
-    profiles = fleet.server_profiles()
-    capacities = np.asarray([p.max_players for p in profiles], dtype=np.int64)
+    capacities = fleet.server_slots()
     n_servers = int(capacities.size)
     n_epochs = config.n_epochs
     horizon = config.horizon

@@ -293,9 +293,7 @@ class PoolConfig:
         never the fleet's — traits and durations always agree.
         """
         base = overrides.get("base_profile", fleet.base_profile)
-        total_slots = sum(
-            profile.max_players for profile in fleet.server_profiles()
-        )
+        total_slots = int(fleet.server_slots().sum())
         if pool_size is None:
             pool_size = 5 * total_slots
         if pool_size <= total_slots:

@@ -11,10 +11,12 @@ model reproduces the paper's three observed phenomena:
    queue.  Episodic WAN-path stalls (NAT table maintenance) concentrate
    further inbound loss, producing the drop-outs of Fig 14(b).
 2. **Correlated freezes** (Fig 15).  Bursts of inbound loss starve the
-   game logic; the server's outgoing flood pauses shortly afterwards.
-   The engine exposes freeze windows to the caller, which suppresses
-   server output inside them — so outgoing dips mirror inbound loss
-   without outgoing drops, exactly the paper's observation.
+   game logic, and the server's outgoing flood pauses.  The engine
+   records each freeze as a window ``(trigger + lag, trigger + lag +
+   duration)``, but it suppresses server output from the triggering
+   drop itself up to the window's end: the pause starts at the trigger,
+   ``lag`` before the recorded window opens.  Outgoing dips mirror
+   inbound loss without outgoing drops, the paper's observation.
 3. **Low but non-zero outbound loss.**  The larger LAN-side queue
    absorbs normal bursts; only coincidences of consecutive-tick bursts
    and service-time jitter overflow it.
@@ -69,7 +71,8 @@ class DeviceProfile:
     freeze_window: float = 0.5
     #: Seconds the server's output pauses once starved.
     freeze_duration: float = 0.45
-    #: Reaction delay between the loss burst and the output pause.
+    #: Offset of a recorded freeze window's start from the triggering
+    #: drop (output is already suppressed from the trigger on).
     freeze_lag: float = 0.10
 
     def __post_init__(self) -> None:
@@ -181,9 +184,10 @@ class ForwardingEngine:
     def process(self, trace: Trace) -> ForwardingResult:
         """Push every packet of ``trace`` through the device.
 
-        Packets must be time-sorted (Trace guarantees it).  Runs a single
-        O(n) pass; service times are lognormal-jittered around
-        ``1/lookup_rate``.
+        Packets must be time-sorted (Trace guarantees it), so the kernel
+        takes its vectorised fast path: only busy periods with drops or
+        suppressions run per packet.  Service times are
+        lognormal-jittered around ``1/lookup_rate``.
         """
         profile = self.profile
         n = len(trace)

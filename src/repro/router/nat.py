@@ -21,10 +21,6 @@ from repro.trace.packet import Direction
 from repro.trace.trace import Trace
 
 
-#: Forwarded packets whose endpoints are copied to Python at a time.
-_UPKEEP_BLOCK = 8192
-
-
 class NatTableFullError(RuntimeError):
     """Raised when the mapping table cannot admit another flow."""
 
@@ -174,28 +170,75 @@ class NatDevice:
         Table IV accounting.
         """
         forwarding = self.engine.process(trace)
-        table = self.table
-        bindings = table._bindings
-        forwarded = np.flatnonzero(forwarding.fates == 1)
-        # in blocks, so the Python copies stay small next to the trace
-        for start in range(0, forwarded.size, _UPKEEP_BLOCK):
-            rows = forwarded[start:start + _UPKEEP_BLOCK]
-            # the remote endpoint of each forwarded packet, as Python
-            # scalars: the destination of outbound packets, the source of
-            # inbound ones
-            outbound = trace.directions[rows] == np.int8(Direction.OUT)
-            addrs = np.where(outbound, trace.dst_addrs[rows], trace.src_addrs[rows])
-            ports = np.where(outbound, trace.dst_ports[rows], trace.src_ports[rows])
-            for key, now in zip(
-                zip(addrs.tolist(), ports.tolist()), trace.timestamps[rows].tolist()
-            ):
-                binding = bindings.get(key)
-                if binding is None:
-                    table.touch(*key, now)
-                else:  # the common case, inlined from ``touch``
-                    binding.last_used = now
+        _update_table(self.table, trace, np.flatnonzero(forwarding.fates == 1))
         return NatExperimentResult(
             forwarding=forwarding,
             table_created=self.table.created_total,
             table_peak=self.table.peak_size,
         )
+
+
+def _update_table(table: NatTable, trace: Trace, rows: np.ndarray) -> None:
+    """Touch ``table`` for each of ``rows`` in order, as one
+    ``table.touch(addr, port, now)`` per row would.
+
+    The key is the packet's remote endpoint: the destination of an
+    outbound packet, the source of an inbound one.  A binding in use
+    only moves its ``last_used``; the table itself changes only when a
+    key is missing, since that alone runs ``_expire``.  A key can be
+    missing only at its first sighting or after a gap since its previous
+    use longer than ``idle_timeout`` (an expiry at ``t' <= t`` needs
+    ``last_used < t' - idle_timeout <= t - idle_timeout``).  So only
+    those *candidate* rows are walked, and at one whose key is missing,
+    every binding's ``last_used`` is first set to its last use before
+    that row, then the key is touched.  Counters, ports and every
+    binding's fields end as the per-row loop leaves them.
+    """
+    if rows.size == 0:
+        return
+    bindings = table._bindings
+    outbound = trace.directions == np.int8(Direction.OUT)
+    keys = np.where(outbound, trace.dst_addrs, trace.src_addrs).astype(np.int64) << 16
+    keys |= np.where(outbound, trace.dst_ports, trace.src_ports)
+    del outbound
+    unique_keys, codes = np.unique(keys[rows], return_inverse=True)
+    del keys
+    # (addr, port) of each code as Python ints, the table's key type
+    endpoints = list(zip((unique_keys >> 16).tolist(), (unique_keys & 0xFFFF).tolist()))
+    times = trace.timestamps[rows]
+    n = rows.size
+
+    # in (key, row) order: each row's next use of its key (n: none), and
+    # the candidates — each key's first row, and every row that follows
+    # its key's previous use by more than the timeout
+    small_codes = codes.astype(np.min_scalar_type(len(endpoints)))
+    order = np.argsort(small_codes, kind="stable")
+    sorted_codes = small_codes[order]
+    del small_codes
+    candidate = np.empty(n, dtype=bool)
+    candidate[0] = True
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=candidate[1:])
+    del sorted_codes
+    next_use = np.empty(n, dtype=np.intp)
+    next_use[order[:-1]] = np.where(candidate[1:], n, order[1:])
+    next_use[order[-1]] = n
+    sorted_times = times[order]
+    candidate[1:] |= sorted_times[:-1] < sorted_times[1:] - table.idle_timeout
+    candidates = np.sort(order[candidate]).tolist()
+    del order, sorted_times, candidate
+
+    def settle(start: int, end: int) -> None:
+        # each binding's last use before `end`, for the keys used in
+        # [start, end) (the others were set at an earlier touch)
+        last = start + np.flatnonzero(next_use[start:end] >= end)
+        for code, now in zip(codes[last].tolist(), times[last].tolist()):
+            bindings[endpoints[code]].last_used = now
+
+    done = 0
+    for row in candidates:
+        key = endpoints[codes[row]]
+        if key not in bindings:
+            settle(done, row)
+            table.touch(*key, float(times[row]))
+            done = row
+    settle(done, n)

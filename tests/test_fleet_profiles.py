@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.fleet import FleetProfile, hosting_facility
@@ -72,6 +73,14 @@ class TestDeterminism:
     def test_different_seed_different_fleet(self, fleet):
         other = hosting_facility(n_servers=8, duration=1200.0, seed=4)
         assert other.server_profiles() != fleet.server_profiles()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("n_servers", [1, 16, 256])
+    def test_server_slots_match_the_profiles(self, seed, n_servers):
+        fleet = hosting_facility(n_servers=n_servers, duration=600.0, seed=seed)
+        slots = fleet.server_slots()
+        assert slots.dtype == np.int64
+        assert slots.tolist() == [p.max_players for p in fleet.server_profiles()]
 
     def test_describe_lists_every_server(self, fleet):
         text = fleet.describe()

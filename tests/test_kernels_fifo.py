@@ -158,13 +158,17 @@ class TestDispatch:
         fifo_module.fifo_forward(t, s, primary_queue=4)
         assert calls  # plain single-class stream dispatched to the fast path
 
-    def test_scalar_for_masked_blackout_or_freeze(self, monkeypatch):
+    def test_fast_path_for_masked_blackout_or_freeze(self, monkeypatch):
         import repro.kernels.fifo as fifo_module
 
-        def explode(*args, **kwargs):  # fast path must not be touched
-            raise AssertionError("vectorized path used")
+        calls = []
+        original = fifo_module._vectorized_fifo
 
-        monkeypatch.setattr(fifo_module, "_vectorized_fifo", explode)
+        def spy(*args, **kwargs):
+            calls.append(True)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fifo_module, "_vectorized_fifo", spy)
         t = np.arange(50, dtype=np.float64)
         s = np.full(50, 0.1)
         mask = np.arange(50) % 2 == 0
@@ -176,6 +180,8 @@ class TestDispatch:
             primary_queue=4,
             freeze=FreezePolicy(threshold=1, window=1.0, duration=1.0, lag=0.0),
         )
+        # classes, blackouts and freezes all run in vectorised busy periods
+        assert len(calls) == 3
 
     def test_scalar_fallback_for_unsorted_or_negative_service(self):
         # the guards must reject streams the fast path cannot segment;
@@ -201,6 +207,35 @@ class TestDispatch:
             acc = acc + float(value)
             expected[i] = acc
         np.testing.assert_array_equal(np.cumsum(values), expected)
+
+
+class TestFreezeSemantics:
+    @pytest.mark.parametrize("path", ["fast", "scalar"])
+    def test_suppression_starts_at_the_trigger(self, monkeypatch, path):
+        # a primary arrival inside a blackout triggers a freeze at t=1.0,
+        # recorded as the window (1.5, 2.5); secondary output is already
+        # suppressed between the trigger and the window's start
+        import repro.kernels.fifo as fifo_module
+
+        if path == "scalar":
+            def scalar(t, s, mask, pq, sq, blackouts, freeze, fates, departures):
+                return _scalar_fifo(t, s, mask, pq, sq, blackouts, freeze,
+                                    fates, departures)
+
+            monkeypatch.setattr(fifo_module, "_vectorized_fifo", scalar)
+        t = np.array([0.5, 1.0, 1.2, 1.4, 2.4, 2.6, 3.0])
+        mask = np.array([False, True, False, False, False, False, True])
+        result = fifo_forward(
+            t,
+            np.full(t.size, 0.01),
+            primary_mask=mask,
+            primary_queue=4,
+            secondary_queue=4,
+            blackouts=[(0.9, 1.1)],
+            freeze=FreezePolicy(threshold=1, window=1.0, duration=1.0, lag=0.5),
+        )
+        assert result.freeze_windows == [(1.5, 2.5)]
+        np.testing.assert_array_equal(result.fates, [1, 0, -1, -1, -1, 1, 1])
 
 
 class TestCompatibilityExports:

@@ -342,6 +342,135 @@ class TestFifoResume:
 
 
 # ----------------------------------------------------------------------
+# two classes, blackouts and freezes on the fast path
+# ----------------------------------------------------------------------
+def assert_conserved(t, s, mask, fates, departures):
+    """Fates partition each class; forwarded departures are a valid FIFO
+    egress; only secondary packets are suppressed."""
+    primary = np.ones(t.size, dtype=bool) if mask is None else np.asarray(mask)
+    for side in (primary, ~primary):
+        counts = [int(np.count_nonzero(fates[side] == fate)) for fate in (1, 0, -1)]
+        assert sum(counts) == int(np.count_nonzero(side))
+    assert not (fates[primary] == -1).any()
+    forwarded = fates == 1
+    assert np.isnan(departures[~forwarded]).all()
+    out = departures[forwarded]
+    assert (np.diff(out) >= 0.0).all()
+    assert (out >= t[forwarded] + s[forwarded]).all()
+
+
+def _two_class_stream(seed, n, load, lattice, share):
+    """A sorted two-class stream: ``share`` of the packets are primary
+    (``None``: no mask, every packet primary).
+
+    ``lattice`` puts arrivals and services (zeros included) on a 0.5
+    grid, so finishes tie with arrivals exactly.
+    """
+    rng = np.random.default_rng(seed)
+    mask = None if share is None else rng.random(n) < share
+    if lattice:
+        t = np.sort(rng.integers(0, max(1, int(n / load)), n)) * 0.5
+        return t.astype(np.float64), rng.integers(0, 3, n) * 0.5, mask
+    t = np.cumsum(rng.exponential(1.0 / load, n))
+    return t, rng.uniform(0.5, 1.5, n), mask
+
+
+@st.composite
+def _blackouts(draw, horizon):
+    """Windows in any order: disjoint, overlapping and nested."""
+    windows = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.floats(-1.0, horizon))
+        length = draw(st.sampled_from([0.0, 0.5, 2.0, 10.0, horizon / 4]))
+        windows.append((start, start + length))
+        if draw(st.booleans()):  # a window nested inside this one
+            windows.append((start + length / 4, start + length / 2))
+    return windows
+
+
+class TestTwoClassFastPath:
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 1200),
+        load=st.floats(0.3, 2.5),
+        lattice=st.booleans(),
+        share=st.sampled_from([None, 0.0, 0.2, 0.5, 1.0]),
+        primary_queue=st.integers(1, 6),
+        secondary_queue=st.integers(1, 8),
+        freeze=st.one_of(
+            st.none(),
+            st.builds(
+                FreezePolicy,
+                threshold=st.integers(1, 4),
+                window=st.sampled_from([0.0, 1.0, 5.0]),
+                duration=st.sampled_from([0.0, 0.5, 3.0, 20.0]),
+                lag=st.sampled_from([0.0, 0.5, 2.0]),
+            ),
+        ),
+        data=st.data(),
+    )
+    def test_fast_path_matches_oracle(self, seed, n, load, lattice, share,
+                                      primary_queue, secondary_queue, freeze,
+                                      data):
+        t, s, mask = _two_class_stream(seed, n, load, lattice, share)
+        blackouts = data.draw(_blackouts(float(t[-1])))
+        fates = assert_fifo_matches(t, s, mask, primary_queue, secondary_queue,
+                                    blackouts, freeze)
+        result = fifo_forward(t, s, primary_mask=mask,
+                              primary_queue=primary_queue,
+                              secondary_queue=secondary_queue,
+                              blackouts=blackouts, freeze=freeze)
+        assert_conserved(t, s, mask, fates, result.departures)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_freezes_straddle_busy_period_boundaries(self, seed):
+        # tick bursts of secondary packets with sparse primary arrivals
+        # and long stalls: freezes trigger on the last rows of busy
+        # periods and their ends fall in idle gaps or mid-burst
+        rng = np.random.default_rng(seed)
+        ticks = np.repeat(np.arange(0.0, 60.0, 0.5), 12)
+        lan = ticks + np.tile(np.arange(12) * 0.01, ticks.size // 12)
+        wan = np.sort(rng.uniform(0.0, 60.0, 900))
+        t = np.concatenate([lan, wan])
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        mask = np.concatenate([np.zeros(lan.size, bool), np.ones(wan.size, bool)])[order]
+        s = rng.uniform(0.004, 0.012, t.size)
+        stalls = [(float(a), float(a) + 0.4) for a in np.arange(3.0, 60.0, 7.3)]
+        freeze = FreezePolicy(threshold=3, window=0.5, duration=0.75, lag=0.1)
+        fates = assert_fifo_matches(t, s, mask, 3, 10, stalls, freeze)
+        result = fifo_forward(t, s, primary_mask=mask, primary_queue=3,
+                              secondary_queue=10, blackouts=stalls,
+                              freeze=freeze)
+        assert (fates == -1).any() and (fates == 0).any()
+        assert_conserved(t, s, mask, fates, result.departures)
+
+    def test_freeze_ending_on_a_busy_period_head(self):
+        # lattice times: the freeze ends exactly at a later arrival,
+        # which is not suppressed (`now < freeze_until` is strict)
+        t = np.array([0.0, 1.0, 1.5, 2.0, 3.0, 3.0, 4.0])
+        mask = np.array([True, True, False, False, False, True, False])
+        s = np.array([0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
+        freeze = FreezePolicy(threshold=1, window=1.0, duration=1.5, lag=0.5)
+        fates = assert_fifo_matches(t, s, mask, 1, 1, [(1.0, 1.25)], freeze)
+        np.testing.assert_array_equal(fates, [1, 0, -1, -1, 1, 1, 1])
+
+    def test_rerun_spans_are_counted(self):
+        # busy periods rerun on the scalar loop count as fallback
+        # segments, the rest as fast ones
+        t, s, mask = _two_class_stream(9, 3000, 0.6, False, 0.5)
+        counters = fifo._counters()
+        fast, rerun = counters.fast_segments.value, counters.scalar_fallback_segments.value
+        fifo_forward(t, s, primary_mask=mask, primary_queue=2,
+                     secondary_queue=3, blackouts=[(100.0, 140.0)])
+        fast = counters.fast_segments.value - fast
+        rerun = counters.scalar_fallback_segments.value - rerun
+        assert fast > 0 and rerun > 0
+        assert fast + rerun == len(_busy_periods(t, s))
+
+
+# ----------------------------------------------------------------------
 # tail-drop sweeps
 # ----------------------------------------------------------------------
 class TestTailDropSweep:

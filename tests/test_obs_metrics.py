@@ -209,12 +209,22 @@ class TestLayerPublication:
         from repro.kernels import fifo_forward
 
         reset_metrics()
+        # an unsorted stream cannot be split into busy periods
+        fifo_forward(
+            np.array([0.0, 2.0, 1.0, 3.0]),
+            np.full(4, 0.5),
+            primary_mask=np.ones(4, dtype=bool),
+        )
+        assert registry().counter("kernels.fifo.scalar_calls").value == 1
+        # a sorted two-class stream takes the fast path
         fifo_forward(
             np.arange(10, dtype=np.float64),
             np.full(10, 0.5),
-            primary_mask=np.ones(10, dtype=bool),
+            primary_mask=np.arange(10) % 2 == 0,
         )
-        assert registry().counter("kernels.fifo.scalar_calls").value == 1
+        reg = registry()
+        assert reg.counter("kernels.fifo.scalar_calls").value == 1
+        assert reg.counter("kernels.fifo.fast_path_calls").value == 1
 
     def test_shard_map_counts_tasks(self):
         from repro.fleet.execution import shard_map
