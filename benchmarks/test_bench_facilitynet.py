@@ -48,4 +48,5 @@ def test_bench_facilitynet_hops_only(benchmark):
         iterations=1,
     )
     assert result.uplink.dropped > 0
-    assert result.ingress_packets == sum(len(trace) for trace in ingress)
+    offered = sum(report.offered for report in result.hops if report.tier == "rack")
+    assert offered == sum(len(trace) for trace in ingress)

@@ -19,11 +19,8 @@ from repro.core.facility import (
     oversubscribed_capacity,
     policy_multiplexing_gain,
 )
-from repro.core.interarrival import InterarrivalAnalysis
 from repro.core.natanalysis import NatAnalysis, NatFlowSeries
-from repro.core.outages import DipEvent, classify_dips, detect_dips, match_expected_dips
 from repro.core.packetsize import FIGURE_TRUNCATION_BYTES, PacketSizeAnalysis
-from repro.core.population_analysis import PopulationAnalysis
 from repro.core.periodicity import PeriodicityAnalysis
 from repro.core.provisioning import (
     CapacityPlan,
@@ -36,7 +33,6 @@ from repro.core.report import (
     ComparisonRow,
     all_rows_ok,
     format_value,
-    render_series_preview,
     render_table,
 )
 from repro.core.selfsimilarity import (
@@ -45,7 +41,6 @@ from repro.core.selfsimilarity import (
     TICK_BOUNDARY,
     stitch_variance_time,
     variance_time_from_counts,
-    variance_time_from_trace,
 )
 from repro.core.sessions import ClientBandwidthAnalysis, MIN_FLOW_DURATION
 from repro.core.sourcemodels import (
@@ -64,7 +59,6 @@ __all__ = [
     "CapacityPlan",
     "ClientBandwidthAnalysis",
     "ComparisonRow",
-    "DipEvent",
     "DirectionModel",
     "FacilityAnalysis",
     "FacilityEnvelope",
@@ -72,7 +66,6 @@ __all__ = [
     "ModelValidation",
     "SourceModel",
     "GeneralTraceInfo",
-    "InterarrivalAnalysis",
     "LatencyStats",
     "LinearityResult",
     "MAP_BOUNDARY",
@@ -86,16 +79,12 @@ __all__ = [
     "PacketSizeAnalysis",
     "PerPlayerModel",
     "PeriodicityAnalysis",
-    "PopulationAnalysis",
     "RateSeries",
     "SelfSimilarityReport",
     "TICK_BOUNDARY",
     "all_rows_ok",
-    "classify_dips",
-    "detect_dips",
     "fit_source_model",
     "format_value",
-    "match_expected_dips",
     "occupancy_rtt_frontier",
     "oversubscribed_capacity",
     "policy_multiplexing_gain",
@@ -104,9 +93,7 @@ __all__ = [
     "interval_counts",
     "linearity_experiment",
     "packet_load_series",
-    "render_series_preview",
     "render_table",
     "stitch_variance_time",
     "variance_time_from_counts",
-    "variance_time_from_trace",
 ]

@@ -156,11 +156,6 @@ class AdmissionStats:
         """Fraction of attempts refused."""
         return self.rejected / self.attempts if self.attempts else 0.0
 
-    @property
-    def retry_rate(self) -> float:
-        """Fraction of rejections that scheduled a retry."""
-        return self.retried / self.rejected if self.rejected else 0.0
-
 
 @dataclass(frozen=True)
 class OccupancyStats:
@@ -291,11 +286,6 @@ class RecoveryStats:
     event_end: int
     tolerance: float
     settle_epochs: int
-
-    @property
-    def recovered(self) -> bool:
-        """True when the series settled back inside the band."""
-        return self.time_to_baseline is not None
 
     @property
     def peak_deviation(self) -> float:
@@ -509,11 +499,6 @@ class FacilityAnalysis:
     def per_server_mean_pps(self) -> np.ndarray:
         """Mean pps of each server, index order."""
         return np.asarray(self._per_server_mean_pps)
-
-    @property
-    def per_server_peak_bandwidth_bps(self) -> np.ndarray:
-        """Peak (percentile) bandwidth of each server, index order."""
-        return np.asarray(self._per_server_peak_bps)
 
     def multiplexing(self) -> MultiplexingGain:
         """Per-server vs aggregate burstiness comparison."""

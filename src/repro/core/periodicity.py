@@ -71,12 +71,6 @@ class PeriodicityAnalysis:
             outbound_duty_cycle=duty,
         )
 
-    def tick_matches(self, expected: float, tolerance: float = 0.2) -> bool:
-        """True when the recovered period is within ``tolerance`` of expected."""
-        if expected <= 0:
-            raise ValueError(f"expected period must be positive: {expected!r}")
-        return abs(self.recovered_period_out - expected) / expected <= tolerance
-
 
 def _expected_duty(period: float, bin_size: float) -> float:
     """Fraction of bins containing a burst for a clean period."""

@@ -54,27 +54,6 @@ class PerPlayerModel:
             pps=pps_in + pps_out,
         )
 
-    def server_bandwidth_bps(self, players: int) -> float:
-        """Predicted server bandwidth with ``players`` connected."""
-        if players < 0:
-            raise ValueError(f"players must be >= 0: {players!r}")
-        return self.bandwidth_bps * players
-
-    def server_pps(self, players: int) -> float:
-        """Predicted server packet load with ``players`` connected."""
-        if players < 0:
-            raise ValueError(f"players must be >= 0: {players!r}")
-        return self.pps * players
-
-    def saturates_modem(self, slack: float = 0.25) -> bool:
-        """True when per-player demand is within ``slack`` of the 56k ceiling.
-
-        The paper's "narrowest last-mile link saturation" claim.
-        """
-        return abs(self.bandwidth_bps - MODEM_RATE_BPS * 40 / 56) <= (
-            MODEM_RATE_BPS * slack
-        )
-
 
 @dataclass(frozen=True)
 class LinearityResult:
@@ -95,13 +74,6 @@ class LinearityResult:
     def pps_per_player(self) -> float:
         """Fitted slope: packets/second per player."""
         return self.pps_fit.slope
-
-    def is_linear(self, min_r_squared: float = 0.98) -> bool:
-        """Both fits explain at least ``min_r_squared`` of the variance."""
-        return (
-            self.pps_fit.r_squared >= min_r_squared
-            and self.kbps_fit.r_squared >= min_r_squared
-        )
 
 
 def linearity_experiment(

@@ -83,23 +83,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series_preview(
-    title: str,
-    times: Sequence[float],
-    values: Sequence[float],
-    max_points: int = 10,
-    unit: str = "",
-) -> str:
-    """Render the first points of a figure's series as text rows."""
-    lines = [title, "-" * len(title)]
-    shown = min(len(values), max_points)
-    for i in range(shown):
-        lines.append(f"t={times[i]:>12.3f}s  {values[i]:>12.2f} {unit}".rstrip())
-    if len(values) > shown:
-        lines.append(f"... ({len(values)} points total)")
-    return "\n".join(lines)
-
-
 def all_rows_ok(rows: Sequence[ComparisonRow]) -> bool:
     """True when every comparison row reproduces within tolerance."""
     return all(row.ok for row in rows)

@@ -19,35 +19,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.binning import BinnedSeries, bin_events
 from repro.stats.hurst import (
     RegimeFit,
     VarianceTimePlot,
     VarianceTimePoint,
-    default_block_sizes,
     segment_regimes,
     variance_time_plot,
 )
-from repro.trace.trace import Trace
 
 #: The paper's regime boundaries: the 50 ms tick and the 30 min map time.
 TICK_BOUNDARY = 0.050
 MAP_BOUNDARY = 1800.0
-
-
-def variance_time_from_trace(
-    trace: Trace,
-    base_interval: float = 0.010,
-    block_sizes: Optional[Sequence[int]] = None,
-) -> VarianceTimePlot:
-    """Variance-time plot of a packet trace's total load at 10 ms bins."""
-    series = bin_events(
-        trace.timestamps,
-        base_interval,
-        start_time=trace.start_time,
-        end_time=trace.end_time,
-    )
-    return variance_time_plot(series.counts, base_interval, block_sizes=block_sizes)
 
 
 def variance_time_from_counts(
@@ -171,8 +153,3 @@ class SelfSimilarityReport:
         except KeyError:
             return False
         return sub < 0.5 and mid > long_term and abs(long_term - 0.5) < 0.2
-
-
-def default_long_block_sizes(n_bins: int) -> List[int]:
-    """Block sizes for the long-horizon (per-second) VT curve."""
-    return default_block_sizes(n_bins, per_decade=6)

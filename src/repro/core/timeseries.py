@@ -25,27 +25,9 @@ class RateSeries:
     series: BinnedSeries
 
     @property
-    def times(self) -> np.ndarray:
-        """Left edge of each bin, seconds."""
-        return self.series.times
-
-    @property
     def packets_per_second(self) -> np.ndarray:
         """pps per bin (the paper's packet-load axis)."""
         return self.series.rates
-
-    @property
-    def kilobits_per_second(self) -> np.ndarray:
-        """Wire kbps per bin (the paper's bandwidth axis)."""
-        return self.series.bandwidth_bps() / 1000.0
-
-    def mean_pps(self) -> float:
-        """Mean packet rate over the series."""
-        return float(self.packets_per_second.mean())
-
-    def mean_kbps(self) -> float:
-        """Mean bandwidth over the series."""
-        return float(self.kilobits_per_second.mean())
 
 
 def packet_load_series(

@@ -139,10 +139,3 @@ class ExperimentOutput:
         return render_table(
             f"{self.experiment_id}: {self.title}", self.rows, notes=self.notes
         )
-
-    def row(self, name: str) -> ComparisonRow:
-        """Look up one comparison row by name."""
-        for entry in self.rows:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"no row named {name!r} in {self.experiment_id}")

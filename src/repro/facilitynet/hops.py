@@ -68,11 +68,6 @@ class HopTraversal:
         """Packets the hop shed."""
         return int((self.fates == 0).sum())
 
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of offered packets dropped."""
-        return self.dropped / self.offered if self.offered else 0.0
-
     def delays(self) -> np.ndarray:
         """Queueing+service delay of each forwarded packet (seconds)."""
         mask = self.fates == 1

@@ -67,10 +67,6 @@ class HopReport:
             return 0.0
         return 1.0 - self.forwarded_payload_bytes / self.offered_payload_bytes
 
-    def loss_series(self) -> np.ndarray:
-        """Packets dropped per bin (offered minus carried)."""
-        return self.series.in_counts - self.series.out_counts
-
 
 @dataclass
 class PipelineResult:
@@ -108,23 +104,6 @@ class PipelineResult:
         offered = sum(report.offered for report in reports)
         dropped = sum(report.dropped for report in reports)
         return dropped / offered if offered else 0.0
-
-    @property
-    def ingress_packets(self) -> int:
-        """Packets the facility's servers offered to the first tier."""
-        return sum(report.offered for report in self.hops if report.tier == "rack")
-
-    @property
-    def delivered_packets(self) -> int:
-        """Packets that survived every hop to the Internet."""
-        return self.uplink.forwarded
-
-    @property
-    def end_to_end_loss_rate(self) -> float:
-        """Fraction of ingress packets lost across the whole tree."""
-        if not self.ingress_packets:
-            return 0.0
-        return 1.0 - self.delivered_packets / self.ingress_packets
 
 
 # ----------------------------------------------------------------------

@@ -120,11 +120,6 @@ class LatencyBudget:
         return float(sum(self.tier_mean_s.values()))
 
     @property
-    def total_p99_s(self) -> float:
-        """Sum of per-tier p99 delays (an upper budget, not a quantile)."""
-        return float(sum(self.tier_p99_s.values()))
-
-    @property
     def dominant_tier(self) -> str:
         """The tier contributing the largest mean delay."""
         return max(self.tier_mean_s, key=lambda tier: self.tier_mean_s[tier])

@@ -23,7 +23,7 @@ count-level provisioning analyses and the packet-level pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.core.facility import FacilityEnvelope
 
@@ -144,13 +144,6 @@ class FacilityTopology:
             for server_index in rack.server_indices:
                 mapping[server_index] = rack_index
         return tuple(mapping[i] for i in range(self.n_servers))
-
-    def hops_in_order(self) -> Iterator[HopSpec]:
-        """Every hop spec in traversal order: racks, core, uplink."""
-        for rack in self.racks:
-            yield rack.switch
-        yield self.core
-        yield self.uplink
 
     def describe(self) -> str:
         """One line per hop: tier, capacity, buffer, design ratio."""

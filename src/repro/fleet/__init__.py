@@ -34,7 +34,6 @@ from repro.fleet.aggregate import (
     FluidAccumulator,
     TraceAccumulator,
     kway_merge_traces,
-    merge_fluid_series,
     sum_fluid_series,
 )
 from repro.fleet.cache import CacheStats, ShardCache
@@ -44,7 +43,6 @@ from repro.fleet.execution import (
     available_cpus,
     fleet_server_seed,
     resolve_workers,
-    shard_map,
     shard_map_fold,
     simulate_series,
     simulate_window,
@@ -65,9 +63,7 @@ __all__ = [
     "fleet_server_seed",
     "hosting_facility",
     "kway_merge_traces",
-    "merge_fluid_series",
     "resolve_workers",
-    "shard_map",
     "shard_map_fold",
     "simulate_series",
     "simulate_window",

@@ -17,7 +17,7 @@ server index, and ties within a server keep generation order.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -63,16 +63,6 @@ def sum_fluid_series(
         in_bytes=padded_sum(accumulator.in_bytes, series.in_bytes),
         out_bytes=padded_sum(accumulator.out_bytes, series.out_bytes),
     )
-
-
-def merge_fluid_series(series: Iterable[FluidSeries]) -> FluidSeries:
-    """Sum an iterable of per-server series into one facility series."""
-    accumulator: Optional[FluidSeries] = None
-    for item in series:
-        accumulator = sum_fluid_series(accumulator, item)
-    if accumulator is None:
-        raise ValueError("no series to merge")
-    return accumulator
 
 
 class FluidAccumulator:

@@ -162,10 +162,6 @@ class CacheStats:
         doc="Corrupt/truncated entries discarded and recomputed.",
     )
 
-    def snapshot(self) -> dict:
-        """Plain-int copy of the counters, e.g. ``{"hits": 8, ...}``."""
-        return {field: self._get(field) for field in self._FIELDS}
-
     def reset(self) -> None:
         """Zero this cache's counters (the process-wide mirror keeps
         its totals — it aggregates every cache in the process)."""

@@ -340,23 +340,6 @@ def _shard_map_fold(
     return accumulator
 
 
-def shard_map(
-    fn: Callable[[T], R],
-    tasks: Sequence[T],
-    workers: Optional[int] = None,
-    cache: Optional["ShardCache"] = None,
-) -> list:
-    """All results in task order (when the caller does need them all)."""
-    return shard_map_fold(
-        fn,
-        tasks,
-        lambda acc, result: (acc.append(result) or acc),
-        [],
-        workers,
-        cache=cache,
-    )
-
-
 # ----------------------------------------------------------------------
 # picklable per-server workloads
 # ----------------------------------------------------------------------

@@ -189,10 +189,6 @@ class FleetScenario:
             self._aggregate_series = accumulator.result()
         return self._aggregate_series
 
-    def aggregate_per_minute(self, workers: Optional[int] = None) -> FluidSeries:
-        """Facility-wide per-minute series (the Fig 1/2 resolution)."""
-        return self.aggregate_per_second(workers=workers).rebin(60)
-
     def aggregate_packet_window(
         self,
         start: float,
@@ -227,9 +223,3 @@ class FleetScenario:
                 )
             self._aggregate_windows[key] = accumulator.result()
         return self._aggregate_windows[key]
-
-    def clear_caches(self) -> None:
-        """Drop every cached per-server and aggregate artifact."""
-        self._scenarios.clear()
-        self._aggregate_series = None
-        self._aggregate_windows.clear()

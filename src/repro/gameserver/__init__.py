@@ -14,8 +14,6 @@ from repro.gameserver.admission import AdmissionError, ClientDirectory, SlotTabl
 from repro.gameserver.client import ClientState, GameClient
 from repro.gameserver.gamelog import (
     LogEvent,
-    LogSummary,
-    crosscheck_population,
     generate_log,
     parse_log,
     write_log,
@@ -30,11 +28,10 @@ from repro.gameserver.config import (
     ServerProfile,
     WEEK_SECONDS,
     olygamer_week,
-    quick_test_profile,
 )
 from repro.gameserver.downloads import DownloadScheduler, DownloadTransfer, TokenBucket
 from repro.gameserver.fluid import CountLevelGenerator, FluidSeries
-from repro.gameserver.generator import PacketLevelGenerator, generate_trace
+from repro.gameserver.generator import PacketLevelGenerator
 from repro.gameserver.population import (
     AttemptRecord,
     PopulationResult,
@@ -57,9 +54,7 @@ __all__ = [
     "GameClient",
     "GameServer",
     "LogEvent",
-    "LogSummary",
     "PathProfile",
-    "crosscheck_population",
     "generate_log",
     "parse_log",
     "path_for_class",
@@ -86,8 +81,6 @@ __all__ = [
     "SlotTable",
     "TokenBucket",
     "WEEK_SECONDS",
-    "generate_trace",
     "olygamer_week",
-    "quick_test_profile",
     "simulate_population",
 ]

@@ -34,16 +34,6 @@ class SlotTable:
             raise ValueError(f"capacity must be >= 1, got {self.capacity!r}")
 
     @property
-    def occupancy(self) -> int:
-        """Number of slots currently held."""
-        return len(self.occupied)
-
-    @property
-    def free_slots(self) -> int:
-        """Number of slots currently free."""
-        return self.capacity - len(self.occupied)
-
-    @property
     def is_full(self) -> bool:
         """True when no slot is free."""
         return len(self.occupied) >= self.capacity
@@ -69,12 +59,6 @@ class SlotTable:
             self.occupied.remove(session_id)
         except KeyError:
             raise AdmissionError(f"session {session_id} does not hold a slot") from None
-
-    def release_all(self) -> Set[int]:
-        """Free every slot (outage: everyone disconnects); returns the evictees."""
-        evicted = set(self.occupied)
-        self.occupied.clear()
-        return evicted
 
 
 @dataclass
@@ -120,12 +104,6 @@ class ClientDirectory:
     def unique_establishing(self) -> int:
         """Distinct clients that ever established a session."""
         return len(self.established)
-
-    def mean_sessions_per_client(self) -> float:
-        """Average established sessions per establishing client."""
-        if not self.sessions_per_client:
-            return 0.0
-        return sum(self.sessions_per_client.values()) / len(self.sessions_per_client)
 
     def sample_returning(self, rng, exclude: Optional[Set[int]] = None) -> Optional[int]:
         """Pick a previously seen client (uniformly), or None if there are none.

@@ -104,7 +104,6 @@ class GameClient:
         # update timer's callback, bound once
         self._request_arrives = _inbound(transport, server.on_connect_request, self)
         self._update_arrives = _inbound(transport, server.on_client_update, self)
-        self._leave_arrives = _inbound(transport, server.on_disconnect, self)
         self._send_next = self._send_update
 
     # ------------------------------------------------------------------
@@ -137,17 +136,6 @@ class GameClient:
         self.state = ClientState.CONNECTED
         self.last_heard = self.scheduler.now
         self._schedule_next_update()
-
-    def disconnect(self) -> None:
-        """Leave the game voluntarily (session over)."""
-        if self.state is not _CONNECTED:
-            return
-        self.state = ClientState.DISCONNECTED
-        if self._send_event is not None:
-            self._send_event.cancel()
-        if not self.path.uplink.sample_loss(self.rng):
-            delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.call_in(delay, self._leave_arrives)
 
     # ------------------------------------------------------------------
     # the periodic command stream
@@ -190,8 +178,3 @@ class GameClient:
             return
         self.snapshots_received = self.snapshots_received + 1
         self.last_heard = self.scheduler.now
-
-    @property
-    def connected(self) -> bool:
-        """Whether the client currently holds a live connection."""
-        return self.state is ClientState.CONNECTED

@@ -211,11 +211,6 @@ class ServerProfile:
         )
         return 8.0 * (bytes_in + bytes_out)
 
-    @property
-    def maps_in_horizon(self) -> int:
-        """Number of map rotations the horizon spans."""
-        return max(1, int(self.duration / self.map_duration))
-
     def replace(self, **changes) -> "ServerProfile":
         """A copy of the profile with the given fields replaced."""
         return dataclasses.replace(self, **changes)
@@ -233,15 +228,3 @@ class ServerProfile:
 def olygamer_week() -> ServerProfile:
     """The paper's server: full-week horizon, calibrated defaults."""
     return ServerProfile()
-
-
-def quick_test_profile(duration: float = 600.0) -> ServerProfile:
-    """A small, fast profile for unit tests (10 minutes, 8 slots)."""
-    return ServerProfile(
-        max_players=8,
-        attempt_rate=0.05,
-        duration=duration,
-        outages=(),
-        map_duration=150.0,
-        map_change_downtime=3.0,
-    )

@@ -49,11 +49,6 @@ class TokenBucket:
         self._last_update = now
 
     @property
-    def tokens(self) -> float:
-        """Tokens available as of the last update."""
-        return self._tokens
-
-    @property
     def last_update(self) -> float:
         """Time of the last refill; the bucket cannot be asked about earlier."""
         return self._last_update
@@ -93,16 +88,6 @@ class DownloadTransfer:
     chunk_sizes: Tuple[int, ...]
     ack_times: Tuple[float, ...]
     ack_size: int = 32
-
-    @property
-    def total_bytes(self) -> int:
-        """Payload bytes of the download proper (server→client)."""
-        return int(sum(self.chunk_sizes))
-
-    @property
-    def end(self) -> float:
-        """Completion time of the last chunk."""
-        return self.chunk_times[-1] if self.chunk_times else self.start
 
 
 class DownloadScheduler:

@@ -32,7 +32,6 @@ from repro.gameserver.population import PopulationResult, simulate_population
 from repro.gameserver.protocol import ProtocolModel
 from repro.gameserver.rounds import RoundSchedule
 from repro.sim.random import RandomStreams
-from repro.stats.binning import BinnedSeries
 
 #: Variance-to-mean ratio of inbound per-bin counts (superposed periodic
 #: streams are smoother than Poisson's 1.0).
@@ -96,23 +95,6 @@ class FluidSeries:
         else:
             raise ValueError(f"unknown direction {direction!r}")
         return 8.0 * wire / self.bin_size
-
-    def to_binned(self, direction: Optional[str] = None) -> BinnedSeries:
-        """View one direction (or the total) as a :class:`BinnedSeries`."""
-        if direction is None:
-            counts, weights = self.total_counts, self.total_bytes
-        elif direction == "in":
-            counts, weights = self.in_counts, self.in_bytes
-        elif direction == "out":
-            counts, weights = self.out_counts, self.out_bytes
-        else:
-            raise ValueError(f"unknown direction {direction!r}")
-        return BinnedSeries(
-            bin_size=self.bin_size,
-            start_time=self.start_time,
-            counts=np.asarray(counts, dtype=float),
-            weights=np.asarray(weights, dtype=float),
-        )
 
     def rebin(self, factor: int) -> "FluidSeries":
         """Aggregate ``factor`` consecutive bins (trailing remainder dropped)."""
@@ -252,10 +234,6 @@ class CountLevelGenerator:
             in_bytes=np.maximum(in_bytes, 0.0),
             out_bytes=np.maximum(out_bytes, 0.0),
         )
-
-    def per_minute(self) -> FluidSeries:
-        """Per-minute counts/bytes (the resolution of Figs 1, 2, 4)."""
-        return self.per_second().rebin(60)
 
     # ------------------------------------------------------------------
     def high_resolution_window(

@@ -128,55 +128,3 @@ def parse_log(lines: Iterable[str]) -> List[LogEvent]:
             )
         )
     return events
-
-
-@dataclass(frozen=True)
-class LogSummary:
-    """Table I quantities as recovered from a game log."""
-
-    maps_played: int
-    established_connections: int
-    refused_connections: int
-    unique_clients_establishing: int
-    mean_session_seconds: float
-
-    @classmethod
-    def from_events(cls, events: Iterable[LogEvent]) -> "LogSummary":
-        """Aggregate parsed events into the Table I view."""
-        maps = 0
-        connects = 0
-        refused = 0
-        clients = set()
-        durations: List[float] = []
-        for event in events:
-            if event.event == "map_start":
-                maps += 1
-            elif event.event == "connect":
-                connects += 1
-                if event.client_id is not None:
-                    clients.add(event.client_id)
-            elif event.event == "refused":
-                refused += 1
-            elif event.event == "disconnect" and event.duration is not None:
-                durations.append(event.duration)
-        return cls(
-            maps_played=maps,
-            established_connections=connects,
-            refused_connections=refused,
-            unique_clients_establishing=len(clients),
-            mean_session_seconds=(
-                sum(durations) / len(durations) if durations else 0.0
-            ),
-        )
-
-
-def crosscheck_population(
-    summary: LogSummary, population: PopulationResult
-) -> bool:
-    """The released-data consistency check: log totals == simulation totals."""
-    return (
-        summary.established_connections == population.established_count
-        and summary.refused_connections == population.refused_count
-        and summary.unique_clients_establishing == population.unique_establishing
-        and summary.maps_played == population.maps_played
-    )

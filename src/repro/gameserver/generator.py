@@ -412,15 +412,3 @@ class PacketLevelGenerator:
             server_address=profile.server_address,
             check_sorted=False,
         )
-
-
-def generate_trace(
-    profile: ServerProfile,
-    window_start: float = 0.0,
-    window_end: Optional[float] = None,
-    seed: int = 0,
-    population: Optional[PopulationResult] = None,
-) -> Trace:
-    """One-call helper: population + packet generation for a window."""
-    generator = PacketLevelGenerator(profile, population=population, seed=seed)
-    return generator.generate(window_start, window_end)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -139,39 +138,6 @@ class SessionTable:
             link_class_names=tuple(link_class_names),
         )
 
-    @classmethod
-    def from_rows(
-        cls, rows: Iterable[SessionRecord], link_class_names: Tuple[str, ...]
-    ) -> "SessionTable":
-        """A table of ``rows`` in order; link classes coded by ``link_class_names``."""
-        code = {name: index for index, name in enumerate(link_class_names)}
-        return cls.from_tuples(
-            [(*row[:5], code[row.link_class], row.wants_download) for row in rows],
-            link_class_names,
-        )
-
-    @classmethod
-    def empty(cls, link_class_names: Tuple[str, ...] = ()) -> "SessionTable":
-        """A table with no sessions."""
-        return cls.from_tuples([], link_class_names)
-
-    @classmethod
-    def concat(cls, tables: Iterable["SessionTable"]) -> "SessionTable":
-        """The rows of ``tables`` one after another (names must agree)."""
-        tables = tuple(tables)
-        if not tables:
-            raise ValueError("concat needs at least one table")
-        names = tables[0].link_class_names
-        if any(table.link_class_names != names for table in tables):
-            raise ValueError("cannot concat tables with different link classes")
-        return cls(
-            **{
-                name: np.concatenate([getattr(t, name) for t in tables])
-                for name in _COLUMN_DTYPES
-            },
-            link_class_names=names,
-        )
-
     def take(self, index: np.ndarray) -> "SessionTable":
         """The rows at ``index`` (integer positions or a boolean mask)."""
         return SessionTable(
@@ -277,11 +243,6 @@ class PopulationResult:
     def attempted_count(self) -> int:
         """All connection attempts (Table I 'Attempted Connections')."""
         return len(self.attempts)
-
-    @property
-    def refused_count(self) -> int:
-        """Attempts refused for lack of slots."""
-        return sum(1 for a in self.attempts if not a.accepted)
 
     @property
     def maps_played(self) -> int:

@@ -144,20 +144,6 @@ class PayloadModel:
             return int(round(values))
         return np.rint(values).astype(np.int64)
 
-    def scaled(self, factor: float) -> "PayloadModel":
-        """A copy with mean/std scaled (round-intensity modulation).
-
-        Bounds are kept, so scaling shifts mass within the legal window.
-        """
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive: {factor!r}")
-        return PayloadModel(
-            mean=min(max(self.mean * factor, self.minimum), self.maximum),
-            std=self.std,
-            minimum=self.minimum,
-            maximum=self.maximum,
-        )
-
 
 @dataclass(frozen=True)
 class ProtocolModel:
@@ -185,10 +171,3 @@ class ProtocolModel:
             ),
             download_chunk_payload=profile.download_chunk_payload,
         )
-
-    def control_payload(self, message: MessageType) -> int:
-        """Payload size of a fixed-size control message."""
-        try:
-            return CONTROL_PAYLOADS[message]
-        except KeyError:
-            raise ValueError(f"{message} has no fixed payload size") from None

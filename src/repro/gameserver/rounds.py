@@ -12,7 +12,7 @@ realistic short-term variation without moving the means), controlled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -63,17 +63,6 @@ class RoundSchedule:
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def round_at(self, t: float) -> RoundRecord:
-        """The round containing time ``t``."""
-        index = int(np.searchsorted(self._starts, t, side="right")) - 1
-        if index < 0 or t >= self._ends[index]:
-            raise ValueError(f"no round at t={t!r}")
-        return self.rounds[index]
-
-    def rounds_per_map(self) -> float:
-        """Average rounds per map (the paper cites "over 10 rounds per map")."""
-        return len(self.rounds) / max(1, self.profile.maps_in_horizon)
-
     def intensity(self, times: np.ndarray) -> np.ndarray:
         """Intensity multiplier at each time (vectorised).
 
@@ -97,8 +86,3 @@ class RoundSchedule:
         phase = (times - starts) / durations
         result[inside] = 1.0 - amplitude + 2.0 * amplitude * phase[inside]
         return result
-
-    def boundaries_between(self, start: float, end: float) -> Tuple[float, ...]:
-        """Round-start times falling within ``[start, end)``."""
-        mask = (self._starts >= start) & (self._starts < end)
-        return tuple(float(t) for t in self._starts[mask])

@@ -113,11 +113,6 @@ class GameServer:
                      CONTROL_PAYLOADS[MessageType.CONNECT_REPLY])
         self._send_to_client(partial(client.on_connect_reply, accepted))
 
-    def on_disconnect(self, client: GameClient) -> None:
-        """A voluntary disconnect arrives."""
-        self._record(Direction.IN, client, CONTROL_PAYLOADS[MessageType.DISCONNECT])
-        self._drop_client(client.client_id)
-
     def on_client_timeout(self, client: GameClient) -> None:
         """The client gave up on us (its own liveness rule fired)."""
         self._drop_client(client.client_id)

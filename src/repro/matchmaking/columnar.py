@@ -65,8 +65,7 @@ attempt.
   as occupancy moves, every attempt of a custom policy) calls the
   policy's own ``select`` on the live occupancy, so each policy is
   defined once, in :mod:`repro.matchmaking.policies`.  ``latency_aware``
-  scores through the policy's own ``pick``, the body of its ``select``,
-  without ``select``'s per-call normalisations: its latency terms
+  scores through the policy's own ``pick``: its latency terms
   (``rtt_terms``) are a function of the RTT row alone, so they are
   computed once per region for the run, the free-slot share's scale
   (the largest effective capacity) once per epoch, and the free counts
@@ -1014,9 +1013,8 @@ def run_columnar(sim) -> "MatchmakingResult":
                 chosen = int(free.argmax())
             else:
                 if is_latency:
-                    # select without its per-call normalisations: the
-                    # engine's own free counts, the epoch's share scale
-                    # and the region's cached latency terms
+                    # the engine's own free counts, the epoch's share
+                    # scale and the region's cached latency terms
                     chosen = pick(
                         free, share_scale, region_terms[player_region[player]]
                     )

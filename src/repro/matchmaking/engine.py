@@ -85,10 +85,6 @@ class MatchmakingResult:
     scenario_name: Optional[str] = None
 
     # ------------------------------------------------------------------
-    @property
-    def n_servers(self) -> int:
-        """Number of servers in the facility."""
-        return len(self.capacities)
 
     @property
     def n_epochs(self) -> int:

@@ -30,11 +30,16 @@ section motivates:
   β·(RTT / worst row RTT)`` and take the argmax, trading occupancy
   against QoE explicitly.
 
-The engine passes every ``select`` the player's per-server RTT vector
-as the ``rtt`` keyword (the row of the facility's
-:class:`~repro.matchmaking.rtt.RttMatrix` for the player's region);
-latency-aware policies score on it and load-only policies ignore it, so
-both kinds slot into one registry.
+The engine (:mod:`repro.matchmaking.columnar`) vectorises ``random``,
+``least_loaded``, ``capacity_aware`` and ``latency_aware`` (the last
+through :meth:`LatencyAwarePolicy.pick`); ``tests/matchmaking_reference.py``
+keeps their one-attempt-at-a-time form.  Every other policy answers
+through its ``select(occupancy, capacities, last_server, rng, rtt)``,
+which the engine calls per attempt with the player's per-server RTT
+vector as ``rtt`` (the row of the facility's
+:class:`~repro.matchmaking.rtt.RttMatrix` for the player's region).
+``select`` returns a server index (a full server's is allowed: the slot
+table refuses the attempt) or ``None`` to turn the player away.
 
 Determinism contract: ``select`` is a pure function of
 ``(occupancy, capacities, last_server, rtt)`` and the draws it takes
@@ -79,27 +84,6 @@ class SelectionPolicy:
     #: Whether refused attempts enter the pool's retry/balk machinery.
     retry_on_reject: bool = False
 
-    def select(
-        self,
-        occupancy: np.ndarray,
-        capacities: np.ndarray,
-        last_server: int,
-        rng: np.random.Generator,
-        rtt: Optional[np.ndarray] = None,
-    ) -> Optional[int]:
-        """Server index for this attempt, or ``None`` to refuse outright.
-
-        ``occupancy`` and ``capacities`` are read-only per-server arrays;
-        ``last_server`` is the player's previous server (-1 if none);
-        ``rtt`` is the player's per-server RTT vector in milliseconds
-        (their region's row of the facility RTT matrix); the engine
-        always passes it, so overrides must accept the keyword.
-        Returning a full server's index is allowed — the slot table
-        refuses the attempt — while ``None`` means the policy itself
-        turned the player away (admission control).
-        """
-        raise NotImplementedError
-
     def _require_rtt(self, rtt: Optional[np.ndarray]) -> np.ndarray:
         """The RTT view, or a clear error for latency-blind call sites."""
         if rtt is None:
@@ -118,21 +102,11 @@ class RandomPolicy(SelectionPolicy):
 
     name = "random"
 
-    def select(
-        self, occupancy, capacities, last_server, rng, rtt=None
-    ) -> Optional[int]:
-        return int(rng.integers(occupancy.size))
-
 
 class LeastLoadedPolicy(SelectionPolicy):
     """The server with the most free slots (ties to the lowest index)."""
 
     name = "least_loaded"
-
-    def select(
-        self, occupancy, capacities, last_server, rng, rtt=None
-    ) -> Optional[int]:
-        return int(np.argmax(capacities - occupancy))
 
 
 class StickyPolicy(SelectionPolicy):
@@ -170,14 +144,6 @@ class CapacityAwarePolicy(SelectionPolicy):
     name = "capacity_aware"
     retry_on_reject = True
 
-    def select(
-        self, occupancy, capacities, last_server, rng, rtt=None
-    ) -> Optional[int]:
-        free = capacities - occupancy
-        if not np.any(free > 0):
-            return None
-        return int(np.argmax(free))
-
 
 class LowestRttPolicy(SelectionPolicy):
     """Ping-first: the non-full server minimising the player's RTT.
@@ -204,7 +170,7 @@ class LowestRttPolicy(SelectionPolicy):
         return int(candidates[int(np.argmax(free))])
 
 
-#: Open-server count up to which :meth:`LatencyAwarePolicy.select`
+#: Open-server count up to which :meth:`LatencyAwarePolicy.pick`
 #: scores in Python floats; past it one vector pass over the open
 #: servers costs less than the per-server loop.
 _SCALAR_SCORE_MAX_OPEN = 12
@@ -229,26 +195,6 @@ class LatencyAwarePolicy(SelectionPolicy):
     def __init__(self, alpha: float = 1.0, beta: float = 1.0) -> None:
         self.alpha = validate_score_weight("alpha", alpha)
         self.beta = validate_score_weight("beta", beta)
-
-    def select(
-        self, occupancy, capacities, last_server, rng, rtt=None
-    ) -> Optional[int]:
-        """The best-scoring open server, or ``None`` when all are full.
-
-        Both normalisations (largest capacity, worst row RTT) are
-        recomputed per call, with no memo that could go stale on a
-        mutated row or a per-epoch capacity vector: ``select`` stays a
-        pure function of its arguments.  The scoring itself is
-        :meth:`pick` over :meth:`rtt_terms`, which the columnar engine
-        calls directly with the terms cached per region and the share
-        scale per epoch.
-        """
-        rtt = self._require_rtt(rtt)
-        return self.pick(
-            capacities - occupancy,
-            max(int(capacities.max()), 1),
-            self.rtt_terms(rtt),
-        )
 
     def rtt_terms(self, rtt: np.ndarray) -> np.ndarray:
         """The score's latency term per server: ``beta * rtt / max(rtt)``.

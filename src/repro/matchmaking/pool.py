@@ -167,10 +167,6 @@ class QoeConfig:
             return base
         return base * self.balk_escalation**prior_refusals
 
-    def replace(self, **changes) -> "QoeConfig":
-        """A copy of the config with the given fields replaced."""
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -378,7 +374,3 @@ class PlayerTraits:
             region_names=config.region_profile.names,
             region_index=regions.astype(np.int64),
         )
-
-    def region_of(self, player_id: int) -> str:
-        """Region name of one player."""
-        return self.region_names[int(self.region_index[player_id])]

@@ -245,10 +245,9 @@ class CompiledScenario:
     """A scenario resolved to per-epoch modulation arrays.
 
     The engine and its test oracle call the same methods per epoch (the
-    engine takes :meth:`region_attempt_probabilities`, which the
-    oracle's :meth:`attempt_probabilities` gathers per player), so
-    scenario arithmetic is shared code and bit-identity between them is
-    by construction.
+    engine takes :meth:`region_attempt_probabilities`, which the oracle
+    gathers per player), so scenario arithmetic is shared code and
+    bit-identity between them is by construction.
     """
 
     name: str
@@ -269,31 +268,11 @@ class CompiledScenario:
         """
         return bool(np.any(self.capacity_scale != 1.0))
 
-    def attempt_probabilities(
-        self,
-        epoch: int,
-        hazard: float,
-        dt: float,
-        player_regions: np.ndarray,
-    ) -> np.ndarray:
-        """Per-player attempt probability for this epoch's idle players.
-
-        Scenario-free runs compute the scalar ``1 - exp(-hazard * dt)``;
-        with a scenario active the engine and its test oracle call this
-        vectorised form for *every* epoch (scaled or not), so they share
-        one set of IEEE operations.  The expression is evaluated once
-        per region and gathered per player: each element goes through
-        the same operations as the per-player form.
-        """
-        return self.region_attempt_probabilities(epoch, hazard, dt)[
-            player_regions
-        ]
-
     def region_attempt_probabilities(
         self, epoch: int, hazard: float, dt: float
     ) -> np.ndarray:
         """Per-region attempt probability for ``epoch``: the one
-        expression :meth:`attempt_probabilities` gathers per player.
+        expression the test oracle gathers per player.
 
         The columnar engine compares its draws against this vector
         directly (against one scalar when every region's value is

@@ -11,7 +11,7 @@ from repro.net.addresses import IPv4Address, MACAddress
 from repro.net.ethernet import ETHERTYPE_IPV4, EthernetHeader
 from repro.net.headers import HeaderOverhead, OverheadModel, WIRE_OVERHEAD_UDP_V4
 from repro.net.ip import IPV4_HEADER_LEN, IPv4Header, PROTO_TCP, PROTO_UDP
-from repro.net.udp import UDP_HEADER_LEN, UDPHeader, build_udp_datagram, parse_udp_datagram
+from repro.net.udp import UDP_HEADER_LEN, UDPHeader
 
 __all__ = [
     "ETHERTYPE_IPV4",
@@ -27,6 +27,4 @@ __all__ = [
     "UDP_HEADER_LEN",
     "UDPHeader",
     "WIRE_OVERHEAD_UDP_V4",
-    "build_udp_datagram",
-    "parse_udp_datagram",
 ]

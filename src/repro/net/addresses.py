@@ -8,7 +8,7 @@ add the trace-specific helpers (client address allocation).
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 
 class IPv4Address:
@@ -70,17 +70,6 @@ class IPv4Address:
         """The four octets, most significant first."""
         v = self._value
         return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
-
-    def is_private(self) -> bool:
-        """RFC 1918 private-range test (10/8, 172.16/12, 192.168/16)."""
-        a, b, _, _ = self.octets
-        if a == 10:
-            return True
-        if a == 172 and 16 <= b <= 31:
-            return True
-        if a == 192 and b == 168:
-            return True
-        return False
 
     def __add__(self, offset: int) -> "IPv4Address":
         return IPv4Address((self._value + int(offset)) & 0xFFFFFFFF)
@@ -154,11 +143,6 @@ class MACAddress:
         return (MACAddress, (self._value,))
 
     @property
-    def value(self) -> int:
-        """The address as an unsigned 48-bit integer."""
-        return self._value
-
-    @property
     def packed(self) -> bytes:
         """The address as 6 network-order bytes."""
         return self._value.to_bytes(6, "big")
@@ -181,12 +165,3 @@ class MACAddress:
 
     def __hash__(self) -> int:
         return hash(("MACAddress", self._value))
-
-
-def address_block(base: IPv4Address, count: int) -> Iterator[IPv4Address]:
-    """Yield ``count`` consecutive addresses starting at ``base``.
-
-    Used to hand out synthetic client addresses in workload generators.
-    """
-    for offset in range(count):
-        yield base + offset

@@ -1,4 +1,4 @@
-"""The Internet checksum (RFC 1071) used by IPv4 and UDP."""
+"""The Internet checksum (RFC 1071) of the IPv4 header."""
 
 from __future__ import annotations
 
@@ -18,15 +18,3 @@ def internet_checksum(data: bytes) -> int:
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
-
-
-def verify_checksum(data: bytes) -> bool:
-    """True if ``data`` (header including its checksum field) sums to zero."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total == 0xFFFF

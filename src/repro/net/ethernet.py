@@ -47,8 +47,3 @@ class EthernetHeader:
             )
         dst, src, ethertype = _STRUCT.unpack_from(data)
         return cls(dst=MACAddress(dst), src=MACAddress(src), ethertype=ethertype)
-
-    @staticmethod
-    def frame_overhead(include_fcs: bool = True) -> int:
-        """Bytes of framing added around an IP packet (header, optional FCS)."""
-        return ETHERNET_HEADER_LEN + (ETHERNET_FCS_LEN if include_fcs else 0)

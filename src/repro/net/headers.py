@@ -62,22 +62,6 @@ class OverheadModel:
         """Overhead bytes per packet."""
         return self.overhead.total
 
-    def wire_size(self, payload_size: int) -> int:
-        """Wire bytes for a packet with ``payload_size`` application bytes."""
-        if payload_size < 0:
-            raise ValueError(f"negative payload size {payload_size!r}")
-        return payload_size + self.overhead.total
-
-    def payload_size(self, wire_size: int) -> int:
-        """Application bytes for a packet of ``wire_size`` wire bytes.
-
-        Clamps at zero for runt packets smaller than the overhead (e.g.
-        keepalives padded to the Ethernet minimum).
-        """
-        if wire_size < 0:
-            raise ValueError(f"negative wire size {wire_size!r}")
-        return max(0, wire_size - self.overhead.total)
-
     def wire_bytes_total(self, payload_bytes: int, packets: int) -> int:
         """Total wire bytes for ``packets`` packets carrying ``payload_bytes``."""
         if packets < 0:

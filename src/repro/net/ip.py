@@ -6,7 +6,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.net.addresses import IPv4Address
-from repro.net.checksum import internet_checksum, verify_checksum
+from repro.net.checksum import internet_checksum
 
 IPV4_HEADER_LEN = 20
 PROTO_ICMP = 1
@@ -65,11 +65,12 @@ class IPv4Header:
         return without_checksum[:10] + struct.pack("!H", checksum) + without_checksum[12:]
 
     @classmethod
-    def unpack(cls, data: bytes, verify: bool = True) -> "IPv4Header":
+    def unpack(cls, data: bytes) -> "IPv4Header":
         """Parse the first 20 bytes of ``data`` as an IPv4 header.
 
-        Raises ``ValueError`` on short input, wrong version, options
-        (IHL > 5) or — when ``verify`` — a bad header checksum.
+        Raises ``ValueError`` on short input, wrong version or options
+        (IHL > 5).  The checksum is not checked: captures taken with
+        checksum offload carry unset ones.
         """
         if len(data) < IPV4_HEADER_LEN:
             raise ValueError(f"IPv4 header needs {IPV4_HEADER_LEN} bytes, got {len(data)}")
@@ -91,8 +92,6 @@ class IPv4Header:
             raise ValueError(f"not an IPv4 header (version={version})")
         if ihl != IPV4_HEADER_LEN // 4:
             raise ValueError(f"IPv4 options unsupported (ihl={ihl})")
-        if verify and not verify_checksum(data[:IPV4_HEADER_LEN]):
-            raise ValueError("bad IPv4 header checksum")
         return cls(
             src=IPv4Address(src),
             dst=IPv4Address(dst),

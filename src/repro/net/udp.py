@@ -1,14 +1,9 @@
-"""UDP header codec (RFC 768) and full datagram build/parse helpers."""
+"""UDP header codec (RFC 768)."""
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Tuple
-
-from repro.net.addresses import IPv4Address
-from repro.net.checksum import internet_checksum
-from repro.net.ip import IPV4_HEADER_LEN, IPv4Header, PROTO_UDP
 
 UDP_HEADER_LEN = 8
 
@@ -46,68 +41,3 @@ class UDPHeader:
             raise ValueError(f"UDP header needs {UDP_HEADER_LEN} bytes, got {len(data)}")
         src_port, dst_port, length, checksum = _STRUCT.unpack_from(data)
         return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
-
-    @staticmethod
-    def compute_checksum(
-        src: IPv4Address, dst: IPv4Address, src_port: int, dst_port: int, payload: bytes
-    ) -> int:
-        """UDP checksum over the IPv4 pseudo-header, header and payload.
-
-        Per RFC 768 a computed checksum of 0 is transmitted as 0xFFFF so
-        that 0 remains the "no checksum" sentinel.
-        """
-        length = UDP_HEADER_LEN + len(payload)
-        pseudo = src.packed + dst.packed + struct.pack("!BBH", 0, PROTO_UDP, length)
-        header = _STRUCT.pack(src_port, dst_port, length, 0)
-        checksum = internet_checksum(pseudo + header + payload)
-        return checksum if checksum != 0 else 0xFFFF
-
-
-def build_udp_datagram(
-    src: IPv4Address,
-    dst: IPv4Address,
-    src_port: int,
-    dst_port: int,
-    payload: bytes,
-    ttl: int = 64,
-    identification: int = 0,
-    with_checksum: bool = True,
-) -> bytes:
-    """Build a complete IPv4+UDP packet around ``payload``.
-
-    Returns the IP packet bytes (no Ethernet framing).
-    """
-    udp_length = UDP_HEADER_LEN + len(payload)
-    checksum = (
-        UDPHeader.compute_checksum(src, dst, src_port, dst_port, payload)
-        if with_checksum
-        else 0
-    )
-    udp = UDPHeader(src_port, dst_port, udp_length, checksum).pack()
-    ip = IPv4Header(
-        src=src,
-        dst=dst,
-        total_length=IPV4_HEADER_LEN + udp_length,
-        protocol=PROTO_UDP,
-        ttl=ttl,
-        identification=identification,
-    ).pack()
-    return ip + udp + payload
-
-
-def parse_udp_datagram(data: bytes, verify: bool = True) -> Tuple[IPv4Header, UDPHeader, bytes]:
-    """Parse an IPv4+UDP packet into (ip_header, udp_header, payload).
-
-    Raises ``ValueError`` if the packet is not UDP, is truncated, or (when
-    ``verify``) fails IP header checksum validation.
-    """
-    ip = IPv4Header.unpack(data, verify=verify)
-    if ip.protocol != PROTO_UDP:
-        raise ValueError(f"not a UDP packet (protocol={ip.protocol})")
-    rest = data[IPV4_HEADER_LEN:]
-    udp = UDPHeader.unpack(rest)
-    payload_len = udp.length - UDP_HEADER_LEN
-    if payload_len < 0 or len(rest) < udp.length:
-        raise ValueError("truncated UDP datagram")
-    payload = rest[UDP_HEADER_LEN : UDP_HEADER_LEN + payload_len]
-    return ip, udp, payload

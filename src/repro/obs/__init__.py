@@ -4,12 +4,12 @@ Five layers, each usable alone:
 
 * :mod:`repro.obs.trace` — a nested span tracer
   (``with obs.span("fleet.shard", server=i): ...``) recording wall
-  time, peak RSS and counters; a shared no-op when disabled;
-* :mod:`repro.obs.metrics` — a process-local registry of counters /
-  gauges / histograms the cache, kernels, matchmaker and facility
-  network publish into;
-* :mod:`repro.obs.export` — streaming JSON-lines and columnar ``.npz``
-  exporters plus the per-run :class:`~repro.obs.export.TraceSession`
+  time, peak RSS and attributes; a shared no-op when disabled;
+* :mod:`repro.obs.metrics` — a process-local registry of counters and
+  histograms the cache, kernels, matchmaker and facility network
+  publish into;
+* :mod:`repro.obs.export` — a streaming JSON-lines exporter, ``.npz``
+  array snapshots and the per-run :class:`~repro.obs.export.TraceSession`
   (artifact directory + manifest);
 * :mod:`repro.obs.analysis` — the read side: load a finished (or
   killed) trace directory into typed run objects, rebuild the span
@@ -50,7 +50,6 @@ from typing import Any, Optional
 
 from repro.obs.export import (
     JsonlWriter,
-    NpzColumnWriter,
     TraceSession,
     fingerprint,
     git_revision,
@@ -60,7 +59,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     registry,
@@ -88,12 +86,10 @@ from repro.obs.live import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "JsonlTail",
     "JsonlWriter",
     "MetricsRegistry",
-    "NpzColumnWriter",
     "NULL_SPAN",
     "ProgressPublisher",
     "ResourceSampler",

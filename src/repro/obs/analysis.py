@@ -75,33 +75,17 @@ class SpanNode:
         return self.record.get("name", "?")
 
     @property
-    def path(self) -> str:
-        return self.record.get("path", self.name)
-
-    @property
     def depth(self) -> int:
         return int(self.record.get("depth", 0))
-
-    @property
-    def start_s(self) -> float:
-        return float(self.record.get("start_s", 0.0))
 
     @property
     def wall_s(self) -> float:
         return float(self.record.get("wall_s", 0.0))
 
     @property
-    def end_s(self) -> float:
-        return self.start_s + self.wall_s
-
-    @property
     def self_wall_s(self) -> float:
         """Wall time not covered by child spans (clamped at zero)."""
         return max(0.0, self.wall_s - sum(c.wall_s for c in self.children))
-
-    @property
-    def attrs(self) -> Dict[str, Any]:
-        return self.record.get("attrs", {})
 
     @property
     def worker_pid(self) -> Optional[int]:

@@ -1,14 +1,10 @@
 """Streaming artifact exporters and the per-run trace session.
 
-Two writer primitives feed an artifact directory *while* a run is in
-progress:
-
-* :class:`JsonlWriter` — one JSON object per line, flushed per record,
-  numpy-aware (``int64``/``float64`` scalars export losslessly — a
-  ``float64`` **is** a JSON double, an ``int64`` fits Python's
-  arbitrary-precision int — pinned by a hypothesis round-trip suite);
-* :class:`NpzColumnWriter` — row-at-a-time columnar accumulation,
-  persisted as a compressed ``.npz`` on close.
+:class:`JsonlWriter` feeds an artifact directory *while* a run is in
+progress: one JSON object per line, flushed per record, numpy-aware
+(``int64``/``float64`` scalars export losslessly — a ``float64`` **is**
+a JSON double, an ``int64`` fits Python's arbitrary-precision int —
+pinned by a hypothesis round-trip suite).
 
 :class:`TraceSession` owns one artifact directory per traced run: it
 creates named streams on demand, collects the span tracer, and on
@@ -160,44 +156,6 @@ def read_jsonl(path) -> List[Dict[str, Any]]:
     return records
 
 
-class NpzColumnWriter:
-    """Accumulate homogeneous rows; persist as compressed ``.npz``.
-
-    The first :meth:`append` fixes the column set; later rows must match
-    it exactly, so the resulting arrays are rectangular by construction.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-        self.rows = 0
-        self._columns: Optional[Dict[str, list]] = None
-        self._closed = False
-
-    def append(self, **fields: Any) -> None:
-        if self._closed:
-            raise ValueError(f"writer for {self.path} is closed")
-        if self._columns is None:
-            self._columns = {name: [] for name in fields}
-        elif set(fields) != set(self._columns):
-            raise ValueError(
-                f"row columns {sorted(fields)} != schema "
-                f"{sorted(self._columns)}"
-            )
-        for name, value in fields.items():
-            self._columns[name].append(value)
-        self.rows += 1
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        columns = self._columns or {}
-        np.savez_compressed(
-            self.path,
-            **{name: np.asarray(values) for name, values in columns.items()},
-        )
-
-
 # ----------------------------------------------------------------------
 # the per-run session
 # ----------------------------------------------------------------------
@@ -216,7 +174,6 @@ class TraceSession:
         self.tracer = Tracer()
         self.info = dict(info or {})
         self._streams: Dict[str, JsonlWriter] = {}
-        self._columns: Dict[str, NpzColumnWriter] = {}
         self._arrays: List[str] = []
         self._started_unix = time.time()
         self._t0 = time.perf_counter()
@@ -269,15 +226,6 @@ class TraceSession:
         sampler.start()
         return sampler
 
-    def columns(self, name: str) -> NpzColumnWriter:
-        """The named columnar ``.npz`` writer (created on first use)."""
-        writer = self._columns.get(name)
-        if writer is None:
-            writer = self._columns[name] = NpzColumnWriter(
-                self.root / f"{name}.npz"
-            )
-        return writer
-
     def save_arrays(self, base: str, **arrays: Any) -> Path:
         """Write named arrays to ``<base>.npz`` (suffixing duplicates)."""
         name, k = base, 0
@@ -296,8 +244,6 @@ class TraceSession:
         inventory: Dict[str, Dict[str, Any]] = {}
         for name, writer in self._streams.items():
             inventory[f"{name}.jsonl"] = {"kind": "jsonl", "rows": writer.rows}
-        for name, writer in self._columns.items():
-            inventory[f"{name}.npz"] = {"kind": "columnar", "rows": writer.rows}
         for name in self._arrays:
             inventory[f"{name}.npz"] = {"kind": "arrays"}
         return inventory
@@ -320,8 +266,6 @@ class TraceSession:
             spans.write(record)
         spans.close()
         for writer in self._streams.values():
-            writer.close()
-        for writer in self._columns.values():
             writer.close()
         from repro.kernels import KERNEL_VERSION
         from repro.obs.trace import peak_rss_kb

@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges and histograms in a registry.
+"""Process-local metrics: counters and histograms in a registry.
 
 Every major layer publishes into one process-wide
 :class:`MetricsRegistry` (:func:`registry`): :class:`ShardCache
@@ -55,25 +55,6 @@ class Counter:
         return f"Counter({self.name!r}, {self.value})"
 
 
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: Number) -> None:
-        self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name!r}, {self.value})"
-
-
 class Histogram:
     """Streaming summary of observed values: count/sum/min/max/mean.
 
@@ -104,7 +85,9 @@ class Histogram:
         current total (``np.add.accumulate`` adds sequentially, as the
         loop does), and ``min``/``max`` ignore NaN (the loop's ``<`` and
         ``>`` are false for it) and keep the first-seen of equal values
-        (``-0.0`` after ``0.0`` does not replace it).
+        (``-0.0`` after ``0.0`` does not replace it).  A non-finite sum
+        is redone with Python floats: numpy's ``inf - inf`` NaN has the
+        opposite sign bit to Python's.
         """
         if not isinstance(values, np.ndarray):
             values = list(values)
@@ -116,7 +99,12 @@ class Histogram:
         # NaN) without a warning; so does this sum
         with np.errstate(over="ignore", invalid="ignore"):
             totals = np.cumsum(np.concatenate(([self.total], values)))
-        self.total = totals.item(-1)
+        total = totals.item(-1)
+        if not math.isfinite(total):
+            total = self.total
+            for value in values.tolist():
+                total += value
+        self.total = total
         nan = np.isnan(values)
         if nan.any():
             values = values[~nan]
@@ -128,24 +116,6 @@ class Histogram:
         high = values[(values == values.max()).argmax()].item()
         if high > self.max:
             self.max = high
-
-    def merge(self, count: int, total: float, min_: float, max_: float) -> None:
-        """Fold another histogram's summary state into this one.
-
-        Used when a worker subprocess ships its per-task histogram state
-        back to the parent: count/total add, min/max combine — the same
-        totals a serial run accumulates observation by observation
-        (float ``total`` merges per-task subtotals, so the last ulp may
-        differ from the serial order when tasks interleave).
-        """
-        if count <= 0:
-            return
-        self.count += int(count)
-        self.total += float(total)
-        if min_ < self.min:
-            self.min = float(min_)
-        if max_ > self.max:
-            self.max = float(max_)
 
     @property
     def mean(self) -> float:
@@ -173,7 +143,7 @@ class Histogram:
         return f"Histogram({self.name!r}, n={self.count}, mean={self.mean:g})"
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -200,9 +170,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
@@ -213,7 +180,7 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-safe totals, sorted by name: counters/gauges as numbers,
+        """JSON-safe totals, sorted by name: counters as numbers,
         histograms as summary dicts."""
         out: Dict[str, object] = {}
         for name in sorted(self._metrics):
@@ -230,54 +197,26 @@ class MetricsRegistry:
             metric.reset()
 
     def dump_state(self) -> Dict[str, Dict[str, object]]:
-        """Typed, JSON-safe state of every *touched* metric.
+        """Typed, JSON-safe values of every *touched* counter.
 
         The worker side of distributed telemetry: a subprocess resets
         its registry, runs one task, and ships this dump back with the
-        result so the parent can :meth:`merge_state` it.  Untouched
-        metrics (zero counters, empty histograms, never-set gauges) are
-        omitted — a gauge legitimately set to ``0.0`` is therefore
-        indistinguishable from an unset one and is dropped; workers
-        should prefer counters/histograms for shippable telemetry.
+        result so the parent can :meth:`merge_state` it.  Only counters
+        travel: no sharded task observes a histogram.
         """
-        out: Dict[str, Dict[str, object]] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                if metric.value:
-                    out[name] = {"kind": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                if metric.value != 0.0:
-                    out[name] = {"kind": "gauge", "value": metric.value}
-            elif metric.count:
-                out[name] = {
-                    "kind": "histogram",
-                    "count": metric.count,
-                    "total": metric.total,
-                    "min": metric.min,
-                    "max": metric.max,
-                }
-        return out
+        return {
+            name: {"kind": "counter", "value": metric.value}
+            for name, metric in sorted(self._metrics.items())
+            if isinstance(metric, Counter) and metric.value
+        }
 
     def merge_state(self, state: Dict[str, Dict[str, object]]) -> None:
-        """Fold a :meth:`dump_state` dump into this registry.
-
-        Counters add, histograms merge count/total/min/max, gauges take
-        the shipped value (last merge wins — callers merge in task-index
-        order, so the result is deterministic).
-        """
+        """Fold a :meth:`dump_state` dump into this registry (counters add)."""
         for name, entry in state.items():
             kind = entry.get("kind")
-            if kind == "counter":
-                self.counter(name).inc(entry["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(entry["value"])
-            elif kind == "histogram":
-                self.histogram(name).merge(
-                    entry["count"], entry["total"], entry["min"], entry["max"]
-                )
-            else:  # pragma: no cover - forward-compat guard
+            if kind != "counter":
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
+            self.counter(name).inc(entry["value"])
 
 
 #: The process-wide registry every subsystem publishes into.

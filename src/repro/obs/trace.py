@@ -1,19 +1,17 @@
-"""Lightweight span tracer: nested wall-time / RSS / counter records.
+"""Lightweight span tracer: nested wall-time / RSS records.
 
 :func:`span` is the single instrumentation point used across the
 codebase::
 
-    with obs.span("fleet.shard", server=i) as sp:
+    with obs.span("fleet.shard", server=i):
         ...
-        sp.add("packets", len(trace))
 
 When no tracer is installed (the default), :func:`span` returns a
 shared stateless no-op object — one global read and an attribute call,
 so instrumentation costs ~nothing when disabled.  When a tracer *is*
 installed (``repro-experiments --trace-dir``), each span records wall
 time (``perf_counter``), the process peak-RSS high-water mark at exit,
-its keyword attributes and any counters added, nested under the
-enclosing span.
+and its keyword attributes, nested under the enclosing span.
 
 Observers read clocks and results only — never random streams — so
 traced and untraced runs are bit-identical
@@ -59,9 +57,6 @@ class NullSpan:
     def __exit__(self, *exc) -> bool:
         return False
 
-    def add(self, counter: str, n: float = 1) -> None:
-        """Discard a counter increment."""
-
 
 #: The singleton returned by :func:`span` while no tracer is installed.
 NULL_SPAN = NullSpan()
@@ -77,7 +72,6 @@ class Span:
         "start_s",
         "wall_s",
         "peak_rss_kb",
-        "counters",
         "children",
         "span_id",
         "parent_id",
@@ -90,14 +84,9 @@ class Span:
         self.start_s = 0.0
         self.wall_s = 0.0
         self.peak_rss_kb = 0.0
-        self.counters: Dict[str, float] = {}
         self.children: List["Span"] = []
         self.span_id: Optional[int] = None
         self.parent_id: Optional[int] = None
-
-    def add(self, counter: str, n: float = 1) -> None:
-        """Bump a named counter on this span."""
-        self.counters[counter] = self.counters.get(counter, 0) + n
 
     def __enter__(self) -> "Span":
         self.tracer._push(self)
@@ -125,8 +114,6 @@ class Span:
         }
         if self.attrs:
             out["attrs"] = self.attrs
-        if self.counters:
-            out["counters"] = self.counters
         return out
 
 

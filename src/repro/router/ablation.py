@@ -46,11 +46,6 @@ class BufferSweepPoint:
     #: interactivity budget — the paper's "worse than dropped" packets
     budget_violations: float
 
-    @property
-    def effective_badness(self) -> float:
-        """Loss plus budget-violating deliveries, as one impairment rate."""
-        return self.inbound_loss + self.outbound_loss + self.budget_violations
-
 
 def _measure(
     trace: Trace, profile: DeviceProfile, seed: int

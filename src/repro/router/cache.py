@@ -13,10 +13,10 @@ stable set of destinations; web traffic is fewer, larger packets across
 a Zipf-heavy destination population — the mix where preferential
 policies pay off.
 
-:meth:`RouteCache.access` is the per-packet API and the reference
-semantics.  :func:`simulate_cache` replays a whole stream through one
-loop per policy that leaves the cache exactly as a loop of ``access``
-calls would (``tests/test_route_cache_oracle.py`` checks it).  The LFU
+:func:`simulate_cache` replays a whole stream through one loop per
+policy.  Each loop leaves the cache exactly as the per-packet reference
+in ``tests/cache_reference.py`` would, one lookup at a time
+(``tests/test_route_cache_oracle.py`` checks it).  The LFU
 victim search is the O(1) count-bucket scheme of Shah, Mitra & Matani,
 "An O(1) algorithm for implementing the LFU cache eviction scheme"
 (2010): entries sit in one bucket per access count, each bucket in
@@ -76,17 +76,6 @@ class CacheStats:
         misses = self.class_misses.get(label, 0)
         total = hits + misses
         return hits / total if total else 0.0
-
-    def record(self, hit: bool, label: Optional[str]) -> None:
-        """Account one access."""
-        if hit:
-            self.hits += 1
-            if label is not None:
-                self.class_hits[label] = self.class_hits.get(label, 0) + 1
-        else:
-            self.misses += 1
-            if label is not None:
-                self.class_misses[label] = self.class_misses.get(label, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -151,56 +140,8 @@ class RouteCache:
         return key in self._entries
 
     # ------------------------------------------------------------------
-    def access(self, key: int, size: int = 0, label: Optional[str] = None) -> bool:
-        """Process one packet's route lookup; returns True on cache hit."""
-        frequency = self._frequency
-        frequency[key] = frequency.get(key, 0) + 1
-        entries = self._entries
-        if key in entries:
-            entries[key] += 1
-            entries.move_to_end(key)
-            self.stats.record(True, label)
-            return True
-        self.stats.record(False, label)
-        self._maybe_insert(key, size)
-        return False
 
     # ------------------------------------------------------------------
-    def _maybe_insert(self, key: int, size: int) -> None:
-        if len(self._entries) < self.capacity:
-            self._entries[key] = 1
-            self.stats.insertions += 1
-            return
-        policy = self.policy
-        if policy is EvictionPolicy.LRU:
-            self._evict_lru()
-        elif policy is EvictionPolicy.LFU:
-            self._evict_lfu()
-        elif policy is EvictionPolicy.SIZE_PREFERENTIAL:
-            if size > self.size_threshold:
-                self.stats.rejected_insertions += 1
-                return
-            self._evict_lru()
-        elif policy is EvictionPolicy.FREQUENCY_PREFERENTIAL:
-            victim = min(self._entries, key=self._entries.__getitem__)
-            if self._frequency[key] < self._entries[victim]:
-                self.stats.rejected_insertions += 1
-                return
-            del self._entries[victim]
-            self.stats.evictions += 1
-        else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown policy {policy!r}")
-        self._entries[key] = 1
-        self.stats.insertions += 1
-
-    def _evict_lru(self) -> None:
-        self._entries.popitem(last=False)
-        self.stats.evictions += 1
-
-    def _evict_lfu(self) -> None:
-        victim = min(self._entries, key=self._entries.__getitem__)
-        del self._entries[victim]
-        self.stats.evictions += 1
 
 
 @dataclass(frozen=True)
@@ -223,10 +164,6 @@ class LookupCostModel:
         mean_cost = hit_rate * self.hit_cost + (1.0 - hit_rate) * self.miss_cost
         return 1.0 / mean_cost
 
-    def speedup(self, hit_rate: float, baseline_hit_rate: float = 0.0) -> float:
-        """Throughput ratio versus a baseline hit rate."""
-        return self.effective_rate(hit_rate) / self.effective_rate(baseline_hit_rate)
-
 
 def simulate_cache(
     destinations: np.ndarray,
@@ -240,9 +177,10 @@ def simulate_cache(
     per-class hit accounting, as a column of names or as
     :class:`ClassLabels` encoded once for several replays of a stream.
 
-    Equivalent to calling ``cache.access(int(key), int(size), str(label))``
-    per packet, but the stream runs through one loop per policy over
-    plain Python columns: LRU and size-preferential never read the global
+    Equivalent to one lookup per packet in stream order (the reference
+    is ``tests/cache_reference.py``), but the stream runs through one
+    loop per policy over plain Python columns: LRU and
+    size-preferential never read the global
     frequency table, so it is filled in bulk afterwards; LFU and
     frequency-preferential find their victim in O(1) from count buckets;
     the loop only records a hit flag per packet, and the counters and

@@ -51,7 +51,7 @@ class EventScheduler:
     now:
         Current simulation time in seconds, always a Python ``float``.
         A plain attribute so the per-packet callbacks read it without a
-        call; only the run methods advance it.
+        call; only :meth:`run_until` advances it.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -59,15 +59,6 @@ class EventScheduler:
         self._heap: List[Tuple[float, int, int, Callable[[], Any]]] = []
         self._next_seq = count().__next__
         self._executed = 0
-
-    @property
-    def pending_count(self) -> int:
-        """Number of events still pending (excludes lazily-cancelled ones)."""
-        return sum(
-            1
-            for entry in self._heap
-            if not isinstance(entry[3], Event) or entry[3].state is _PENDING
-        )
 
     @property
     def executed_count(self) -> int:
@@ -188,21 +179,6 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the heap is empty.
-        """
-        heap = self._heap
-        while heap:
-            time, _, _, callback = heappop(heap)
-            if isinstance(callback, Event) and callback.state is not _PENDING:
-                continue
-            self.now = time
-            self._executed += 1
-            callback()
-            return True
-        return False
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events until the clock would pass ``end_time``.
@@ -246,16 +222,3 @@ class EventScheduler:
                 )
         self.now = float(end_time)
         return self._executed - start
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event heap is empty.
-
-        Returns the number of events executed.  ``max_events`` bounds the
-        run as in :meth:`run_until`.
-        """
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-        return executed

@@ -98,16 +98,6 @@ class Event:
         self.state = _CANCELLED
         return True
 
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still waiting to fire."""
-        return self.state is _PENDING
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled before firing."""
-        return self.state is _CANCELLED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""
         return f"<Event t={self.time:.6f}{tag} {self.state.value}>"

@@ -143,10 +143,6 @@ class RandomStreams:
         """Create a child stream family (e.g. one per simulated client)."""
         return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))
 
-    def names(self) -> Tuple[str, ...]:
-        """Names of streams created so far (mainly for tests)."""
-        return tuple(sorted(self._streams))
-
 
 def lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
     """Convert a (mean, coefficient-of-variation) pair to lognormal (mu, sigma).
@@ -218,39 +214,3 @@ def sample_truncated_normal(
         rest = np.clip(rng.normal(mean, std, size=want - filled), low, high)
         out[filled:] = rest
     return out
-
-
-class DiscreteEmpirical:
-    """A discrete distribution over arbitrary values with given weights.
-
-    Used for protocol message mixes (e.g. "70% movement updates of ~X
-    bytes, 20% events, 10% voice").  Weights are normalised; values may
-    be any numpy-compatible scalars.
-    """
-
-    def __init__(self, values: Sequence[float], weights: Sequence[float]) -> None:
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if values.shape != weights.shape or values.ndim != 1:
-            raise ValueError("values and weights must be equal-length 1-D sequences")
-        if values.size == 0:
-            raise ValueError("empty distribution")
-        if np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be non-negative with positive total")
-        self.values = values
-        self.probabilities = weights / weights.sum()
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw one value (or ``size`` values) according to the weights."""
-        return rng.choice(self.values, size=size, p=self.probabilities)
-
-    @property
-    def mean(self) -> float:
-        """Expected value of the distribution."""
-        return float(np.dot(self.values, self.probabilities))
-
-    @property
-    def variance(self) -> float:
-        """Variance of the distribution."""
-        mean = self.mean
-        return float(np.dot((self.values - mean) ** 2, self.probabilities))

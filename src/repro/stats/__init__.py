@@ -13,22 +13,13 @@ from repro.stats.autocorr import (
     peak_to_mean_ratio,
 )
 from repro.stats.binning import BinnedSeries, bin_events
-from repro.stats.descriptive import (
-    SeriesSummary,
-    relative_error,
-    summarize,
-    weighted_mean,
-    within_factor,
-)
+from repro.stats.descriptive import relative_error, within_factor
 from repro.stats.histogram import EmpiricalCDF, Histogram, histogram
 from repro.stats.hurst import (
     RegimeFit,
     VarianceTimePlot,
     VarianceTimePoint,
     default_block_sizes,
-    hurst_aggregated_variance,
-    hurst_rescaled_range,
-    rescaled_range,
     segment_regimes,
     variance_time_plot,
 )
@@ -51,7 +42,6 @@ __all__ = [
     "LineFit",
     "Periodogram",
     "RegimeFit",
-    "SeriesSummary",
     "VarianceTimePlot",
     "VarianceTimePoint",
     "autocorrelation",
@@ -68,14 +58,9 @@ __all__ = [
     "ks_statistic",
     "periodogram",
     "histogram",
-    "hurst_aggregated_variance",
-    "hurst_rescaled_range",
     "peak_to_mean_ratio",
     "relative_error",
-    "rescaled_range",
     "segment_regimes",
-    "summarize",
     "variance_time_plot",
-    "weighted_mean",
     "within_factor",
 ]

@@ -39,47 +39,9 @@ class BinnedSeries:
         return int(self.counts.size)
 
     @property
-    def times(self) -> np.ndarray:
-        """Left edge timestamp of each bin."""
-        return self.start_time + self.bin_size * np.arange(len(self))
-
-    @property
     def rates(self) -> np.ndarray:
         """Events per second in each bin."""
         return self.counts / self.bin_size
-
-    @property
-    def weight_rates(self) -> np.ndarray:
-        """Weight units per second in each bin (bytes/s when weighted by size)."""
-        return self.weights / self.bin_size
-
-    def bandwidth_bps(self) -> np.ndarray:
-        """Bits per second per bin, assuming weights are bytes."""
-        return 8.0 * self.weight_rates
-
-    def rebin(self, factor: int) -> "BinnedSeries":
-        """Aggregate ``factor`` consecutive bins into one (trailing remainder dropped).
-
-        Used to walk up the timescale ladder (10 ms → 50 ms → 1 s → ...)
-        without re-binning the raw event stream.
-        """
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor!r}")
-        if factor == 1:
-            return self
-        full = (len(self) // factor) * factor
-        if full == 0:
-            raise ValueError(
-                f"cannot rebin {len(self)} bins by factor {factor}: too few bins"
-            )
-        counts = self.counts[:full].reshape(-1, factor).sum(axis=1)
-        weights = self.weights[:full].reshape(-1, factor).sum(axis=1)
-        return BinnedSeries(
-            bin_size=self.bin_size * factor,
-            start_time=self.start_time,
-            counts=counts,
-            weights=weights,
-        )
 
 
 def bin_events(

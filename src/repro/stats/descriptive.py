@@ -2,52 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Five-number-plus summary of a numeric series."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-    @property
-    def coefficient_of_variation(self) -> float:
-        """std / mean (0 when the mean is 0)."""
-        return self.std / self.mean if self.mean else 0.0
-
-
-def summarize(values: np.ndarray) -> SeriesSummary:
-    """Compute a :class:`SeriesSummary`; zero-filled for empty input."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return SeriesSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return SeriesSummary(
-        count=int(values.size),
-        mean=float(values.mean()),
-        std=float(values.std(ddof=0)),
-        minimum=float(values.min()),
-        median=float(np.median(values)),
-        maximum=float(values.max()),
-    )
-
-
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """Weighted arithmetic mean; raises on all-zero weights."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    return float(np.dot(values, weights) / total)
-
 
 def relative_error(measured: float, reference: float) -> float:
     """|measured − reference| / |reference| (inf when reference is 0 and they differ)."""

@@ -31,11 +31,6 @@ class Histogram:
             raise ValueError("bin_edges must have one more entry than counts")
 
     @property
-    def bin_width(self) -> float:
-        """Width of each bin."""
-        return float(self.bin_edges[1] - self.bin_edges[0])
-
-    @property
     def bin_centers(self) -> np.ndarray:
         """Midpoint of each bin."""
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
@@ -47,27 +42,12 @@ class Histogram:
             return np.zeros_like(self.counts, dtype=float)
         return self.counts / float(self.total_samples)
 
-    @property
-    def densities(self) -> np.ndarray:
-        """Per-bin probability density (mass / bin width)."""
-        return self.probabilities / self.bin_width
-
-    def cumulative(self) -> np.ndarray:
-        """Cumulative probability at each bin's right edge."""
-        return np.cumsum(self.probabilities)
-
     def mode_bin(self) -> Tuple[float, float]:
         """(center, probability) of the most populated bin."""
         if self.counts.size == 0 or self.total_samples == 0:
             return (0.0, 0.0)
         index = int(np.argmax(self.counts))
         return (float(self.bin_centers[index]), float(self.probabilities[index]))
-
-    def mass_between(self, low: float, high: float) -> float:
-        """Probability mass of bins whose centers lie in ``[low, high]``."""
-        centers = self.bin_centers
-        mask = (centers >= low) & (centers <= high)
-        return float(self.probabilities[mask].sum())
 
 
 def histogram(

@@ -1,4 +1,4 @@
-"""Hurst-parameter estimation: aggregated variance and R/S methods.
+"""Hurst-parameter estimation by the aggregated-variance method.
 
 Section III-B of the paper estimates long-range dependence with the
 *aggregated variance* method: divide the base series into blocks of m
@@ -11,10 +11,6 @@ The paper's variance-time plot (Fig 5) shows three regimes, which
 :func:`segment_regimes` extracts: sub-50 ms (steeper than −1, the tick
 periodicity smooths faster than Poisson), 50 ms–30 min (shallow slope —
 map changes and population wander), and beyond 30 min (back to ≈ −1).
-
-The rescaled-range (R/S) estimator is provided as a cross-check — a
-standard companion method in the self-similarity literature the paper
-cites (Leland et al.).
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.stats.regression import LineFit, fit_line
+from repro.stats.regression import fit_line
 
 
 @dataclass(frozen=True)
@@ -60,47 +56,6 @@ class VarianceTimePlot:
 
     base_interval: float
     points: Tuple[VarianceTimePoint, ...]
-
-    def log_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(log10 block sizes, log10 normalised variances) as arrays."""
-        xs = np.asarray([p.log_block_size for p in self.points])
-        ys = np.asarray([p.log_variance for p in self.points])
-        return xs, ys
-
-    def fit(
-        self,
-        min_interval: Optional[float] = None,
-        max_interval: Optional[float] = None,
-    ) -> LineFit:
-        """Best-fit line over points whose interval lies in the given window."""
-        selected = [
-            p
-            for p in self.points
-            if (min_interval is None or p.interval_seconds >= min_interval)
-            and (max_interval is None or p.interval_seconds <= max_interval)
-        ]
-        if len(selected) < 2:
-            raise ValueError(
-                f"need >= 2 variance-time points in window "
-                f"[{min_interval}, {max_interval}], have {len(selected)}"
-            )
-        xs = np.asarray([p.log_block_size for p in selected])
-        ys = np.asarray([p.log_variance for p in selected])
-        return fit_line(xs, ys)
-
-    def hurst(
-        self,
-        min_interval: Optional[float] = None,
-        max_interval: Optional[float] = None,
-    ) -> float:
-        """Hurst estimate H = 1 − β/2 from the slope over the given window.
-
-        Not clamped: values below 1/2 are meaningful here — the paper's
-        sub-50 ms regime genuinely has H < 1/2 because tick periodicity
-        makes aggregation smooth the series faster than independence would.
-        """
-        beta = -self.fit(min_interval, max_interval).slope
-        return 1.0 - beta / 2.0
 
 
 def default_block_sizes(n: int, per_decade: int = 8, min_blocks: int = 8) -> List[int]:
@@ -175,74 +130,6 @@ def variance_time_plot(
     if len(points) < 2:
         raise ValueError("too few usable block sizes for a variance-time plot")
     return VarianceTimePlot(base_interval=base_interval, points=tuple(points))
-
-
-def hurst_aggregated_variance(
-    series: np.ndarray,
-    base_interval: float = 1.0,
-    min_interval: Optional[float] = None,
-    max_interval: Optional[float] = None,
-) -> float:
-    """One-call aggregated-variance Hurst estimate over an interval window."""
-    plot = variance_time_plot(series, base_interval)
-    return plot.hurst(min_interval=min_interval, max_interval=max_interval)
-
-
-def rescaled_range(series: np.ndarray) -> float:
-    """The R/S statistic of one series segment.
-
-    R is the range of the cumulative deviation from the mean, S the
-    standard deviation.  Returns 0.0 for constant segments.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.size < 2:
-        raise ValueError("R/S needs at least 2 samples")
-    deviations = series - series.mean()
-    cumulative = np.cumsum(deviations)
-    r = float(cumulative.max() - cumulative.min())
-    s = float(series.std())
-    if s == 0:
-        return 0.0
-    return r / s
-
-
-def hurst_rescaled_range(
-    series: np.ndarray,
-    min_chunk: int = 16,
-    chunks_per_size: int = 4,
-) -> float:
-    """R/S Hurst estimate: slope of log(R/S) vs log(n) over chunk sizes.
-
-    The series is split into non-overlapping chunks at logarithmically
-    spaced sizes; each size contributes the mean R/S across its chunks.
-    """
-    series = np.asarray(series, dtype=float)
-    if series.size < min_chunk * chunks_per_size:
-        raise ValueError(
-            f"series of {series.size} too short for R/S with "
-            f"min_chunk={min_chunk}, chunks_per_size={chunks_per_size}"
-        )
-    max_chunk = series.size // chunks_per_size
-    sizes: List[int] = []
-    size = min_chunk
-    while size <= max_chunk:
-        sizes.append(size)
-        size = max(size + 1, int(round(size * np.sqrt(2))))
-    log_sizes: List[float] = []
-    log_rs: List[float] = []
-    for chunk in sizes:
-        nchunks = series.size // chunk
-        values = [
-            rescaled_range(series[i * chunk : (i + 1) * chunk]) for i in range(nchunks)
-        ]
-        values = [v for v in values if v > 0]
-        if not values:
-            continue
-        log_sizes.append(float(np.log10(chunk)))
-        log_rs.append(float(np.log10(np.mean(values))))
-    if len(log_sizes) < 2:
-        raise ValueError("too few usable chunk sizes for R/S estimation")
-    return fit_line(np.asarray(log_sizes), np.asarray(log_rs)).slope
 
 
 @dataclass(frozen=True)

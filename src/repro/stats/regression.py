@@ -21,16 +21,6 @@ class LineFit:
     r_squared: float
     n: int
 
-    def predict(self, x) -> np.ndarray:
-        """Evaluate the fitted line at ``x``."""
-        x = np.asarray(x, dtype=float)
-        result = self.slope * x + self.intercept
-        return float(result) if result.ndim == 0 else result
-
-    def residuals(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """y − ŷ at the given points."""
-        return np.asarray(y, dtype=float) - self.predict(x)
-
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> LineFit:
     """Least-squares fit of a line through ``(x, y)``.

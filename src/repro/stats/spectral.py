@@ -50,19 +50,6 @@ class Periodogram:
         candidates = np.flatnonzero(window_power >= harmonic_tolerance * peak)
         return float(self.frequencies[int(candidates[0])])
 
-    def peak_period(
-        self,
-        min_period: Optional[float] = None,
-        max_period: Optional[float] = None,
-    ) -> float:
-        """Period (seconds) of the strongest line in a period window."""
-        min_frequency = None if max_period is None else 1.0 / max_period
-        max_frequency = None if min_period is None else 1.0 / min_period
-        frequency = self.peak_frequency(min_frequency, max_frequency)
-        if frequency <= 0:
-            raise ValueError("peak at zero frequency; no periodicity found")
-        return 1.0 / frequency
-
     def line_strength(self, frequency: float, bandwidth: float = 0.5) -> float:
         """Power near ``frequency`` relative to the spectrum's median power.
 

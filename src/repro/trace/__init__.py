@@ -7,38 +7,15 @@ be ingested through :func:`read_pcap`, making the analysis side directly
 reusable on actual server traces like the one the paper collected.
 """
 
-from repro.trace.filters import (
-    TraceFilter,
-    by_client,
-    by_direction,
-    by_payload_size,
-    by_port,
-    by_protocol,
-    by_time,
-    inbound,
-    outbound,
-    small_packets,
-)
-from repro.trace.flows import FlowStats, extract_flows, flow_bandwidths, unique_clients
+from repro.trace.flows import FlowStats, extract_flows, flow_bandwidths
 from repro.trace.format import TraceFormatError, load_trace, save_trace
-from repro.trace.packet import Direction, PacketRecord
+from repro.trace.packet import Direction
 from repro.trace.pcap import PcapFormatError, read_pcap, write_pcap
 from repro.trace.trace import Trace, TraceBuilder
 
 __all__ = [
     "Direction",
     "FlowStats",
-    "TraceFilter",
-    "by_client",
-    "by_direction",
-    "by_payload_size",
-    "by_port",
-    "by_protocol",
-    "by_time",
-    "inbound",
-    "outbound",
-    "small_packets",
-    "PacketRecord",
     "PcapFormatError",
     "Trace",
     "TraceBuilder",
@@ -48,6 +25,5 @@ __all__ = [
     "load_trace",
     "read_pcap",
     "save_trace",
-    "unique_clients",
     "write_pcap",
 ]

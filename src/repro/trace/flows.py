@@ -9,7 +9,7 @@ with the server, keyed by ``(client address, client port)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -41,11 +41,6 @@ class FlowStats:
     def duration(self) -> float:
         """Active seconds from first to last packet of the flow."""
         return self.last_time - self.first_time
-
-    @property
-    def packets(self) -> int:
-        """Total packets, both directions."""
-        return self.packets_in + self.packets_out
 
     @property
     def wire_bytes(self) -> int:
@@ -123,14 +118,3 @@ def flow_bandwidths(
         ],
         dtype=float,
     )
-
-
-def unique_clients(trace: Trace) -> Dict[int, int]:
-    """Map of client address value -> packet count, for population stats."""
-    n = len(trace)
-    if n == 0:
-        return {}
-    inbound = trace.directions == np.int8(Direction.IN)
-    client_addrs = np.where(inbound, trace.src_addrs, trace.dst_addrs)
-    values, counts = np.unique(client_addrs, return_counts=True)
-    return {int(value): int(count) for value, count in zip(values, counts)}

@@ -26,7 +26,11 @@ class TraceFormatError(ValueError):
 
 
 def save_trace(trace: Trace, path: str, compressed: bool = True) -> None:
-    """Save ``trace`` to ``path`` in the compact columnar format."""
+    """Save ``trace`` to ``path`` in the compact columnar format.
+
+    The file lands at exactly ``path``: numpy appends ``.npz`` to a
+    path given as a string, but not to an open file.
+    """
     metadata = {
         "version": FORMAT_VERSION,
         "server_address": str(trace.server_address) if trace.server_address else None,
@@ -51,7 +55,8 @@ def save_trace(trace: Trace, path: str, compressed: bool = True) -> None:
         ),
     }
     saver = np.savez_compressed if compressed else np.savez
-    saver(path, **arrays)
+    with open(path, "wb") as handle:
+        saver(handle, **arrays)
 
 
 def load_trace(path: str, server_address: Optional[IPv4Address] = None) -> Trace:

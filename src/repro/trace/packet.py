@@ -1,19 +1,8 @@
-"""Packet record model.
-
-A :class:`PacketRecord` is one row of a trace: timestamp, direction
-relative to the traced server, addressing, protocol and payload size.
-Traces store these fields columnarly (see :mod:`repro.trace.trace`);
-this class is the scalar view used at API boundaries and in tests.
-"""
+"""Packet direction, the one per-packet enum a trace column stores."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-
-from repro.net.addresses import IPv4Address
-from repro.net.headers import OverheadModel
-from repro.net.ip import PROTO_UDP
 
 
 class Direction(enum.IntEnum):
@@ -25,72 +14,3 @@ class Direction(enum.IntEnum):
 
     IN = 0
     OUT = 1
-
-    @property
-    def opposite(self) -> "Direction":
-        """The reverse direction."""
-        return Direction.OUT if self is Direction.IN else Direction.IN
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One captured (or generated) packet.
-
-    Attributes
-    ----------
-    timestamp:
-        Seconds since trace start (float, microsecond precision is enough
-        for this workload).
-    direction:
-        :class:`Direction` relative to the traced server.
-    src, dst:
-        IPv4 addresses.
-    src_port, dst_port:
-        UDP/TCP ports.
-    payload_size:
-        Application bytes — the quantity the paper's Table III and the
-        packet-size figures (12, 13) are computed over.
-    protocol:
-        IP protocol number; UDP for all game traffic.
-    """
-
-    timestamp: float
-    direction: Direction
-    src: IPv4Address
-    dst: IPv4Address
-    src_port: int
-    dst_port: int
-    payload_size: int
-    protocol: int = PROTO_UDP
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp!r}")
-        if self.payload_size < 0:
-            raise ValueError(f"negative payload size {self.payload_size!r}")
-        for name in ("src_port", "dst_port"):
-            port = getattr(self, name)
-            if not 0 <= port <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {port!r}")
-
-    def wire_size(self, overhead: OverheadModel) -> int:
-        """On-the-wire bytes under the given overhead model."""
-        return overhead.wire_size(self.payload_size)
-
-    @property
-    def client_address(self) -> IPv4Address:
-        """The non-server endpoint (source for IN, destination for OUT)."""
-        return self.src if self.direction is Direction.IN else self.dst
-
-    @property
-    def client_port(self) -> int:
-        """The non-server endpoint's port."""
-        return self.src_port if self.direction is Direction.IN else self.dst_port
-
-    def flow_key(self) -> tuple:
-        """Canonical per-client flow key ``(client_addr, client_port)``.
-
-        Both directions of one client's conversation share a key, which
-        is what the paper's per-flow bandwidth histogram (Fig 11) needs.
-        """
-        return (self.client_address.value, self.client_port)

@@ -189,7 +189,7 @@ def read_pcap(
             eth = EthernetHeader.unpack(frame)
             if eth.ethertype != ETHERTYPE_IPV4:
                 raise ValueError(f"non-IPv4 ethertype {eth.ethertype:#06x}")
-            ip = IPv4Header.unpack(frame[ETHERNET_HEADER_LEN:], verify=False)
+            ip = IPv4Header.unpack(frame[ETHERNET_HEADER_LEN:])
             ip_payload = frame[
                 ETHERNET_HEADER_LEN
                 + IPV4_HEADER_LEN : ETHERNET_HEADER_LEN

@@ -9,14 +9,14 @@ freezes them into a :class:`Trace`.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.net.addresses import IPv4Address
 from repro.net.headers import OverheadModel, WIRE_OVERHEAD_UDP_V4
 from repro.net.ip import PROTO_UDP
-from repro.trace.packet import Direction, PacketRecord
+from repro.trace.packet import Direction
 
 _COLUMNS = (
     "timestamps",
@@ -33,13 +33,13 @@ _COLUMNS = (
 class Trace:
     """An immutable, columnar sequence of packets sorted by timestamp.
 
-    Construct via :class:`TraceBuilder`, :meth:`Trace.from_records`, or
-    the readers in :mod:`repro.trace.pcap` / :mod:`repro.trace.format`.
+    Construct via :class:`TraceBuilder` or the readers in
+    :mod:`repro.trace.pcap` / :mod:`repro.trace.format`.
 
     Parameters mirror the column names; all arrays must share a length.
     ``server_address`` records which endpoint the ``IN``/``OUT``
     directions are relative to and travels with the trace through saves,
-    filters and merges.
+    selections and merges.
     """
 
     def __init__(
@@ -86,18 +86,6 @@ class Trace:
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[PacketRecord],
-        server_address: Optional[IPv4Address] = None,
-        overhead: Optional[OverheadModel] = None,
-    ) -> "Trace":
-        """Build a trace from scalar :class:`PacketRecord` objects."""
-        builder = TraceBuilder(server_address=server_address, overhead=overhead)
-        for record in records:
-            builder.add_record(record)
-        return builder.build()
 
     @classmethod
     def empty(
@@ -124,27 +112,6 @@ class Trace:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-    def __iter__(self) -> Iterator[PacketRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
-
-    def record(self, index: int) -> PacketRecord:
-        """Materialise row ``index`` as a :class:`PacketRecord`."""
-        if not -len(self) <= index < len(self):
-            raise IndexError(f"packet index {index} out of range for {len(self)}")
-        if index < 0:
-            index += len(self)
-        return PacketRecord(
-            timestamp=float(self.timestamps[index]),
-            direction=Direction(int(self.directions[index])),
-            src=IPv4Address(int(self.src_addrs[index])),
-            dst=IPv4Address(int(self.dst_addrs[index])),
-            src_port=int(self.src_ports[index]),
-            dst_port=int(self.dst_ports[index]),
-            payload_size=int(self.payload_sizes[index]),
-            protocol=int(self.protocols[index]),
-        )
 
     def select(self, mask: np.ndarray) -> "Trace":
         """A new trace containing the rows where ``mask`` is True."""
@@ -230,11 +197,6 @@ class Trace:
         """Application bytes summed over all packets (Table III's currency)."""
         return int(self.payload_sizes.sum(dtype=np.int64))
 
-    @property
-    def total_wire_bytes(self) -> int:
-        """Wire bytes under this trace's overhead model (Table II's currency)."""
-        return self.overhead.wire_bytes_total(self.total_payload_bytes, len(self))
-
     def wire_sizes(self) -> np.ndarray:
         """Per-packet wire sizes as an int64 array."""
         return self.payload_sizes.astype(np.int64) + self.overhead.per_packet
@@ -315,19 +277,6 @@ class TraceBuilder:
         self._dst_ports.append(dst_port)
         self._payload_sizes.append(payload_size)
         self._protocols.append(protocol)
-
-    def add_record(self, record: PacketRecord) -> None:
-        """Append one validated :class:`PacketRecord`."""
-        self.add(
-            record.timestamp,
-            record.direction,
-            record.src.value,
-            record.dst.value,
-            record.src_port,
-            record.dst_port,
-            record.payload_size,
-            record.protocol,
-        )
 
     def add_batch(
         self,

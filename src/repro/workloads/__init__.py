@@ -9,7 +9,6 @@ from repro.workloads.aggregation import (
 from repro.workloads.links import (
     LINK_CATALOGUE,
     LastMileLink,
-    narrowest_link,
     saturation_report,
 )
 from repro.workloads.scenarios import (
@@ -32,7 +31,6 @@ __all__ = [
     "required_capacity_linear",
     "generate_web_packets",
     "interleave_streams",
-    "narrowest_link",
     "olygamer_scenario",
     "saturation_report",
 ]

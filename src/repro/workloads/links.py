@@ -36,10 +36,6 @@ class LastMileLink:
         """True when demand uses at least ``threshold`` of effective capacity."""
         return self.utilisation(demand_bps) >= threshold
 
-    def supports(self, demand_bps: float) -> bool:
-        """True when the demand fits within effective capacity."""
-        return demand_bps <= self.effective_bps
-
 
 #: The 2002-era catalogue.  Effective rates follow contemporary
 #: measurements (56k modems: 40–50 kbps usable; the paper's reference).
@@ -50,11 +46,6 @@ LINK_CATALOGUE: Dict[str, LastMileLink] = {
     "cable": LastMileLink("cable", 1_500_000.0, 1_000_000.0, 0.020),
     "lan": LastMileLink("lan", 10_000_000.0, 9_000_000.0, 0.002),
 }
-
-
-def narrowest_link() -> LastMileLink:
-    """The narrowest catalogued link (the modem the game targets)."""
-    return min(LINK_CATALOGUE.values(), key=lambda link: link.effective_bps)
 
 
 def saturation_report(demand_bps: float) -> Tuple[Tuple[str, float, bool], ...]:

@@ -134,10 +134,6 @@ class Scenario:
         """The week-long per-minute count series (Figs 1, 2, 4)."""
         return self.per_second_series().rebin(60)
 
-    def clear_packet_windows(self) -> None:
-        """Drop cached traces (memory control for long bench runs)."""
-        self._traces.clear()
-
 
 _scenario_cache: Dict[Tuple[str, int], Scenario] = {}
 _nat_replay_cache: Dict[Tuple[int, float, float], NatExperimentResult] = {}

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import settings
+from helpers import quick_test_profile
 
-from repro.gameserver.config import ServerProfile, quick_test_profile
+from repro.gameserver.config import ServerProfile
 from repro.gameserver.generator import PacketLevelGenerator
 from repro.gameserver.population import PopulationResult, simulate_population
 from repro.net.addresses import IPv4Address

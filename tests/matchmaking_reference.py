@@ -3,8 +3,9 @@
 The production engine (:mod:`repro.matchmaking.columnar`) batches the
 epoch loop wherever it can prove the batch exact.  This module keeps the
 plain per-attempt loop it must reproduce: a departure heap, one
-``policy.select`` call per connection attempt, the slot-table refusal,
-and retry-or-balk.  It only needs to be obviously correct, not fast; the
+:func:`select` call per connection attempt, the slot-table refusal,
+and retry-or-balk.  :func:`select` holds the per-attempt form of the
+four policies the engine only runs vectorised.  It only needs to be obviously correct, not fast; the
 parity suites compare every :class:`MatchmakingResult` field of the two
 bit for bit.  It publishes no telemetry.
 
@@ -32,11 +33,79 @@ from repro.matchmaking import (
     RttMatrix,
     SelectionPolicy,
 )
-from repro.matchmaking.scenarios import DemandScenario
+from repro.matchmaking.policies import (
+    CapacityAwarePolicy,
+    LatencyAwarePolicy,
+    LeastLoadedPolicy,
+    RandomPolicy,
+)
+from repro.matchmaking.scenarios import CompiledScenario, DemandScenario
 from repro.sim.random import derive_seed, sample_lognormal
 
 #: Player lifecycle states.
 _IDLE, _WAITING, _PLAYING = 0, 1, 2
+
+
+def select(
+    policy: SelectionPolicy,
+    occupancy: np.ndarray,
+    capacities: np.ndarray,
+    last_server: int,
+    rng: np.random.Generator,
+    rtt: Optional[np.ndarray] = None,
+) -> Optional[int]:
+    """``policy``'s server for one attempt, or ``None`` to refuse outright.
+
+    A policy with its own ``select`` answers through it.  ``random``,
+    ``least_loaded``, ``capacity_aware`` and ``latency_aware`` have none
+    (the engine only runs them vectorised); their per-attempt forms are
+    written out here.  Returning a full server's index is allowed: the
+    slot table refuses the attempt.
+    """
+    if hasattr(policy, "select"):
+        return policy.select(occupancy, capacities, last_server, rng, rtt=rtt)
+    if isinstance(policy, RandomPolicy):
+        return int(rng.integers(occupancy.size))
+    if isinstance(policy, LeastLoadedPolicy):
+        return int(np.argmax(capacities - occupancy))
+    if isinstance(policy, CapacityAwarePolicy):
+        free = capacities - occupancy
+        if not np.any(free > 0):
+            return None
+        return int(np.argmax(free))
+    if isinstance(policy, LatencyAwarePolicy):
+        # both normalisations (largest capacity, worst row RTT) are
+        # recomputed per call: a pure function of the arguments
+        rtt = policy._require_rtt(rtt)
+        return policy.pick(
+            capacities - occupancy,
+            max(int(capacities.max()), 1),
+            policy.rtt_terms(rtt),
+        )
+    raise TypeError(f"policy {policy!r} has no select")
+
+
+def attempt_probabilities(
+    compiled: CompiledScenario,
+    epoch: int,
+    hazard: float,
+    dt: float,
+    player_regions: np.ndarray,
+) -> np.ndarray:
+    """Per-player attempt probability: the engine's per-region vector
+    gathered per player, so both go through the same operations."""
+    return compiled.region_attempt_probabilities(epoch, hazard, dt)[player_regions]
+
+
+def session_table_from_rows(
+    rows: List[SessionRecord], link_class_names: Tuple[str, ...]
+) -> SessionTable:
+    """A table of ``rows`` in order; link classes coded by ``link_class_names``."""
+    code = {name: index for index, name in enumerate(link_class_names)}
+    return SessionTable.from_tuples(
+        [(*row[:5], code[row.link_class], row.wants_download) for row in rows],
+        link_class_names,
+    )
 
 
 def simulate_reference(
@@ -140,8 +209,8 @@ def run_reference(sim: MatchmakingSimulator) -> MatchmakingResult:
         hazard = config.attempt_rate_at(0.5 * (t0 + t1))
         draws = rng_pool.uniform(size=idle_players.size)
         if compiled is not None:
-            mask = draws < compiled.attempt_probabilities(
-                epoch, hazard, t1 - t0, player_region[idle_players]
+            mask = draws < attempt_probabilities(
+                compiled, epoch, hazard, t1 - t0, player_region[idle_players]
             )
         else:
             p_attempt = 1.0 - math.exp(-hazard * (t1 - t0))
@@ -171,8 +240,8 @@ def run_reference(sim: MatchmakingSimulator) -> MatchmakingResult:
             attempts += 1
             previous = int(last_server[player])
             rtt_row = rtt_rows[player_region[player]]
-            chosen = policy.select(
-                occupancy, eff_cap, previous, rng_assign, rtt=rtt_row
+            chosen = select(
+                policy, occupancy, eff_cap, previous, rng_assign, rtt=rtt_row
             )
             if chosen is not None:
                 per_server_attempts[chosen] += 1
@@ -266,7 +335,7 @@ def run_reference(sim: MatchmakingSimulator) -> MatchmakingResult:
         seed=sim.seed,
         capacities=tuple(int(c) for c in capacities),
         sessions=tuple(
-            SessionTable.from_rows(rows, traits.link_classes) for rows in sessions
+            session_table_from_rows(rows, traits.link_classes) for rows in sessions
         ),
         occupancy=occupancy_trace,
         admission=AdmissionStats(

@@ -82,16 +82,6 @@ class ReferenceEvent:
         self.state = RefState.CANCELLED
         return True
 
-    @property
-    def pending(self) -> bool:
-        """Whether the event is still waiting to fire."""
-        return self.state is RefState.PENDING
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event was cancelled before firing."""
-        return self.state is RefState.CANCELLED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""
         return f"<Event t={self.time:.6f}{tag} {self.state.value}>"
@@ -118,12 +108,6 @@ class ReferenceScheduler:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def pending_count(self) -> int:
-        """Number of events still pending (excludes lazily-cancelled ones)."""
-        pending = RefState.PENDING
-        return sum(1 for entry in self._heap if entry[3].state is pending)
 
     @property
     def executed_count(self) -> int:
@@ -205,22 +189,6 @@ class ReferenceScheduler:
 
         return stop
 
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event ran, ``False`` if the heap is empty.
-        """
-        while self._heap:
-            event = heappop(self._heap)[3]
-            if event.state is RefState.CANCELLED:
-                continue
-            self._now = event.time
-            event.state = RefState.EXECUTED
-            self._executed += 1
-            event.callback()
-            return True
-        return False
-
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Run events until the clock would pass ``end_time``.
 
@@ -266,17 +234,4 @@ class ReferenceScheduler:
                     f"exceeded max_events={max_events} before t={end_time}"
                 )
         self._now = end_time
-        return executed
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event heap is empty.
-
-        Returns the number of events executed.  ``max_events`` bounds the
-        run as in :meth:`run_until`.
-        """
-        executed = 0
-        while self.step():
-            executed += 1
-            if max_events is not None and executed > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
         return executed

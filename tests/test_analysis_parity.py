@@ -32,6 +32,10 @@ from repro.trace.trace import Trace
 # ----------------------------------------------------------------------
 
 
+def _wire_bytes(trace: Trace) -> int:
+    return trace.overhead.wire_bytes_total(trace.total_payload_bytes, len(trace))
+
+
 def reference_usage(trace: Trace, duration: float = 0.0) -> NetworkUsage:
     inbound = trace.inbound()
     outbound = trace.outbound()
@@ -43,9 +47,9 @@ def reference_usage(trace: Trace, duration: float = 0.0) -> NetworkUsage:
         total_packets=len(trace),
         packets_in=len(inbound),
         packets_out=len(outbound),
-        wire_bytes=trace.total_wire_bytes,
-        wire_bytes_in=inbound.total_wire_bytes,
-        wire_bytes_out=outbound.total_wire_bytes,
+        wire_bytes=_wire_bytes(trace),
+        wire_bytes_in=_wire_bytes(inbound),
+        wire_bytes_out=_wire_bytes(outbound),
         app_bytes=trace.total_payload_bytes,
         app_bytes_in=inbound.total_payload_bytes,
         app_bytes_out=outbound.total_payload_bytes,

@@ -32,6 +32,17 @@ class TestSimulateCli:
         assert len(trace) > 100
         assert trace.server_address == IPv4Address("128.223.40.15")
 
+    def test_npz_output_lands_at_the_exact_path(self, tmp_path, capsys):
+        # numpy appends ".npz" to a string path without the suffix
+        out = tmp_path / "window"
+        code = main(["--end", "60", "--slots", "6", "--format", "npz",
+                     "-o", str(out)])
+        assert code == 0
+        assert f"to {out}" in capsys.readouterr().out
+        assert out.is_file()
+        assert not (tmp_path / "window.npz").exists()
+        assert len(load_trace(str(out))) > 100
+
     def test_log_written(self, tmp_path):
         out = str(tmp_path / "w.npz")
         log = str(tmp_path / "server.log")
@@ -447,7 +458,7 @@ class TestExperimentsCacheDir:
 
         from repro.core.report import ComparisonRow
         from repro.experiments.base import ExperimentOutput
-        from repro.fleet.execution import shard_map
+        from helpers import shard_results
 
         @dataclass(frozen=True)
         class _Task:
@@ -457,7 +468,7 @@ class TestExperimentsCacheDir:
             return task.value * task.value
 
         def run(seed: int = 0, config: RunConfig = RunConfig()):
-            results = shard_map(
+            results = shard_results(
                 _evaluate,
                 [_Task(i) for i in range(3)],
                 workers=1,

@@ -9,9 +9,9 @@ from repro.core.selfsimilarity import (
     SelfSimilarityReport,
     stitch_variance_time,
     variance_time_from_counts,
-    variance_time_from_trace,
 )
 from repro.core.sessions import ClientBandwidthAnalysis
+from repro.stats.binning import bin_events
 from repro.stats.hurst import VarianceTimePlot, VarianceTimePoint
 from repro.trace.trace import Trace
 
@@ -81,7 +81,8 @@ class TestPeriodicityAnalysis:
     def test_recovers_tick(self, quick_trace, quick_profile):
         window = quick_trace.time_slice(10.0, 70.0)
         analysis = PeriodicityAnalysis.from_trace(window)
-        assert analysis.tick_matches(quick_profile.tick_interval)
+        tick = quick_profile.tick_interval
+        assert abs(analysis.recovered_period_out - tick) / tick <= 0.2
 
     def test_outbound_burstier(self, quick_trace):
         window = quick_trace.time_slice(10.0, 70.0)
@@ -98,19 +99,15 @@ class TestPeriodicityAnalysis:
         with pytest.raises(ValueError):
             PeriodicityAnalysis.from_trace(Trace.empty())
 
-    def test_tick_matches_validation(self, quick_trace):
-        window = quick_trace.time_slice(10.0, 70.0)
-        analysis = PeriodicityAnalysis.from_trace(window)
-        with pytest.raises(ValueError):
-            analysis.tick_matches(0.0)
-
 
 class TestSelfSimilarity:
-    def test_variance_time_from_trace(self, quick_trace):
+    def test_sub_tick_hurst_of_a_trace_below_half(self, quick_trace):
         window = quick_trace.time_slice(10.0, 110.0)
-        plot = variance_time_from_trace(window, base_interval=0.01)
+        counts = bin_events(window.timestamps, 0.01, start_time=10.0, end_time=110.0).counts
+        plot = variance_time_from_counts(counts, 0.01)
         assert len(plot.points) > 5
-        assert plot.hurst(max_interval=0.05) < 0.5  # tick periodicity
+        report = SelfSimilarityReport.from_plot(plot, boundaries=(0.05, 10.0))
+        assert report.sub_tick_hurst < 0.5  # tick periodicity
 
     def test_stitching_extends_range(self):
         rng = np.random.default_rng(0)

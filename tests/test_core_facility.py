@@ -141,7 +141,7 @@ class TestRecoveryStats:
         # epoch 7 (20) is out of band; 8..10 are the first 3-epoch
         # in-band run, starting 1 epoch after the event ends
         assert stats.time_to_baseline == 1
-        assert stats.recovered
+        assert stats.time_to_baseline is not None
 
     def test_never_recovers(self):
         from repro.core.facility import RecoveryStats
@@ -149,7 +149,7 @@ class TestRecoveryStats:
         series = np.array([5.0, 5, 5, 50, 50, 50])
         stats = RecoveryStats.from_series(series, 3, 4)
         assert stats.time_to_baseline is None
-        assert not stats.recovered
+        assert stats.time_to_baseline is None
         assert stats.overshoot == 45.0
 
     def test_undershoot_side(self):

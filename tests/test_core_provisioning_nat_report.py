@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
 from repro.core.natanalysis import NatAnalysis
 from repro.core.provisioning import (
@@ -13,10 +14,9 @@ from repro.core.report import (
     ComparisonRow,
     all_rows_ok,
     format_value,
-    render_series_preview,
     render_table,
 )
-from repro.gameserver.config import olygamer_week, quick_test_profile
+from repro.gameserver.config import olygamer_week
 from repro.router.nat import NatDevice
 
 
@@ -26,21 +26,6 @@ class TestPerPlayerModel:
         assert model.bandwidth_bps == pytest.approx(40_000.0, rel=0.15)
         assert 30.0 <= model.pps <= 50.0
 
-    def test_linear_scaling(self):
-        model = PerPlayerModel(bandwidth_bps=40_000.0, pps=38.0)
-        assert model.server_bandwidth_bps(22) == pytest.approx(880_000.0)
-        assert model.server_pps(22) == pytest.approx(836.0)
-
-    def test_saturates_modem(self):
-        model = PerPlayerModel.from_profile(olygamer_week())
-        assert model.saturates_modem()
-
-    def test_negative_players_rejected(self):
-        model = PerPlayerModel(40_000.0, 38.0)
-        with pytest.raises(ValueError):
-            model.server_bandwidth_bps(-1)
-        with pytest.raises(ValueError):
-            model.server_pps(-1)
 
 
 class TestCapacityPlan:
@@ -72,7 +57,8 @@ class TestLinearityExperiment:
             duration=300.0,
             seed=1,
         )
-        assert result.is_linear(min_r_squared=0.9)
+        assert result.pps_fit.r_squared >= 0.9
+        assert result.kbps_fit.r_squared >= 0.9
         assert result.kbps_per_player > 10.0
         assert result.pps_per_player > 10.0
 
@@ -137,10 +123,3 @@ class TestReportRendering:
         assert format_value(123.456) == "123.5"
         assert format_value(1.234) == "1.23"
         assert format_value(0.01234) == "0.0123"
-
-    def test_series_preview(self):
-        text = render_series_preview(
-            "Series", [0.0, 1.0], [10.0, 20.0], max_points=1, unit="pps"
-        )
-        assert "Series" in text
-        assert "(2 points total)" in text

@@ -80,15 +80,9 @@ class TestPacketLoadSeries:
 
     def test_bandwidth_uses_wire_bytes(self, synthetic_trace):
         series = packet_load_series(synthetic_trace, 1.0)
-        total_bits = series.kilobits_per_second.sum() * 1000.0
-        assert total_bits == pytest.approx(8.0 * synthetic_trace.total_wire_bytes)
-
-    def test_mean_helpers(self, synthetic_trace):
-        series = packet_load_series(synthetic_trace, 0.1)
-        assert series.mean_pps() == pytest.approx(
-            float(series.packets_per_second.mean())
+        assert series.series.weights.sum() == pytest.approx(
+            synthetic_trace.wire_sizes().sum()
         )
-        assert series.mean_kbps() > 0
 
     def test_explicit_window(self, synthetic_trace):
         series = packet_load_series(

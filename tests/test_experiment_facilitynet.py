@@ -32,9 +32,10 @@ class TestFacilitynetExperiment:
 
     def test_worker_counts_bit_identical(self, output):
         assert output.extras["parallel_identical"] is True
-        row = output.row(
-            "per-hop results bit-identical (1 vs 4 workers)"
-        )
+        (row,) = [
+            r for r in output.rows
+            if r.name == "per-hop results bit-identical (1 vs 4 workers)"
+        ]
         assert row.measured == 1.0
 
     def test_latency_budget_dominated_by_uplink(self, output):

@@ -17,9 +17,10 @@ class TestFleetExperiment:
         assert output.passed, f"rows outside tolerance: {failing}"
 
     def test_parallel_matches_serial(self, output):
-        row = output.row(
-            "parallel (2 workers) aggregate bit-identical to serial"
-        )
+        (row,) = [
+            r for r in output.rows
+            if r.name == "parallel (2 workers) aggregate bit-identical to serial"
+        ]
         assert row.measured == 1.0
 
     def test_aggregate_spans_sixteen_servers(self, output):

@@ -75,13 +75,6 @@ def test_render_includes_every_row(experiment_id):
         assert row.name in text
 
 
-def test_row_lookup():
-    table1 = seed0_output("table1")
-    assert table1.row("maps played").paper == 339
-    with pytest.raises(KeyError):
-        table1.row("no such row")
-
-
 def test_every_experiment_is_checked_against_the_paper():
     (mark,) = [
         m for m in test_reproduces_paper.pytestmark if m.name == "parametrize"

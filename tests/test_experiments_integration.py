@@ -12,7 +12,6 @@ import pytest
 from repro.core.natanalysis import NatAnalysis
 from repro.core.packetsize import PacketSizeAnalysis
 from repro.core.summary import GeneralTraceInfo, NetworkUsage
-from repro.experiments.base import ExperimentOutput
 from repro.experiments.runner import REGISTRY, run_experiments
 from repro.gameserver.config import olygamer_week
 from repro.gameserver.fluid import CountLevelGenerator
@@ -41,11 +40,6 @@ class TestRegistry:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiments(["nonexistent"])
-
-    def test_experiment_output_row_lookup(self):
-        output = ExperimentOutput("x", "t")
-        with pytest.raises(KeyError):
-            output.row("missing")
 
 
 class TestScaledPipelines:

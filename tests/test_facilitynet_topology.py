@@ -114,11 +114,6 @@ class TestBuildTopology:
         assert topology.uplink.rate_bps == pytest.approx(2e5)
         assert topology.uplink.oversubscription == pytest.approx(4.0)
 
-    def test_hops_in_order(self):
-        topology = build_topology(4, 2, per_server_pps=10.0, per_server_bps=1e4)
-        tiers = [hop.tier for hop in topology.hops_in_order()]
-        assert tiers == [TIER_RACK, TIER_RACK, TIER_CORE, TIER_UPLINK]
-
     def test_describe_mentions_every_hop(self):
         topology = build_topology(4, 2, per_server_pps=10.0, per_server_bps=1e4)
         text = topology.describe()

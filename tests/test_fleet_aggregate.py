@@ -7,7 +7,6 @@ from repro.fleet import (
     FluidAccumulator,
     TraceAccumulator,
     kway_merge_traces,
-    merge_fluid_series,
     sum_fluid_series,
 )
 from repro.fleet.aggregate import FANIN
@@ -64,9 +63,11 @@ class TestFluidSum:
         with pytest.raises(ValueError, match="start_time"):
             sum_fluid_series(make_series([1]), make_series([1], start=5.0))
 
-    def test_merge_fluid_series_and_accumulator_agree(self):
+    def test_pairwise_sum_and_accumulator_agree(self):
         parts = [make_series([i, i + 1]) for i in range(5)]
-        merged = merge_fluid_series(parts)
+        merged = None
+        for part in parts:
+            merged = sum_fluid_series(merged, part)
         accumulator = FluidAccumulator()
         for part in parts:
             accumulator.add(part)
@@ -74,8 +75,6 @@ class TestFluidSum:
         assert accumulator.servers_added == 5
 
     def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            merge_fluid_series([])
         with pytest.raises(ValueError):
             FluidAccumulator().result()
 

@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from helpers import shard_results
 
 from repro.experiments.base import RunConfig
 from repro.fleet.cache import ShardCache, UnfingerprintableTask, _canonical
-from repro.fleet.execution import shard_map, shard_map_fold
+from repro.fleet.execution import shard_map_fold
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class TestFingerprinting:
                 _canonical(value)
         cache = ShardCache(tmp_path)
         assert cache.task_key(evaluate_labels, LabelTask(a)) is None
-        result = shard_map(
+        result = shard_results(
             evaluate_labels, [LabelTask(a), LabelTask(b)], workers=1, cache=cache
         )
         assert result == ["modem", "modem"]
@@ -190,10 +191,10 @@ class TestShardCacheTraffic:
         cache = ShardCache(tmp_path)
         tasks = [SquareTask(float(i)) for i in range(3)]
         assert RunConfig().cache is None
-        shard_map(evaluate_square, tasks, workers=1, cache=RunConfig().cache)
+        shard_results(evaluate_square, tasks, workers=1, cache=RunConfig().cache)
         assert cache.stats.misses == 0 and not any(tmp_path.iterdir())
         config = RunConfig(cache=cache)
-        shard_map(evaluate_square, tasks, workers=1, cache=config.cache)
+        shard_results(evaluate_square, tasks, workers=1, cache=config.cache)
         assert cache.stats.stores == 3
 
 
@@ -202,11 +203,11 @@ class TestShardMapFoldCaching:
     def test_cold_then_warm_identical(self, tmp_path, workers):
         cache = ShardCache(tmp_path)
         tasks = [SquareTask(float(i)) for i in range(10)]
-        cold = shard_map(evaluate_square, tasks, workers=workers, cache=cache)
+        cold = shard_results(evaluate_square, tasks, workers=workers, cache=cache)
         assert cache.stats.misses == 10
         assert cache.stats.stores == 10
         assert cache.stats.hits == 0
-        warm = shard_map(evaluate_square, tasks, workers=workers, cache=cache)
+        warm = shard_results(evaluate_square, tasks, workers=workers, cache=cache)
         assert warm == cold == [float(i) ** 2 for i in range(10)]
         assert cache.stats.hits == 10
         assert cache.stats.misses == 10  # unchanged
@@ -214,8 +215,8 @@ class TestShardMapFoldCaching:
     def test_serial_and_parallel_share_entries(self, tmp_path):
         cache = ShardCache(tmp_path)
         tasks = [ArrayTask(scale=1.5, seed=i) for i in range(6)]
-        cold = shard_map(evaluate_array, tasks, workers=3, cache=cache)
-        warm = shard_map(evaluate_array, tasks, workers=1, cache=cache)
+        cold = shard_results(evaluate_array, tasks, workers=3, cache=cache)
+        warm = shard_results(evaluate_array, tasks, workers=1, cache=cache)
         for a, b in zip(cold, warm):
             np.testing.assert_array_equal(a, b)
         assert cache.stats.hits == 6
@@ -223,9 +224,9 @@ class TestShardMapFoldCaching:
     def test_partial_warm_mixes_hits_and_computes(self, tmp_path):
         cache = ShardCache(tmp_path)
         first = [SquareTask(float(i)) for i in range(4)]
-        shard_map(evaluate_square, first, workers=1, cache=cache)
+        shard_results(evaluate_square, first, workers=1, cache=cache)
         extended = [SquareTask(float(i)) for i in range(8)]
-        result = shard_map(evaluate_square, extended, workers=2, cache=cache)
+        result = shard_results(evaluate_square, extended, workers=2, cache=cache)
         assert result == [float(i) ** 2 for i in range(8)]
         assert cache.stats.hits == 4
         assert cache.stats.stores == 8
@@ -256,7 +257,7 @@ class TestShardMapFoldCaching:
 
     def test_uncacheable_tasks_compute_without_storing(self, tmp_path):
         cache = ShardCache(tmp_path)
-        result = shard_map(lambda x: x * 2, [1, 2, 3], workers=1, cache=cache)
+        result = shard_results(lambda x: x * 2, [1, 2, 3], workers=1, cache=cache)
         assert result == [2, 4, 6]
         assert cache.stats.stores == 0
         assert cache.stats.hits == 0
@@ -265,10 +266,10 @@ class TestShardMapFoldCaching:
     def test_corrupt_entry_recomputed_in_parallel_path(self, tmp_path):
         cache = ShardCache(tmp_path)
         tasks = [SquareTask(float(i)) for i in range(5)]
-        shard_map(evaluate_square, tasks, workers=1, cache=cache)
+        shard_results(evaluate_square, tasks, workers=1, cache=cache)
         key = cache.task_key(evaluate_square, tasks[2])
         cache.entry_path(key).write_bytes(b"garbage")
-        result = shard_map(evaluate_square, tasks, workers=2, cache=cache)
+        result = shard_results(evaluate_square, tasks, workers=2, cache=cache)
         assert result == [float(i) ** 2 for i in range(5)]
         assert cache.stats.invalid == 1
         # the repaired entry serves the next run
@@ -312,43 +313,33 @@ class TestFacilityIntegration:
         np.testing.assert_array_equal(first.timestamps, second.timestamps)
 
 
+def _counts(stats):
+    return {name: getattr(stats, name) for name in ("hits", "misses", "stores", "invalid")}
+
+
 class TestCacheStatsAccounting:
     """Per-run scoping and process-wide mirroring of cache counters."""
-
-    def test_snapshot_is_a_plain_dict(self, tmp_path):
-        from repro.fleet.cache import ShardCache
-
-        cache = ShardCache(tmp_path)
-        cache.stats.hits += 2
-        cache.stats.misses += 1
-        assert cache.stats.snapshot() == {
-            "hits": 2,
-            "misses": 1,
-            "stores": 0,
-            "invalid": 0,
-        }
 
     def test_reset_scopes_stats_per_run(self, tmp_path):
         # the bug this pins: a long-lived cache used to accumulate
         # counters forever, so the second run's stats_line lied
         from repro.fleet.cache import ShardCache
-        from repro.fleet.execution import shard_map
 
         cache = ShardCache(tmp_path)
         tasks = [SquareTask(float(i)) for i in range(3)]
-        shard_map(evaluate_square, tasks, workers=1, cache=cache)  # cold
-        assert cache.stats.snapshot()["misses"] == 3
+        shard_results(evaluate_square, tasks, workers=1, cache=cache)  # cold
+        assert _counts(cache.stats)["misses"] == 3
 
         cache.reset_stats()
-        assert cache.stats.snapshot() == {
+        assert _counts(cache.stats) == {
             "hits": 0,
             "misses": 0,
             "stores": 0,
             "invalid": 0,
         }
 
-        shard_map(evaluate_square, tasks, workers=1, cache=cache)  # warm
-        assert cache.stats.snapshot() == {
+        shard_results(evaluate_square, tasks, workers=1, cache=cache)  # warm
+        assert _counts(cache.stats) == {
             "hits": 3,
             "misses": 0,
             "stores": 0,

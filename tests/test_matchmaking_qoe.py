@@ -17,7 +17,7 @@ truncation.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from matchmaking_reference import simulate_reference
+from matchmaking_reference import attempt_probabilities, simulate_reference
 
 from repro import obs
 from repro.fleet.cache import ShardCache
@@ -306,7 +306,7 @@ class TestCoupledDownstreamParity:
         warm = FleetScenario.from_matchmaking(
             coupled_result, cache=warm_cache
         ).aggregate_per_second(workers=1)
-        assert warm_cache.stats.hits == coupled_result.n_servers
+        assert warm_cache.stats.hits == len(coupled_result.capacities)
         assert warm_cache.stats.stores == 0
         assert self._series_equal(cold, warm)
 
@@ -346,7 +346,7 @@ class TestScenarios:
             capacity_scale=np.ones((2, 1)),
             force_downloads=np.zeros(2, dtype=bool),
         )
-        got = compiled.attempt_probabilities(1, hazard, dt, regions)
+        got = attempt_probabilities(compiled, 1, hazard, dt, regions)
         scale = compiled.hazard_scale[1]
         expected = 1.0 - np.exp(-hazard * scale[regions] * dt)
         assert got.dtype == expected.dtype and got.shape == expected.shape

@@ -17,6 +17,7 @@ times the default).
 
 import numpy as np
 from hypothesis import given, strategies as st
+from matchmaking_reference import select
 
 from repro.matchmaking.policies import LatencyAwarePolicy
 
@@ -92,7 +93,7 @@ class TestCachedScorerEqualsSelect:
         policy = LatencyAwarePolicy(alpha=alpha, beta=beta)
         terms = policy.rtt_terms(rtt)
         chosen = _engine_pick(policy, occupancy, capacities, terms)
-        assert chosen == policy.select(
+        assert chosen == select(policy,
             occupancy, capacities, -1, np.random.default_rng(0), rtt=rtt
         )
         assert chosen == _score_loop(policy, occupancy, capacities, rtt)
@@ -120,7 +121,7 @@ class TestCachedScorerEqualsSelect:
                 occupancy[server] -= 1
             assert _engine_pick(
                 policy, occupancy, capacities, terms
-            ) == policy.select(
+            ) == select(policy,
                 occupancy, capacities, -1, np.random.default_rng(0), rtt=rtt
             )
         np.testing.assert_array_equal(terms, cached)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.obs.export import (
     ARTIFACT_SCHEMA_VERSION,
     JsonlWriter,
-    NpzColumnWriter,
     TraceSession,
     fingerprint,
     git_revision,
@@ -126,35 +125,10 @@ class TestJsonlWriter:
         assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
 
 
-class TestNpzColumnWriter:
-    def test_rows_become_columns(self, tmp_path):
-        path = tmp_path / "cols.npz"
-        writer = NpzColumnWriter(path)
-        writer.append(epoch=0, load=1.5)
-        writer.append(epoch=1, load=2.5)
-        writer.close()
-        with np.load(path) as data:
-            assert list(data["epoch"]) == [0, 1]
-            assert list(data["load"]) == [1.5, 2.5]
-
-    def test_schema_fixed_by_first_row(self, tmp_path):
-        writer = NpzColumnWriter(tmp_path / "cols.npz")
-        writer.append(a=1)
-        with pytest.raises(ValueError, match="schema"):
-            writer.append(b=1)
-
-    def test_append_after_close_raises(self, tmp_path):
-        writer = NpzColumnWriter(tmp_path / "cols.npz")
-        writer.close()
-        with pytest.raises(ValueError, match="closed"):
-            writer.append(a=1)
-
-
 class TestTraceSession:
     def test_finish_writes_manifest_and_inventory(self, tmp_path):
         session = TraceSession(tmp_path / "run", info={"seed": 7})
         session.stream("epochs").write({"epoch": 0})
-        session.columns("series").append(t=0.0, v=1.0)
         session.save_arrays("occupancy", grid=np.eye(2))
         with session.tracer.span("root"):
             pass
@@ -170,7 +144,6 @@ class TestTraceSession:
             "kind": "jsonl",
             "rows": 1,
         }
-        assert manifest["artifacts"]["series.npz"]["kind"] == "columnar"
         assert manifest["artifacts"]["occupancy.npz"] == {"kind": "arrays"}
         assert manifest["artifacts"]["spans.jsonl"]["rows"] == 1
         # every inventoried artifact exists on disk

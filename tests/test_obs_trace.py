@@ -29,7 +29,7 @@ class TestDisabledDefault:
 
     def test_null_span_is_inert(self):
         with span("region") as sp:
-            sp.add("packets", 10)  # discarded, must not raise
+            assert sp is NULL_SPAN
 
 
 class TestTracer:
@@ -37,9 +37,8 @@ class TestTracer:
         tracer = Tracer()
         install_tracer(tracer)
         with span("outer", kind="a"):
-            with span("inner") as sp:
-                sp.add("items", 2)
-                sp.add("items", 3)
+            with span("inner"):
+                pass
         with span("second_root"):
             pass
         records = tracer.records()
@@ -51,7 +50,6 @@ class TestTracer:
         outer, inner, second = records
         assert outer["depth"] == 0 and inner["depth"] == 1
         assert inner["path"] == "outer/inner"
-        assert inner["counters"] == {"items": 5}
         assert outer["attrs"] == {"kind": "a"}
         assert second["path"] == "second_root"
 
@@ -90,8 +88,8 @@ class TestTracer:
 
         tracer = Tracer()
         install_tracer(tracer)
-        with span("region", server=3, label="x") as sp:
-            sp.add("n", 1.5)
+        with span("region", server=3, label="x"):
+            pass
         json.dumps(tracer.records())  # must not raise
 
 

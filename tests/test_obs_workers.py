@@ -20,13 +20,13 @@ tests pin the contract end to end:
 import os
 
 import pytest
+from helpers import shard_results
 
 from repro import obs
 from repro.fleet.execution import (
     SeriesTask,
     _chunk_size,
     fleet_server_seed,
-    shard_map,
     shard_map_fold,
     simulate_series,
 )
@@ -134,7 +134,7 @@ class TestWorkerSpans:
         ]
         assert len(nested) == N_SERVERS
         assert all(
-            node.path.endswith("fleet.worker_task/scenario.series")
+            node.record["path"].endswith("fleet.worker_task/scenario.series")
             for node in nested
         )
 
@@ -159,7 +159,7 @@ class TestChunkedTelemetry:
         assert _chunk_size(n_tasks, workers) == 3  # several tasks per future
         obs.start_trace_session(tmp_path, seed=SEED, workers=workers)
         try:
-            result = shard_map(_counted_work, list(range(n_tasks)), workers=workers)
+            result = shard_results(_counted_work, list(range(n_tasks)), workers=workers)
         finally:
             obs.end_trace_session()
         assert result == list(range(n_tasks))

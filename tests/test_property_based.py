@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.addresses import IPv4Address, MACAddress
-from repro.net.checksum import internet_checksum, verify_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.ethernet import EthernetHeader
-from repro.net.headers import OverheadModel
 from repro.net.ip import IPv4Header
-from repro.net.udp import build_udp_datagram, parse_udp_datagram
 from repro.stats.binning import bin_events
 from repro.stats.histogram import EmpiricalCDF, histogram
 from repro.stats.hurst import variance_time_plot
@@ -43,7 +41,7 @@ class TestCodecProperties:
     def test_checksum_self_verifies(self, data):
         checksum = internet_checksum(data)
         padded = data + b"\x00" if len(data) % 2 else data
-        assert verify_checksum(padded + checksum.to_bytes(2, "big"))
+        assert internet_checksum(padded + checksum.to_bytes(2, "big")) == 0
 
     @given(dst=macs, src=macs, ethertype=st.integers(0, 0xFFFF))
     def test_ethernet_roundtrip(self, dst, src, ethertype):
@@ -69,23 +67,6 @@ class TestCodecProperties:
             identification=identification,
         )
         assert IPv4Header.unpack(header.pack()) == header
-
-    @given(
-        src=addresses, dst=addresses, sport=ports, dport=ports,
-        payload=st.binary(max_size=600),
-    )
-    def test_udp_datagram_roundtrip(self, src, dst, sport, dport, payload):
-        packet = build_udp_datagram(
-            IPv4Address(src), IPv4Address(dst), sport, dport, payload
-        )
-        ip, udp, parsed = parse_udp_datagram(packet)
-        assert parsed == payload
-        assert udp.src_port == sport and udp.dst_port == dport
-
-    @given(size=payload_sizes)
-    def test_overhead_inverse(self, size):
-        model = OverheadModel()
-        assert model.payload_size(model.wire_size(size)) == size
 
 
 class TestPcapProperties:

@@ -1,5 +1,7 @@
 """Property-based tests on the traffic and device models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gameserver.admission import SlotTable
 from repro.gameserver.downloads import TokenBucket
 from repro.gameserver.protocol import solve_truncation_mu, truncated_normal_mean
-from repro.router.cache import EvictionPolicy, RouteCache
+from repro.router.cache import EvictionPolicy, RouteCache, simulate_cache
 from repro.sim.engine import EventScheduler
 from repro.stats.fitting import fit_best, ks_statistic
 
@@ -30,9 +32,9 @@ class TestSlotTableProperties:
             elif not is_admit and session_id in held:
                 table.release(session_id)
                 held.remove(session_id)
-            assert 0 <= table.occupancy <= capacity
-            assert table.occupancy == len(held)
-        assert table.accepted_total + table.refused_total >= table.occupancy
+            assert 0 <= len(table.occupied) <= capacity
+            assert table.occupied == held
+        assert table.accepted_total + table.refused_total >= len(table.occupied)
 
 
 class TestTokenBucketProperties:
@@ -79,8 +81,7 @@ class TestRouteCacheProperties:
     )
     def test_cache_invariants(self, capacity, policy, keys):
         cache = RouteCache(capacity, policy=policy)
-        for key in keys:
-            cache.access(key, size=40)
+        simulate_cache(np.asarray(keys), np.full(len(keys), 40), cache)
         assert len(cache) <= capacity
         stats = cache.stats
         assert stats.hits + stats.misses == len(keys)
@@ -91,12 +92,13 @@ class TestRouteCacheProperties:
     @given(keys=st.lists(st.integers(0, 5), min_size=10, max_size=300))
     def test_small_working_set_eventually_all_hits(self, keys):
         cache = RouteCache(8, policy=EvictionPolicy.LRU)
-        for key in keys:
-            cache.access(key)
+        stream = np.asarray(keys)
+        simulate_cache(stream, np.zeros(stream.size), cache)
+        hits = cache.stats.hits
         # working set of <= 6 keys fits in an 8-entry cache: the second
         # half of a long stream must be all hits
-        for key in keys:
-            assert cache.access(key)
+        simulate_cache(stream, np.zeros(stream.size), cache)
+        assert cache.stats.hits - hits == stream.size
 
 
 class TestTruncationProperties:
@@ -127,7 +129,7 @@ class TestSchedulerProperties:
         fired = []
         for t in times:
             scheduler.schedule(t, lambda t=t: fired.append(scheduler.now))
-        scheduler.run()
+        scheduler.run_until(math.inf)
         assert fired == sorted(fired)
         assert len(fired) == len(times)
 

@@ -1,7 +1,8 @@
-"""``simulate_cache`` against its oracle, ``RouteCache.access``.
+"""``simulate_cache`` against its oracle, ``cache_reference.access``.
 
 ``simulate_cache`` runs one specialised loop per eviction policy; the
-per-packet ``access`` method is the reference semantics.  Every case
+per-packet ``access`` in ``tests/cache_reference.py`` is the reference
+semantics.  Every case
 feeds the same pre-warmed cache state and the same packet stream to both
 and compares everything a caller can observe: the counters, the
 per-class dicts in their key order (reports render them), the cached
@@ -14,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from cache_reference import access
 
 from repro.router.cache import EvictionPolicy, RouteCache, simulate_cache
 from repro.workloads.web import WebTrafficModel, generate_web_packets, interleave_streams
@@ -25,7 +27,7 @@ def _access_loop(cache, keys, sizes, labels):
     """The oracle: one ``access`` call per packet, as a caller would write it."""
     tags = [None] * len(keys) if labels is None else [str(x) for x in labels]
     for key, size, label in zip(keys, sizes, tags):
-        cache.access(int(key), int(size), label)
+        access(cache, int(key), int(size), label)
     return cache.stats
 
 
@@ -49,7 +51,7 @@ def _pair(capacity, policy, threshold, warmup):
     for _ in range(2):
         cache = RouteCache(capacity, policy=policy, size_threshold=threshold)
         for key, size, label in warmup:
-            cache.access(key, size, label)
+            access(cache, key, size, label)
         caches.append(cache)
     return caches
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
 from repro.net.addresses import IPv4Address
 from repro.router.ablation import (
@@ -19,7 +20,6 @@ from repro.workloads.aggregation import (
     required_capacity_linear,
 )
 from repro.workloads.scenarios import Scenario
-from repro.gameserver.config import quick_test_profile
 
 SERVER = IPv4Address("10.0.0.2")
 

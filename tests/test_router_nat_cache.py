@@ -82,38 +82,39 @@ class TestNatDevice:
         assert result.incoming_loss_rate > 0.0
 
 
+def _replay(cache, keys, sizes=None, labels=None):
+    """Run ``keys`` (sizes default 0) through ``cache``; returns its stats."""
+    keys = np.asarray(keys, dtype=np.int64)
+    sizes = np.zeros(keys.size, dtype=np.int64) if sizes is None else np.asarray(sizes)
+    labels = None if labels is None else np.asarray(labels)
+    return simulate_cache(keys, sizes, cache, labels=labels)
+
+
 class TestRouteCache:
     def test_hit_after_insert(self):
         cache = RouteCache(4)
-        assert not cache.access(1)
-        assert cache.access(1)
+        _replay(cache, [1, 1])
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
     def test_lru_evicts_oldest(self):
         cache = RouteCache(2, policy=EvictionPolicy.LRU)
-        cache.access(1)
-        cache.access(2)
-        cache.access(1)  # 1 is now most recent
-        cache.access(3)  # evicts 2
+        _replay(cache, [1, 2, 1, 3])  # 1 is most recent when 3 evicts 2
         assert 1 in cache
         assert 2 not in cache
         assert 3 in cache
 
     def test_lfu_keeps_frequent(self):
         cache = RouteCache(2, policy=EvictionPolicy.LFU)
-        for _ in range(5):
-            cache.access(1)
-        cache.access(2)
-        cache.access(3)  # evicts 2 (frequency 1), keeps 1
+        _replay(cache, [1] * 5 + [2, 3])  # 3 evicts 2 (frequency 1), keeps 1
         assert 1 in cache
         assert 3 in cache
 
     def test_size_preferential_rejects_large(self):
         cache = RouteCache(1, policy=EvictionPolicy.SIZE_PREFERENTIAL,
                            size_threshold=100)
-        cache.access(1, size=50)
-        cache.access(2, size=1400)  # large: may not evict the small entry
+        # large: may not evict the small entry
+        _replay(cache, [1, 2], sizes=[50, 1400])
         assert 1 in cache
         assert 2 not in cache
         assert cache.stats.rejected_insertions == 1
@@ -121,30 +122,24 @@ class TestRouteCache:
     def test_size_preferential_small_evicts(self):
         cache = RouteCache(1, policy=EvictionPolicy.SIZE_PREFERENTIAL,
                            size_threshold=100)
-        cache.access(1, size=50)
-        cache.access(2, size=40)
+        _replay(cache, [1, 2], sizes=[50, 40])
         assert 2 in cache
 
     def test_frequency_preferential_guards_hot_entries(self):
         cache = RouteCache(1, policy=EvictionPolicy.FREQUENCY_PREFERENTIAL)
-        for _ in range(10):
-            cache.access(1)
-        cache.access(2)  # frequency 1 < resident entry's count
+        _replay(cache, [1] * 10 + [2])  # frequency 1 < resident entry's count
         assert 1 in cache
         assert 2 not in cache
 
     def test_capacity_never_exceeded(self):
         cache = RouteCache(8, policy=EvictionPolicy.LRU)
         rng = np.random.default_rng(0)
-        for key in rng.integers(0, 100, size=1000):
-            cache.access(int(key))
+        _replay(cache, rng.integers(0, 100, size=1000))
         assert len(cache) <= 8
 
     def test_per_class_stats(self):
         cache = RouteCache(4)
-        cache.access(1, label="game")
-        cache.access(1, label="game")
-        cache.access(2, label="web")
+        _replay(cache, [1, 1, 2], labels=["game", "game", "web"])
         assert cache.stats.class_hit_rate("game") == pytest.approx(0.5)
         assert cache.stats.class_hit_rate("web") == 0.0
         assert cache.stats.class_hit_rate("absent") == 0.0
@@ -237,9 +232,9 @@ class TestEvictionGolden:
 
     def test_lfu_tie_evicts_the_first_equal_count_entry(self):
         cache = RouteCache(3, policy=EvictionPolicy.LFU)
-        for key in (1, 2, 3, 1, 2, 3, 2):  # counts 2, 3, 2; order 1, 3, 2
-            cache.access(key)
-        cache.access(4)  # 1 and 3 tie at the minimum: 1 comes first
+        # counts 2, 3, 2 in order 1, 3, 2; then 4 arrives: 1 and 3 tie
+        # at the minimum and 1 comes first
+        _replay(cache, [1, 2, 3, 1, 2, 3, 2, 4])
         assert 1 not in cache
         assert all(key in cache for key in (2, 3, 4))
 
@@ -248,10 +243,6 @@ class TestLookupCostModel:
     def test_all_hits_fastest(self):
         model = LookupCostModel()
         assert model.effective_rate(1.0) > model.effective_rate(0.0)
-
-    def test_speedup_math(self):
-        model = LookupCostModel(hit_cost=0.0001, miss_cost=0.001)
-        assert model.speedup(1.0, 0.0) == pytest.approx(10.0)
 
     def test_invalid_hit_rate(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import shard_results
+from matchmaking_reference import session_table_from_rows
 
 from repro.fleet.cache import ShardCache
-from repro.fleet.execution import SeriesTask, shard_map, simulate_series
+from repro.fleet.execution import SeriesTask, simulate_series
 from repro.fleet.profiles import hosting_facility
 from repro.gameserver.fluid import fluid_series_equal
 from repro.gameserver.population import (
@@ -155,29 +157,16 @@ class TestEquality:
 
 class TestConstruction:
     def test_empty(self):
-        table = SessionTable.empty()
+        table = SessionTable.from_tuples([], ())
         assert len(table) == 0
         assert list(table) == []
-        assert table == SessionTable.empty()
+        assert table == SessionTable.from_tuples([], ())
 
     def test_take_mask_and_index(self):
         table = _table(6)
         mask = table.start >= 3.0
         assert list(table.take(mask)) == [r for r in table if r.start >= 3.0]
         assert list(table.take(np.array([5, 0]))) == [list(table)[5], list(table)[0]]
-
-    def test_concat(self):
-        a, b = _table(3), _table(2)
-        joined = SessionTable.concat((a, b))
-        assert list(joined) == list(a) + list(b)
-
-    def test_concat_rejects_different_names(self):
-        with pytest.raises(ValueError):
-            SessionTable.concat(
-                (_table(), _table(link_class_names=("a", "b", "c")))
-            )
-        with pytest.raises(ValueError):
-            SessionTable.concat(())
 
     def test_row_view_fields(self):
         row = next(iter(_table()))
@@ -210,14 +199,14 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(rows=_rows)
     def test_rows_table_rows(self, rows):
-        table = SessionTable.from_rows(rows, NAMES)
+        table = session_table_from_rows(rows, NAMES)
         assert len(table) == len(rows)
         assert list(table) == rows
-        assert SessionTable.from_rows(list(table), NAMES) == table
+        assert session_table_from_rows(list(table), NAMES) == table
 
     def test_population_round_trip(self, quick_population):
         table = quick_population.sessions
-        assert SessionTable.from_rows(list(table), table.link_class_names) == table
+        assert session_table_from_rows(list(table), table.link_class_names) == table
 
 
 # ----------------------------------------------------------------------
@@ -237,14 +226,14 @@ class TestSortOrder:
     @settings(max_examples=150, deadline=None)
     @given(rows=_tied_rows)
     def test_stable_argsort_equals_sorted_by_start(self, rows):
-        table = SessionTable.from_rows(rows, NAMES)
+        table = session_table_from_rows(rows, NAMES)
         ordered = table.take(np.argsort(table.start, kind="stable"))
         assert list(ordered) == sorted(rows, key=lambda r: r.start)
 
     @settings(max_examples=150, deadline=None)
     @given(rows=_tied_rows)
     def test_lexsort_equals_sorted_by_start_then_id(self, rows):
-        table = SessionTable.from_rows(rows, NAMES)
+        table = session_table_from_rows(rows, NAMES)
         ordered = table.take(np.lexsort((table.session_id, table.start)))
         assert list(ordered) == sorted(rows, key=lambda r: (r.start, r.session_id))
 
@@ -304,7 +293,7 @@ class TestPopulationCounts:
             SessionRecord(i, i, start, start + length, 1.0, "lan", False)
             for i, (start, length) in enumerate(spans)
         ]
-        population = _population(quick_profile, SessionTable.from_rows(rows, NAMES))
+        population = _population(quick_profile, session_table_from_rows(rows, NAMES))
         np.testing.assert_array_equal(
             population.distinct_players_per_interval(bin_size),
             _reference_distinct_players(population, bin_size),
@@ -332,7 +321,7 @@ class TestPopulationCounts:
         ) / len(rows)
 
     def test_empty_population(self, quick_profile):
-        population = _population(quick_profile, SessionTable.empty())
+        population = _population(quick_profile, SessionTable.from_tuples([], ()))
         assert population.mean_session_duration() == 0.0
         assert population.distinct_players_per_interval(60.0).sum() == 0
         assert population.players_at(np.array([1.0, 2.0])).tolist() == [0, 0]
@@ -440,13 +429,13 @@ class TestTaskKeys:
         ) != cache.task_key(simulate_series, assigned_task)
 
     def test_empty_table_keys_and_round_trips(self, tmp_path, assigned_task):
-        task = dataclasses.replace(assigned_task, sessions=SessionTable.empty())
+        task = dataclasses.replace(assigned_task, sessions=SessionTable.from_tuples([], ()))
         cache = ShardCache(tmp_path)
         key = cache.task_key(simulate_series, task)
         assert isinstance(key, str) and len(key) == 64
-        (cold,) = shard_map(simulate_series, [task], workers=1, cache=cache)
+        (cold,) = shard_results(simulate_series, [task], workers=1, cache=cache)
         assert (cache.stats.misses, cache.stats.stores) == (1, 1)
         cache.reset_stats()
-        (warm,) = shard_map(simulate_series, [task], workers=1, cache=cache)
+        (warm,) = shard_results(simulate_series, [task], workers=1, cache=cache)
         assert (cache.stats.hits, cache.stats.misses) == (1, 0)
         assert fluid_series_equal(cold, warm)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event scheduler."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,7 +80,7 @@ class TestOrdering:
                 sched.schedule_in(1.0, chain)
 
         sched.schedule(1.0, chain)
-        sched.run()
+        sched.run_until(math.inf)
         assert fired == [1.0, 2.0, 3.0]
 
 
@@ -96,13 +98,6 @@ class TestCancellation:
         event = sched.schedule(1.0, lambda: None)
         assert event.cancel()
         assert not event.cancel()
-
-    def test_pending_count_excludes_cancelled(self):
-        sched = EventScheduler()
-        sched.schedule(1.0, lambda: None)
-        event = sched.schedule(2.0, lambda: None)
-        event.cancel()
-        assert sched.pending_count == 1
 
 
 class TestPeriodic:
@@ -158,7 +153,7 @@ class TestBounds:
         sched = EventScheduler()
         with pytest.raises(SimulationError):
             sched.schedule(float("nan"), lambda: None)
-        assert sched.pending_count == 0
+        assert sched.run_until(1.0) == 0
 
     def test_nan_horizon_rejected(self):
         # max_events only keeps a faulty scheduler from spinning forever:
@@ -170,12 +165,12 @@ class TestBounds:
         assert sched.executed_count == 0
         assert sched.now == 0.0
 
-    def test_run_drains_heap(self):
+    def test_run_until_inf_drains_heap(self):
         sched = EventScheduler()
         for i in range(5):
             sched.schedule(float(i), lambda: None)
-        assert sched.run() == 5
-        assert sched.pending_count == 0
+        assert sched.run_until(math.inf) == 5
+        assert sched.run_until(math.inf) == 0
         assert sched.executed_count == 5
 
 
@@ -243,11 +238,9 @@ class TestOrderProperty:
         due = [k for k in live if k[0] <= horizon]
         assert ran == due
         assert executed == len(due) == sched.executed_count
-        assert sched.pending_count == len(live) - len(due)
         assert sched.now == horizon
 
-        sched.run()
+        sched.run_until(math.inf)
         live = sorted(key(e) for e in created if e.seq not in cancelled)
         assert ran == live
         assert sched.executed_count == len(live)
-        assert sched.pending_count == 0

@@ -7,8 +7,8 @@ scheduler that built a handle for every event.  Hypothesis draws random
 programs of ``schedule``, ``schedule_in``, ``call_at``/``call_in`` (a
 plain ``schedule``/``schedule_in`` on the oracle), cancels, periodic
 events and their stops, callbacks that schedule more events at the
-current time, priorities, ``step``/``run`` and tiled ``run_until``
-horizons (some before the clock, some with ``max_events``), and runs each
+current time, priorities and tiled ``run_until`` horizons, with a
+final drain to ``inf`` (some before the clock, some with ``max_events``), and runs each
 program on both.  Every callback, clock reading, count, return value and
 refusal must match.
 
@@ -18,6 +18,7 @@ draws ten times the default number of programs.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, List
 
 from hypothesis import given, settings
@@ -66,7 +67,6 @@ _MOVE = st.one_of(
         st.one_of(st.integers(0, 10).map(lambda k: 0.25 * k), st.integers(0, 2)),
         st.one_of(st.none(), st.integers(0, 6)),
     ),
-    st.tuples(st.just("step")),
     st.tuples(st.just("cancel"), st.integers(0, 3)),
     st.tuples(st.just("stop"), st.integers(0, 1)),
 )
@@ -80,7 +80,7 @@ def _execute(sched: Any, program: List[tuple], fire_and_forget: bool) -> List[tu
 
     def observe(*tag: Any) -> None:
         assert type(sched.now) is float or not fire_and_forget
-        log.append(tag + (sched.now, sched.executed_count, sched.pending_count))
+        log.append(tag + (sched.now, sched.executed_count))
 
     def act(action: Any, priority: int) -> None:
         if action is None:
@@ -139,8 +139,6 @@ def _execute(sched: Any, program: List[tuple], fire_and_forget: bool) -> List[tu
                 periodic(*move[1:])
             elif move[0] == "run_until":
                 log.append(("ran_until", sched.run_until(move[1], max_events=move[2])))
-            elif move[0] == "step":
-                log.append(("stepped", sched.step()))
             else:
                 act(move, 0)
         except SimulationError:
@@ -149,7 +147,7 @@ def _execute(sched: Any, program: List[tuple], fire_and_forget: bool) -> List[tu
     # drain what is left (stop the periodic events first, or it never ends)
     for stop in stops:
         stop()
-    log.append(("ran", sched.run(max_events=10_000)))
+    log.append(("ran", sched.run_until(math.inf, max_events=10_000)))
     observe("end")
     return log
 
@@ -171,4 +169,4 @@ class TestSchedulerOracle:
         ref.schedule(1.0, lambda: None)
         for sched in (new, ref):
             assert sched.run_until(2.0, max_events=1) == 1
-            assert sched.executed_count == 1 and sched.pending_count == 0
+            assert sched.executed_count == 1

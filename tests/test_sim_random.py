@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.matchmaking.columnar import _DurationSource, _DurationStream
 from repro.sim.random import (
-    DiscreteEmpirical,
     RandomStreams,
     derive_seed,
     lognormal_params,
@@ -44,7 +43,6 @@ class TestRandomStreams:
         first = streams.get("a").uniform(size=5)
         assert np.array_equal(streams.fresh("a").uniform(size=5), first)
         assert streams.fresh("a") is not streams.fresh("a")
-        assert streams.names() == ("a",)
 
     def test_spawn_is_reproducible(self):
         a = RandomStreams(7).spawn("child").get("s").uniform(size=4)
@@ -54,12 +52,6 @@ class TestRandomStreams:
     def test_derive_seed_stable(self):
         assert derive_seed(1, "x") == derive_seed(1, "x")
         assert derive_seed(1, "x") != derive_seed(1, "y")
-
-    def test_names_tracks_created(self):
-        streams = RandomStreams(0)
-        streams.get("b")
-        streams.get("a")
-        assert streams.names() == ("a", "b")
 
 
 class TestLognormal:
@@ -118,30 +110,6 @@ class TestTruncatedNormal:
     def test_mean_approximately_preserved_for_wide_window(self, rng):
         samples = sample_truncated_normal(rng, 50.0, 5.0, 0.0, 100.0, size=50_000)
         assert samples.mean() == pytest.approx(50.0, abs=0.2)
-
-
-class TestDiscreteEmpirical:
-    def test_mean_and_variance(self):
-        dist = DiscreteEmpirical([10.0, 20.0], [1.0, 1.0])
-        assert dist.mean == pytest.approx(15.0)
-        assert dist.variance == pytest.approx(25.0)
-
-    def test_sampling_follows_weights(self, rng):
-        dist = DiscreteEmpirical([0.0, 1.0], [1.0, 3.0])
-        samples = dist.sample(rng, size=40_000)
-        assert samples.mean() == pytest.approx(0.75, abs=0.01)
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            DiscreteEmpirical([1.0, 2.0], [1.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            DiscreteEmpirical([1.0], [-1.0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            DiscreteEmpirical([], [])
 
 
 class TestNumpyIdentities:

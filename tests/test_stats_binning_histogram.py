@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.binning import BinnedSeries, bin_events
+from repro.stats.binning import bin_events
 from repro.stats.histogram import EmpiricalCDF, Histogram, histogram
 
 
@@ -29,7 +29,7 @@ class TestBinEvents:
             end_time=1.0,
         )
         assert series.rates[0] == 2.0
-        assert series.bandwidth_bps()[0] == pytest.approx(1600.0)
+        assert series.weights[0] == pytest.approx(200.0)
 
     def test_trailing_silence_produces_empty_bins(self):
         series = bin_events(np.asarray([0.05]), 0.1, end_time=1.0)
@@ -55,37 +55,6 @@ class TestBinEvents:
         with pytest.raises(ValueError):
             bin_events(np.asarray([0.0, 1.0]), 0.1, weights=np.asarray([1.0]))
 
-    def test_times_property(self):
-        series = bin_events(np.asarray([0.0]), 0.5, start_time=10.0, end_time=12.0)
-        assert series.times[0] == 10.0
-        assert series.times[-1] == pytest.approx(11.5)
-
-
-class TestRebin:
-    def test_rebin_sums(self):
-        series = bin_events(np.arange(0.05, 1.0, 0.1), 0.1, end_time=1.0)
-        coarse = series.rebin(5)
-        assert len(coarse) == 2
-        assert coarse.counts[0] == 5
-        assert coarse.bin_size == pytest.approx(0.5)
-
-    def test_rebin_drops_remainder(self):
-        series = BinnedSeries(1.0, 0.0, np.ones(7), np.ones(7))
-        coarse = series.rebin(3)
-        assert len(coarse) == 2
-        assert coarse.counts.sum() == 6
-
-    def test_rebin_factor_one_identity(self):
-        series = BinnedSeries(1.0, 0.0, np.ones(4), np.ones(4))
-        assert series.rebin(1) is series
-
-    def test_rebin_invalid_factor(self):
-        series = BinnedSeries(1.0, 0.0, np.ones(4), np.ones(4))
-        with pytest.raises(ValueError):
-            series.rebin(0)
-        with pytest.raises(ValueError):
-            series.rebin(10)
-
 
 class TestHistogram:
     def test_probabilities_sum_to_in_range_fraction(self):
@@ -100,14 +69,6 @@ class TestHistogram:
         assert center == pytest.approx(15.0)
         assert probability == pytest.approx(2.0 / 3.0)
 
-    def test_mass_between(self):
-        hist = histogram(np.asarray([5.0, 15.0, 25.0, 35.0]), 10.0, high=40.0)
-        assert hist.mass_between(10.0, 30.0) == pytest.approx(0.5)
-
-    def test_densities_integrate_to_mass(self):
-        hist = histogram(np.asarray([1.0, 2.0, 3.0]), 1.0, high=5.0)
-        assert (hist.densities * hist.bin_width).sum() == pytest.approx(1.0)
-
     def test_high_inferred_from_samples(self):
         hist = histogram(np.asarray([4.0, 95.0]), 10.0)
         assert hist.bin_edges[-1] >= 95.0
@@ -119,13 +80,6 @@ class TestHistogram:
             histogram(np.asarray([1.0]), 1.0, low=5.0, high=5.0)
         with pytest.raises(ValueError):
             Histogram(np.asarray([0.0, 1.0]), np.asarray([1, 2]), 3)
-
-    def test_cumulative_monotone(self):
-        hist = histogram(np.random.default_rng(0).uniform(0, 100, 1000), 5.0,
-                         high=100.0)
-        cumulative = hist.cumulative()
-        assert np.all(np.diff(cumulative) >= 0)
-        assert cumulative[-1] == pytest.approx(1.0)
 
 
 class TestEmpiricalCDF:

@@ -5,9 +5,6 @@ import pytest
 
 from repro.stats.hurst import (
     default_block_sizes,
-    hurst_aggregated_variance,
-    hurst_rescaled_range,
-    rescaled_range,
     segment_regimes,
     variance_time_plot,
 )
@@ -25,11 +22,19 @@ def fractional_noise(hurst, n, seed=0):
     return np.fft.irfft(coefficients, n=n)
 
 
+def _hurst(plot, max_interval=None):
+    """H fitted over the plot's points up to ``max_interval`` (default all)."""
+    if max_interval is None:
+        (fit,) = segment_regimes(plot, boundaries=(), names=("all",))
+        return fit.hurst
+    return segment_regimes(plot, boundaries=(max_interval,), names=("low", "high"))[0].hurst
+
+
 class TestVarianceTimePlot:
     def test_iid_noise_gives_half(self):
         series = np.random.default_rng(0).poisson(10, 50_000).astype(float)
         plot = variance_time_plot(series, 0.01)
-        assert plot.hurst() == pytest.approx(0.5, abs=0.06)
+        assert _hurst(plot) == pytest.approx(0.5, abs=0.06)
 
     def test_normalization_at_block_one(self):
         series = np.random.default_rng(1).normal(size=10_000)
@@ -38,12 +43,12 @@ class TestVarianceTimePlot:
 
     def test_long_range_dependent_series_high_h(self):
         series = fractional_noise(0.85, 2**15)
-        estimate = hurst_aggregated_variance(series)
+        estimate = _hurst(variance_time_plot(series, 1.0))
         assert estimate > 0.7
 
     def test_short_range_vs_long_range_ordering(self):
-        srd = hurst_aggregated_variance(fractional_noise(0.5, 2**14, seed=2))
-        lrd = hurst_aggregated_variance(fractional_noise(0.9, 2**14, seed=2))
+        srd = _hurst(variance_time_plot(fractional_noise(0.5, 2**14, seed=2), 1.0))
+        lrd = _hurst(variance_time_plot(fractional_noise(0.9, 2**14, seed=2), 1.0))
         assert lrd > srd
 
     def test_periodic_series_sub_half(self):
@@ -52,7 +57,7 @@ class TestVarianceTimePlot:
         series = np.tile([20.0, 0.0, 0.0, 0.0, 0.0], 10_000)
         series += np.random.default_rng(3).normal(0, 0.1, series.size)
         plot = variance_time_plot(series, 0.01)
-        assert plot.hurst(max_interval=0.05) < 0.4
+        assert _hurst(plot, 0.05) < 0.4
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):
@@ -61,12 +66,6 @@ class TestVarianceTimePlot:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             variance_time_plot(np.random.default_rng(0).normal(size=8), 0.01)
-
-    def test_window_fit_requires_points(self):
-        series = np.random.default_rng(0).normal(size=10_000)
-        plot = variance_time_plot(series, 0.01)
-        with pytest.raises(ValueError, match="window"):
-            plot.fit(min_interval=1e6)
 
     def test_interval_seconds_consistent(self):
         series = np.random.default_rng(0).normal(size=10_000)
@@ -86,33 +85,6 @@ class TestDefaultBlockSizes:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             default_block_sizes(10)
-
-
-class TestRescaledRange:
-    def test_rs_positive(self):
-        series = np.random.default_rng(0).normal(size=256)
-        assert rescaled_range(series) > 0
-
-    def test_constant_segment_zero(self):
-        assert rescaled_range(np.ones(64)) == 0.0
-
-    def test_too_short_raises(self):
-        with pytest.raises(ValueError):
-            rescaled_range(np.asarray([1.0]))
-
-    def test_iid_estimate_near_half(self):
-        series = np.random.default_rng(4).normal(size=2**14)
-        estimate = hurst_rescaled_range(series)
-        assert estimate == pytest.approx(0.55, abs=0.12)
-
-    def test_lrd_estimate_higher_than_iid(self):
-        iid = hurst_rescaled_range(np.random.default_rng(5).normal(size=2**13))
-        lrd = hurst_rescaled_range(fractional_noise(0.9, 2**13, seed=5))
-        assert lrd > iid
-
-    def test_short_series_raises(self):
-        with pytest.raises(ValueError):
-            hurst_rescaled_range(np.ones(10))
 
 
 class TestSegmentRegimes:

@@ -9,12 +9,7 @@ from repro.stats.autocorr import (
     dominant_period,
     peak_to_mean_ratio,
 )
-from repro.stats.descriptive import (
-    relative_error,
-    summarize,
-    weighted_mean,
-    within_factor,
-)
+from repro.stats.descriptive import relative_error, within_factor
 from repro.stats.regression import fit_line
 
 
@@ -34,12 +29,6 @@ class TestFitLine:
         assert fit.slope == pytest.approx(3.0, abs=0.1)
         assert fit.r_squared > 0.98
 
-    def test_predict_and_residuals(self):
-        x = np.asarray([0.0, 1.0, 2.0])
-        fit = fit_line(x, x)
-        assert fit.predict(5.0) == pytest.approx(5.0)
-        assert np.allclose(fit.residuals(x, x), 0.0)
-
     def test_constant_y_r_squared_one(self):
         fit = fit_line(np.asarray([0.0, 1.0]), np.asarray([3.0, 3.0]))
         assert fit.slope == 0.0
@@ -55,30 +44,6 @@ class TestFitLine:
 
 
 class TestDescriptive:
-    def test_summarize(self):
-        summary = summarize(np.asarray([1.0, 2.0, 3.0, 4.0]))
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.median == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-
-    def test_summarize_empty(self):
-        assert summarize(np.asarray([])).count == 0
-
-    def test_cv(self):
-        summary = summarize(np.asarray([10.0, 10.0]))
-        assert summary.coefficient_of_variation == 0.0
-
-    def test_weighted_mean(self):
-        assert weighted_mean(
-            np.asarray([1.0, 3.0]), np.asarray([3.0, 1.0])
-        ) == pytest.approx(1.5)
-
-    def test_weighted_mean_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean(np.asarray([1.0]), np.asarray([0.0]))
-
     def test_relative_error(self):
         assert relative_error(110.0, 100.0) == pytest.approx(0.1)
         assert relative_error(0.0, 0.0) == 0.0

@@ -1,9 +1,8 @@
-"""Unit tests for spectral periodicity and dip/outage detection."""
+"""Unit tests for spectral periodicity detection."""
 
 import numpy as np
 import pytest
 
-from repro.core.outages import classify_dips, detect_dips, match_expected_dips
 from repro.stats.spectral import detect_tick_frequency, periodogram
 
 
@@ -20,12 +19,6 @@ class TestPeriodogram:
         spectrum = periodogram(tick_series(), 0.010)
         frequency = spectrum.peak_frequency(min_frequency=2.0)
         assert frequency == pytest.approx(20.0, abs=0.5)
-
-    def test_peak_period(self):
-        spectrum = periodogram(tick_series(), 0.010)
-        assert spectrum.peak_period(min_period=0.02, max_period=0.3) == (
-            pytest.approx(0.05, abs=0.005)
-        )
 
     def test_line_strength_large_for_comb(self):
         spectrum = periodogram(tick_series(), 0.010)
@@ -67,73 +60,3 @@ class TestPeriodogram:
         assert frequency == pytest.approx(20.0, abs=1.0)
         assert strength > 10.0
 
-
-class TestDipDetection:
-    def make_rates(self, dips=((300, 310),), n=1000, level=800.0, seed=0):
-        rng = np.random.default_rng(seed)
-        rates = level + rng.normal(0, 20.0, n)
-        for start, end in dips:
-            rates[start:end] = 5.0
-        return rates
-
-    def test_single_dip_found(self):
-        events = detect_dips(self.make_rates(), 1.0)
-        assert len(events) == 1
-        event = events[0]
-        assert event.start_time == pytest.approx(300.0, abs=2.0)
-        assert event.duration == pytest.approx(10.0, abs=2.0)
-        assert event.depth > 0.9
-
-    def test_multiple_dips(self):
-        events = detect_dips(self.make_rates(dips=((200, 205), (600, 640))), 1.0)
-        assert len(events) == 2
-        assert events[1].duration > events[0].duration
-
-    def test_no_dips_in_flat_series(self):
-        assert detect_dips(self.make_rates(dips=()), 1.0) == []
-
-    def test_all_zero_series(self):
-        assert detect_dips(np.zeros(100), 1.0) == []
-
-    def test_leading_silence_ignored(self):
-        rates = self.make_rates(dips=())
-        rates[:50] = 0.0
-        events = detect_dips(rates, 1.0)
-        assert all(event.start_time >= 50.0 for event in events)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            detect_dips(np.ones(10), 1.0, threshold=1.5)
-        with pytest.raises(ValueError):
-            detect_dips(np.ones(10), 0.0)
-        with pytest.raises(ValueError):
-            detect_dips(np.ones((2, 5)), 1.0)
-
-    def test_match_expected(self):
-        events = detect_dips(self.make_rates(dips=((300, 310),)), 1.0)
-        hits = match_expected_dips(events, [305.0, 700.0], tolerance=10.0)
-        assert hits == [True, False]
-
-    def test_classify_map_vs_other(self):
-        rates = self.make_rates(
-            dips=((1800, 1806), (3600, 3606), (2500, 2520)), n=4000
-        )
-        events = detect_dips(rates, 1.0)
-        classified = classify_dips(events, map_period=1800.0)
-        assert len(classified["map_change"]) == 2
-        assert len(classified["other"]) == 1
-
-    def test_classify_validation(self):
-        with pytest.raises(ValueError):
-            classify_dips([], map_period=0.0)
-
-    def test_on_simulated_week_window(self, quick_profile, quick_population):
-        from repro.gameserver.fluid import CountLevelGenerator
-
-        fluid = CountLevelGenerator(
-            quick_profile, population=quick_population, seed=11
-        ).per_second()
-        events = detect_dips(fluid.total_counts, 1.0, threshold=0.4)
-        expected = quick_population.map_change_times
-        hits = match_expected_dips(events, expected, tolerance=15.0)
-        assert all(hits)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.net.addresses import IPv4Address
-from repro.trace.flows import extract_flows, flow_bandwidths, unique_clients
+from repro.trace.flows import extract_flows, flow_bandwidths
 from repro.trace.format import TraceFormatError, load_trace, save_trace
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace, TraceBuilder
@@ -114,12 +114,6 @@ class TestFlows:
 
     def test_empty_trace_no_flows(self):
         assert extract_flows(Trace.empty()) == []
-
-    def test_unique_clients(self):
-        counts = unique_clients(two_client_trace())
-        assert len(counts) == 2
-        assert counts[IPv4Address("10.1.0.1").value] == 122
-        assert counts[IPv4Address("10.1.0.2").value] == 11
 
     def test_same_client_different_ports_distinct_flows(self):
         builder = TraceBuilder(server_address=SERVER)

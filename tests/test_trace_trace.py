@@ -5,52 +5,27 @@ import pytest
 
 from repro.net.addresses import IPv4Address
 from repro.net.headers import HeaderOverhead, OverheadModel
-from repro.trace.packet import Direction, PacketRecord
+from repro.trace.packet import Direction
 from repro.trace.trace import _COLUMNS, Trace, TraceBuilder
 
 SERVER = IPv4Address("10.0.0.2")
 CLIENT = IPv4Address("10.0.0.1")
 
 
-def make_record(t, direction=Direction.IN, size=40):
-    if direction is Direction.IN:
-        return PacketRecord(t, direction, CLIENT, SERVER, 27005, 27015, size)
-    return PacketRecord(t, direction, SERVER, CLIENT, 27015, 27005, size)
-
-
-class TestPacketRecord:
-    def test_flow_key_same_both_directions(self):
-        incoming = make_record(0.0, Direction.IN)
-        outgoing = make_record(0.1, Direction.OUT)
-        assert incoming.flow_key() == outgoing.flow_key()
-
-    def test_client_address(self):
-        assert make_record(0.0, Direction.IN).client_address == CLIENT
-        assert make_record(0.0, Direction.OUT).client_address == CLIENT
-
-    def test_wire_size(self):
-        record = make_record(0.0, size=40)
-        assert record.wire_size(OverheadModel()) == 94
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            make_record(-1.0)
-        with pytest.raises(ValueError):
-            make_record(0.0, size=-1)
-        with pytest.raises(ValueError):
-            PacketRecord(0.0, Direction.IN, CLIENT, SERVER, 70000, 1, 10)
-
-    def test_direction_opposite(self):
-        assert Direction.IN.opposite is Direction.OUT
-        assert Direction.OUT.opposite is Direction.IN
+def make_trace(*times, size=40, server_address=None, overhead=None):
+    """A trace of client-to-server packets at ``times``."""
+    builder = TraceBuilder(server_address=server_address, overhead=overhead)
+    for t in times:
+        builder.add(t, Direction.IN, CLIENT.value, SERVER.value, 27005, 27015, size)
+    return builder.build()
 
 
 class TestTraceConstruction:
-    def test_from_records_roundtrip(self):
-        records = [make_record(0.1 * i) for i in range(5)]
-        trace = Trace.from_records(records, server_address=SERVER)
+    def test_builder_roundtrip(self):
+        trace = make_trace(*(0.1 * i for i in range(5)), server_address=SERVER)
         assert len(trace) == 5
-        assert trace.record(2).timestamp == pytest.approx(0.2)
+        assert trace.timestamps[2] == pytest.approx(0.2)
+        assert trace.server_address == SERVER
 
     def test_empty_trace(self):
         trace = Trace.empty(server_address=SERVER)
@@ -134,7 +109,7 @@ class TestTraceConstruction:
     def test_builder_rejects_nan_timestamp(self, sort):
         builder = TraceBuilder()
         for t in (0.0, np.nan, 1.0):
-            builder.add_record(make_record(t))
+            builder.add(t, Direction.IN, CLIENT.value, SERVER.value, 1, 2, 40)
         with pytest.raises(ValueError, match="NaN"):
             builder.build(sort=sort)
 
@@ -177,11 +152,6 @@ class TestTraceQueries:
 
     def test_byte_totals(self, synthetic_trace):
         assert synthetic_trace.total_payload_bytes == 10 * 40 + 5 * 130
-        per_packet = synthetic_trace.overhead.per_packet
-        assert (
-            synthetic_trace.total_wire_bytes
-            == synthetic_trace.total_payload_bytes + 15 * per_packet
-        )
 
     def test_time_slice_half_open(self, synthetic_trace):
         # inbound at 0.0..0.9 step 0.1; slice [0.2, 0.5) keeps 0.2,0.3,0.4 (+out 0.25,0.45)
@@ -225,13 +195,13 @@ class TestTraceQueries:
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_select_on_one_row_trace(self, keep):
-        trace = Trace.from_records([make_record(0.5)], server_address=SERVER)
+        trace = make_trace(0.5, server_address=SERVER)
         selected = trace.select(np.array([keep]))
         assert len(selected) == int(keep)
         for name in _COLUMNS:
-            assert getattr(selected, name).dtype == getattr(trace, name).dtype
-        if keep:
-            assert selected.record(0) == trace.record(0)
+            column = getattr(selected, name)
+            assert column.dtype == getattr(trace, name).dtype
+            assert np.array_equal(column, getattr(trace, name)[:int(keep)])
 
     def test_select_and_time_slice_copy_their_rows(self, synthetic_trace):
         for part in (
@@ -261,28 +231,16 @@ class TestTraceQueries:
             assert column.flags.c_contiguous and column.flags.owndata
             assert not np.shares_memory(column, getattr(synthetic_trace, name))
 
-    def test_record_negative_index(self, synthetic_trace):
-        last = synthetic_trace.record(-1)
-        assert last.timestamp == pytest.approx(synthetic_trace.end_time)
-
-    def test_record_out_of_range(self, synthetic_trace):
-        with pytest.raises(IndexError):
-            synthetic_trace.record(len(synthetic_trace))
-
-    def test_iteration_yields_records(self, synthetic_trace):
-        records = list(synthetic_trace)
-        assert len(records) == len(synthetic_trace)
-        assert all(isinstance(r, PacketRecord) for r in records)
-
     def test_wire_sizes_vector(self, synthetic_trace):
         wire = synthetic_trace.wire_sizes()
-        assert wire.sum() == synthetic_trace.total_wire_bytes
+        per_packet = synthetic_trace.overhead.per_packet
+        assert wire.sum() == synthetic_trace.total_payload_bytes + 15 * per_packet
 
 
 class TestTraceMerge:
     def test_merge_interleaves_sorted(self):
-        a = Trace.from_records([make_record(0.0), make_record(1.0)])
-        b = Trace.from_records([make_record(0.5)])
+        a = make_trace(0.0, 1.0)
+        b = make_trace(0.5)
         merged = a.merge(b)
         assert list(merged.timestamps) == pytest.approx([0.0, 0.5, 1.0])
 
@@ -300,5 +258,5 @@ class TestTraceMerge:
 class TestOverheadPropagation:
     def test_custom_overhead_used(self):
         model = OverheadModel(HeaderOverhead(link=0, network=20, transport=8))
-        trace = Trace.from_records([make_record(0.0, size=100)], overhead=model)
-        assert trace.total_wire_bytes == 128
+        trace = make_trace(0.0, size=100, overhead=model)
+        assert trace.wire_sizes().sum() == 128

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import quick_test_profile
 
 from repro.workloads.links import (
     LINK_CATALOGUE,
     LastMileLink,
-    narrowest_link,
     saturation_report,
 )
 from repro.core.packetsize import PacketSizeAnalysis
@@ -19,17 +19,12 @@ from repro.workloads.scenarios import (
     olygamer_scenario,
 )
 from repro.workloads.web import WebTrafficModel, generate_web_packets, interleave_streams
-from repro.gameserver.config import quick_test_profile
 
 
 class TestLinks:
-    def test_narrowest_is_modem(self):
-        assert narrowest_link().name == "modem56k"
-
     def test_modem_saturated_by_game_demand(self):
         modem = LINK_CATALOGUE["modem56k"]
         assert modem.is_saturated_by(40_000.0)
-        assert modem.supports(40_000.0)
 
     def test_dsl_not_saturated(self):
         assert not LINK_CATALOGUE["dsl"].is_saturated_by(40_000.0)
@@ -115,12 +110,6 @@ class TestScenario:
         c = scenario.packet_window(30.0, 60.0)
         assert a is b
         assert c is not a
-
-    def test_clear_packet_windows(self):
-        scenario = Scenario(quick_test_profile(), seed=1)
-        a = scenario.packet_window(0.0, 30.0)
-        scenario.clear_packet_windows()
-        assert scenario.packet_window(0.0, 30.0) is not a
 
     def test_per_minute_is_rebinned_per_second(self):
         scenario = Scenario(quick_test_profile(), seed=1)
