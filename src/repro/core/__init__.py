@@ -78,6 +78,7 @@ __all__ = [
     "OccupancyStats",
     "PacketSizeAnalysis",
     "PerPlayerModel",
+    "RecoveryStats",
     "PeriodicityAnalysis",
     "RateSeries",
     "SelfSimilarityReport",

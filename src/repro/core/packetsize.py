@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.stats.histogram import EmpiricalCDF, Histogram
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.stats.autocorr import burstiness_index, dominant_period, peak_to_mean_ratio
 from repro.stats.binning import bin_events
 from repro.trace.packet import Direction

@@ -17,7 +17,7 @@ a router's pps budget, how many servers/players can sit behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -7,8 +7,6 @@ is flat.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.report import ComparisonRow
 from repro.experiments import paperdata
 from repro.experiments.base import ExperimentOutput, RunConfig

@@ -7,8 +7,6 @@ server sees frequent drop-outs."
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.natanalysis import NatAnalysis
 from repro.core.report import ComparisonRow
 from repro.experiments.base import ExperimentOutput, RunConfig

@@ -7,8 +7,6 @@ pattern" — spikes to >2000 pps every ~5 bins (the 50 ms tick) over a
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.periodicity import PeriodicityAnalysis
 from repro.core.report import ComparisonRow
 from repro.core.timeseries import interval_counts

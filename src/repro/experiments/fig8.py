@@ -6,8 +6,6 @@ considerably" — one tick per bin, so the burst structure vanishes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.report import ComparisonRow
 from repro.core.timeseries import interval_counts
 from repro.experiments.base import ExperimentOutput, RunConfig

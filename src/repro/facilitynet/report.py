@@ -108,7 +108,7 @@ class LatencyBudget:
 
     Tier means are forwarded-packet-weighted; ``total_mean_s`` is the
     sum of tier means — the budget a packet surviving every hop pays on
-    average — and ``total_p99_s`` the (pessimistic) sum of tier p99s.
+    average.
     """
 
     tier_mean_s: Dict[str, float]

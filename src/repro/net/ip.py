@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.addresses import IPv4Address
 from repro.net.checksum import internet_checksum

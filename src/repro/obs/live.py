@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import threading
 import time
 from dataclasses import dataclass, field

@@ -35,8 +35,8 @@ stay bit-identical to the pre-refactor engine (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ loads back in milliseconds.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 

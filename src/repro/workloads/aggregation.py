@@ -11,8 +11,6 @@ address blocks), the workload the aggregation experiment sweeps.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.trace.trace import Trace

@@ -5,9 +5,10 @@ epoch loop wherever it can prove the batch exact.  This module keeps the
 plain per-attempt loop it must reproduce: a departure heap, one
 :func:`select` call per connection attempt, the slot-table refusal,
 and retry-or-balk.  :func:`select` holds the per-attempt form of the
-four policies the engine only runs vectorised.  It only needs to be obviously correct, not fast; the
-parity suites compare every :class:`MatchmakingResult` field of the two
-bit for bit.  It publishes no telemetry.
+four policies the engine only runs vectorised.  It only needs to be
+obviously correct, not fast; the parity suites compare every
+:class:`MatchmakingResult` field of the two bit for bit.  It publishes
+no telemetry.
 
 ``tests/`` is not a package: test modules import this file by name (the
 test directory is on ``sys.path`` under pytest), and the benchmark suite

@@ -8,7 +8,10 @@ synthetic package.
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,22 @@ def test_unlisted_and_stale_entries_fail(tiny):
         "unreached: src/repro/pkg.py:Box.method (line 24, 2 lines)",
         "unreached: src/repro/pkg.py:used.<locals>.inner (line 2, 2 lines)",
     ]
+
+
+def test_hook_records_a_process_that_leaves_through_os_exit(tiny):
+    """The hook writes each record at once: a pool worker's ``os._exit``
+    skips ``atexit``, and its records must survive."""
+    report = _load_report()
+    root, _ = tiny
+    records = root / "hooked"
+    script = (
+        "import os, sys; sys.path.insert(0, 'src'); import repro.pkg as pkg; "
+        "pkg.used(); pkg.decorated(); os._exit(0)"
+    )
+    env = dict(os.environ, REACH_DIR=str(records),
+               PYTHONPATH=str(ROOT / "tools" / "reach"))
+    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True)
+    # the module body is not a def, so only the three defs below stay out
+    assert _unreached(report, root, records) == {
+        "used.<locals>.inner": 2, "unused": 8, "Box.method": 24,
+    }
