@@ -6,10 +6,12 @@ The reach report (``tools/reach/report.py``) is checked on a tiny
 synthetic package.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -138,15 +140,153 @@ def test_hook_records_a_process_that_leaves_through_os_exit(tiny):
     skips ``atexit``, and its records must survive."""
     report = _load_report()
     root, _ = tiny
-    records = root / "hooked"
-    script = (
-        "import os, sys; sys.path.insert(0, 'src'); import repro.pkg as pkg; "
-        "pkg.used(); pkg.decorated(); os._exit(0)"
-    )
-    env = dict(os.environ, REACH_DIR=str(records),
-               PYTHONPATH=str(ROOT / "tools" / "reach"))
-    subprocess.run([sys.executable, "-c", script], cwd=root, env=env, check=True)
-    # the module body is not a def, so only the three defs below stay out
+    records, _ = _run_hooked(root, "pkg.used(); pkg.decorated(); os._exit(0)")
     assert _unreached(report, root, records) == {
         "used.<locals>.inner": 2, "unused": 8, "Box.method": 24,
     }
+
+
+def _run_hooked(root, body):
+    """Run ``body`` under the hook with ``repro.pkg`` imported as ``pkg``;
+    return the records directory and the process's stdout."""
+    records = root / "hooked"
+    script = (
+        "import os, sys; sys.path.insert(0, 'src'); import repro.pkg as pkg\n"
+        + body
+    )
+    env = dict(os.environ, REACH_DIR=str(records),
+               PYTHONPATH=str(ROOT / "tools" / "reach"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                          check=True, capture_output=True, text=True, timeout=60)
+    return records, done.stdout
+
+
+def test_module_body_does_not_reach_a_def_on_its_first_line(tiny):
+    """A module's code object starts at line 1, as ``used`` does here:
+    importing the module runs no def."""
+    report = _load_report()
+    root, _ = tiny
+    records, _ = _run_hooked(root, "os._exit(0)")
+    assert _unreached(report, root, records) == {
+        "used": 1, "unused": 8, "decorated": 15, "Box.method": 24,
+    }
+
+
+def test_hook_records_a_def_that_runs_only_in_a_thread(tiny):
+    report = _load_report()
+    root, _ = tiny
+    records, _ = _run_hooked(
+        root,
+        "import threading\n"
+        "t = threading.Thread(target=pkg.unused); t.start(); t.join()\n"
+        "os._exit(0)",
+    )
+    assert _unreached(report, root, records) == {
+        "used": 1, "unused.<locals>.nested": 9, "decorated": 15, "Box.method": 24,
+    }
+
+
+def test_hook_records_a_forked_worker_in_its_own_file(tiny):
+    """A forked worker inherits the hook and the parent's open file; it
+    must write under its own pid, and it leaves through ``os._exit``."""
+    report = _load_report()
+    root, _ = tiny
+    records, out = _run_hooked(
+        root,
+        "import multiprocessing\n"
+        "p = multiprocessing.get_context('fork').Process(target=pkg.used)\n"
+        "p.start(); p.join(); print(p.pid); os._exit(p.exitcode)",
+    )
+    worker = records / f"{out.strip()}.tsv"
+    assert worker.read_text().endswith("\t1\tused\n")
+    assert "used" not in _unreached(report, root, records)
+
+
+def test_records_outside_the_package_are_ignored(tmp_path):
+    report = _load_report()
+    (tmp_path / "9.tsv").write_text(
+        "/usr/lib/python3/json/__init__.py\t299\tloads\n"
+        "/work/tests/test_x.py\t4\ttest_x\n"
+        "/work/src/repro/a.py\t1\t<module>\n"
+        "/work/src/repro/a.py\t7\tf\n"
+        "C:\\work\\src\\repro\\sub\\b.py\t3\tg\n"
+    )
+    assert report.load_records(tmp_path) == {
+        ("src/repro/a.py", 7), ("src/repro/sub/b.py", 3),
+    }
+
+
+def test_allowlist_entry_without_a_reason_fails(tiny):
+    report = _load_report()
+    root, records = tiny
+    allowlist = root / "allowlist.txt"
+    allowlist.write_text(
+        "# a comment line\n"
+        "\n"
+        "src/repro/pkg.py:used.<locals>.inner  # reason\n"
+        "src/repro/pkg.py:unused\n"
+        "src/repro/pkg.py:Box.method  #\n"
+    )
+    assert list(report.load_allowlist(allowlist)) == [
+        "src/repro/pkg.py:used.<locals>.inner",
+        "src/repro/pkg.py:unused",
+        "src/repro/pkg.py:Box.method",
+    ]
+    problems, _ = report.check(root, records, allowlist)
+    assert sorted(problems) == [
+        "allowlist entry without a reason: src/repro/pkg.py:Box.method",
+        "allowlist entry without a reason: src/repro/pkg.py:unused",
+    ]
+
+
+def test_report_without_records_exits_2(tmp_path, capsys):
+    report = _load_report()
+    assert report.main(["--records", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no records in {tmp_path}\n"
+
+
+def _qualnames(node, prefix=""):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _qualnames(child, prefix + child.name + ".")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name
+            yield from _qualnames(child, prefix + child.name + ".<locals>.")
+        else:
+            yield from _qualnames(child, prefix)
+
+
+ALLOWLIST = _load_report().load_allowlist(ROOT / "tools" / "reach" / "allowlist.txt")
+
+
+def test_every_allowlist_entry_names_a_def_of_src():
+    """A renamed or deleted def fails here at once, not only in the slow
+    run of every user path."""
+    missing = []
+    for entry in ALLOWLIST:
+        path, qualname = entry.split(":")
+        source = ROOT / path
+        if not source.is_file() or qualname not in set(_qualnames(ast.parse(source.read_text()))):
+            missing.append(entry)
+    assert missing == []
+
+
+def test_allowlist_reasons_cite_tests_that_exist():
+    """Each ``tests/...::Class::test`` an allowlist reason names as the
+    test that reaches its def is still in the suite."""
+    cited = [
+        cite
+        for reason in ALLOWLIST.values()
+        for cite in re.findall(r"tests/[\w/]+\.py(?:::\w+)+", reason)
+    ]
+    assert cited
+    gone = []
+    for cite in cited:
+        path, *names = cite.split("::")
+        source = ROOT / path
+        defined = set(_qualnames(ast.parse(source.read_text()))) if source.is_file() else set()
+        if ".".join(names) not in defined and not any(
+            name.startswith(".".join(names) + ".") for name in defined
+        ):
+            gone.append(cite)
+    assert gone == []

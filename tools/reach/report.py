@@ -34,9 +34,10 @@ def load_records(records: Path) -> Set[Tuple[str, int]]:
     seen = set()
     for tsv in records.glob("*.tsv"):
         for line in tsv.read_text().splitlines():
-            filename, lineno, _ = line.split("\t")
+            filename, lineno, qualname = line.split("\t")
             filename = filename.replace("\\", "/")
-            if marker in filename:
+            # a module body also starts at line 1, where a def may start
+            if marker in filename and qualname != "<module>":
                 seen.add((PACKAGE + "/" + filename.split(marker, 1)[1], int(lineno)))
     return seen
 
