@@ -63,8 +63,13 @@ attempt.
 * **Per-attempt step** — everything else (``sticky`` draws with a
   live-state-dependent bound, ``lowest_rtt``/``latency_aware`` re-rank
   as occupancy moves, every attempt of a custom policy) calls the
-  policy's own ``select`` on the live occupancy, so each policy is
-  defined once, in :mod:`repro.matchmaking.policies`.  ``latency_aware``
+  policy's own ``select`` on the live occupancy.  ``random``,
+  ``least_loaded`` and ``capacity_aware`` have no ``select``: the
+  engine never steps them one attempt at a time, and their
+  per-attempt forms live in ``tests/matchmaking_reference.py`` as the
+  oracle.  A policy that is neither a stock class nor has a
+  ``select`` is refused by :func:`~repro.matchmaking.policies.make_policy`
+  before the run starts.  ``latency_aware``
   scores through the policy's own ``pick``: its latency terms
   (``rtt_terms``) are a function of the RTT row alone, so they are
   computed once per region for the run, the free-slot share's scale

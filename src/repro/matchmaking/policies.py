@@ -255,8 +255,20 @@ POLICIES: Dict[str, Type[SelectionPolicy]] = {
 
 
 def make_policy(policy: Union[str, SelectionPolicy]) -> SelectionPolicy:
-    """Resolve a policy name (or pass an instance through)."""
+    """Resolve a policy name (or pass an instance through).
+
+    The engine runs the six stock classes as they are; any other policy
+    answers each attempt through its own ``select``, so an instance
+    without one — a subclass of a stock class that only the engine
+    vectorises, say — is refused here, before a run starts.
+    """
     if isinstance(policy, SelectionPolicy):
+        if type(policy) not in POLICIES.values() and not callable(
+            getattr(policy, "select", None)
+        ):
+            raise TypeError(
+                f"policy {policy!r} is not a stock policy and has no select"
+            )
         return policy
     if policy not in POLICIES:
         raise KeyError(

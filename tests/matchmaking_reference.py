@@ -60,21 +60,24 @@ def select(
     A policy with its own ``select`` answers through it.  ``random``,
     ``least_loaded``, ``capacity_aware`` and ``latency_aware`` have none
     (the engine only runs them vectorised); their per-attempt forms are
-    written out here.  Returning a full server's index is allowed: the
-    slot table refuses the attempt.
+    written out here, for those exact classes only: a subclass without
+    a ``select`` is refused, as :func:`make_policy` refuses it.
+    Returning a full server's index is allowed: the slot table refuses
+    the attempt.
     """
     if hasattr(policy, "select"):
         return policy.select(occupancy, capacities, last_server, rng, rtt=rtt)
-    if isinstance(policy, RandomPolicy):
+    policy_type = type(policy)
+    if policy_type is RandomPolicy:
         return int(rng.integers(occupancy.size))
-    if isinstance(policy, LeastLoadedPolicy):
+    if policy_type is LeastLoadedPolicy:
         return int(np.argmax(capacities - occupancy))
-    if isinstance(policy, CapacityAwarePolicy):
+    if policy_type is CapacityAwarePolicy:
         free = capacities - occupancy
         if not np.any(free > 0):
             return None
         return int(np.argmax(free))
-    if isinstance(policy, LatencyAwarePolicy):
+    if policy_type is LatencyAwarePolicy:
         # both normalisations (largest capacity, worst row RTT) are
         # recomputed per call: a pure function of the arguments
         rtt = policy._require_rtt(rtt)

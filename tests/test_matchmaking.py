@@ -142,6 +142,22 @@ class TestPolicies:
         policy = LeastLoadedPolicy()
         assert make_policy(policy) is policy
 
+    def test_subclass_without_select_refused(self, small_fleet):
+        # the engine vectorises the stock class only; a subclass that
+        # inherits no select has no per-attempt form, so it is refused
+        # before a run starts, and the oracle refuses it too
+        class RetryingLeastLoaded(LeastLoadedPolicy):
+            retry_on_reject = True
+
+        policy = RetryingLeastLoaded()
+        with pytest.raises(TypeError, match="has no select"):
+            make_policy(policy)
+        with pytest.raises(TypeError, match="has no select"):
+            simulate_matchmaking(small_fleet, policy)
+        with pytest.raises(TypeError, match="has no select"):
+            select(policy, np.array([0, 1]), np.array([2, 2]), -1,
+                   np.random.default_rng(0))
+
     def test_least_loaded_picks_most_free(self):
         occupancy = np.array([3, 1, 2])
         capacities = np.array([4, 4, 4])

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/reach/report.py [--records DIR] [--allowlist FILE]
+    python tools/reach/report.py [--records DIR]
 
 ``DIR`` holds the ``<pid>.tsv`` files that ``tools/reach/sitecustomize.py``
 wrote.  Every ``def`` under ``src/repro`` is matched to a record by file
@@ -113,12 +113,11 @@ def check(root: Path, records: Path, allowlist: Path) -> Tuple[List[str], str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--records", type=Path, default=ROOT / ".reach")
-    parser.add_argument("--allowlist", type=Path, default=HERE / "allowlist.txt")
     args = parser.parse_args(argv)
     if not any(args.records.glob("*.tsv")):
         print(f"error: no records in {args.records}", file=sys.stderr)
         return 2
-    problems, summary = check(ROOT, args.records, args.allowlist)
+    problems, summary = check(ROOT, args.records, HERE / "allowlist.txt")
     for problem in problems:
         print(problem)
     print(summary)
