@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,6 +150,7 @@ class CountLevelGenerator:
         self.protocol = ProtocolModel.from_profile(profile)
         self.rounds = RoundSchedule(profile, seed=seed)
         self.streams = RandomStreams(seed)
+        self._sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # per-second structural rates
@@ -157,12 +158,17 @@ class CountLevelGenerator:
     def _per_second_sums(self) -> Tuple[np.ndarray, np.ndarray]:
         """(Σ multipliers, Σ min(1, p·m)) of connected clients per second.
 
-        Built with a difference-array sweep over sessions — O(sessions +
-        seconds), no per-second Python loop.  Each session adds ``+m`` at
-        its first second and ``-m`` at its end, interleaved in session
-        order, so the float additions happen in the same order as a loop
-        over the sessions would make them.
+        Built once per generator with a difference-array sweep over
+        sessions — O(sessions + seconds), no per-second Python loop.
+        Each session adds ``+m`` at its first second and ``-m`` at its
+        end, interleaved in session order, so the float additions happen
+        in the same order as a loop over the sessions would make them.
         """
+        if self._sums is None:
+            self._sums = self._sweep_sessions()
+        return self._sums
+
+    def _sweep_sessions(self) -> Tuple[np.ndarray, np.ndarray]:
         profile = self.profile
         nbins = int(math.ceil(profile.duration))
         sessions = self.population.sessions
@@ -183,17 +189,27 @@ class CountLevelGenerator:
         return swept(multipliers[kept]), swept(send_probability)
 
     def _gap_fraction_per_second(self) -> np.ndarray:
-        """Fraction of each second blanked by map changes or outages."""
+        """Fraction of each second blanked by map changes or outages.
+
+        One ``np.add.at`` over every (gap, second) overlap, gaps in
+        order: a second touched by several gaps takes their overlaps in
+        the order a loop over the gaps would add them.
+        """
         nbins = int(math.ceil(self.profile.duration))
         fraction = np.zeros(nbins)
-        for gap_start, gap_end in self.population.gap_intervals():
-            first = max(0, int(gap_start))
-            last = min(nbins - 1, int(gap_end))
-            for index in range(first, last + 1):
-                lo = max(gap_start, index)
-                hi = min(gap_end, index + 1)
-                if hi > lo:
-                    fraction[index] += hi - lo
+        gaps = self.population.gap_intervals()
+        starts = np.asarray([g[0] for g in gaps], dtype=float)
+        ends = np.asarray([g[1] for g in gaps], dtype=float)
+        first = np.maximum(0, starts.astype(np.int64))
+        last = np.minimum(nbins - 1, ends.astype(np.int64))
+        spans = np.maximum(last - first + 1, 0)
+        gap = np.repeat(np.arange(len(gaps)), spans)
+        step = np.arange(gap.size) - np.repeat(np.cumsum(spans) - spans, spans)
+        seconds = first[gap] + step
+        lo = np.maximum(starts[gap], seconds)
+        hi = np.minimum(ends[gap], seconds + 1.0)
+        # adding +0.0 where a second has no overlap leaves it as it is
+        np.add.at(fraction, seconds, np.maximum(hi - lo, 0.0))
         return np.minimum(fraction, 1.0)
 
     # ------------------------------------------------------------------
@@ -288,11 +304,16 @@ class CountLevelGenerator:
             out_counts = np.zeros(nbins)
 
         # --- inbound: Poisson around the structural per-bin rate --------
-        bin_times = window_start + bin_size * (np.arange(nbins) + 0.5)
-        second_index = np.minimum(bin_times.astype(np.int64), mult_sum.size - 1)
-        in_rate = mult_sum[second_index] / profile.client_update_interval
-        in_rate = np.where(_times_open(bin_times, gaps), in_rate, 0.0)
-        in_counts = rng.poisson(in_rate * bin_size).astype(float)
+        in_counts = rng.poisson(
+            _inbound_bin_means(
+                mult_sum,
+                profile.client_update_interval,
+                gaps,
+                window_start,
+                bin_size,
+                nbins,
+            )
+        ).astype(float)
 
         in_bytes = in_counts * self.protocol.client_update.effective_mean
         out_bytes = out_counts * self.protocol.server_snapshot.effective_mean
@@ -304,6 +325,39 @@ class CountLevelGenerator:
             in_bytes=in_bytes,
             out_bytes=out_bytes,
         )
+
+
+def _inbound_bin_means(
+    mult_sum: np.ndarray,
+    update_interval: float,
+    gaps,
+    window_start: float,
+    bin_size: float,
+    nbins: int,
+) -> np.ndarray:
+    """Poisson mean of each bin's inbound count, 0 in gaps.
+
+    Bin ``i`` is centred on ``window_start + bin_size * (i + 0.5)`` and
+    takes ``mult_sum / update_interval * bin_size`` of the second holding
+    that centre (the last second past the end); a gap closes the bins
+    :func:`_times_open` would close.  The bins of each second and of
+    each gap are found by :func:`_bin_searchsorted`, so only the result
+    is full length.
+    """
+
+    def search(values: np.ndarray) -> np.ndarray:
+        return _bin_searchsorted(values, window_start, bin_size, nbins)
+
+    ends = _bin_centres(np.asarray([0, nbins - 1]), window_start, bin_size)
+    first_second, last_second = np.minimum(
+        ends.astype(np.int64), mult_sum.size - 1
+    ).tolist()
+    seconds = np.arange(first_second, last_second + 1)
+    bins_per_second = np.diff(search(seconds[1:]), prepend=0, append=nbins)
+    means = np.repeat(mult_sum[seconds] / update_interval * bin_size, bins_per_second)
+    for lo, hi in _closed_runs(gaps, search):
+        means[lo:hi] = 0.0
+    return means
 
 
 def _times_open(times: np.ndarray, gaps) -> np.ndarray:
@@ -319,13 +373,50 @@ def _times_open(times: np.ndarray, gaps) -> np.ndarray:
     end, and of gaps with equal starts the last one counts.
     """
     open_mask = np.ones(times.shape, dtype=bool)
-    if not gaps or times.size == 0:
+    if times.size == 0:
         return open_mask
+    for lo, hi in _closed_runs(
+        gaps, lambda values: np.searchsorted(times, values, side="left")
+    ):
+        open_mask[lo:hi] = False
+    return open_mask
+
+
+def _closed_runs(gaps, search) -> List[Tuple[int, int]]:
+    """The ``[lo, hi)`` index runs that :func:`_times_open` closes.
+
+    ``search(values)`` is ``np.searchsorted(times, values, side="left")``
+    over the ascending times, or a function that returns the same.
+    """
+    if not gaps:
+        return []
     starts = np.asarray([g[0] for g in gaps])
     ends = np.asarray([g[1] for g in gaps])
     stops = np.minimum(ends, np.append(starts[1:], np.inf))
-    first = np.searchsorted(times, starts, side="left").tolist()
-    last = np.searchsorted(times, stops, side="left").tolist()
-    for lo, hi in zip(first, last):
-        open_mask[lo:hi] = False
-    return open_mask
+    return list(zip(search(starts).tolist(), search(stops).tolist()))
+
+
+def _bin_centres(index: np.ndarray, window_start: float, bin_size: float) -> np.ndarray:
+    """Centre times of the integer bin ``index``es of a high-resolution window."""
+    return window_start + bin_size * (index + 0.5)
+
+
+def _bin_searchsorted(
+    values: np.ndarray, window_start: float, bin_size: float, nbins: int
+) -> np.ndarray:
+    """``np.searchsorted(centres, values, side="left")`` without ``centres``.
+
+    ``centres`` is ``_bin_centres(np.arange(nbins), ...)``, ascending.
+    The index is estimated from the bin size, then moved one bin at a
+    time until the centres on either side of it, computed by the same
+    expression, bracket the value.
+    """
+    values = np.asarray(values, dtype=float)
+    estimate = np.ceil((values - window_start) / bin_size - 0.5)
+    index = np.clip(estimate, 0, nbins).astype(np.int64)
+    while True:
+        down = (index > 0) & (_bin_centres(index - 1, window_start, bin_size) >= values)
+        up = (index < nbins) & (_bin_centres(index, window_start, bin_size) < values)
+        if not (down.any() or up.any()):
+            return index
+        index += up.astype(np.int64) - down.astype(np.int64)

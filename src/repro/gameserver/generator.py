@@ -357,11 +357,15 @@ class PacketLevelGenerator:
     def _assemble(self, rows: _WindowRows) -> Trace:
         """Freeze the window's rows into a time-sorted :class:`Trace`.
 
-        One stable argsort over every timestamp in append order, then one
-        gather per column, so rows with equal timestamps keep their append
-        order: blocks session by session, then the scalar rows.  The draw
-        lists are released as soon as they are concatenated, so only a
-        few full-size columns are alive at once.
+        One stable argsort over every timestamp in append order, so rows
+        with equal timestamps keep their append order: blocks session by
+        session, then the scalar rows.  The fields a block shares
+        (direction, addresses, ports) sit in a table with one entry per
+        block and one per scalar row; each row carries the index of its
+        entry, and each column is that table gathered once through the
+        sorted row indices.  The draw lists are released as soon as they
+        are concatenated, so only a few full-size columns are alive at
+        once.
         """
         profile = self.profile
         if not rows.blocks and not rows.scalars:
@@ -372,13 +376,6 @@ class PacketLevelGenerator:
         n_blocks = int(counts.sum())
         # one sequence per field: time, direction, src, dst, ports, payload
         scalars = list(zip(*rows.scalars)) or [()] * 7
-
-        def column(field: int, dtype: type) -> np.ndarray:
-            return np.concatenate((
-                np.repeat(blocks[:, field].astype(dtype), counts),
-                np.asarray(scalars[field], dtype=dtype),
-            ))
-
         timestamps = np.concatenate(
             rows.times + [np.asarray(scalars[0], dtype=np.float64)]
         )
@@ -400,15 +397,36 @@ class PacketLevelGenerator:
         ).astype(np.uint32)
         del base, snapshot, intensity
 
+        # each row's entry in the per-field tables: its block's for a
+        # block row, its own for a scalar row; held in the narrowest
+        # dtype through the sort, then widened once so that no column
+        # gather casts it again
+        entries = len(blocks) + len(rows.scalars)
+        owner_dtype = np.min_scalar_type(max(entries - 1, 0))
+        owner = np.concatenate((
+            np.repeat(np.arange(len(blocks), dtype=owner_dtype), counts),
+            np.arange(len(blocks), entries, dtype=owner_dtype),
+        ))
         order = np.argsort(timestamps, kind="stable")
+        owner = owner[order].astype(np.intp)
+        timestamps = timestamps[order]
+        payloads = payloads[order]
+        del order
+
+        def column(field: int, dtype: type) -> np.ndarray:
+            table = np.concatenate(
+                (blocks[:, field], np.asarray(scalars[field], dtype=np.int64))
+            ).astype(dtype)
+            return table[owner]
+
         return Trace(
-            timestamps=timestamps[order],
-            directions=column(1, np.int8)[order],
-            src_addrs=column(2, np.uint32)[order],
-            dst_addrs=column(3, np.uint32)[order],
-            src_ports=column(4, np.uint16)[order],
-            dst_ports=column(5, np.uint16)[order],
-            payload_sizes=payloads[order],
+            timestamps=timestamps,
+            directions=column(1, np.int8),
+            src_addrs=column(2, np.uint32),
+            dst_addrs=column(3, np.uint32),
+            src_ports=column(4, np.uint16),
+            dst_ports=column(5, np.uint16),
+            payload_sizes=payloads,
             server_address=profile.server_address,
             check_sorted=False,
         )

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import (
+    Callable,
     Dict,
     Iterator,
     List,
@@ -350,9 +352,23 @@ class PopulationSimulator:
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
         self._link_cdf = cdf
-        self._session_lognormal = lognormal_params(
-            profile.session_duration_mean, profile.session_duration_cv
+        streams = self.streams
+        self._identity_rng = streams.get("identity")
+        self._links_rng = streams.get("links")
+        self._outages_rng = streams.get("outages")
+        # per-admission draws, taken in blocks: nothing else reads these
+        # two streams, and a block holds the values that as many single
+        # draws would return
+        self._session_durations = _drawn_in_blocks(
+            partial(
+                streams.get("sessions").lognormal,
+                *lognormal_params(
+                    profile.session_duration_mean, profile.session_duration_cv
+                ),
+            )
         )
+        self._download_draws = _drawn_in_blocks(streams.get("downloads").random)
+        self._attempt_times: Iterator[float] = iter(())
 
     # ------------------------------------------------------------------
     # public API
@@ -360,6 +376,7 @@ class PopulationSimulator:
     def run(self) -> PopulationResult:
         """Run the session process over the profile's horizon."""
         profile = self.profile
+        self._attempt_times = iter(self._draw_attempt_times())
         self._schedule_next_attempt()
         for outage in profile.outages:
             if outage.start < profile.duration:
@@ -387,33 +404,38 @@ class PopulationSimulator:
     # ------------------------------------------------------------------
     # arrival process
     # ------------------------------------------------------------------
-    def _attempt_rate_at(self, t: float) -> float:
-        """Diurnally modulated attempt rate λ(t) (per second)."""
+    def _draw_attempt_times(self) -> List[float]:
+        """Every attempt time of the horizon, ascending.
+
+        A thinning sampler for the non-homogeneous Poisson attempt
+        stream: candidates at the peak rate, each kept with probability
+        λ(t)/λ_max, where λ(t) is the attempt rate with its diurnal
+        modulation.  It is the only reader of the ``arrivals`` stream,
+        so the whole stream is drawn here, before the event loop runs.
+        """
         profile = self.profile
-        phase = 2.0 * math.pi * (t / 86400.0) + profile.diurnal_phase
-        return profile.attempt_rate * (
-            1.0 + profile.diurnal_amplitude * math.sin(phase - 0.7)
-        )
-
-    def _max_attempt_rate(self) -> float:
-        return self.profile.attempt_rate * (1.0 + self.profile.diurnal_amplitude)
-
-    def _schedule_next_attempt(self) -> None:
-        """Thinning sampler for the non-homogeneous Poisson attempt stream."""
         rng = self.streams.get("arrivals")
-        exponential, random = rng.exponential, rng.random
-        rate_at = self._attempt_rate_at
-        lam_max = self._max_attempt_rate()
+        exponential, random, sin = rng.exponential, rng.random, math.sin
+        rate, amplitude = profile.attempt_rate, profile.diurnal_amplitude
+        phase, duration = profile.diurnal_phase, profile.duration
+        lam_max = rate * (1.0 + amplitude)
         mean_gap = 1.0 / lam_max
-        duration = self.profile.duration
-        t = self._scheduler.now
+        two_pi = 2.0 * math.pi
+        times: List[float] = []
+        t = 0.0
         while True:
             t += exponential(mean_gap)
             if t >= duration:
-                return
-            if random() <= rate_at(t) / lam_max:
-                break
-        self._scheduler.call_at(t, self._on_attempt)
+                return times
+            angle = two_pi * (t / 86400.0) + phase
+            if random() <= rate * (1.0 + amplitude * sin(angle - 0.7)) / lam_max:
+                times.append(t)
+
+    def _schedule_next_attempt(self) -> None:
+        """Put the next drawn attempt, if any is left, on the scheduler."""
+        t = next(self._attempt_times, None)
+        if t is not None:
+            self._scheduler.call_at(t, self._on_attempt)
 
     def _on_attempt(self) -> None:
         self._handle_attempt(forced_client=None)
@@ -421,7 +443,7 @@ class PopulationSimulator:
 
     def _pick_client(self) -> int:
         """A brand-new or returning client per the identity model."""
-        rng = self.streams.get("identity")
+        rng = self._identity_rng
         if rng.random() < self.profile.new_client_probability:
             return self._directory.new_client()
         returning = self._directory.sample_returning(
@@ -440,7 +462,7 @@ class PopulationSimulator:
         """
         traits = self._client_traits.get(client_id)
         if traits is None:
-            rng = self.streams.get("links")
+            rng = self._links_rng
             code = int(self._link_cdf.searchsorted(rng.random(), side="right"))
             chosen = self.profile.link_classes[code]
             multiplier = float(
@@ -477,13 +499,8 @@ class PopulationSimulator:
         self._directory.record_establishment(client_id)
         self._connected_clients.add(client_id)
         multiplier, link_class = self._client_rate_traits(client_id)
-        duration = max(
-            self.profile.session_duration_min,
-            self.streams.get("sessions").lognormal(*self._session_lognormal),
-        )
-        wants_download = (
-            self.streams.get("downloads").random() < self.profile.download_probability
-        )
+        duration = max(self.profile.session_duration_min, next(self._session_durations))
+        wants_download = next(self._download_draws) < self.profile.download_probability
         end_time = min(now + duration, self.profile.duration)
         departure = self._scheduler.schedule(
             end_time, lambda sid=session_id: self._on_departure(sid)
@@ -524,7 +541,7 @@ class PopulationSimulator:
         """Sever all sessions; schedule the two-speed reconnection wave."""
         now = self._scheduler.now
         self._outage_until = now + outage.duration
-        rng = self.streams.get("outages")
+        rng = self._outages_rng
         victims = list(self._active.keys())
         for session_id in victims:
             state = self._active[session_id]
@@ -549,6 +566,14 @@ class PopulationSimulator:
     def _close_open_sessions(self, end_time: float) -> None:
         for session_id in list(self._active.keys()):
             self._finish_session(session_id, end_time)
+
+
+def _drawn_in_blocks(
+    draw: Callable[..., np.ndarray], size: int = 1024
+) -> Iterator[float]:
+    """The values of ``draw()`` called one at a time, drawn ``size`` at a time."""
+    while True:
+        yield from draw(size=size).tolist()
 
 
 def simulate_population(profile: ServerProfile, seed: int = 0) -> PopulationResult:

@@ -251,9 +251,9 @@ class PoolConfig:
     def attempt_rate_at(self, t: float) -> float:
         """Diurnally modulated per-idle-player attempt rate at ``t``.
 
-        Same sinusoid as
-        :meth:`repro.gameserver.population.PopulationSimulator._attempt_rate_at`,
-        so a pool built from a profile reproduces its demand shape.
+        Same sinusoid as the attempt rate λ(t) that
+        :meth:`repro.gameserver.population.PopulationSimulator._draw_attempt_times`
+        thins by, so a pool built from a profile reproduces its demand shape.
         """
         phase = 2.0 * math.pi * (t / 86400.0) + self.diurnal_phase
         return self.attempt_rate_per_player * (

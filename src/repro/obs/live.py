@@ -531,9 +531,8 @@ def chrome_trace_events(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             "span_id": record.get("id"),
             "parent": record.get("parent"),
         }
-        for key in ("attrs", "counters"):
-            if record.get(key):
-                args[key] = record[key]
+        if record.get("attrs"):
+            args["attrs"] = record["attrs"]
         if worker_pid is not None:
             args["task_index"] = record.get("task_index")
         events.append(

@@ -80,6 +80,23 @@ def default_block_sizes(n: int, per_decade: int = 8, min_blocks: int = 8) -> Lis
     return sizes
 
 
+def _exact_cumulative_sum(series: np.ndarray) -> Optional[np.ndarray]:
+    """The cumulative sum of ``series`` if every partial sum is exact, else None.
+
+    Exact when the values are integers whose magnitudes sum to below
+    2**53.  The tests and the sum share one buffer, so at most one
+    full-length array besides ``series`` is alive.
+    """
+    buffer = np.floor(series)
+    if not np.array_equal(buffer, series):
+        return None
+    np.abs(series, out=buffer)
+    # a float sum of non-negative integers reaches 2**53 when the exact one does
+    if not buffer.sum() < 2.0 ** 53:
+        return None
+    return np.cumsum(series, out=buffer)
+
+
 def variance_time_plot(
     series: np.ndarray,
     base_interval: float,
@@ -99,6 +116,16 @@ def variance_time_plot(
     Variances are normalised by the variance of the unaggregated series,
     exactly as the paper describes.  Block sizes whose aggregated variance
     is zero (constant series) are skipped.
+
+    The block means are ``reshape(nblocks, m).mean(axis=1)``'s, bit for
+    bit, on either of two paths.  A count series (integer values, and
+    the sum of their magnitudes below 2**53) takes every block sum from
+    one cumulative sum: each partial sum, and each difference of two, is
+    an integer of magnitude below 2**53, so all are exact, and so is the
+    row sum ``mean`` takes in any order; both paths then divide the
+    same exact sum by ``m``.  Any other series takes the reshape-mean.
+    At ``m = 1`` the means are the series itself, so their variance is
+    the base variance on both paths.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -108,6 +135,7 @@ def variance_time_plot(
         raise ValueError("series has zero variance; variance-time plot undefined")
     if block_sizes is None:
         block_sizes = default_block_sizes(series.size)
+    cumulative = _exact_cumulative_sum(series)
     points: List[VarianceTimePoint] = []
     for m in block_sizes:
         m = int(m)
@@ -116,8 +144,17 @@ def variance_time_plot(
         nblocks = series.size // m
         if nblocks < 2:
             continue
-        means = series[: nblocks * m].reshape(nblocks, m).mean(axis=1)
-        variance = float(means.var())
+        if m == 1:
+            variance = base_variance
+        else:
+            if cumulative is None:
+                means = series[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+            else:
+                ends = cumulative[m - 1 : nblocks * m : m]
+                means = ends.copy()
+                np.subtract(means[1:], ends[:-1], out=means[1:])
+                np.divide(means, m, out=means)
+            variance = float(means.var())
         if variance <= 0:
             continue
         points.append(

@@ -61,6 +61,7 @@ class Scenario:
         self._fluid_generator: Optional[CountLevelGenerator] = None
         self._traces: Dict[Tuple[float, float], Trace] = {}
         self._per_second: Optional[FluidSeries] = None
+        self._per_minute: Optional[FluidSeries] = None
 
     # ------------------------------------------------------------------
     @property
@@ -131,8 +132,10 @@ class Scenario:
         return self._per_second
 
     def per_minute_series(self) -> FluidSeries:
-        """The week-long per-minute count series (Figs 1, 2, 4)."""
-        return self.per_second_series().rebin(60)
+        """The week-long per-minute count series (Figs 1, 2, 4), cached."""
+        if self._per_minute is None:
+            self._per_minute = self.per_second_series().rebin(60)
+        return self._per_minute
 
 
 _scenario_cache: Dict[Tuple[str, int], Scenario] = {}

@@ -1,8 +1,12 @@
 """Unit tests for admission control and the population simulator."""
 
+import math
+
 import numpy as np
 import pytest
 from helpers import quick_test_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gameserver.admission import AdmissionError, ClientDirectory, SlotTable
 from repro.gameserver.config import (
@@ -11,7 +15,7 @@ from repro.gameserver.config import (
     olygamer_week,
 )
 from repro.gameserver.population import PopulationSimulator, simulate_population
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, lognormal_params
 
 
 class TestSlotTable:
@@ -270,4 +274,97 @@ class TestEventLoopDrawEquivalence:
         assert (
             simulator.streams.get("links").bit_generator.state
             == reference.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_block_draws_equal_single_draws(self, seed):
+        profile = olygamer_week()
+        simulator = PopulationSimulator(profile, seed=seed)
+        reference = RandomStreams(seed)
+        mu, sigma = lognormal_params(
+            profile.session_duration_mean, profile.session_duration_cv
+        )
+        # past the first block boundary
+        for _ in range(2500):
+            expected = reference.get("sessions").lognormal(mu, sigma)
+            assert next(simulator._session_durations) == expected
+            assert next(simulator._download_draws) == reference.get("downloads").random()
+
+
+def reference_attempt_times(profile, seed):
+    """Attempt times from a thinning sampler called once per attempt.
+
+    Each call resumes from the last accepted time with the same draws
+    and expressions the event loop's per-attempt sampler made.
+    """
+    rng = RandomStreams(seed).get("arrivals")
+
+    def rate_at(t):
+        phase = 2.0 * math.pi * (t / 86400.0) + profile.diurnal_phase
+        return profile.attempt_rate * (
+            1.0 + profile.diurnal_amplitude * math.sin(phase - 0.7)
+        )
+
+    lam_max = profile.attempt_rate * (1.0 + profile.diurnal_amplitude)
+
+    def next_attempt(now):
+        t = now
+        while True:
+            t += rng.exponential(1.0 / lam_max)
+            if t >= profile.duration:
+                return None
+            if rng.random() <= rate_at(t) / lam_max:
+                return t
+
+    times = []
+    t = next_attempt(0.0)
+    while t is not None:
+        times.append(t)
+        t = next_attempt(t)
+    return times
+
+
+class TestPrecomputedArrivals:
+    """The attempt times drawn before the event loop are the per-call sampler's."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_week_attempt_times_match_per_call_reference(self, seed):
+        week = olygamer_week()
+        # the week's outages, long enough that some arrivals fall in them
+        profile = week.replace(
+            outages=tuple(OutageSpec(o.start, duration=300.0) for o in week.outages)
+        )
+        expected = reference_attempt_times(profile, seed)
+        assert PopulationSimulator(profile, seed=seed)._draw_attempt_times() == expected
+
+        # every arrival outside an outage reaches the attempt log, in order
+        def in_outage(t):
+            return any(o.start <= t < o.start + o.duration for o in profile.outages)
+
+        arrivals = set(expected)
+        logged = [a.time for a in simulate_population(profile, seed=seed).attempts]
+        assert [t for t in logged if t in arrivals] == [
+            t for t in expected if not in_outage(t)
+        ]
+        assert any(in_outage(t) for t in expected)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        attempt_rate=st.floats(1e-3, 2.0),
+        amplitude=st.floats(0.0, 0.99),
+        phase=st.floats(-10.0, 10.0),
+        duration=st.floats(1.0, 3000.0),
+    )
+    def test_attempt_times_match_per_call_reference(
+        self, seed, attempt_rate, amplitude, phase, duration
+    ):
+        profile = quick_test_profile(duration=duration).replace(
+            attempt_rate=attempt_rate,
+            diurnal_amplitude=amplitude,
+            diurnal_phase=phase,
+            map_duration=max(duration, 10.0),
+        )
+        assert PopulationSimulator(profile, seed=seed)._draw_attempt_times() == (
+            reference_attempt_times(profile, seed)
         )

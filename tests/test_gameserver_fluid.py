@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gameserver.fluid import CountLevelGenerator, FluidSeries
+from repro.gameserver.config import OutageSpec
+from repro.gameserver.fluid import (
+    CountLevelGenerator,
+    FluidSeries,
+    _bin_searchsorted,
+    _inbound_bin_means,
+)
 from repro.gameserver.generator import PacketLevelGenerator
 from repro.gameserver.population import PopulationResult, SessionRecord, SessionTable
 from repro.net.headers import OverheadModel
@@ -216,6 +222,10 @@ class TestPerSecondSums:
         assert np.array_equal(mult_sum, ref_mult)
         assert np.array_equal(prob_sum, ref_prob)
 
+    def test_sums_built_once(self, quick_profile, quick_population):
+        generator = CountLevelGenerator(quick_profile, population=quick_population)
+        assert generator._per_second_sums() is generator._per_second_sums()
+
     def test_full_population_sums_equal_loop(self, full_profile, full_population):
         generator = CountLevelGenerator(full_profile, population=full_population)
         for got, want in zip(
@@ -223,3 +233,128 @@ class TestPerSecondSums:
             _reference_per_second_sums(full_profile, full_population.sessions),
         ):
             assert np.array_equal(got, want)
+
+
+def _population_with_gaps(profile, map_change_times, outages):
+    return PopulationResult(
+        profile=profile,
+        sessions=SessionTable.from_tuples([], ("modem",)),
+        attempts=[],
+        map_change_times=list(map_change_times),
+        outages=tuple(outages),
+        unique_attempting=0,
+        unique_establishing=0,
+    )
+
+
+def _reference_gap_fraction(profile, gaps):
+    """Fraction of each second inside a gap, as a loop over gaps and seconds."""
+    nbins = int(math.ceil(profile.duration))
+    fraction = np.zeros(nbins)
+    for gap_start, gap_end in gaps:
+        for index in range(max(0, int(gap_start)), min(nbins - 1, int(gap_end)) + 1):
+            lo = max(gap_start, index)
+            hi = min(gap_end, index + 1)
+            if hi > lo:
+                fraction[index] += hi - lo
+    return np.minimum(fraction, 1.0)
+
+
+#: Gap starts around a 600 s horizon: before it, inside it (whole and
+#: fractional seconds) and past it.
+_gap_starts = st.one_of(
+    st.floats(min_value=-20.0, max_value=650.0, allow_nan=False),
+    st.integers(min_value=-3, max_value=602).map(float),
+)
+
+
+class TestGapFraction:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        map_changes=st.lists(_gap_starts, max_size=12),
+        outages=st.lists(
+            st.tuples(_gap_starts, st.floats(min_value=0.01, max_value=30.0)),
+            max_size=4,
+        ),
+    )
+    def test_slices_equal_loop(self, quick_profile, map_changes, outages):
+        # overlapping, nested and same-second gaps add in gap order
+        population = _population_with_gaps(
+            quick_profile,
+            sorted(map_changes),
+            [OutageSpec(start, duration=length) for start, length in outages],
+        )
+        generator = CountLevelGenerator(quick_profile, population=population)
+        expected = _reference_gap_fraction(quick_profile, population.gap_intervals())
+        assert generator._gap_fraction_per_second().tobytes() == expected.tobytes()
+
+    def test_additions_keep_gap_order(self, quick_profile):
+        # three outages inside second 0 whose overlaps sum to 0.62 in gap
+        # order and to 0.6199999999999999 in reverse
+        outages = [OutageSpec(0.08, 0.26), OutageSpec(0.43, 0.28), OutageSpec(0.84, 0.08)]
+        population = _population_with_gaps(quick_profile, [], outages)
+        generator = CountLevelGenerator(quick_profile, population=population)
+        assert generator._gap_fraction_per_second()[0] == 0.62
+        assert _reference_gap_fraction(quick_profile, population.gap_intervals())[0] == 0.62
+
+
+def _reference_inbound_bin_means(mult_sum, update_interval, gaps, window_start, bin_size, nbins):
+    """The inbound Poisson means computed over every bin centre."""
+    bin_times = window_start + bin_size * (np.arange(nbins) + 0.5)
+    second_index = np.minimum(bin_times.astype(np.int64), mult_sum.size - 1)
+    rate = mult_sum[second_index] / update_interval
+    closed = np.zeros(nbins, dtype=bool)
+    starts = [g[0] for g in gaps] + [np.inf]
+    for (start, end), next_start in zip(gaps, starts[1:]):
+        closed |= (bin_times >= start) & (bin_times < min(end, next_start))
+    return np.where(closed, 0.0, rate) * bin_size
+
+
+_bin_sizes = st.one_of(
+    st.sampled_from([0.01, 0.05, 0.003, 0.1, 0.7, 1.0]),
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+
+
+class TestInboundBinMeans:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window_start=st.one_of(
+            st.floats(min_value=0.0, max_value=90.0),
+            st.integers(min_value=0, max_value=90).map(float),
+        ),
+        bin_size=_bin_sizes,
+        nbins=st.integers(min_value=1, max_value=4000),
+        rates=st.lists(st.floats(min_value=0.0, max_value=60.0), min_size=1, max_size=120),
+        gaps=st.lists(
+            st.tuples(_gap_starts.map(lambda t: t / 5.0), st.floats(min_value=0.0, max_value=20.0)),
+            max_size=6,
+        ),
+    )
+    def test_equal_full_length_reference(self, window_start, bin_size, nbins, rates, gaps):
+        mult_sum = np.asarray(rates)
+        gaps = sorted((start, start + length) for start, length in gaps)
+        got = _inbound_bin_means(mult_sum, 0.04, gaps, window_start, bin_size, nbins)
+        want = _reference_inbound_bin_means(mult_sum, 0.04, gaps, window_start, bin_size, nbins)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        window_start=st.floats(min_value=0.0, max_value=1e5),
+        bin_size=_bin_sizes,
+        nbins=st.integers(min_value=1, max_value=3000),
+        picks=st.lists(st.integers(min_value=-2, max_value=3002), max_size=20),
+        offsets=st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=20),
+    )
+    def test_bin_searchsorted_equals_searchsorted(
+        self, window_start, bin_size, nbins, picks, offsets
+    ):
+        centres = window_start + bin_size * (np.arange(nbins) + 0.5)
+        # exact centres, points between them, and both ends
+        exact = [float(centres[min(max(i, 0), nbins - 1)]) for i in picks]
+        between = [window_start + bin_size * (nbins * 0.5 + o * nbins) for o in offsets]
+        values = np.asarray(exact + between + [-np.inf, np.inf, window_start])
+        assert np.array_equal(
+            _bin_searchsorted(values, window_start, bin_size, nbins),
+            np.searchsorted(centres, values, side="left"),
+        )

@@ -394,7 +394,7 @@ class TestChromeTraceExport:
              "depth": 0, "start_s": 0.0, "wall_s": 2.0, "peak_rss_kb": 1.0},
             {"id": 1, "parent": 0, "name": "phase", "path": "run/phase",
              "depth": 1, "start_s": 0.5, "wall_s": 1.0, "peak_rss_kb": 1.0,
-             "attrs": {"k": "v"}, "counters": {"n": 3}},
+             "attrs": {"k": "v"}},
             {"id": 2, "parent": 0, "name": "fleet.worker_task",
              "path": "run/fleet.worker_task", "depth": 1, "start_s": 0.6,
              "wall_s": 0.5, "peak_rss_kb": 1.0, "worker_pid": 4242,
@@ -410,7 +410,6 @@ class TestChromeTraceExport:
         assert spans[1]["ts"] == pytest.approx(0.5e6)
         assert spans[1]["dur"] == pytest.approx(1.0e6)
         assert spans[1]["args"]["attrs"] == {"k": "v"}
-        assert spans[1]["args"]["counters"] == {"n": 3}
         assert spans[2]["args"]["task_index"] == 7
 
         names = {

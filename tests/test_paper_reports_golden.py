@@ -104,6 +104,65 @@ GOLDEN_MEASURED = {
 }
 
 
+#: Every point of ``fig5``'s stitched variance-time plot at seed 0 as
+#: ``(block_size, interval_seconds, repr(normalized_variance))``: a
+#: one-ulp drift in one block variance can hide behind the fitted H
+#: values above, not here.
+GOLDEN_FIG5_PLOT = (
+    (1, 0.01, '1.0'),
+    (2, 0.02, '0.3975467163659622'),
+    (3, 0.03, '0.19699586141848116'),
+    (4, 0.04, '0.09668006450837285'),
+    (6, 0.06, '0.05849142051591066'),
+    (7, 0.07, '0.05910488635182809'),
+    (10, 0.1, '0.02804379604041156'),
+    (13, 0.13, '0.034088746235143415'),
+    (18, 0.18, '0.02851908813072869'),
+    (24, 0.24, '0.024824938876153085'),
+    (32, 0.32, '0.023665330363294032'),
+    (42, 0.42, '0.022491783146100428'),
+    (56, 0.56, '0.02150320706589455'),
+    (75, 0.75, '0.020940100571989972'),
+    (100, 1.0, '0.020667382783250293'),
+    (133, 1.33, '0.020267273715612964'),
+    (178, 1.78, '0.019966083943748693'),
+    (237, 2.37, '0.019793250504208076'),
+    (316, 3.16, '0.01945052779607747'),
+    (422, 4.22, '0.019138763227200303'),
+    (562, 5.62, '0.018754900159178793'),
+    (750, 7.5, '0.019112022520763515'),
+    (1000, 10.0, '0.01833055635362997'),
+    (1334, 13.34, '0.017406997086008826'),
+    (1778, 17.78, '0.01712471215876823'),
+    (2371, 23.71, '0.016753837230756706'),
+    (3162, 31.62, '0.01635843535812551'),
+    (4217, 42.17, '0.01608337346173606'),
+    (5623, 56.230000000000004, '0.01580224259239154'),
+    (7499, 74.99, '0.01539372022244255'),
+    (10000, 100.0, '0.014959208407287952'),
+    (13335, 133.35, '0.014505383844117961'),
+    (17783, 177.83, '0.014009125939041711'),
+    (23714, 237.14000000000001, '0.01268026115078545'),
+    (31623, 316.23, '0.01241019225320404'),
+    (42170, 421.7, '0.011791642734602908'),
+    (56234, 562.34, '0.009839199032147035'),
+    (74989, 749.89, '0.009152762550642115'),
+    (100000, 1000.0, '0.0075966411549138494'),
+    (133352, 1333.52, '0.0062946032351612795'),
+    (177828, 1778.28, '0.005227773872603168'),
+    (237137, 2371.37, '0.00442451730757399'),
+    (316200, 3162.0, '0.005377153703595143'),
+    (464200, 4642.0, '0.004259103883475699'),
+    (681300, 6813.0, '0.003946649688285645'),
+    (1000000, 10000.0, '0.0035664647092496127'),
+    (1467800, 14678.0, '0.0030898699435059677'),
+    (2154400, 21544.0, '0.003085608050356706'),
+    (3162300, 31623.0, '0.002284257642450735'),
+    (4641600, 46416.0, '0.0010194311673326038'),
+    (6812900, 68129.0, '0.0003584807364657286'),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _seed0(experiment_id: str) -> ExperimentOutput:
     return REGISTRY[experiment_id](0, RunConfig())
@@ -114,3 +173,13 @@ def test_measured_values_pinned(experiment_id):
     output = _seed0(experiment_id)
     measured = {row.name: repr(row.measured) for row in output.rows}
     assert measured == GOLDEN_MEASURED[experiment_id]
+
+
+def test_fig5_plot_pinned():
+    plot = _seed0("fig5").extras["plot"]
+    assert plot.base_interval == 0.01
+    points = tuple(
+        (p.block_size, p.interval_seconds, repr(p.normalized_variance))
+        for p in plot.points
+    )
+    assert points == GOLDEN_FIG5_PLOT

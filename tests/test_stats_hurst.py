@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.stats.hurst import (
+    _exact_cumulative_sum,
     default_block_sizes,
     segment_regimes,
     variance_time_plot,
@@ -73,6 +76,109 @@ class TestVarianceTimePlot:
         assert [p.interval_seconds for p in plot.points] == pytest.approx(
             [0.01, 0.1, 1.0]
         )
+
+
+def reference_points(series, base_interval, block_sizes=None):
+    """The plot's points as a reshape-mean per block size computes them.
+
+    ``(block_size, interval_seconds, normalized_variance.hex())`` per
+    point, so equality is bit for bit.
+    """
+    series = np.asarray(series, dtype=float)
+    base_variance = float(series.var())
+    if block_sizes is None:
+        block_sizes = default_block_sizes(series.size)
+    points = []
+    for m in block_sizes:
+        nblocks = series.size // m
+        if nblocks < 2:
+            continue
+        means = series[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+        variance = float(means.var())
+        if variance > 0:
+            points.append((m, m * base_interval, (variance / base_variance).hex()))
+    return points
+
+
+def plot_points(series, base_interval, block_sizes=None):
+    plot = variance_time_plot(series, base_interval, block_sizes=block_sizes)
+    return [
+        (p.block_size, p.interval_seconds, p.normalized_variance.hex())
+        for p in plot.points
+    ]
+
+
+def assert_plot_matches_reference(series, block_sizes=None):
+    expected = reference_points(series, 0.01, block_sizes)
+    if len(expected) < 2:
+        with pytest.raises(ValueError, match="too few usable block sizes"):
+            variance_time_plot(series, 0.01, block_sizes=block_sizes)
+    else:
+        assert plot_points(series, 0.01, block_sizes) == expected
+
+
+@st.composite
+def count_series(draw):
+    """Integer series built from runs: zeros, constant stretches, negatives
+    and counts up to the 2**53 bound on the sum of magnitudes."""
+    n = draw(st.integers(16, 400))
+    bound = draw(st.sampled_from([1, 9, 2**20, (2**53 - 1) // n]))
+    low = draw(st.sampled_from([0, -bound]))
+    values = []
+    while len(values) < n:
+        value = draw(st.one_of(st.just(0), st.integers(low, bound)))
+        values.extend([value] * draw(st.integers(1, 25)))
+    series = np.asarray(values[:n], dtype=float)
+    assume(series.var() > 0)
+    return series
+
+
+_BLOCK_SIZES = st.one_of(
+    st.none(), st.lists(st.integers(1, 60), min_size=1, max_size=8)
+)
+
+
+class TestExactBlockSums:
+    """The cumulative-sum block means equal the reshape-mean's, bit for bit."""
+
+    @settings(deadline=None)
+    @given(series=count_series(), block_sizes=_BLOCK_SIZES)
+    def test_count_series_take_the_exact_path(self, series, block_sizes):
+        assert _exact_cumulative_sum(series) is not None
+        assert_plot_matches_reference(series, block_sizes)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            np.r_[np.arange(200.0), 0.5],
+            np.random.default_rng(2).poisson(6, 3000).astype(float) + 1e-3,
+            # a strided view: the base variance is reused at m = 1 there too
+            np.random.default_rng(3).normal(size=9000)[::3],
+        ],
+        ids=["one-half", "offset-counts", "strided-normal"],
+    )
+    def test_non_integer_series_take_the_general_path(self, series):
+        assert _exact_cumulative_sum(series) is None
+        assert_plot_matches_reference(series)
+        assert_plot_matches_reference(series, [1, 2, 3, 7, 50])
+
+    def test_sum_of_magnitudes_at_2_53_takes_the_general_path(self):
+        # 2**53 + 1 is not a float, so a cumulative sum through it loses
+        # the odd counts the block sums need
+        series = np.tile([2.0**52, 1.0, 2.0**52, 3.0, -(2.0**52), 5.0, -(2.0**52), 1.0], 8)
+        assert np.abs(series).sum() >= 2.0**53
+        assert _exact_cumulative_sum(series) is None
+        cumulative = np.cumsum(series)
+        ends = cumulative[1::2]
+        naive = np.diff(ends, prepend=0.0) / 2
+        assert not np.array_equal(naive, series.reshape(-1, 2).mean(axis=1))
+        assert_plot_matches_reference(series, [1, 2, 4, 8])
+
+    def test_series_below_the_bound_takes_the_exact_path(self):
+        series = np.tile([2.0**49, 1.0, -(2.0**49), 3.0], 4)
+        assert np.abs(series).sum() < 2.0**53
+        assert np.array_equal(_exact_cumulative_sum(series), np.cumsum(series))
+        assert_plot_matches_reference(series, [1, 2, 4])
 
 
 class TestDefaultBlockSizes:

@@ -120,6 +120,7 @@ class TestScenario:
         assert per_minute.total_counts.sum() == pytest.approx(
             per_second.total_counts[:kept].sum()
         )
+        assert scenario.per_minute_series() is per_minute
 
     def test_global_cache(self):
         clear_scenario_cache()
