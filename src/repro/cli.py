@@ -20,18 +20,17 @@ Examples::
     repro-analyze spans trace/ --limit 15
     repro-analyze heatmap trace/ --policy latency_aware
     repro-analyze compare trace-a/ trace-b/
-    repro-analyze watch trace/              # live: refreshing status table
-    repro-analyze watch trace/ --once --strict   # CI: one frame, stall=fail
-    repro-analyze export trace/ --format chrome-trace -o trace.json
+    repro-analyze export trace/ -o trace.json
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -76,6 +75,29 @@ def _unwritable_file(path: str) -> Optional[str]:
     return None
 
 
+def quiet_on_closed_stdout(entry: Callable[..., int]) -> Callable[..., int]:
+    """Make a console entry point exit 1, without a traceback, when the
+    reader of its stdout goes away early (``repro-analyze ... | head``).
+
+    The SIGPIPE recipe of Python's ``signal`` docs: stdout is pointed at
+    devnull so the interpreter's final flush cannot raise again.
+    """
+
+    @functools.wraps(entry)
+    def run(argv: Optional[List[str]] = None) -> int:
+        try:
+            code = entry(argv)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return 1
+        return code
+
+    return run
+
+
+@quiet_on_closed_stdout
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
@@ -138,17 +160,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
 def _load_run_or_fail(path: str):
     """Load a trace dir, or print a clean error and return ``None``."""
     from repro.obs import analysis
@@ -175,13 +186,6 @@ def _print_provenance(run) -> None:
     experiments = manifest.get("experiments")
     if experiments:
         print(f"  experiments: {', '.join(experiments)}")
-    heartbeats = manifest.get("heartbeats")
-    samples = manifest.get("resource_samples")
-    if heartbeats is not None or samples is not None:
-        print(
-            f"  live streams: {heartbeats or 0} heartbeats | "
-            f"{samples or 0} resource samples"
-        )
 
 
 def _cmd_summary(args) -> int:
@@ -254,13 +258,16 @@ def _cmd_spans(args) -> int:
     if path:
         print("\ncritical path (heaviest root, greedy descent):")
         for node in path:
+            # an experiment span carries its id: name which one was slowest
+            span_id = node.record.get("attrs", {}).get("id")
+            label = node.name if span_id is None else f"{node.name}[{span_id}]"
             where = (
                 f" [worker {node.worker_pid}]"
                 if node.worker_pid is not None
                 else ""
             )
             print(
-                f"  {'  ' * node.depth}{node.name:<30} "
+                f"  {'  ' * node.depth}{label:<30} "
                 f"{node.wall_s:>9.3f} s{where}"
             )
     return 0
@@ -344,47 +351,8 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_watch(args) -> int:
-    import time as _time
-
-    from repro.obs.live import STALL_FACTOR, WatchState
-
-    factor = (
-        args.stall_factor if args.stall_factor is not None else STALL_FACTOR
-    )
-    if not os.path.isdir(args.trace_dir):
-        print(
-            f"error: {args.trace_dir!r} is not a directory",
-            file=sys.stderr,
-        )
-        return 2
-    state = WatchState(args.trace_dir)
-    interactive = not args.once and sys.stdout.isatty()
-    while True:
-        state.poll()
-        frame = state.render()
-        if interactive:
-            # home + clear-below keeps a single refreshing table
-            print(f"\x1b[H\x1b[J{frame}", flush=True)
-        else:
-            print(frame, flush=True)
-        stall = state.stall(factor=factor, stall_after=args.stall_after)
-        if stall is not None:
-            print(f"::warning ::watch {args.trace_dir}: {stall}", flush=True)
-            if args.strict:
-                return 1
-        if args.once:
-            return 0
-        if state.finished():
-            return 0
-        try:
-            _time.sleep(args.interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            return 130
-
-
 def _cmd_export(args) -> int:
-    from repro.obs.live import write_chrome_trace
+    from repro.obs.analysis import write_chrome_trace
 
     run = _load_run_or_fail(args.trace_dir)
     if run is None:
@@ -398,7 +366,7 @@ def _cmd_export(args) -> int:
         return 2
     count = write_chrome_trace(run, output)
     print(
-        f"wrote {count} span events ({args.format}) to {output} "
+        f"wrote {count} span events (chrome-trace) to {output} "
         "(load in chrome://tracing or ui.perfetto.dev)"
     )
     return 0
@@ -455,45 +423,12 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     compare.add_argument("trace_dir_b", help="second trace artifact directory")
     compare.set_defaults(fn=_cmd_compare)
 
-    watch = commands.add_parser(
-        "watch",
-        help="tail an in-flight trace dir: per-stage progress bars, "
-        "rates, ETA, resource liveness, stall detection",
-    )
-    watch.add_argument("trace_dir", help="trace artifact directory")
-    watch.add_argument(
-        "--once", action="store_true",
-        help="render one frame and exit (scripted/CI use)",
-    )
-    watch.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when the run looks stalled",
-    )
-    watch.add_argument(
-        "--interval", type=_positive_float, default=1.0, metavar="SECONDS",
-        help="refresh interval (default 1.0)",
-    )
-    watch.add_argument(
-        "--stall-factor", type=_positive_float, default=None, metavar="N",
-        help="stalled = no liveness signal for N x its expected "
-        "interval (default 10)",
-    )
-    watch.add_argument(
-        "--stall-after", type=_positive_float, default=None, metavar="SECONDS",
-        help="absolute stall budget in seconds (overrides --stall-factor)",
-    )
-    watch.set_defaults(fn=_cmd_watch)
-
     export = commands.add_parser(
         "export",
-        help="convert a finished run's span forest for external viewers",
+        help="write a finished run's span forest as Chrome/Perfetto "
+        "trace-event JSON, worker spans on per-pid tracks",
     )
     export.add_argument("trace_dir", help="trace artifact directory")
-    export.add_argument(
-        "--format", choices=("chrome-trace",), default="chrome-trace",
-        help="output format (chrome-trace: Chrome/Perfetto trace-event "
-        "JSON, worker spans on per-pid tracks)",
-    )
     export.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="output path (default: TRACE_DIR/trace_events.json)",
@@ -502,6 +437,7 @@ def build_analyze_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@quiet_on_closed_stdout
 def analyze_main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point for ``repro-analyze``."""
     args = build_analyze_parser().parse_args(argv)

@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List
 
+from repro.cli import quiet_on_closed_stdout
 from repro.experiments import (
     aggregation,
     buffering,
@@ -136,27 +137,12 @@ def run_experiments(
     from repro import obs
 
     outputs = []
-    for position, experiment_id in enumerate(ids):
+    for experiment_id in ids:
         if experiment_id not in REGISTRY:
             raise KeyError(_unknown_experiment(experiment_id))
-        obs.progress(
-            "experiments", position, len(ids), current=experiment_id
-        )
         with obs.span("experiment", id=experiment_id, seed=seed):
             outputs.append(REGISTRY[experiment_id](seed, config))
-    obs.progress("experiments", len(ids), len(ids))
     return outputs
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for options that must be a strictly positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
 
 
 def _writable_directory(text: str) -> str:
@@ -202,6 +188,7 @@ def _cannot_create(flag: str, path: str, error: OSError) -> int:
     return 2
 
 
+@quiet_on_closed_stdout
 def main(argv: List[str] = None) -> int:
     """CLI entry point: run experiments and print reports."""
     parser = argparse.ArgumentParser(
@@ -241,17 +228,6 @@ def main(argv: List[str] = None) -> int:
         "must exist and be writable): streaming per-epoch/per-hop JSONL, "
         "columnar .npz series, span timings and a manifest.json tying "
         "them to the seed, config fingerprint and git revision",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="with --trace-dir: run a background resource sampler at "
-        "this interval (seconds), streaming wall clock, RSS, CPU time "
-        "and the open span path into resources.jsonl for "
-        "'repro-analyze watch'; observers only, the simulation stays "
-        "bit-identical",
     )
     parser.add_argument(
         "--policy",
@@ -356,9 +332,6 @@ def main(argv: List[str] = None) -> int:
     except RunConfigError as error:
         parser.error(f"argument {_flag(error.field)}: {error.message}")
 
-    if args.sample_interval is not None and args.trace_dir is None:
-        parser.error("--sample-interval requires --trace-dir")
-
     if args.list:
         width = max(len(experiment_id) for experiment_id in REGISTRY)
         for experiment_id in REGISTRY:
@@ -387,7 +360,6 @@ def main(argv: List[str] = None) -> int:
         try:
             obs.start_trace_session(
                 args.trace_dir,
-                sample_interval=args.sample_interval,
                 seed=args.seed,
                 experiments=ids,
                 config_fingerprint=config_fingerprint(ids, args.seed, config),

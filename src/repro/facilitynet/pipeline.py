@@ -208,9 +208,6 @@ def _publish_hop(report: HopReport) -> None:
                 "max_delay_s": report.max_delay_s,
             }
         )
-    # increment mode (total unknown: hop count depends on the topology
-    # being swept) — watchers get liveness + rate, no ETA
-    obs.progress("facilitynet.hops", hop=report.name, tier=report.tier)
 
 
 def _report(spec, traversal: HopTraversal, start: float, end: float) -> HopReport:

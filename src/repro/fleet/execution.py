@@ -56,7 +56,6 @@ from typing import Callable, Optional, Sequence, TypeVar
 from repro.gameserver.config import ServerProfile
 from repro.gameserver.fluid import FluidSeries
 from repro.gameserver.population import SessionTable
-from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.sim.random import derive_seed
@@ -240,7 +239,6 @@ def _shard_map_fold(
         for index in range(len(tasks)):
             with obs_trace.span("fleet.shard", server=index):
                 accumulator = fold(accumulator, compute_through_cache(index))
-            obs.progress("fleet.shard_map", index + 1, len(tasks))
         return accumulator
 
     # indexes the pool must compute: everything not already on disk
@@ -324,7 +322,6 @@ def _shard_map_fold(
                     break  # still running or not yet submitted
                 accumulator = fold(accumulator, value)
                 next_index += 1
-                obs.progress("fleet.shard_map", next_index, len(tasks))
 
         top_up()
         drain_ready()

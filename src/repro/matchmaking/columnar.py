@@ -1078,12 +1078,6 @@ def run_columnar(sim) -> "MatchmakingResult":
                 row["effective_capacity"] = int(eff_cap.sum())
             obs_session.stream("matchmaking_epochs").write(row)
             prev_totals = totals
-        obs.progress(
-            "matchmaking.columnar.epochs",
-            epoch + 1,
-            n_epochs,
-            policy=policy.name,
-        )
 
     admitted_per_server, sessions, session_rtts, qoe_multipliers = (
         _per_server_sessions(

@@ -1,6 +1,6 @@
 """repro.obs — deterministic telemetry: spans, metrics, artifacts.
 
-Five layers, each usable alone:
+Four layers, each usable alone:
 
 * :mod:`repro.obs.trace` — a nested span tracer
   (``with obs.span("fleet.shard", server=i): ...``) recording wall
@@ -16,16 +16,8 @@ Five layers, each usable alone:
   forest (including worker-task records shipped back from sharded
   subprocesses), roll up phases, extract the critical path, fold
   occupancy × region × epoch heatmaps and the occupancy–RTT frontier
-  from artifacts, and compare runs (``repro-analyze``);
-* :mod:`repro.obs.live` — in-flight monitoring: rate-limited
-  ``progress.jsonl`` heartbeats via the module-level
-  :func:`~repro.obs.live.ProgressPublisher`-backed ``obs.progress()``
-  hook (a no-op without a session), the ``--sample-interval``
-  background :class:`~repro.obs.live.ResourceSampler` daemon, the
-  offset-resuming :class:`~repro.obs.live.JsonlTail` readers behind
-  ``repro-analyze watch`` (status table, ETA, stall detection), and
-  Chrome/Perfetto trace-event export (``repro-analyze export
-  --format chrome-trace``).
+  from artifacts, compare runs and export the span forest as
+  Chrome/Perfetto trace events (``repro-analyze``).
 
 The load-bearing invariant: **telemetry is provably non-invasive**.
 Observers read results and clocks but never touch RNG state, so every
@@ -73,27 +65,21 @@ from repro.obs.trace import (
     span,
 )
 from repro.obs import analysis
-from repro.obs.analysis import SpanForest, TraceRun, compare, load_run
-from repro.obs.live import (
-    JsonlTail,
-    ProgressPublisher,
-    ResourceSampler,
-    WatchState,
+from repro.obs.analysis import (
+    SpanForest,
+    TraceRun,
+    compare,
     export_chrome_trace,
-    tail_jsonl,
+    load_run,
     write_chrome_trace,
 )
 
 __all__ = [
     "Counter",
     "Histogram",
-    "JsonlTail",
     "JsonlWriter",
     "MetricsRegistry",
     "NULL_SPAN",
-    "ProgressPublisher",
-    "ResourceSampler",
-    "WatchState",
     "Span",
     "SpanForest",
     "TraceRun",
@@ -110,13 +96,11 @@ __all__ = [
     "git_revision",
     "install_tracer",
     "load_manifest",
-    "progress",
     "read_jsonl",
     "registry",
     "reset_metrics",
     "span",
     "start_trace_session",
-    "tail_jsonl",
     "to_jsonable",
     "write_chrome_trace",
 ]
@@ -125,17 +109,12 @@ __all__ = [
 _session: Optional[TraceSession] = None
 
 
-def start_trace_session(
-    root, sample_interval: Optional[float] = None, **info: Any
-) -> TraceSession:
+def start_trace_session(root, **info: Any) -> TraceSession:
     """Open a trace session writing artifacts under ``root``.
 
     Installs the session's tracer (so :func:`span` records) and zeroes
     the process metrics registry, making the manifest's metric totals
-    per-run.  With ``sample_interval`` (seconds) the session also runs
-    a background resource sampler into ``resources.jsonl``
-    (``repro-experiments --sample-interval``).  Keyword arguments land
-    verbatim in the manifest.
+    per-run.  Keyword arguments land verbatim in the manifest.
     """
     global _session
     if _session is not None:
@@ -146,42 +125,12 @@ def start_trace_session(
     session = TraceSession(root, info)
     install_tracer(session.tracer)
     _session = session
-    if sample_interval is not None:
-        try:
-            session.start_sampler(sample_interval)
-        except ValueError:
-            # a bad interval must not leak a half-open session
-            _session = None
-            install_tracer(None)
-            raise
     return session
 
 
 def current_session() -> Optional[TraceSession]:
     """The active trace session, if any (instrumentation hook)."""
     return _session
-
-
-def progress(
-    stage: str,
-    done: Optional[int] = None,
-    total: Optional[int] = None,
-    **extra: Any,
-) -> bool:
-    """Publish a heartbeat for ``stage`` (no-op without a session).
-
-    The single instrumentation point long-running loops call per
-    iteration: with no active session it is one global read and a
-    ``return`` — cheap enough for million-iteration loops — and with a
-    session it rate-limits to roughly one ``progress.jsonl`` row per
-    :data:`repro.obs.live.PROGRESS_INTERVAL_S` per stage.  ``done=None``
-    increments the stage counter by one; ``total=None`` means unknown.
-    Returns True if a row was actually written.
-    """
-    session = _session
-    if session is None:
-        return False
-    return session.progress(stage, done, total, **extra)
 
 
 def end_trace_session() -> Optional[Path]:

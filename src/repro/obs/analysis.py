@@ -20,7 +20,11 @@ operator (or the ``repro-analyze`` CLI) can interrogate:
   totals *re-derived* from the artifacts (worker span deltas, epoch and
   hop streams) and cross-checked against the manifest, so a trace
   directory is self-validating;
-* :func:`compare` — diff two runs' provenance and metric totals.
+* :func:`compare` — diff two runs' provenance and metric totals;
+* :func:`export_chrome_trace` — the span forest as Chrome/Perfetto
+  trace-event JSON (``repro-analyze export``), worker spans on their
+  own tracks via ``worker_pid``, so external viewers get
+  flamegraph-style views without matplotlib.
 
 Every loader tolerates the streaming contract's failure mode: a killed
 writer leaves a torn final line, which is skipped while every complete
@@ -30,6 +34,7 @@ truncation offsets).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -576,3 +581,116 @@ def compare(run_a: TraceRun, run_b: TraceRun) -> RunComparison:
     return RunComparison(
         a=run_a, b=run_b, provenance=provenance, metrics=metrics
     )
+
+
+# ----------------------------------------------------------------------
+# trace-event export (Chrome/Perfetto)
+# ----------------------------------------------------------------------
+#: Track id used for parent-process spans (workers use their pid).
+MAIN_TRACK = 0
+
+#: The single synthetic "process" every track hangs off.
+_TRACE_PID = 1
+
+
+def chrome_trace_events(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Flat span records as Chrome trace-event dicts.
+
+    Every record becomes exactly one complete (``"ph": "X"``) event with
+    microsecond ``ts``/``dur`` on the session timeline.  Parent-process
+    spans share :data:`MAIN_TRACK`; absorbed worker records land on a
+    per-``worker_pid`` track, so viewers draw one flamegraph lane per
+    subprocess.  Metadata events name the tracks.
+    """
+    events: List[Dict[str, Any]] = []
+    tracks: Dict[int, str] = {}
+    for record in records:
+        worker_pid = record.get("worker_pid")
+        tid = MAIN_TRACK if worker_pid is None else int(worker_pid)
+        tracks.setdefault(
+            tid, "main" if worker_pid is None else f"worker {worker_pid}"
+        )
+        name = str(record.get("name", "?"))
+        args: Dict[str, Any] = {
+            "path": record.get("path"),
+            "span_id": record.get("id"),
+            "parent": record.get("parent"),
+        }
+        if record.get("attrs"):
+            args["attrs"] = record["attrs"]
+        if worker_pid is not None:
+            args["task_index"] = record.get("task_index")
+        events.append(
+            {
+                "ph": "X",
+                "name": name,
+                "cat": name.split(".", 1)[0],
+                "ts": float(record.get("start_s", 0.0)) * 1e6,
+                "dur": float(record.get("wall_s", 0.0)) * 1e6,
+                "pid": _TRACE_PID,
+                "tid": tid,
+                "args": args,
+            }
+        )
+    metadata: List[Dict[str, Any]] = [
+        {
+            "ph": "M",
+            "name": "process_name",
+            "pid": _TRACE_PID,
+            "tid": MAIN_TRACK,
+            "args": {"name": "repro traced run"},
+        }
+    ]
+    for tid in sorted(tracks):
+        metadata.append(
+            {
+                "ph": "M",
+                "name": "thread_name",
+                "pid": _TRACE_PID,
+                "tid": tid,
+                "args": {"name": tracks[tid]},
+            }
+        )
+        metadata.append(
+            {
+                "ph": "M",
+                "name": "thread_sort_index",
+                "pid": _TRACE_PID,
+                "tid": tid,
+                # main lane first, then workers by pid
+                "args": {"sort_index": 0 if tid == MAIN_TRACK else 1 + tid},
+            }
+        )
+    return metadata + events
+
+
+def export_chrome_trace(run) -> Dict[str, Any]:
+    """A loaded run (or trace-dir path) as a trace-event JSON document.
+
+    The result loads directly in ``chrome://tracing`` / Perfetto.  Spans
+    round-trip: every ``spans.jsonl`` record appears exactly once, with
+    matching duration, on its worker's track.
+    """
+    if not isinstance(run, TraceRun):
+        run = load_run(run)
+    return {
+        "displayTimeUnit": "ms",
+        "metadata": {
+            "trace_dir": str(run.root),
+            "git_rev": run.manifest.get("git_rev"),
+            "seed": run.manifest.get("seed"),
+            "config_fingerprint": run.manifest.get("config_fingerprint"),
+        },
+        "traceEvents": chrome_trace_events(run.spans),
+    }
+
+
+def write_chrome_trace(run, path) -> int:
+    """Serialise :func:`export_chrome_trace` to ``path``; returns the
+    number of span events written (metadata events excluded)."""
+    document = export_chrome_trace(run)
+    path = Path(path)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, separators=(",", ":"))
+        handle.write("\n")
+    return sum(1 for e in document["traceEvents"] if e["ph"] == "X")

@@ -26,7 +26,6 @@ from typing import IO, Any, Dict, List, Optional
 import numpy as np
 
 import repro
-from repro.obs.live import ProgressPublisher, ResourceSampler
 from repro.obs.trace import Tracer
 
 #: Bump on any change to the artifact layout or manifest schema.
@@ -178,15 +177,8 @@ class TraceSession:
         self._started_unix = time.time()
         self._t0 = time.perf_counter()
         self._finished = False
-        self._progress: Optional[ProgressPublisher] = None
-        self._sampler: Optional[ResourceSampler] = None
         #: One-line end-of-run figures, filled by :meth:`finish`.
         self.rollup: Dict[str, Any] = {}
-
-    @property
-    def t0(self) -> float:
-        """``perf_counter`` origin of this session (wall_s reference)."""
-        return self._t0
 
     def stream(self, name: str) -> JsonlWriter:
         """The named ``.jsonl`` stream (created on first use)."""
@@ -196,35 +188,6 @@ class TraceSession:
                 self.root / f"{name}.jsonl"
             )
         return writer
-
-    def progress(
-        self,
-        stage: str,
-        done: Optional[int] = None,
-        total: Optional[int] = None,
-        **extra: Any,
-    ) -> bool:
-        """Publish a rate-limited heartbeat into ``progress.jsonl``.
-
-        Callers go through :func:`repro.obs.progress`, which is a no-op
-        without an active session.  Returns True if a row was written
-        (the call may be suppressed by the rate limit).
-        """
-        publisher = self._progress
-        if publisher is None:
-            publisher = self._progress = ProgressPublisher(
-                self.stream("progress"), self._t0
-            )
-        return publisher.publish(stage, done, total, **extra)
-
-    def start_sampler(self, interval_s: float) -> ResourceSampler:
-        """Start the background resource sampler (one per session)."""
-        if self._sampler is not None:
-            raise RuntimeError("resource sampler already running")
-        sampler = ResourceSampler(self, interval_s)
-        self._sampler = sampler
-        sampler.start()
-        return sampler
 
     def save_arrays(self, base: str, **arrays: Any) -> Path:
         """Write named arrays to ``<base>.npz`` (suffixing duplicates)."""
@@ -255,11 +218,6 @@ class TraceSession:
         if self._finished:
             return self.root / "manifest.json"
         self._finished = True
-        if self._sampler is not None:
-            # stop (and join) before closing streams so the sampler
-            # thread never writes into a closed handle
-            self._sampler.stop()
-            self._sampler = None
         records = self.tracer.records()
         spans = JsonlWriter(self.root / "spans.jsonl")
         for record in records:
@@ -274,8 +232,6 @@ class TraceSession:
         duration_s = time.perf_counter() - self._t0
         hits = metrics.get("shard_cache.hits", 0)
         misses = metrics.get("shard_cache.misses", 0)
-        progress_writer = self._streams.get("progress")
-        resources_writer = self._streams.get("resources")
         self.rollup = {
             "duration_s": duration_s,
             "span_count": spans.rows,
@@ -287,10 +243,6 @@ class TraceSession:
             ),
             "cache_hits": hits,
             "cache_lookups": hits + misses,
-            "heartbeats": progress_writer.rows if progress_writer else 0,
-            "resource_samples": (
-                resources_writer.rows if resources_writer else 0
-            ),
         }
 
         manifest = {
@@ -301,8 +253,6 @@ class TraceSession:
             "started_unix": self._started_unix,
             "duration_s": duration_s,
             **{key: to_jsonable(value) for key, value in self.info.items()},
-            "heartbeats": self.rollup["heartbeats"],
-            "resource_samples": self.rollup["resource_samples"],
             "artifacts": {
                 "spans.jsonl": {"kind": "jsonl", "rows": spans.rows},
                 **self.artifact_inventory(),
@@ -330,9 +280,7 @@ class TraceSession:
         return (
             f"trace rollup: {r['duration_s']:.2f} s wall | "
             f"peak rss {r['peak_rss_kb'] / 1024.0:.1f} MiB | "
-            f"{r['span_count']} spans | "
-            f"{r['heartbeats']} heartbeats | "
-            f"{r['resource_samples']} samples | {cache}"
+            f"{r['span_count']} spans | {cache}"
         )
 
 

@@ -157,15 +157,6 @@ class Tracer:
         elif span in self._stack:  # pragma: no cover - misuse guard
             self._stack.remove(span)
 
-    def open_path(self) -> str:
-        """The currently-open span stack as a ``/``-joined path.
-
-        Empty string when no span is open.  Reads a snapshot of the
-        stack, so it is safe to call from the resource-sampler thread
-        while the main thread pushes and pops spans.
-        """
-        return "/".join(span.name for span in tuple(self._stack))
-
     def absorb(self, records: List[Dict[str, Any]], **extra: Any) -> None:
         """Merge a worker tracer's flat records under the open span.
 

@@ -13,7 +13,44 @@ from repro.trace.format import load_trace
 from repro.trace.pcap import read_pcap
 
 
+def _run_into_closed_pipe(module, *args):
+    """Run ``python -m module args`` with stdout a pipe whose reader
+    has already quit, as ``head -1`` does after its first line."""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", module, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
 class TestSimulateCli:
+    def test_closed_stdout_exits_without_a_traceback(self, tmp_path):
+        # `repro-simulate ... | head -0`: the "wrote" line hits a pipe
+        # whose reader is gone
+        out = tmp_path / "window.npz"
+        proc = _run_into_closed_pipe(
+            "repro.cli", "--end", "60", "--slots", "6", "--format", "npz",
+            "-o", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert len(load_trace(str(out))) > 100  # the window was written
+
     def test_pcap_output(self, tmp_path, capsys):
         out = str(tmp_path / "window.pcap")
         code = main(["--start", "0", "--end", "60", "--slots", "6",
@@ -553,6 +590,107 @@ class TestExperimentsList:
         assert "reproduced within tolerance" not in out
 
 
+class TestExperimentsClosedStdout:
+    def test_closed_stdout_exits_without_a_traceback(self):
+        # `repro-experiments table1 | head -1`: the reports hit a pipe
+        # whose reader is gone
+        proc = _run_into_closed_pipe("repro.experiments.runner", "table1")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+    def test_list_into_closed_stdout_exits_without_a_traceback(self):
+        proc = _run_into_closed_pipe("repro.experiments.runner", "--list")
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
+class _FailingFlush:
+    """A stdout whose flush meets a reader that has gone away."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestQuietOnClosedStdout:
+    """:func:`repro.cli.quiet_on_closed_stdout` on stand-in entries."""
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    def test_exit_code_passes_through(self, code):
+        entry = cli.quiet_on_closed_stdout(lambda argv: code)
+        assert entry([]) == code
+
+    def test_argv_reaches_the_entry(self):
+        seen = []
+
+        @cli.quiet_on_closed_stdout
+        def entry(argv=None):
+            seen.append(argv)
+            return 0
+
+        assert entry(["a", "b"]) == 0
+        assert entry() == 0
+        assert seen == [["a", "b"], None]
+
+    def test_broken_pipe_exits_one_and_silences_stdout(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import sys
+
+        path = tmp_path / "stdout"
+        with open(path, "wb") as handle:
+            monkeypatch.setattr(sys, "stdout", handle)
+
+            @cli.quiet_on_closed_stdout
+            def entry(argv=None):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            assert entry([]) == 1
+            # the descriptor now points at devnull: a late write is lost
+            os.write(handle.fileno(), b"late output")
+        assert path.read_bytes() == b""
+
+    def test_broken_pipe_on_the_final_flush_exits_one(
+        self, tmp_path, monkeypatch
+    ):
+        import sys
+
+        with open(tmp_path / "stdout", "wb") as handle:
+            monkeypatch.setattr(sys, "stdout", _FailingFlush(handle))
+            entry = cli.quiet_on_closed_stdout(lambda argv: 0)
+            assert entry([]) == 1
+
+    def test_other_errors_propagate(self):
+        @cli.quiet_on_closed_stdout
+        def entry(argv=None):
+            raise PermissionError("not a closed pipe")
+
+        with pytest.raises(PermissionError, match="not a closed pipe"):
+            entry([])
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (cli.main, "main"),
+            (cli.analyze_main, "analyze_main"),
+            (runner.main, "main"),
+        ],
+        ids=["repro-simulate", "repro-analyze", "repro-experiments"],
+    )
+    def test_console_entry_points_are_wrapped(self, entry, name):
+        # every console entry point is wrapped, and the wrapper keeps
+        # the entry's name and docstring for help() and the docs
+        assert entry.__wrapped__.__name__ == name
+        assert entry.__name__ == name
+        assert entry.__doc__.startswith("CLI entry point")
+
+
 class TestExperimentsTraceDirValidation:
     # --trace-dir shares _writable_directory with --cache-dir, so the
     # same misuse fails the same way: at argument parsing, exit code 2.
@@ -648,6 +786,28 @@ class TestExperimentsTraceDir:
         assert any(s["name"] == "matchmaking.run" for s in spans)
         assert all(s["wall_s"] >= 0 for s in spans)
 
+    def test_traced_run_writes_no_live_streams(self, tmp_path, capsys):
+        from repro.obs.export import load_manifest
+
+        trace_dir = tmp_path / "trace"
+        assert runner.main(["table1", "--trace-dir", str(trace_dir)]) == 0
+        manifest = load_manifest(trace_dir)
+        assert "heartbeats" not in manifest
+        assert "resource_samples" not in manifest
+        written = {path.name for path in trace_dir.iterdir()}
+        assert written == {"manifest.json", *manifest["artifacts"]}
+        assert not written & {"progress.jsonl", "resources.jsonl"}
+
+    def test_sample_interval_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(
+                ["table1", "--trace-dir", str(tmp_path / "trace"),
+                 "--sample-interval", "0.5"]
+            )
+        assert excinfo.value.code == 2
+        assert "--sample-interval" in capsys.readouterr().err
+        assert not (tmp_path / "trace").exists()
+
     def test_session_is_closed_after_run(self, tmp_path):
         from repro.obs import current_session
 
@@ -677,7 +837,7 @@ class TestExperimentsTraceDir:
         assert len(lines) == 1
         assert re.fullmatch(
             r"trace rollup: \d+\.\d\d s wall \| peak rss \d+\.\d MiB "
-            r"\| \d+ spans \| \d+ heartbeats \| \d+ samples "
+            r"\| \d+ spans "
             r"\| cache unused",
             lines[0],
         ), lines[0]
@@ -703,39 +863,6 @@ class TestExperimentsTraceDir:
             fingerprints[name] = load_manifest(trace_dir)["config_fingerprint"]
         assert fingerprints["plain"] == fingerprints["default"]
         assert fingerprints["changed"] != fingerprints["plain"]
-
-    def test_sample_interval_requires_trace_dir(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            runner.main(["matchmaking", "--sample-interval", "0.5"])
-        assert excinfo.value.code == 2
-        assert "--sample-interval requires --trace-dir" in (
-            capsys.readouterr().err
-        )
-
-    def test_sample_interval_must_be_positive(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            runner.main(
-                ["matchmaking", "--trace-dir", str(tmp_path / "t"),
-                 "--sample-interval", "-1"]
-            )
-        assert excinfo.value.code == 2
-        assert "must be > 0" in capsys.readouterr().err
-
-    def test_sample_interval_streams_resources(self, tmp_path, capsys):
-        from repro.obs.export import load_manifest, read_jsonl
-
-        trace_dir = tmp_path / "trace"
-        code = runner.main(
-            ["matchmaking", "--policy", "least_loaded",
-             "--trace-dir", str(trace_dir),
-             "--sample-interval", "0.01"]
-        )
-        assert code == 0
-        rows = read_jsonl(trace_dir / "resources.jsonl")
-        assert rows, "sampler produced no rows"
-        manifest = load_manifest(trace_dir)
-        assert manifest["resource_samples"] == len(rows)
-        assert manifest["heartbeats"] > 0
 
     def test_rollup_reports_cache_hits(self, tmp_path, capsys):
         import re
@@ -797,6 +924,110 @@ class TestAnalyzeCli:
         assert "critical path" in out
         assert "fleet.shard_map" in out
 
+    def test_critical_path_names_the_slower_experiment(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import analyze_main
+        from repro.obs.export import read_jsonl
+
+        trace_dir = tmp_path / "two"
+        assert runner.main(
+            ["table1", "matchmaking", "--policy", "least_loaded",
+             "--trace-dir", str(trace_dir)]
+        ) == 0
+        walls = {
+            record["attrs"]["id"]: record["wall_s"]
+            for record in read_jsonl(trace_dir / "spans.jsonl")
+            if record["name"] == "experiment"
+        }
+        slower = max(walls, key=walls.get)
+        faster = min(walls, key=walls.get)
+        capsys.readouterr()
+
+        assert analyze_main(["spans", str(trace_dir)]) == 0
+        out = capsys.readouterr().out
+        root = out.split("critical path")[1].splitlines()[1]
+        assert root.split()[0] == f"experiment[{slower}]"
+        assert faster not in root
+
+    def test_spans_closed_stdout_exits_without_a_traceback(self, trace_dirs):
+        proc = _run_into_closed_pipe("repro.obs", "spans", trace_dirs[0])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "command", ["summary", "heatmap", "compare", "export"]
+    )
+    def test_closed_stdout_exits_without_a_traceback(
+        self, trace_dirs, command, tmp_path
+    ):
+        args = {
+            "summary": [trace_dirs[0]],
+            "heatmap": [trace_dirs[0]],
+            "compare": list(trace_dirs),
+            "export": [trace_dirs[0], "-o", str(tmp_path / "events.json")],
+        }[command]
+        proc = _run_into_closed_pipe("repro.obs", command, *args)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+    def _spans_output(self, root, capsys, spans):
+        from repro import obs
+        from repro.cli import analyze_main
+
+        obs.start_trace_session(root, seed=0)
+        try:
+            spans()
+        finally:
+            obs.end_trace_session()
+        capsys.readouterr()
+        assert analyze_main(["spans", str(root)]) == 0
+        out = capsys.readouterr().out
+        return out.split("critical path")[1].splitlines()[1:]
+
+    def test_critical_path_without_an_id_prints_the_bare_name(
+        self, tmp_path, capsys
+    ):
+        from repro import obs
+
+        def spans():
+            with obs.span("pipeline", stage="ingress"):
+                with obs.span("pipeline.hop"):
+                    pass
+
+        lines = self._spans_output(tmp_path / "t", capsys, spans)
+        assert lines[0].split()[0] == "pipeline"
+        assert lines[1].split()[0] == "pipeline.hop"
+        assert "[" not in lines[0] + lines[1]
+
+    def test_critical_path_labels_every_node_that_has_an_id(
+        self, tmp_path, capsys
+    ):
+        from repro import obs
+
+        def spans():
+            with obs.span("experiment", id="fig3"):
+                with obs.span("stage", id=7):
+                    with obs.span("leaf"):
+                        pass
+
+        lines = self._spans_output(tmp_path / "t", capsys, spans)
+        assert [line.split()[0] for line in lines[:3]] == [
+            "experiment[fig3]", "stage[7]", "leaf"
+        ]
+        # the label keeps the tree's indentation
+        assert lines[1].startswith("    stage[7]")
+
+    def test_watch_subcommand_is_gone(self, trace_dirs, capsys):
+        from repro.cli import analyze_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            analyze_main(["watch", trace_dirs[0], "--once"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'watch'" in err
+        assert "Traceback" not in err
+
     def test_heatmap_and_frontier(self, trace_dirs, capsys):
         from repro.cli import analyze_main
 
@@ -840,90 +1071,6 @@ class TestAnalyzeCli:
         assert "manifest.json" in err
         assert "Traceback" not in err
 
-    def test_summary_surfaces_live_stream_counts(self, trace_dirs, capsys):
-        from repro.cli import analyze_main
-
-        assert analyze_main(["summary", trace_dirs[0]]) == 0
-        out = capsys.readouterr().out
-        assert "live streams:" in out
-        assert "heartbeats" in out
-
-    def test_watch_once_on_finished_run(self, trace_dirs, capsys):
-        from repro.cli import analyze_main
-
-        assert analyze_main(["watch", trace_dirs[0], "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "(finished)" in out
-        assert "matchmaking.columnar.epochs" in out
-        assert "::warning" not in out
-
-    def test_watch_once_strict_on_finished_run_is_clean(
-        self, trace_dirs, capsys
-    ):
-        from repro.cli import analyze_main
-
-        # finished runs never stall, whatever their timestamps' age
-        assert analyze_main(
-            ["watch", trace_dirs[0], "--once", "--strict"]
-        ) == 0
-
-    def test_watch_renders_midflight_progress_and_eta(
-        self, tmp_path, capsys
-    ):
-        """Acceptance: one frame from a mid-flight dir (no manifest yet)
-        shows the bar, counts and an ETA from the recent-window rate."""
-        import json
-        import time as time_mod
-
-        from repro.cli import analyze_main
-
-        midflight = tmp_path / "midflight"
-        midflight.mkdir()
-        now = time_mod.time()
-        with open(midflight / "progress.jsonl", "w") as handle:
-            for unix, done in ((now - 10.0, 10), (now, 30)):
-                handle.write(json.dumps({
-                    "stage": "epochs", "done": done, "total": 60,
-                    "rate": 2.0, "unix": unix, "wall_s": 0.0,
-                    "interval_s": 0.25,
-                }) + "\n")
-        assert analyze_main(["watch", str(midflight), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "(in flight)" in out
-        assert "30/60" in out
-        assert "eta" in out
-        assert "15.0s" in out  # (60-30)/2 per s
-
-    def test_watch_strict_flags_a_stalled_run(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import analyze_main
-
-        stalled = tmp_path / "stalled"
-        stalled.mkdir()
-        with open(stalled / "resources.jsonl", "w") as handle:
-            handle.write(json.dumps({
-                "unix": 1000.0, "wall_s": 1.0, "interval_s": 0.5,
-                "cpu_s": 1.0, "rss_kb": 1.0, "peak_rss_kb": 1.0,
-                "open_span": "experiment", "pid": 1,
-            }) + "\n")
-        # the sample is decades old: stalled under any budget
-        assert analyze_main(
-            ["watch", str(stalled), "--once", "--strict"]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "::warning ::" in out
-        # without --strict the stall is an annotation, not a failure
-        assert analyze_main(["watch", str(stalled), "--once"]) == 0
-
-    def test_watch_missing_dir_is_a_clean_error(self, tmp_path, capsys):
-        from repro.cli import analyze_main
-
-        assert analyze_main(
-            ["watch", str(tmp_path / "absent"), "--once"]
-        ) == 2
-        assert "not a directory" in capsys.readouterr().err
-
     def test_export_chrome_trace(self, trace_dirs, tmp_path, capsys):
         import json
 
@@ -949,6 +1096,15 @@ class TestAnalyzeCli:
 
         assert analyze_main(["export", trace_dirs[0]]) == 0
         assert (Path(trace_dirs[0]) / "trace_events.json").is_file()
+
+    def test_export_format_flag_is_gone(self, trace_dirs, capsys):
+        # chrome-trace is the one export format, so there is no flag
+        from repro.cli import analyze_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            analyze_main(["export", trace_dirs[0], "--format", "chrome-trace"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_export_to_missing_directory_is_a_clean_error(
         self, trace_dirs, tmp_path, capsys
@@ -984,11 +1140,6 @@ class TestAnalyzeCli:
             ("spans", "--limit", "0"),
             ("heatmap", "--bins", "0"),
             ("heatmap", "--bins", "-1"),
-            ("watch", "--once", "--interval", "0"),
-            ("watch", "--once", "--interval", "nan"),
-            ("watch", "--once", "--stall-factor", "-2"),
-            ("watch", "--once", "--stall-factor", "inf"),
-            ("watch", "--once", "--stall-after", "-5"),
         ],
         ids=" ".join,
     )

@@ -4,17 +4,25 @@
 span forests with correct links, metric totals, facility heatmaps —
 from the artifact files alone, and must tolerate the streaming
 contract's failure mode (a torn final line from a killed writer) at
-*any* truncation offset.
+*any* truncation offset.  The chrome-trace export must round-trip
+every span exactly once onto its worker's track.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import obs
 from repro.obs import analysis
-from repro.obs.analysis import SpanForest
+from repro.obs.analysis import (
+    MAIN_TRACK,
+    SpanForest,
+    chrome_trace_events,
+    export_chrome_trace,
+    write_chrome_trace,
+)
 from repro.obs.export import read_jsonl
 
 
@@ -146,26 +154,27 @@ class TestTornTail:
         with pytest.raises(FileNotFoundError, match="manifest.json"):
             analysis.load_run(tmp_path / "empty")
 
-    def test_tail_recovers_full_sequence_at_any_offset(self, tmp_path):
-        """The every-byte-offset sweep, for the live tail reader: a tail
-        that saw the file truncated at *any* offset, then the rest, must
-        deliver exactly the writer's record sequence — no torn record,
-        no duplicate, no loss."""
-        from repro.obs.live import tail_jsonl
+    def test_empty_file_has_no_records(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_bytes(b"")
+        assert read_jsonl(path) == []
 
-        self._write_session(tmp_path / "trace")
-        path = tmp_path / "trace" / "spans.jsonl"
-        raw = path.read_bytes()
-        full = read_jsonl(path)
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.jsonl"
+        path.write_text('\n{"a": 1}\n\n   \n{"a": 2}\n\n')
+        assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
 
-        partial = tmp_path / "partial.jsonl"
-        for offset in range(len(raw) + 1):
-            partial.write_bytes(raw[:offset])
-            tail = tail_jsonl(partial)
-            first = tail.poll()
-            partial.write_bytes(raw)  # writer completes the file
-            second = tail.poll()
-            assert first + second == full, f"offset {offset}"
+    def test_crlf_line_endings_read_alike(self, tmp_path):
+        path = tmp_path / "crlf.jsonl"
+        path.write_bytes(b'{"a": 1}\r\n{"a": 2}\r\n')
+        assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+
+    def test_reading_stops_at_the_first_corrupt_line(self, tmp_path):
+        # a writer appends whole lines, so a line that does not parse is
+        # where a killed run's output ends: nothing after it is trusted
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text('{"a": 1}\n{"a": \n{"a": 3}\n')
+        assert read_jsonl(path) == [{"a": 1}]
 
 
 class TestCompare:
@@ -242,3 +251,340 @@ class TestFacilityViews:
         assert 0.0 < point.utilization <= 1.0
         assert point.sessions > 0
         assert np.isfinite(point.mean_rtt_ms) and point.mean_rtt_ms > 0
+
+
+class TestChromeTraceExport:
+    def test_events_round_trip_span_records(self):
+        records = [
+            {"id": 0, "parent": None, "name": "run", "path": "run",
+             "depth": 0, "start_s": 0.0, "wall_s": 2.0, "peak_rss_kb": 1.0},
+            {"id": 1, "parent": 0, "name": "phase", "path": "run/phase",
+             "depth": 1, "start_s": 0.5, "wall_s": 1.0, "peak_rss_kb": 1.0,
+             "attrs": {"k": "v"}},
+            {"id": 2, "parent": 0, "name": "fleet.worker_task",
+             "path": "run/fleet.worker_task", "depth": 1, "start_s": 0.6,
+             "wall_s": 0.5, "peak_rss_kb": 1.0, "worker_pid": 4242,
+             "task_index": 7},
+        ]
+        events = chrome_trace_events(records)
+        spans = [e for e in events if e["ph"] == "X"]
+        meta = [e for e in events if e["ph"] == "M"]
+        assert len(spans) == len(records)
+
+        assert spans[0]["tid"] == 0 and spans[1]["tid"] == 0
+        assert spans[2]["tid"] == 4242
+        assert spans[1]["ts"] == pytest.approx(0.5e6)
+        assert spans[1]["dur"] == pytest.approx(1.0e6)
+        assert spans[1]["args"]["attrs"] == {"k": "v"}
+        assert spans[2]["args"]["task_index"] == 7
+
+        names = {
+            (e["tid"], e["args"]["name"])
+            for e in meta
+            if e["name"] == "thread_name"
+        }
+        assert (0, "main") in names
+        assert (4242, "worker 4242") in names
+
+    def test_export_of_sharded_run(self, tmp_path):
+        """Acceptance: a --workers 4 run round-trips — every span in
+        spans.jsonl appears exactly once, with matching duration, on its
+        worker's track."""
+        from repro.fleet.profiles import hosting_facility
+        from repro.fleet.scenario import FleetScenario
+
+        root = tmp_path / "trace"
+        obs.start_trace_session(root, seed=5)
+        try:
+            fleet = hosting_facility(n_servers=4, duration=1800.0, seed=5)
+            FleetScenario(fleet).aggregate_per_second(workers=4)
+        finally:
+            obs.end_trace_session()
+
+        document = export_chrome_trace(root)
+        spans = obs.read_jsonl(root / "spans.jsonl")
+        events = [e for e in document["traceEvents"] if e["ph"] == "X"]
+        assert len(events) == len(spans)
+        by_id = {e["args"]["span_id"]: e for e in events}
+        assert len(by_id) == len(spans)  # each span exactly once
+        worker_pids = set()
+        for record in spans:
+            event = by_id[record["id"]]
+            assert event["name"] == record["name"]
+            assert event["dur"] == pytest.approx(record["wall_s"] * 1e6)
+            expected_tid = record.get("worker_pid", 0) or 0
+            assert event["tid"] == expected_tid
+            if record.get("worker_pid") is not None:
+                worker_pids.add(record["worker_pid"])
+        assert worker_pids  # sharded run: worker tracks exist
+        thread_names = {
+            e["tid"]: e["args"]["name"]
+            for e in document["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        for pid in worker_pids:
+            assert thread_names[pid] == f"worker {pid}"
+        json.dumps(document)  # the document itself must be JSON-safe
+
+
+def _worker_record(rid, pid, **extra):
+    return _record(rid, 0, "fleet.worker_task", 0.1 * rid, 0.05, depth=1,
+                   worker_pid=pid, task_index=rid, **extra)
+
+
+def _thread_names(events):
+    return [
+        (e["tid"], e["args"]["name"])
+        for e in events
+        if e["ph"] == "M" and e["name"] == "thread_name"
+    ]
+
+
+class TestChromeTraceEvents:
+    """:func:`chrome_trace_events` on synthetic span records."""
+
+    def test_no_records_give_the_process_track_only(self):
+        events = chrome_trace_events([])
+        assert events == [
+            {
+                "ph": "M",
+                "name": "process_name",
+                "pid": 1,
+                "tid": MAIN_TRACK,
+                "args": {"name": "repro traced run"},
+            }
+        ]
+
+    @pytest.mark.parametrize(
+        "name, category",
+        [
+            ("experiment", "experiment"),
+            ("fleet.worker_task", "fleet"),
+            ("matchmaking.columnar.epochs", "matchmaking"),
+            ("gameserver.packets", "gameserver"),
+        ],
+    )
+    def test_category_is_the_name_prefix(self, name, category):
+        (event,) = [
+            e for e in chrome_trace_events([_record(0, None, name, 0.0, 1.0)])
+            if e["ph"] == "X"
+        ]
+        assert event["name"] == name
+        assert event["cat"] == category
+
+    @pytest.mark.parametrize(
+        "start_s, wall_s",
+        [(0.0, 0.0), (0.5, 1.0), (2e-6, 3e-6), (3600.0, 12.25)],
+    )
+    def test_times_are_microseconds(self, start_s, wall_s):
+        (event,) = [
+            e
+            for e in chrome_trace_events(
+                [_record(0, None, "run", start_s, wall_s)]
+            )
+            if e["ph"] == "X"
+        ]
+        assert event["ts"] == pytest.approx(start_s * 1e6)
+        assert event["dur"] == pytest.approx(wall_s * 1e6)
+
+    def test_missing_fields_take_defaults(self):
+        (event,) = [e for e in chrome_trace_events([{}]) if e["ph"] == "X"]
+        assert event["name"] == "?"
+        assert event["cat"] == "?"
+        assert event["ts"] == 0.0 and event["dur"] == 0.0
+        assert event["tid"] == MAIN_TRACK
+        assert event["args"] == {"path": None, "span_id": None, "parent": None}
+
+    def test_one_track_per_worker_pid(self):
+        records = [_record(0, None, "run", 0.0, 1.0)] + [
+            _worker_record(rid, pid)
+            for rid, pid in enumerate((700, 700, 31, 700, 31), start=1)
+        ]
+        events = chrome_trace_events(records)
+        names = _thread_names(events)
+        assert sorted(names) == [
+            (MAIN_TRACK, "main"), (31, "worker 31"), (700, "worker 700")
+        ]
+        tids = [e["tid"] for e in events if e["ph"] == "X"]
+        assert tids == [MAIN_TRACK, 700, 700, 31, 700, 31]
+
+    def test_lanes_sort_main_first_then_by_pid(self):
+        records = [
+            _worker_record(1, 900),
+            _record(0, None, "run", 0.0, 1.0),
+            _worker_record(2, 12),
+        ]
+        events = chrome_trace_events(records)
+        sort_index = {
+            e["tid"]: e["args"]["sort_index"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_sort_index"
+        }
+        assert sort_index == {MAIN_TRACK: 0, 12: 13, 900: 901}
+        assert [tid for tid, _ in _thread_names(events)] == [MAIN_TRACK, 12, 900]
+
+    def test_metadata_precedes_span_events(self):
+        records = [_record(0, None, "run", 0.0, 1.0), _worker_record(1, 5)]
+        phases = [e["ph"] for e in chrome_trace_events(records)]
+        first_span = phases.index("X")
+        assert set(phases[:first_span]) == {"M"}
+        assert set(phases[first_span:]) == {"X"}
+
+    def test_span_events_keep_record_order(self):
+        records = [
+            _record(rid, None, f"phase{rid}", 10.0 - rid, 0.5)
+            for rid in range(6)
+        ]
+        spans = [e for e in chrome_trace_events(records) if e["ph"] == "X"]
+        assert [e["args"]["span_id"] for e in spans] == list(range(6))
+
+    def test_every_event_shares_one_process(self):
+        records = [_record(0, None, "run", 0.0, 1.0), _worker_record(1, 8)]
+        assert {e["pid"] for e in chrome_trace_events(records)} == {1}
+
+    def test_only_worker_spans_carry_a_task_index(self):
+        records = [_record(0, None, "run", 0.0, 1.0), _worker_record(3, 8)]
+        main, worker = [
+            e for e in chrome_trace_events(records) if e["ph"] == "X"
+        ]
+        assert "task_index" not in main["args"]
+        assert worker["args"]["task_index"] == 3
+
+    def test_empty_attrs_are_left_out(self):
+        records = [
+            _record(0, None, "run", 0.0, 1.0, attrs={}),
+            _record(1, None, "run", 1.0, 1.0, attrs={"id": "fig3"}),
+        ]
+        bare, tagged = [
+            e for e in chrome_trace_events(records) if e["ph"] == "X"
+        ]
+        assert "attrs" not in bare["args"]
+        assert tagged["args"]["attrs"] == {"id": "fig3"}
+
+    def test_args_link_each_span_to_its_parent(self):
+        records = [
+            _record(0, None, "run", 0.0, 2.0),
+            _record(1, 0, "phase", 0.5, 1.0, depth=1, path="run/phase"),
+        ]
+        _, child = [e for e in chrome_trace_events(records) if e["ph"] == "X"]
+        assert child["args"] == {
+            "path": "run/phase", "span_id": 1, "parent": 0
+        }
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1e5, allow_nan=False),
+                st.floats(0.0, 1e3, allow_nan=False),
+                st.one_of(st.none(), st.integers(1, 2**22)),
+            ),
+            max_size=30,
+        )
+    )
+    def test_every_record_lands_once_on_a_named_track(self, rows):
+        records = []
+        for rid, (start_s, wall_s, pid) in enumerate(rows):
+            extra = {} if pid is None else {"worker_pid": pid, "task_index": rid}
+            records.append(_record(rid, None, "span", start_s, wall_s, **extra))
+        events = chrome_trace_events(records)
+        spans = [e for e in events if e["ph"] == "X"]
+        assert len(spans) == len(records)
+        named = dict(_thread_names(events))
+        for record, event in zip(records, spans):
+            pid = record.get("worker_pid")
+            assert event["tid"] == (MAIN_TRACK if pid is None else pid)
+            assert named[event["tid"]] == (
+                "main" if pid is None else f"worker {pid}"
+            )
+            assert event["ts"] == pytest.approx(record["start_s"] * 1e6)
+            assert event["dur"] == pytest.approx(record["wall_s"] * 1e6)
+        assert set(named) == {e["tid"] for e in spans}
+
+
+class TestChromeTraceDocument:
+    """:func:`export_chrome_trace` and :func:`write_chrome_trace` on a
+    real (small) traced session."""
+
+    @pytest.fixture
+    def trace_dir(self, tmp_path):
+        root = tmp_path / "trace"
+        obs.start_trace_session(root, seed=3, experiments=["demo"])
+        for index in range(3):
+            with obs.span("experiment", id=f"e{index}"):
+                with obs.span("phase"):
+                    with obs.span("step"):
+                        pass
+        obs.end_trace_session()
+        return root
+
+    def test_path_and_loaded_run_export_alike(self, trace_dir):
+        assert export_chrome_trace(trace_dir) == export_chrome_trace(
+            analysis.load_run(trace_dir)
+        )
+
+    def test_document_carries_the_run_provenance(self, trace_dir):
+        manifest = analysis.load_run(trace_dir).manifest
+        document = export_chrome_trace(trace_dir)
+        assert document["displayTimeUnit"] == "ms"
+        assert document["metadata"] == {
+            "trace_dir": str(trace_dir),
+            "git_rev": manifest.get("git_rev"),
+            "seed": 3,
+            "config_fingerprint": manifest.get("config_fingerprint"),
+        }
+
+    def test_nested_spans_nest_in_time(self, trace_dir):
+        document = export_chrome_trace(trace_dir)
+        spans = {
+            e["args"]["span_id"]: e
+            for e in document["traceEvents"]
+            if e["ph"] == "X"
+        }
+        assert len(spans) == 9
+        slack_us = 0.01  # records keep nanosecond precision
+        for event in spans.values():
+            parent = event["args"]["parent"]
+            if parent is None:
+                continue
+            outer = spans[parent]
+            assert event["ts"] >= outer["ts"] - slack_us
+            assert (
+                event["ts"] + event["dur"]
+                <= outer["ts"] + outer["dur"] + slack_us
+            )
+
+    def test_write_returns_the_span_event_count(self, trace_dir, tmp_path):
+        run = analysis.load_run(trace_dir)
+        count = write_chrome_trace(run, tmp_path / "events.json")
+        assert count == 9
+        assert count == run.artifacts["spans.jsonl"]["rows"]
+
+    def test_written_file_is_one_compact_json_line(self, trace_dir, tmp_path):
+        path = tmp_path / "events.json"
+        write_chrome_trace(trace_dir, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert ", " not in text and ": " not in text
+        assert json.loads(text) == export_chrome_trace(trace_dir)
+
+    def test_write_replaces_an_existing_file(self, trace_dir, tmp_path):
+        path = tmp_path / "events.json"
+        path.write_text("stale " * 10_000)
+        write_chrome_trace(trace_dir, path)
+        assert "stale" not in path.read_text(encoding="utf-8")
+        json.loads(path.read_text(encoding="utf-8"))
+
+    def test_torn_spans_export_their_complete_records(self, trace_dir):
+        path = trace_dir / "spans.jsonl"
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 5])
+        events = [
+            e for e in export_chrome_trace(trace_dir)["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        assert len(events) == 8
+
+    def test_missing_manifest_is_a_clear_error(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(FileNotFoundError, match="manifest.json"):
+            export_chrome_trace(tmp_path / "empty")

@@ -111,51 +111,6 @@ class TestMatchmakingBitIdentity:
         assert len(epochs) == int(HORIZON // 60.0)
 
 
-class TestLiveMonitoringBitIdentity:
-    """The PR-9 write side (heartbeats + sampler) is also non-invasive."""
-
-    def test_sampled_run_equals_untraced(self, tmp_path):
-        """The resource sampler thread runs alongside the simulation and
-        must not perturb it: observers only, no RNG reads."""
-        baseline = _golden_run()
-
-        obs.start_trace_session(
-            tmp_path / "trace", sample_interval=0.005, seed=SEED
-        )
-        try:
-            sampled = _golden_run()
-        finally:
-            obs.end_trace_session()
-
-        _assert_identical(baseline, sampled)
-        rows = obs.read_jsonl(tmp_path / "trace" / "resources.jsonl")
-        assert rows, "sampler never fired"  # guard the trivial pass
-
-    def test_progress_hook_is_null_without_session(self):
-        """obs.progress() between sessions publishes nowhere and the
-        simulation around it stays bit-identical."""
-        baseline = _golden_run()
-        assert obs.progress("orphan", 1, 2) is False
-        again = _golden_run()
-        _assert_identical(baseline, again)
-
-    def test_progress_stream_recorded_under_session(self, tmp_path):
-        obs.start_trace_session(tmp_path / "trace", seed=SEED)
-        _golden_run()
-        obs.end_trace_session()
-
-        rows = obs.read_jsonl(tmp_path / "trace" / "progress.jsonl")
-        stages = {row["stage"] for row in rows}
-        # the golden run goes through the columnar epoch loop
-        assert "matchmaking.columnar.epochs" in stages
-        final = [
-            row
-            for row in rows
-            if row["stage"] == "matchmaking.columnar.epochs"
-        ][-1]
-        assert final["done"] == final["total"] == int(HORIZON // 60.0)
-
-
 class TestFleetBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_sharded_aggregate_traced_equals_untraced(

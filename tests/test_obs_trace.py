@@ -111,16 +111,3 @@ class TestPeakRss:
         assert darwin == pytest.approx(linux / 1024.0, rel=0.01)
         monkeypatch.setattr(sys, "platform", "linux")
         assert peak_rss_kb() == pytest.approx(linux, rel=0.01)
-
-
-class TestOpenPath:
-    def test_open_path_tracks_the_stack(self):
-        tracer = Tracer()
-        install_tracer(tracer)
-        assert tracer.open_path() == ""
-        with span("outer"):
-            assert tracer.open_path() == "outer"
-            with span("inner"):
-                assert tracer.open_path() == "outer/inner"
-            assert tracer.open_path() == "outer"
-        assert tracer.open_path() == ""
