@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.gameserver.config import olygamer_week
 from repro.gameserver.gamelog import write_log
-from repro.gameserver.rounds import RoundSchedule
 from repro.trace.format import save_trace
 from repro.trace.pcap import write_pcap
 from repro.workloads.scenarios import Scenario
@@ -140,8 +139,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {count:,} packets ({args.format}) to {args.output}")
 
     if args.log is not None:
-        rounds = RoundSchedule(profile, seed=args.seed)
-        lines = write_log(scenario.population, args.log, rounds=rounds)
+        lines = write_log(scenario.population, args.log, rounds=scenario.rounds)
         print(f"wrote {lines:,} log lines to {args.log}")
     return 0
 

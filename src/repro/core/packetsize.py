@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.stats.histogram import EmpiricalCDF, Histogram
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace
@@ -44,19 +46,29 @@ class PacketSizeAnalysis:
     ) -> "PacketSizeAnalysis":
         """Analyse payload sizes of a trace (Fig 12/13 pipelines).
 
-        Reads only ``payload_sizes`` and ``directions``; each direction's
-        sizes keep trace order, so the means are summed in that order.
+        Reads only ``payload_sizes`` and ``directions`` and works on the
+        uint32 sizes as they are: each direction's sizes are one index
+        into them, each CDF holds only distinct sizes and their counts
+        (:class:`EmpiricalCDF`), and each PDF is counted from its CDF.
+        Each mean is the exact integer sum of the sizes divided by their
+        number.  While that sum is below 2**53 (a window's payload bytes
+        are far below it), every partial sum of numpy's float64 mean is
+        exact too, and both divide the same sum by the same count: the
+        means are numpy's, bit for bit.
         """
         if len(trace) == 0:
             raise ValueError("cannot analyse an empty trace")
-        sizes = trace.payload_sizes.astype(float)
+        sizes = trace.payload_sizes
         inbound = sizes[trace.direction_mask(Direction.IN)]
         outbound = sizes[trace.direction_mask(Direction.OUT)]
         if inbound.size == 0 or outbound.size == 0:
             raise ValueError("trace must contain packets in both directions")
-        total_cdf = EmpiricalCDF.from_samples(sizes)
+        mean_in, mean_out = _exact_mean(inbound), _exact_mean(outbound)
         inbound_cdf = EmpiricalCDF.from_samples(inbound)
+        del inbound
         outbound_cdf = EmpiricalCDF.from_samples(outbound)
+        del outbound
+        total_cdf = EmpiricalCDF.from_samples(sizes)
         return cls(
             total_pdf=total_cdf.histogram(bin_width, low=0.0, high=truncate),
             inbound_pdf=inbound_cdf.histogram(bin_width, low=0.0, high=truncate),
@@ -64,9 +76,9 @@ class PacketSizeAnalysis:
             total_cdf=total_cdf,
             inbound_cdf=inbound_cdf,
             outbound_cdf=outbound_cdf,
-            mean_total=float(sizes.mean()),
-            mean_in=float(inbound.mean()),
-            mean_out=float(outbound.mean()),
+            mean_total=_exact_mean(sizes),
+            mean_in=mean_in,
+            mean_out=mean_out,
         )
 
     # ------------------------------------------------------------------
@@ -96,3 +108,8 @@ class PacketSizeAnalysis:
     def truncation_excess(self) -> float:
         """Fraction of packets beyond the Fig 12 truncation (should be ~0)."""
         return 1.0 - self.fraction_under(FIGURE_TRUNCATION_BYTES)
+
+
+def _exact_mean(sizes: np.ndarray) -> float:
+    """The integer ``sizes``' sum, exact, divided by their number."""
+    return int(sizes.sum(dtype=np.int64)) / sizes.size

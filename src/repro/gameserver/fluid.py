@@ -15,8 +15,8 @@ outages), skipping packet materialisation:
   of outbound sizes and CLT noise.
 
 :meth:`CountLevelGenerator.high_resolution_window` additionally produces
-sub-second count series (default 10 ms) for variance-time analysis over
-windows too long to materialise packets for.
+sub-second packet counts (default 10 ms, no byte columns) for
+variance-time analysis over windows too long to materialise packets for.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from repro.sim.random import RandomStreams
 #: Variance-to-mean ratio of inbound per-bin counts (superposed periodic
 #: streams are smoother than Poisson's 1.0).
 INBOUND_DISPERSION = 0.45
+
+#: Bins per Poisson call of :meth:`CountLevelGenerator.high_resolution_window`.
+_POISSON_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,19 @@ class FluidSeries:
         )
 
 
+@dataclass(frozen=True)
+class CountWindow:
+    """Per-bin packet counts of both directions, without byte columns.
+
+    What :meth:`CountLevelGenerator.high_resolution_window` returns; bin
+    ``i`` covers ``[window_start + i*bin_size, window_start + (i+1)*bin_size)``
+    of that call.
+    """
+
+    in_counts: np.ndarray
+    out_counts: np.ndarray
+
+
 def fluid_series_equal(a: FluidSeries, b: FluidSeries) -> bool:
     """Exact (bit-identical) equality of two series' count/byte arrays.
 
@@ -140,6 +156,7 @@ class CountLevelGenerator:
         profile: ServerProfile,
         population: Optional[PopulationResult] = None,
         seed: int = 0,
+        rounds: Optional[RoundSchedule] = None,
     ) -> None:
         self.profile = profile
         self.population = (
@@ -148,7 +165,7 @@ class CountLevelGenerator:
             else simulate_population(profile, seed=seed)
         )
         self.protocol = ProtocolModel.from_profile(profile)
-        self.rounds = RoundSchedule(profile, seed=seed)
+        self.rounds = rounds if rounds is not None else RoundSchedule(profile, seed=seed)
         self.streams = RandomStreams(seed)
         self._sums: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -257,8 +274,8 @@ class CountLevelGenerator:
         window_start: float,
         window_end: float,
         bin_size: float = 0.010,
-    ) -> FluidSeries:
-        """Sub-second count series without materialising packets.
+    ) -> CountWindow:
+        """Sub-second packet counts without materialising packets.
 
         Outbound packets land in the bin containing their tick (all of a
         tick's snapshots leave within ~4 ms); inbound counts are Poisson
@@ -266,6 +283,14 @@ class CountLevelGenerator:
         analysis over windows where packet-level generation would be too
         large, at the cost of slightly idealised inbound dispersion.
         Every call with the same arguments returns the same series.
+
+        Only the two count columns are built, as float64: byte columns
+        would be the counts times a constant payload mean, and no
+        analysis reads them.  A six-hour window at 10 ms is 2.16M bins,
+        17 MB a column, so the per-tick draws are freed before the
+        inbound draw, and the inbound counts are drawn a block at a time
+        into the array of their Poisson means: two full-length arrays,
+        the returned columns, are all the call holds at once.
         """
         profile = self.profile
         if bin_size <= 0 or bin_size > 1.0:
@@ -276,55 +301,60 @@ class CountLevelGenerator:
         nbins = int(math.ceil((window_end - window_start) / bin_size))
         mult_sum, prob_sum = self._per_second_sums()
         gaps = self.population.gap_intervals()
-
-        # --- outbound: one binomial draw per tick -----------------------
-        tick = profile.tick_interval
-        first_tick = math.ceil(window_start / tick) * tick
-        tick_times = np.arange(first_tick, window_end, tick)
-        if tick_times.size:
-            second_index = np.minimum(
-                tick_times.astype(np.int64), mult_sum.size - 1
-            )
-            expected = prob_sum[second_index]
-            blanked = ~_times_open(tick_times, gaps)
-            expected = np.where(blanked, 0.0, expected)
-            integer_part = np.floor(expected)
-            fractional = expected - integer_part
-            sends = integer_part + (rng.uniform(size=expected.size) < fractional)
-            # binomial-ish dispersion around the expectation
-            noise_std = np.sqrt(
-                np.maximum(expected * (1.0 - profile.snapshot_send_probability), 0.0)
-            )
-            sends = np.maximum(0.0, sends + np.rint(rng.normal(0.0, 1.0, expected.size) * noise_std))
-            out_counts = np.zeros(nbins)
-            bin_index = ((tick_times + 0.002) - window_start) / bin_size
-            bin_index = np.clip(bin_index.astype(np.int64), 0, nbins - 1)
-            np.add.at(out_counts, bin_index, sends)
-        else:
-            out_counts = np.zeros(nbins)
+        out_counts = self._outbound_tick_counts(
+            rng, prob_sum, gaps, window_start, window_end, bin_size, nbins
+        )
 
         # --- inbound: Poisson around the structural per-bin rate --------
-        in_counts = rng.poisson(
-            _inbound_bin_means(
-                mult_sum,
-                profile.client_update_interval,
-                gaps,
-                window_start,
-                bin_size,
-                nbins,
-            )
-        ).astype(float)
-
-        in_bytes = in_counts * self.protocol.client_update.effective_mean
-        out_bytes = out_counts * self.protocol.server_snapshot.effective_mean
-        return FluidSeries(
-            bin_size=bin_size,
-            start_time=window_start,
-            in_counts=in_counts,
-            out_counts=out_counts,
-            in_bytes=in_bytes,
-            out_bytes=out_bytes,
+        in_counts = _inbound_bin_means(
+            mult_sum,
+            profile.client_update_interval,
+            gaps,
+            window_start,
+            bin_size,
+            nbins,
         )
+        # each block's draws overwrite its means; the generator draws
+        # element by element, so blocks take the draws one call would
+        for lo in range(0, nbins, _POISSON_BLOCK):
+            block = in_counts[lo : lo + _POISSON_BLOCK]
+            block[:] = rng.poisson(block)
+        return CountWindow(in_counts=in_counts, out_counts=out_counts)
+
+    def _outbound_tick_counts(
+        self,
+        rng: np.random.Generator,
+        prob_sum: np.ndarray,
+        gaps,
+        window_start: float,
+        window_end: float,
+        bin_size: float,
+        nbins: int,
+    ) -> np.ndarray:
+        """Outbound packets per bin: one binomial-ish draw per tick.
+
+        The per-tick arrays live only in this call, so they are gone
+        before the caller's inbound draw, and the full-length result is
+        made last: ``np.bincount`` adds the ticks' sends into their bins
+        in tick order, as ``np.add.at`` into zeros would.
+        """
+        tick = self.profile.tick_interval
+        first_tick = math.ceil(window_start / tick) * tick
+        tick_times = np.arange(first_tick, window_end, tick)
+        if not tick_times.size:
+            return np.zeros(nbins)
+        expected = prob_sum[np.minimum(tick_times.astype(np.int64), prob_sum.size - 1)]
+        expected[~_times_open(tick_times, gaps)] = 0.0
+        integer_part = np.floor(expected)
+        sends = integer_part + (rng.uniform(size=expected.size) < expected - integer_part)
+        # binomial-ish dispersion around the expectation
+        noise_std = np.sqrt(
+            np.maximum(expected * (1.0 - self.profile.snapshot_send_probability), 0.0)
+        )
+        sends = np.maximum(0.0, sends + np.rint(rng.normal(0.0, 1.0, expected.size) * noise_std))
+        bin_index = ((tick_times + 0.002) - window_start) / bin_size
+        bin_index = np.clip(bin_index.astype(np.int64), 0, nbins - 1)
+        return np.bincount(bin_index, weights=sends, minlength=nbins)
 
 
 def _inbound_bin_means(

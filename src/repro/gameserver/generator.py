@@ -136,6 +136,10 @@ class PacketLevelGenerator:
         single population realisation.
     seed:
         Master seed for packet-level randomness.
+    rounds:
+        The horizon's round timeline; drawn from ``seed`` when omitted.
+        A :class:`~repro.workloads.scenarios.Scenario` draws it once and
+        shares it with its count-level generator.
     """
 
     def __init__(
@@ -143,6 +147,7 @@ class PacketLevelGenerator:
         profile: ServerProfile,
         population: Optional[PopulationResult] = None,
         seed: int = 0,
+        rounds: Optional[RoundSchedule] = None,
     ) -> None:
         self.profile = profile
         self.population = (
@@ -151,7 +156,7 @@ class PacketLevelGenerator:
             else simulate_population(profile, seed=seed)
         )
         self.protocol = ProtocolModel.from_profile(profile)
-        self.rounds = RoundSchedule(profile, seed=seed)
+        self.rounds = rounds if rounds is not None else RoundSchedule(profile, seed=seed)
         self.streams = RandomStreams(seed)
         self.server_value = profile.server_address.value
         self.client_base = profile.client_address_base.value

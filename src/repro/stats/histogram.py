@@ -88,59 +88,92 @@ def _bin_edges(
 class EmpiricalCDF:
     """An empirical cumulative distribution function.
 
-    Built from raw samples; evaluation is a binary search.  ``quantile``
-    inverts it (type-1 / inverse-CDF convention).
+    Held as the samples' distinct ``values`` (ascending, as float64) and
+    ``cumulative_counts``: ``cumulative_counts[k]`` samples lie below
+    ``values[k]``, and the last entry is the sample count.  Packet sizes
+    take a few hundred distinct values, so this is a few kilobytes
+    where the sorted samples were megabytes.  (Distinct integers past
+    2**53 can become equal floats; a repeated value changes no answer.)
+
+    Every answer is the one the sorted samples give, bit for bit: the
+    number of samples at or below (or below) ``x`` is the cumulative
+    count at ``x``'s binary-search position among the distinct values,
+    and the ``i``-th smallest sample is the value whose count range
+    holds ``i``.  Evaluation is a binary search; ``quantile`` inverts it
+    (type-1 / inverse-CDF convention).  The one thing the distinct
+    values cannot keep is the sign of a zero: ``-0.0`` and ``0.0`` are
+    one value, held as ``0.0``.
     """
 
-    sorted_samples: np.ndarray
+    values: np.ndarray
+    cumulative_counts: np.ndarray
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalCDF":
-        """Build from raw (unsorted) samples."""
-        samples = np.asarray(samples, dtype=float)
+        """Build from raw (unsorted) samples of any real dtype.
+
+        The samples are not cast: ``np.unique``'s sorted copy, in their
+        own dtype, is the only full-length array made.
+        """
+        samples = np.asarray(samples)
+        if samples.dtype.kind not in "biuf":
+            samples = samples.astype(float)
         if samples.size == 0:
             raise ValueError("cannot build a CDF from zero samples")
-        return cls(sorted_samples=np.sort(samples))
+        values, counts = np.unique(samples, return_counts=True)
+        cumulative = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=cumulative[1:])
+        # +0.0 turns -0.0 into 0.0
+        return cls(values=values.astype(float) + 0.0, cumulative_counts=cumulative)
+
+    @property
+    def size(self) -> int:
+        """The number of samples."""
+        return int(self.cumulative_counts[-1])
 
     def histogram(
         self, bin_width: float, low: float = 0.0, high: Optional[float] = None
     ) -> Histogram:
-        """:func:`histogram` of the same samples, counted without re-sorting.
+        """:func:`histogram` of the same samples, counted from the cumulative counts.
 
-        ``np.histogram`` with explicit edges sorts the samples and counts
-        each bin with binary searches (left edges half-open, the last bin
-        closed); the same searches on the already sorted samples give the
-        same counts.
+        ``np.histogram`` with explicit edges counts each bin with binary
+        searches on the sorted samples (left edges half-open, the last
+        bin closed); the number of samples below (at or below) an edge
+        is the cumulative count at the edge's left (right) search
+        position among the distinct values.
         """
-        ordered = self.sorted_samples
-        edges = _bin_edges(ordered[-1], bin_width, low, high)
-        cumulative = np.concatenate(
-            [
-                np.searchsorted(ordered, edges[:-1], side="left"),
-                np.searchsorted(ordered, edges[-1:], side="right"),
-            ]
-        )
+        values = self.values
+        edges = _bin_edges(values[-1], bin_width, low, high)
+        cumulative = self.cumulative_counts[
+            np.concatenate(
+                [
+                    np.searchsorted(values, edges[:-1], side="left"),
+                    np.searchsorted(values, edges[-1:], side="right"),
+                ]
+            )
+        ]
         return Histogram(
             bin_edges=edges,
-            counts=np.diff(cumulative).astype(np.int64),
-            total_samples=int(ordered.size),
+            counts=np.diff(cumulative),
+            total_samples=self.size,
         )
 
     def __call__(self, x) -> np.ndarray:
         """P(X <= x), evaluated elementwise."""
         x = np.asarray(x, dtype=float)
-        ranks = np.searchsorted(self.sorted_samples, x, side="right")
-        result = ranks / self.sorted_samples.size
+        ranks = self.cumulative_counts[np.searchsorted(self.values, x, side="right")]
+        result = ranks / self.size
         return float(result) if result.ndim == 0 else result
 
     def quantile(self, q) -> np.ndarray:
         """Smallest x with CDF(x) >= q, for q in (0, 1]."""
         q = np.asarray(q, dtype=float)
-        if np.any((q <= 0) | (q > 1)):
+        if not np.all((q > 0) & (q <= 1)):
             raise ValueError("quantiles must lie in (0, 1]")
-        n = self.sorted_samples.size
+        n = self.size
         indices = np.minimum(np.ceil(q * n).astype(int) - 1, n - 1)
-        result = self.sorted_samples[indices]
+        slots = np.searchsorted(self.cumulative_counts, indices, side="right") - 1
+        result = self.values[slots]
         return float(result) if result.ndim == 0 else result
 
     @property

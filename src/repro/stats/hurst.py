@@ -97,6 +97,31 @@ def _exact_cumulative_sum(series: np.ndarray) -> Optional[np.ndarray]:
     return np.cumsum(series, out=buffer)
 
 
+def _block_variance(
+    series: np.ndarray, cumulative: Optional[np.ndarray], m: int
+) -> float:
+    """``reshape(nblocks, m).mean(axis=1).var()`` of ``series``, bit for bit.
+
+    The block means come from ``cumulative`` when it is given (see
+    :func:`variance_time_plot`).  They are the one array made here: the
+    variance takes ``np.var``'s steps (pairwise sum / n, subtract,
+    square, pairwise sum / n) in their buffer, not in a deviation array
+    of its own, and they are freed on return.  At m = 2 on a 2.16M-bin
+    series they are 8.6 MB.
+    """
+    nblocks = series.size // m
+    if cumulative is None:
+        means = series[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+    else:
+        ends = cumulative[m - 1 : nblocks * m : m]
+        means = ends.copy()
+        np.subtract(means[1:], ends[:-1], out=means[1:])
+        np.divide(means, m, out=means)
+    np.subtract(means, np.add.reduce(means) / nblocks, out=means)
+    np.square(means, out=means)
+    return float(np.add.reduce(means) / nblocks)
+
+
 def variance_time_plot(
     series: np.ndarray,
     base_interval: float,
@@ -147,14 +172,7 @@ def variance_time_plot(
         if m == 1:
             variance = base_variance
         else:
-            if cumulative is None:
-                means = series[: nblocks * m].reshape(nblocks, m).mean(axis=1)
-            else:
-                ends = cumulative[m - 1 : nblocks * m : m]
-                means = ends.copy()
-                np.subtract(means[1:], ends[:-1], out=means[1:])
-                np.divide(means, m, out=means)
-            variance = float(means.var())
+            variance = _block_variance(series, cumulative, m)
         if variance <= 0:
             continue
         points.append(

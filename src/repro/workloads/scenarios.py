@@ -27,6 +27,7 @@ from repro.gameserver.population import (
     SessionTable,
     simulate_population,
 )
+from repro.gameserver.rounds import RoundSchedule
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.router.nat import NatDevice, NatExperimentResult
@@ -57,6 +58,7 @@ class Scenario:
         self.seed = seed
         self.sessions = sessions
         self._population: Optional[PopulationResult] = None
+        self._rounds: Optional[RoundSchedule] = None
         self._packet_generator: Optional[PacketLevelGenerator] = None
         self._fluid_generator: Optional[CountLevelGenerator] = None
         self._traces: Dict[Tuple[float, float], Trace] = {}
@@ -88,11 +90,21 @@ class Scenario:
         return self._population
 
     @property
+    def rounds(self) -> RoundSchedule:
+        """The round timeline, drawn once and shared by both generators."""
+        if self._rounds is None:
+            self._rounds = RoundSchedule(self.profile, seed=self.seed)
+        return self._rounds
+
+    @property
     def packet_generator(self) -> PacketLevelGenerator:
         """Shared packet-level generator over the cached population."""
         if self._packet_generator is None:
             self._packet_generator = PacketLevelGenerator(
-                self.profile, population=self.population, seed=self.seed
+                self.profile,
+                population=self.population,
+                seed=self.seed,
+                rounds=self.rounds,
             )
         return self._packet_generator
 
@@ -101,7 +113,10 @@ class Scenario:
         """Shared count-level generator over the cached population."""
         if self._fluid_generator is None:
             self._fluid_generator = CountLevelGenerator(
-                self.profile, population=self.population, seed=self.seed
+                self.profile,
+                population=self.population,
+                seed=self.seed,
+                rounds=self.rounds,
             )
         return self._fluid_generator
 
@@ -194,7 +209,8 @@ def olygamer_packet_sizes(
             olygamer_scenario(seed).packet_window(start, end)
         )
         for cdf in (analysis.total_cdf, analysis.inbound_cdf, analysis.outbound_cdf):
-            cdf.sorted_samples.flags.writeable = False
+            cdf.values.flags.writeable = False
+            cdf.cumulative_counts.flags.writeable = False
         for pdf in (analysis.total_pdf, analysis.inbound_pdf, analysis.outbound_pdf):
             pdf.bin_edges.flags.writeable = False
             pdf.counts.flags.writeable = False

@@ -270,10 +270,9 @@ def assert_same_sizes(actual: PacketSizeAnalysis, expected: PacketSizeAnalysis) 
         assert_bitwise(pdf.bin_edges, ref.bin_edges)
         assert_bitwise(pdf.counts, ref.counts)
         assert pdf.total_samples == ref.total_samples
-        assert_bitwise(
-            getattr(actual, f"{name}_cdf").sorted_samples,
-            getattr(expected, f"{name}_cdf").sorted_samples,
-        )
+        cdf, ref = getattr(actual, f"{name}_cdf"), getattr(expected, f"{name}_cdf")
+        assert_bitwise(cdf.values, ref.values)
+        assert_bitwise(cdf.cumulative_counts, ref.cumulative_counts)
     for name in ("mean_total", "mean_in", "mean_out"):
         assert repr(getattr(actual, name)) == repr(getattr(expected, name))
 

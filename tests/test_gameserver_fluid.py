@@ -157,7 +157,7 @@ class TestHighResolutionWindow:
         )
         highres = generator.high_resolution_window(60.0, 120.0, bin_size=0.010)
         per_second = generator.per_second()
-        high_rate = highres.total_counts.sum() / 60.0
+        high_rate = (highres.in_counts + highres.out_counts).sum() / 60.0
         low_rate = per_second.total_counts[60:120].mean()
         assert high_rate == pytest.approx(low_rate, rel=0.2)
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.experiments.base import ExperimentOutput, RunConfig
 from repro.experiments.runner import REGISTRY
+from repro.workloads.scenarios import olygamer_packet_sizes
 
 GOLDEN_MEASURED = {
     'table2': {
@@ -163,6 +164,54 @@ GOLDEN_FIG5_PLOT = (
 )
 
 
+#: ``olygamer_packet_sizes(0)``, the analysis Figs 12 and 13 share:
+#: ``repr`` of its three means and, per direction, the PDF's bin
+#: counts, the CDF at ``CDF_POINTS`` bytes and the ``QUANTILES``.  The
+#: rows above read only a few of these numbers; a change to the CDF's
+#: representation must keep all of them.
+CDF_POINTS = (0.0, 40.0, 100.0, 200.0, 500.0, 1500.0)
+QUANTILES = (0.25, 0.5, 0.75, 0.99)
+GOLDEN_PACKET_SIZES = {
+    'means': ('80.80318452225022', '39.70220289765093', '129.62160379233836'),
+    'total': {
+        'pdf_counts': (
+            1, 83, 51151, 708598, 746665, 104616, 58510, 65993, 73407, 79260,
+            83022, 85529, 84622, 82326, 78401, 72156, 64711, 56976, 49124, 41054,
+            33673, 27191, 21485, 16532, 12526, 9283, 6927, 4854, 3382, 2366, 1519,
+            1132, 695, 426, 295, 182, 102, 59, 35, 17, 14, 12, 7, 0, 0, 0, 0, 0,
+            470, 0,
+        ),
+        'cdf': (
+            '3.663823661632695e-07', '0.3191366272817836', '0.694813747692249',
+            '0.9488834314199991', '1.0', '1.0',
+        ),
+        'quantiles': ('39.0', '46.0', '118.0', '254.0'),
+    },
+    'inbound': {
+        'pdf_counts': (
+            0, 83, 44974, 676377, 705319, 54849, 219, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ),
+        'cdf': ('0.0', '0.5593516355889139', '1.0', '1.0', '1.0', '1.0'),
+        'quantiles': ('36.0', '40.0', '43.0', '52.0'),
+    },
+    'outbound': {
+        'pdf_counts': (
+            1, 0, 6177, 32221, 41346, 49767, 58291, 65993, 73407, 79260, 83022,
+            85529, 84622, 82326, 78401, 72156, 64711, 56976, 49124, 41054, 33673,
+            27191, 21485, 16532, 12526, 9283, 6927, 4854, 3382, 2366, 1519, 1132,
+            695, 426, 295, 182, 102, 59, 35, 17, 14, 12, 7, 0, 0, 0, 0, 0, 470, 0,
+        ),
+        'cdf': (
+            '8.015595141908096e-07', '0.03381699434419607', '0.3323233683454529',
+            '0.8881688212586408', '1.0', '1.0',
+        ),
+        'quantiles': ('87.0', '125.0', '166.0', '275.0'),
+    },
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _seed0(experiment_id: str) -> ExperimentOutput:
     return REGISTRY[experiment_id](0, RunConfig())
@@ -183,3 +232,16 @@ def test_fig5_plot_pinned():
         for p in plot.points
     )
     assert points == GOLDEN_FIG5_PLOT
+
+
+def test_packet_sizes_pinned():
+    analysis = olygamer_packet_sizes(0)
+    means = (analysis.mean_total, analysis.mean_in, analysis.mean_out)
+    assert tuple(repr(mean) for mean in means) == GOLDEN_PACKET_SIZES["means"]
+    for name in ("total", "inbound", "outbound"):
+        pdf = getattr(analysis, f"{name}_pdf")
+        cdf = getattr(analysis, f"{name}_cdf")
+        golden = GOLDEN_PACKET_SIZES[name]
+        assert tuple(pdf.counts.tolist()) == golden["pdf_counts"]
+        assert tuple(repr(cdf(x)) for x in CDF_POINTS) == golden["cdf"]
+        assert tuple(repr(cdf.quantile(q)) for q in QUANTILES) == golden["quantiles"]

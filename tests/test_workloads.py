@@ -159,12 +159,14 @@ class TestScenario:
         fresh = PacketSizeAnalysis.from_trace(olygamer_scenario(0).packet_window(*window))
         for name in ("total", "inbound", "outbound"):
             cdf = getattr(analysis, f"{name}_cdf")
-            assert np.array_equal(cdf.sorted_samples, getattr(fresh, f"{name}_cdf").sorted_samples)
+            fresh_cdf = getattr(fresh, f"{name}_cdf")
+            assert np.array_equal(cdf.values, fresh_cdf.values)
+            assert np.array_equal(cdf.cumulative_counts, fresh_cdf.cumulative_counts)
             pdf = getattr(analysis, f"{name}_pdf")
             fresh_pdf = getattr(fresh, f"{name}_pdf")
             assert np.array_equal(pdf.counts, fresh_pdf.counts)
             assert np.array_equal(pdf.bin_edges, fresh_pdf.bin_edges)
-            for column in (cdf.sorted_samples, pdf.counts, pdf.bin_edges):
+            for column in (cdf.values, cdf.cumulative_counts, pdf.counts, pdf.bin_edges):
                 assert not column.flags.writeable
                 with pytest.raises(ValueError):
                     column[0] = column[0]
