@@ -5,22 +5,36 @@ describes: a connect handshake, a periodic movement/command stream at
 the modem-clamped rate, and the engine's liveness rule — "the client and
 server disconnect after not hearing from each other over a period of
 several seconds" (Section III-A, the outage behaviour).
+
+Every random quantity of a client has its own stream, spawned from the
+client's generator in this order: uplink loss, uplink delay, update
+spacing, downlink loss and downlink delay.  Each is drawn a block of
+:data:`~repro.sim.random.DRAW_BLOCK` values at a time
+(:func:`~repro.sim.random.drawn_in_blocks`), and that block size is part
+of the stream's definition.  So a client's draws do not depend on the
+order in which its events interleave with other clients', the server's
+or a device's, nor on how many packets the device drops.  The connect
+request and its retry take the uplink streams' next values; a lossless
+or jitter-free path direction draws nothing.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.gameserver.network import ClientPath
 from repro.sim.engine import EventScheduler
+from repro.sim.random import drawn_in_blocks
 from repro.trace.packet import Direction
 
 #: Engine liveness window: silence longer than this drops the link.
 DEFAULT_TIMEOUT_S = 5.0
+#: Shortest spacing between two updates, whatever the jitter draws.
+MIN_UPDATE_SPACING_S = 0.004
 
 
 class ClientState(enum.Enum):
@@ -33,6 +47,12 @@ class ClientState(enum.Enum):
 
 
 _CONNECTED = ClientState.CONNECTED
+
+
+def _update_spacings(
+    rng: np.random.Generator, interval: float, jitter: float, size: int
+) -> np.ndarray:
+    return np.maximum(rng.normal(interval, jitter, size), MIN_UPDATE_SPACING_S)
 
 
 def _inbound(transport, handler, client) -> Callable[[], None]:
@@ -57,7 +77,8 @@ class GameClient:
     path:
         Bidirectional network path between this client and the server.
     rng:
-        Per-client random stream.
+        Per-client generator; the client's five streams are spawned
+        from it (see the module docstring).
     update_interval:
         Seconds between command packets (modem-clamped ~48.5 ms).
     update_jitter:
@@ -90,7 +111,6 @@ class GameClient:
         self.scheduler = scheduler
         self.server = server
         self.path = path
-        self.rng = rng
         self.update_interval = update_interval
         self.update_jitter = update_jitter
         self.timeout = timeout
@@ -99,7 +119,15 @@ class GameClient:
         self.snapshots_received = 0
         self.updates_sent = 0
         self.timed_out = False
-        self._send_event = None
+        up_losses, up_delays, spacings, down_losses, down_delays = rng.spawn(5)
+        self._uplink_losses: Iterator[bool] = path.uplink.losses(up_losses)
+        self._uplink_delays: Iterator[float] = path.uplink.delays(up_delays)
+        self._spacings: Iterator[float] = drawn_in_blocks(
+            partial(_update_spacings, spacings, update_interval, update_jitter)
+        )
+        #: the downlink's streams, read by the server as it sends snapshots
+        self.downlink_losses: Iterator[bool] = path.downlink.losses(down_losses)
+        self.downlink_delays: Iterator[float] = path.downlink.delays(down_delays)
         # the messages' arrivals at the far end of the uplink and the
         # update timer's callback, bound once
         self._request_arrives = _inbound(transport, server.on_connect_request, self)
@@ -114,17 +142,15 @@ class GameClient:
         if self.state is not ClientState.IDLE:
             raise RuntimeError(f"client {self.client_id} already {self.state.value}")
         self.state = ClientState.CONNECTING
-        if not self.path.uplink.sample_loss(self.rng):
-            delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.call_in(delay, self._request_arrives)
+        if not next(self._uplink_losses):
+            self.scheduler.call_in(next(self._uplink_delays), self._request_arrives)
         else:
             # lost handshake: retry once after a second, as the engine does
             self.scheduler.call_in(1.0, self._retry_connect)
 
     def _retry_connect(self) -> None:
         if self.state is ClientState.CONNECTING:
-            delay = self.path.uplink.sample_delay(self.rng)
-            self.scheduler.call_in(delay, self._request_arrives)
+            self.scheduler.call_in(next(self._uplink_delays), self._request_arrives)
 
     def on_connect_reply(self, accepted: bool) -> None:
         """Server's answer arrives on the downlink."""
@@ -143,10 +169,7 @@ class GameClient:
     def _schedule_next_update(self) -> None:
         if self.state is not _CONNECTED:
             return
-        spacing = self.rng.normal(self.update_interval, self.update_jitter)
-        self._send_event = self.scheduler.schedule_in(
-            spacing if spacing > 0.004 else 0.004, self._send_next
-        )
+        self.scheduler.call_in(next(self._spacings), self._send_next)
 
     def _send_update(self) -> None:
         if self.state is not _CONNECTED:
@@ -159,15 +182,10 @@ class GameClient:
             self.server.on_client_timeout(self)
             return
         self.updates_sent += 1
-        uplink = self.path.uplink
-        rng = self.rng
-        if not uplink.sample_loss(rng):
-            scheduler.call_in(uplink.sample_delay(rng), self._update_arrives)
+        if not next(self._uplink_losses):
+            scheduler.call_in(next(self._uplink_delays), self._update_arrives)
         # the next update (``_schedule_next_update``; still connected)
-        spacing = rng.normal(self.update_interval, self.update_jitter)
-        self._send_event = scheduler.schedule_in(
-            spacing if spacing > 0.004 else 0.004, self._send_next
-        )
+        scheduler.call_in(next(self._spacings), self._send_next)
 
     # ------------------------------------------------------------------
     # downlink reception

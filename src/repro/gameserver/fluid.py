@@ -231,41 +231,53 @@ class CountLevelGenerator:
 
     # ------------------------------------------------------------------
     def per_second(self) -> FluidSeries:
-        """Per-second counts/bytes over the full horizon (the same on every call)."""
+        """Per-second counts/bytes over the full horizon (the same on every call).
+
+        Each column is built in place in the array it is returned in, so
+        the call holds at most the four columns, one draw's scale and the
+        draw itself at once (each operation is the one an expression
+        ``count = max(0, rate + normal(0, scale))`` would make, in the
+        same order, so the values do not move).
+        """
         profile = self.profile
         rng = self.streams.fresh("fluid")
         mult_sum, prob_sum = self._per_second_sums()
-        open_fraction = 1.0 - self._gap_fraction_per_second()
-        seconds = mult_sum.size
-        times = np.arange(seconds) + 0.5
+        open_fraction = self._gap_fraction_per_second()
+        np.subtract(1.0, open_fraction, out=open_fraction)
 
-        in_rate = mult_sum / profile.client_update_interval * open_fraction
-        in_counts = np.maximum(
-            0.0,
-            in_rate + rng.normal(0.0, np.sqrt(INBOUND_DISPERSION * np.maximum(in_rate, 1e-9))),
-        )
-        out_rate = prob_sum * profile.ticks_per_second * open_fraction
-        out_variance = np.maximum(out_rate * (1.0 - profile.snapshot_send_probability), 1e-9)
-        out_counts = np.maximum(0.0, out_rate + rng.normal(0.0, np.sqrt(out_variance)))
+        in_counts = mult_sum / profile.client_update_interval
+        in_counts *= open_fraction
+        scale = np.maximum(in_counts, 1e-9)
+        scale *= INBOUND_DISPERSION
+        _add_noise(rng, in_counts, scale)
+        np.maximum(0.0, in_counts, out=in_counts)
 
-        in_mean = self.protocol.client_update.effective_mean
-        in_std = self.protocol.client_update.std
-        in_bytes = in_counts * in_mean + rng.normal(
-            0.0, in_std * np.sqrt(np.maximum(in_counts, 1e-9))
-        )
-        intensity = self.rounds.intensity(times)
-        out_mean = self.protocol.server_snapshot.effective_mean * intensity
-        out_std = self.protocol.server_snapshot.std
-        out_bytes = out_counts * out_mean + rng.normal(
-            0.0, out_std * np.sqrt(np.maximum(out_counts, 1e-9))
-        )
+        out_counts = prob_sum * profile.ticks_per_second
+        out_counts *= open_fraction
+        del open_fraction
+        scale = out_counts * (1.0 - profile.snapshot_send_probability)
+        np.maximum(scale, 1e-9, out=scale)
+        _add_noise(rng, out_counts, scale)
+        np.maximum(0.0, out_counts, out=out_counts)
+
+        in_bytes = in_counts * self.protocol.client_update.effective_mean
+        scale = np.maximum(in_counts, 1e-9)
+        _add_noise(rng, in_bytes, scale, self.protocol.client_update.std)
+        np.maximum(in_bytes, 0.0, out=in_bytes)
+
+        out_bytes = self.rounds.intensity(np.arange(mult_sum.size) + 0.5)
+        out_bytes *= self.protocol.server_snapshot.effective_mean
+        out_bytes *= out_counts
+        scale = np.maximum(out_counts, 1e-9)
+        _add_noise(rng, out_bytes, scale, self.protocol.server_snapshot.std)
+        np.maximum(out_bytes, 0.0, out=out_bytes)
         return FluidSeries(
             bin_size=1.0,
             start_time=0.0,
             in_counts=in_counts,
             out_counts=out_counts,
-            in_bytes=np.maximum(in_bytes, 0.0),
-            out_bytes=np.maximum(out_bytes, 0.0),
+            in_bytes=in_bytes,
+            out_bytes=out_bytes,
         )
 
     # ------------------------------------------------------------------
@@ -355,6 +367,20 @@ class CountLevelGenerator:
         bin_index = ((tick_times + 0.002) - window_start) / bin_size
         bin_index = np.clip(bin_index.astype(np.int64), 0, nbins - 1)
         return np.bincount(bin_index, weights=sends, minlength=nbins)
+
+
+def _add_noise(
+    rng: np.random.Generator, values: np.ndarray, variance: np.ndarray,
+    std_per_unit: float = 1.0,
+) -> None:
+    """``values += normal(0, std_per_unit * sqrt(variance))``, in place.
+
+    ``variance`` is overwritten with the scale (a product with 1.0 is
+    exact).
+    """
+    np.sqrt(variance, out=variance)
+    variance *= std_per_unit
+    values += rng.normal(0.0, variance)
 
 
 def _inbound_bin_means(

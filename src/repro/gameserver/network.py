@@ -11,9 +11,13 @@ behind ~100 ms paths, the "l337" players behind fast broadband.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import partial
+from itertools import repeat
+from typing import Dict, Iterator, Optional
 
 import numpy as np
+
+from repro.sim.random import drawn_in_blocks
 
 
 @dataclass(frozen=True)
@@ -38,19 +42,33 @@ class PathProfile:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must lie in [0, 1): {self.loss_rate!r}")
 
-    def sample_delay(self, rng: np.random.Generator) -> float:
-        """One delivery delay (never below half the base latency)."""
-        if self.jitter == 0.0:
-            return self.latency
-        floor = self.latency * 0.5
-        delay = rng.normal(self.latency, self.jitter)
-        return delay if delay > floor else floor
+    def sample_delay(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Delivery delays (never below half the base latency)."""
+        return np.maximum(
+            rng.normal(self.latency, self.jitter, size), self.latency * 0.5
+        )
 
-    def sample_loss(self, rng: np.random.Generator) -> bool:
-        """Whether a packet is lost to ambient path loss."""
-        # ``random()`` is the same draw as ``uniform()``, without the
-        # argument handling
-        return self.loss_rate > 0.0 and rng.random() < self.loss_rate
+    def sample_loss(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Whether each packet is lost to ambient path loss."""
+        return rng.random(size) < self.loss_rate
+
+    def delays(self, rng: np.random.Generator) -> Iterator[float]:
+        """One delay per packet sent, drawn a block at a time from ``rng``.
+
+        A path without jitter draws nothing: every delay is the latency.
+        """
+        if self.jitter == 0.0:
+            return repeat(self.latency)
+        return drawn_in_blocks(partial(self.sample_delay, rng))
+
+    def losses(self, rng: np.random.Generator) -> Iterator[bool]:
+        """One loss verdict per packet sent, drawn a block at a time from ``rng``.
+
+        A lossless path draws nothing.
+        """
+        if self.loss_rate == 0.0:
+            return repeat(False)
+        return drawn_in_blocks(partial(self.sample_loss, rng))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -35,7 +34,7 @@ import numpy as np
 from repro.gameserver.admission import ClientDirectory, SlotTable
 from repro.gameserver.config import OutageSpec, ServerProfile
 from repro.sim.engine import EventScheduler
-from repro.sim.random import RandomStreams, lognormal_params
+from repro.sim.random import RandomStreams, drawn_in_blocks, lognormal_params
 
 
 class SessionRecord(NamedTuple):
@@ -359,7 +358,7 @@ class PopulationSimulator:
         # per-admission draws, taken in blocks: nothing else reads these
         # two streams, and a block holds the values that as many single
         # draws would return
-        self._session_durations = _drawn_in_blocks(
+        self._session_durations = drawn_in_blocks(
             partial(
                 streams.get("sessions").lognormal,
                 *lognormal_params(
@@ -367,7 +366,7 @@ class PopulationSimulator:
                 ),
             )
         )
-        self._download_draws = _drawn_in_blocks(streams.get("downloads").random)
+        self._download_draws = drawn_in_blocks(streams.get("downloads").random)
         self._attempt_times: Iterator[float] = iter(())
 
     # ------------------------------------------------------------------
@@ -566,14 +565,6 @@ class PopulationSimulator:
     def _close_open_sessions(self, end_time: float) -> None:
         for session_id in list(self._active.keys()):
             self._finish_session(session_id, end_time)
-
-
-def _drawn_in_blocks(
-    draw: Callable[..., np.ndarray], size: int = 1024
-) -> Iterator[float]:
-    """The values of ``draw()`` called one at a time, drawn ``size`` at a time."""
-    while True:
-        yield from draw(size=size).tolist()
 
 
 def simulate_population(profile: ServerProfile, seed: int = 0) -> PopulationResult:

@@ -14,7 +14,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -135,13 +134,11 @@ class PayloadModel:
         """Mean of the truncated distribution being sampled."""
         return truncated_normal_mean(self.mean, self.std, self.minimum, self.maximum)
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw integer payload sizes."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` integer payload sizes."""
         values = sample_truncated_normal(
             rng, self.mean, self.std, self.minimum, self.maximum, size=size
         )
-        if size is None:
-            return int(round(values))
         return np.rint(values).astype(np.int64)
 
 

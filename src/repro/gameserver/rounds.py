@@ -19,6 +19,9 @@ import numpy as np
 from repro.gameserver.config import ServerProfile
 from repro.sim.random import RandomStreams
 
+#: Times per pass of :meth:`RoundSchedule.intensity`.
+_INTENSITY_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -77,12 +80,23 @@ class RoundSchedule:
         result = np.ones(times.shape, dtype=float)
         if not len(self.rounds) or amplitude == 0.0:
             return result
+        # elementwise, so evaluating it a chunk at a time bounds the
+        # temporaries without changing a bit of the result
+        flat_times = times.reshape(-1)
+        flat_result = result.reshape(-1)
+        for lo in range(0, flat_times.size, _INTENSITY_CHUNK):
+            chunk = slice(lo, lo + _INTENSITY_CHUNK)
+            self._fill_intensity(flat_times[chunk], flat_result[chunk], amplitude)
+        return result
+
+    def _fill_intensity(
+        self, times: np.ndarray, out: np.ndarray, amplitude: float
+    ) -> None:
         index = np.searchsorted(self._starts, times, side="right") - 1
-        index = np.clip(index, 0, len(self.rounds) - 1)
+        np.clip(index, 0, len(self.rounds) - 1, out=index)
         starts = self._starts[index]
         ends = self._ends[index]
         inside = (times >= starts) & (times < ends)
         durations = np.maximum(ends - starts, 1e-9)
         phase = (times - starts) / durations
-        result[inside] = 1.0 - amplitude + 2.0 * amplitude * phase[inside]
-        return result
+        out[inside] = 1.0 - amplitude + 2.0 * amplitude * phase[inside]

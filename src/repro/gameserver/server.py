@@ -14,12 +14,23 @@ approximates.  The server records every packet it sends and receives
 at its own vantage point — the same tap position as the paper's
 tcpdump — and :meth:`GameServer.trace` freezes them into a
 :class:`~repro.trace.trace.Trace`.
+
+The server's random quantities each have a stream of the
+``live-server`` family of its seed: ``snapshot-coins`` (whether a
+client gets this tick's snapshot), ``snapshot-sizes`` and
+``update-sizes``.  Each is drawn a block of
+:data:`~repro.sim.random.DRAW_BLOCK` values at a time, and that block
+size is part of the stream's definition (a block of payload sizes is
+one :meth:`~repro.gameserver.protocol.PayloadModel.sample` call).  A
+snapshot's downlink loss and delay come from the receiving client's own
+streams (:mod:`repro.gameserver.client`).
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +39,7 @@ from repro.gameserver.client import GameClient
 from repro.gameserver.config import ServerProfile
 from repro.gameserver.protocol import CONTROL_PAYLOADS, MessageType, ProtocolModel
 from repro.sim.engine import EventScheduler
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, drawn_in_blocks
 from repro.trace.packet import Direction
 from repro.trace.trace import Trace, TraceBuilder
 
@@ -54,7 +65,8 @@ class GameServer:
     scheduler:
         Shared simulation scheduler.
     seed:
-        Seed for payload-size and snapshot-probability draws.
+        Seed of the server's streams (snapshot coins, snapshot and
+        update sizes).
     transport:
         Optional callable ``(direction, deliver) -> bool`` interposed on
         every packet (the live NAT device).  ``None`` sends directly.
@@ -70,10 +82,20 @@ class GameServer:
         self.profile = profile
         self.scheduler = scheduler
         self.protocol = ProtocolModel.from_profile(profile)
-        self._update_size = self.protocol.client_update.sample
-        self._snapshot_size = self.protocol.server_snapshot.sample
         self.transport = transport
-        self.rng = RandomStreams(seed).get("live-server")
+        streams = RandomStreams(seed).spawn("live-server")
+        coins = streams.get("snapshot-coins")
+        probability = min(1.0, profile.snapshot_send_probability)
+        self._snapshot_coins: Iterator[bool] = drawn_in_blocks(
+            lambda size: coins.random(size) < probability
+        )
+        self._snapshot_sizes: Iterator[int] = drawn_in_blocks(
+            partial(self.protocol.server_snapshot.sample,
+                    streams.get("snapshot-sizes"))
+        )
+        self._update_sizes: Iterator[int] = drawn_in_blocks(
+            partial(self.protocol.client_update.sample, streams.get("update-sizes"))
+        )
         self.slots = SlotTable(capacity=profile.max_players)
         self.clients: Dict[int, GameClient] = {}
         self._last_heard: Dict[int, float] = {}
@@ -81,11 +103,15 @@ class GameServer:
         self.freeze_seconds = 0.0
         self._frozen_since: Optional[float] = None
         self.timeouts = 0
-        # one (time, key, size) row per packet at the tap, where the key is
-        # the (direction, src, dst, src port, dst port) prefix of the
-        # client's in- or outbound rows, built on the client's first packet
-        self._packets: List[Tuple[float, _Key, int]] = []
-        self._keys: Dict[int, Tuple[_Key, _Key]] = {}
+        # the tap, one entry per packet in each column: its time, its
+        # payload size and the index of its (direction, src, dst, src
+        # port, dst port) prefix in ``_prefixes``, where each client's in-
+        # and outbound prefixes are added on its first packet
+        self._times = array("d")
+        self._sizes = array("q")
+        self._prefix_rows = array("q")
+        self._prefixes: List[_Key] = []
+        self._keys: Dict[int, Tuple[int, int]] = {}
         # each client's snapshot delivery (through the transport), bound once
         self._snapshot_sends: Dict[int, Callable[[], None]] = {}
         self._tick_stop = scheduler.schedule_periodic(
@@ -132,9 +158,9 @@ class GameServer:
         if client_id not in self.clients:
             return
         now = self.scheduler.now
-        self._packets.append((
-            now, self._keys[client_id][0], self._update_size(self.rng)
-        ))
+        self._times.append(now)
+        self._prefix_rows.append(self._keys[client_id][0])
+        self._sizes.append(next(self._update_sizes))
         self._last_heard[client_id] = now
         self._last_inbound = now
         if self._frozen_since is not None:
@@ -155,36 +181,32 @@ class GameServer:
             if self._frozen_since is None:
                 self._frozen_since = now
             return
-        probability = min(1.0, self.profile.snapshot_send_probability)
-        rng = self.rng
-        random = rng.random
-        snapshot_size = self._snapshot_size
+        coins = self._snapshot_coins
+        sizes = self._snapshot_sizes
         call_in = self.scheduler.call_in
         emit = self._emit_snapshot
         serialization = 0.0
         for client_id in list(self.clients):
-            # ``random()`` is the same draw as ``uniform()``
-            if random() >= probability:
+            if not next(coins):
                 continue
-            size = snapshot_size(rng)
             # the NIC serialises the burst: ~0.2 ms per small packet at
             # the access link, matching the packet-level generator's
             # 4 ms tick-serialisation window
             serialization += 0.0002
-            call_in(serialization, partial(emit, client_id, size))
+            call_in(serialization, partial(emit, client_id, next(sizes)))
 
     def _emit_snapshot(self, client_id: int, size: int) -> None:
         if client_id not in self.clients:
             return
-        self._packets.append((self.scheduler.now, self._keys[client_id][1], size))
+        self._times.append(self.scheduler.now)
+        self._prefix_rows.append(self._keys[client_id][1])
+        self._sizes.append(size)
         self._snapshot_sends[client_id]()
 
     def _deliver_snapshot(self, client: GameClient) -> None:
-        downlink = client.path.downlink
-        rng = client.rng
-        if downlink.sample_loss(rng):
+        if next(client.downlink_losses):
             return
-        self.scheduler.call_in(downlink.sample_delay(rng), client.deliver_snapshot)
+        self.scheduler.call_in(next(client.downlink_delays), client.deliver_snapshot)
 
     def _sweep_timeouts(self, now: float) -> None:
         stale = [
@@ -210,10 +232,12 @@ class GameServer:
         client_id = client.client_id
         keys = self._keys.get(client_id)
         if keys is None:
-            keys = self._keys[client_id] = self._client_keys(client_id)
-        self._packets.append(
-            (self.scheduler.now, keys[0 if direction is Direction.IN else 1], size)
-        )
+            first = len(self._prefixes)
+            self._prefixes.extend(self._client_keys(client_id))
+            keys = self._keys[client_id] = (first, first + 1)
+        self._times.append(self.scheduler.now)
+        self._prefix_rows.append(keys[0 if direction is Direction.IN else 1])
+        self._sizes.append(size)
 
     def _client_keys(self, client_id: int) -> Tuple[_Key, _Key]:
         """The inbound and outbound row prefixes of one client."""
@@ -240,9 +264,14 @@ class GameServer:
     def trace(self) -> Trace:
         """The packets seen at the server's tap so far."""
         builder = TraceBuilder(server_address=self.profile.server_address)
-        if self._packets:
-            timestamps, keys, sizes = zip(*self._packets)
-            builder.add_batch(timestamps, *zip(*keys), sizes)
+        if self._times:
+            rows = np.frombuffer(self._prefix_rows, dtype=np.int64)
+            prefixes = np.asarray(self._prefixes, dtype=np.int64)
+            builder.add_batch(
+                np.frombuffer(self._times, dtype=np.float64),
+                *(prefixes[:, column][rows] for column in range(5)),
+                np.frombuffer(self._sizes, dtype=np.int64),
+            )
         return builder.build()
 
 

@@ -11,12 +11,24 @@ per-side buffers, episodic WAN-path maintenance stalls.  The game-freeze
 feedback is *not* modelled here — it emerges naturally from the live
 server reacting to missing client updates (see
 :meth:`repro.gameserver.server.GameServer.on_tick`).
+
+The device's one stream (``live-device`` of its seed) first draws every
+stall window up to the horizon, then one lognormal service time per
+*offered* packet, in offer order, whether the packet is forwarded or
+dropped — the convention of the offline replay, which draws one service
+time per packet of its input.  The service times are drawn a block of
+:data:`~repro.sim.random.DRAW_BLOCK` values at a time; for a lognormal
+the block size does not change the values.  With the same stall windows
+as blackouts and the same service draws,
+:func:`~repro.kernels.fifo.fifo_forward` (``freeze=None``) gives the
+same fates and departures as the live device.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Callable, Deque, Iterator, List, Tuple
 
@@ -24,13 +36,10 @@ import numpy as np
 
 from repro.router.device import DeviceProfile
 from repro.sim.engine import EventScheduler
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, drawn_in_blocks
 from repro.trace.packet import Direction
 
 _IN = Direction.IN
-
-#: Service times drawn per refill of the device's block.
-SERVICE_BLOCK = 1024
 
 
 @dataclass
@@ -94,11 +103,10 @@ class LiveForwardingDevice:
         else:
             self._sigma = 0.0
             self._mu = 0.0
-        # service times in the order accepted packets take them; nothing
-        # else reads the stream after the stalls, so drawing them a block
-        # at a time gives the same values as one draw per packet
+        # one service time per offered packet, in offer order
         self._service: Iterator[float] = (
-            repeat(self._mean_service) if self._sigma == 0.0 else iter(())
+            repeat(self._mean_service) if self._sigma == 0.0
+            else drawn_in_blocks(partial(self._rng.lognormal, self._mu, self._sigma))
         )
 
     def _draw_stalls(self, horizon: float) -> List[Tuple[float, float]]:
@@ -130,11 +138,6 @@ class LiveForwardingDevice:
         self._stall_index = index
         self._stall_start, self._stall_end = self._stall_window(index)
 
-    def _refill_service(self) -> float:
-        block = self._rng.lognormal(self._mu, self._sigma, SERVICE_BLOCK).tolist()
-        self._service = iter(block)
-        return next(self._service)
-
     def submit(
         self,
         direction: Direction,
@@ -148,6 +151,8 @@ class LiveForwardingDevice:
         scheduler = self.scheduler
         now = scheduler.now
         stats = self.stats
+        # every offered packet takes its draw, dropped or not
+        service = next(self._service)
         # each side's backlog holds the finish times of its packets still
         # in the device; only the offered side's needs expiring
         if direction is _IN:
@@ -174,10 +179,6 @@ class LiveForwardingDevice:
 
         free = self._engine_free
         start = free if free > now else now
-        try:
-            service = next(self._service)
-        except StopIteration:
-            service = self._refill_service()
         finish = start + service
         self._engine_free = finish
         backlog.append(finish)

@@ -15,9 +15,9 @@ order: the heap holds ``(time, priority, seq, callback)`` tuples, and
 Fire-and-forget events (:meth:`~EventScheduler.call_at`,
 :meth:`~EventScheduler.call_in`) put the bare callback in the entry; the
 cancellable ones (:meth:`~EventScheduler.schedule`,
-:meth:`~EventScheduler.schedule_in`, :meth:`~EventScheduler.schedule_periodic`)
-put an :class:`~repro.sim.events.Event` handle there, which runs its
-callback when called unless it was cancelled.  Both kinds draw ``seq``
+:meth:`~EventScheduler.schedule_periodic`) put an
+:class:`~repro.sim.events.Event` handle there, which runs its callback
+when called unless it was cancelled.  Both kinds draw ``seq``
 from one counter, so they interleave exactly as if every event had a
 handle.  Time never goes backwards: scheduling into the past (or at NaN,
 which compares false with every time) raises :class:`SimulationError`.
@@ -111,22 +111,6 @@ class EventScheduler:
         if not (time >= self.now):
             self._refuse_time(time)
         event = Event(time, self._next_seq(), callback, priority, label, self)
-        heappush(self._heap, (event.time, priority, event.seq, event))
-        return event
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        priority: int = 0,
-        label: Optional[str] = None,
-    ) -> Event:
-        """Schedule ``callback`` after ``delay`` seconds from now."""
-        if not (delay >= 0):
-            self._refuse_delay(delay)
-        event = Event(
-            self.now + delay, self._next_seq(), callback, priority, label, self
-        )
         heappush(self._heap, (event.time, priority, event.seq, event))
         return event
 

@@ -5,6 +5,15 @@ single master seed, so that (a) whole experiments are reproducible from one
 integer and (b) adding draws to one model does not perturb another — the
 classic "common random numbers" discipline for simulation studies.
 
+A quantity drawn once per event (a packet's delay, a session's length)
+comes from its own stream through :func:`drawn_in_blocks`, which draws
+``DRAW_BLOCK`` values per numpy call and hands them out one at a time.
+The block size is part of each such stream's definition: for
+``random``, ``normal``, ``lognormal`` and ``exponential`` a block holds
+exactly the values as many single draws would return, but a block of
+truncated normals (:func:`sample_truncated_normal`) depends on how many
+values each rejection round asks for.
+
 Distribution helpers cover what the traffic models need: exponential
 interarrivals, lognormal session durations parameterised by mean and
 coefficient of variation, truncated normals for payload sizes, and
@@ -14,7 +23,9 @@ discrete empirical distributions for protocol message mixes.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Sequence, Tuple
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +155,31 @@ class RandomStreams:
         return RandomStreams(derive_seed(self.master_seed, f"spawn:{name}"))
 
 
+#: Values per numpy call of a block-drawn stream (:func:`drawn_in_blocks`):
+#: enough to make a call's fixed cost a few ns a value, few enough that
+#: the closed loop's hundred-odd streams hold well under a megabyte.
+DRAW_BLOCK = 256
+
+
+def _block(draw: Callable[..., np.ndarray], size: int) -> list:
+    return draw(size=size).tolist()
+
+
+def drawn_in_blocks(
+    draw: Callable[..., np.ndarray], size: int = DRAW_BLOCK
+) -> Iterator:
+    """The values of ``draw(size=size)``, called again whenever they run out.
+
+    An endless stream of Python scalars, one per ``next()``; the first
+    block is drawn at the first ``next()``.  When ``draw`` is a numpy
+    ``random``, ``normal`` or ``lognormal`` bound to a generator nothing
+    else reads, the values are those of ``draw()`` called one at a time.
+    """
+    # ``iter(f, sentinel)`` calls ``f`` until it returns ``None``, which a
+    # list never is; chaining the blocks keeps ``next()`` in C
+    return chain.from_iterable(iter(partial(_block, draw, size), None))
+
+
 def lognormal_params(mean: float, cv: float) -> Tuple[float, float]:
     """Convert a (mean, coefficient-of-variation) pair to lognormal (mu, sigma).
 
@@ -179,25 +215,19 @@ def sample_truncated_normal(
     std: float,
     low: float,
     high: float,
-    size: Optional[int] = None,
-):
-    """Sample a normal clipped by rejection to ``[low, high]``.
+    size: int,
+) -> np.ndarray:
+    """Sample ``size`` normals clipped by rejection to ``[low, high]``.
 
     Rejection keeps the shape of the density inside the window (unlike
-    clipping, which piles mass on the bounds).  Falls back to clipping
-    after a bounded number of rounds, which can only occur for windows in
-    the extreme tail.
+    clipping, which piles mass on the bounds).  Each round draws twice
+    the values still missing (at least ``_MIN_ROUND_DRAWS``), so the
+    values depend on ``size``.  Falls back to clipping after a bounded
+    number of rounds, which can only occur for windows in the extreme
+    tail.
     """
     if low >= high:
         raise ValueError(f"empty interval [{low!r}, {high!r}]")
-    if size is None:
-        # the per-packet path: the same draws as ``size=1`` (one minimal
-        # round at a time, first draw inside the window) without the masks
-        for _ in range(_TRUNCATION_ROUNDS):
-            for draw in rng.normal(mean, std, size=_MIN_ROUND_DRAWS).tolist():
-                if low <= draw <= high:
-                    return draw
-        return float(np.clip(rng.normal(mean, std, size=1), low, high)[0])
     want = int(size)
     out = np.empty(want, dtype=float)
     filled = 0

@@ -122,11 +122,6 @@ class TestPayloadModel:
         assert samples.min() >= 24
         assert samples.max() <= 72
 
-    def test_scalar_sample(self, rng):
-        model = PayloadModel.targeting(39.7, 5.5, 24.0, 72.0)
-        value = model.sample(rng)
-        assert isinstance(value, int)
-
 
 class TestProtocolModel:
     def test_from_profile_hits_table3_means(self):

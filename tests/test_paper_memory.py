@@ -1,7 +1,8 @@
 """Memory bounds of the paper analyses that held data nothing reads.
 
-Fig 5's six-hour, 10 ms count window and Figs 12/13's packet-size
-distributions once set the `paper` reproduction's peak memory.  Each is
+Fig 5's six-hour, 10 ms count window, Figs 12/13's packet-size
+distributions and the week's per-second series once set the `paper`
+reproduction's peak memory.  Each is
 measured here with ``tracemalloc`` above a warmed seed-0 week (the
 population, the default packet window and the per-second series that
 every paper run shares), so the bounds hold the analysis's own
@@ -17,7 +18,11 @@ import pytest
 
 from repro.experiments import fig1, fig5, fig12, table1, table2
 from repro.workloads import scenarios
-from repro.workloads.scenarios import clear_scenario_cache, olygamer_packet_sizes
+from repro.workloads.scenarios import (
+    clear_scenario_cache,
+    olygamer_packet_sizes,
+    olygamer_scenario,
+)
 
 MB = 1 << 20
 
@@ -62,3 +67,12 @@ def test_fig12_peak(warm_week):
     scenarios._packet_size_cache.clear()
     peak, _ = _traced(lambda: fig12.run(0))
     assert peak <= 45 * MB, f"fig12 peaked {peak / MB:.1f} MB above the warm week"
+
+
+def test_per_second_peak(warm_week):
+    # the four returned columns are 18.5 MB of it
+    per_second = olygamer_scenario(0).fluid_generator.per_second
+    peak, _ = _traced(per_second)
+    assert peak <= 35 * MB, (
+        f"the per-second series peaked {peak / MB:.1f} MB above the warm week"
+    )

@@ -87,6 +87,9 @@ GOLDEN_WEEK = {
     "high_resolution_window": "b3f73b69d8346f3d",
 }
 
+#: The week's per-second series at a second seed.
+GOLDEN_WEEK_SEED7_PER_SECOND_SERIES = "1f2b59a6920d05aa"
+
 
 @pytest.fixture(scope="module")
 def week():
@@ -112,6 +115,11 @@ def test_week_default_packet_window_column(week, column):
 
 def test_week_per_second_series(week):
     assert _series_digest(week.per_second_series()) == GOLDEN_WEEK["per_second_series"]
+
+
+def test_week_seed7_per_second_series():
+    series = Scenario(olygamer_week(), seed=7).per_second_series()
+    assert _series_digest(series) == GOLDEN_WEEK_SEED7_PER_SECOND_SERIES
 
 
 def test_week_high_resolution_window(week):

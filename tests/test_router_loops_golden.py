@@ -93,24 +93,24 @@ def _behind_device():
 
 #: 20 clients for 30 s at seed 1, direct to the server.
 GOLDEN_CLEAN = {
-    "trace": "879594017e3f6d60",
-    "executed": 44943,
-    "freeze_seconds": "0.13818015883855772",
+    "trace": "9dab1f0b2c4f1667",
+    "executed": 44814,
+    "freeze_seconds": "0.11304058262521643",
     "timeouts": 0,
     "players": 20,
-    "clients": "63ac60eb82c589e7",
+    "clients": "b52819b20c5b86d1",
 }
 
 #: The same run with both directions through the default live device.
 GOLDEN_BEHIND = {
-    "trace": "111ae11da468cd2d",
-    "executed": 66936,
-    "freeze_seconds": "0.14118182499450516",
+    "trace": "943efc03fd4d7c34",
+    "executed": 66810,
+    "freeze_seconds": "0.11604224878116387",
     "timeouts": 0,
     "players": 20,
-    "clients": "bb659b41c22cb801",
-    "device": (11884, 11762, 122, 10276, 10276, 0),
-    "delays": "94238ac51ee0e72d",
+    "clients": "f2e87c7500d5c13f",
+    "device": (11852, 11735, 117, 10265, 10265, 0),
+    "delays": "b788aa3075a32fe8",
 }
 
 #: Seed and device seed of the profile variants below (20 clients, 30 s,
@@ -134,37 +134,37 @@ def _behind_variant(profile: DeviceProfile):
 #: Device variants that reach the branches the default profile does not:
 #: constant service (``service_cv=0``), a one-slot LAN buffer (outbound
 #: drops), and stalls long enough that both ends time out (the client's
-#: send-event cancel and the server's liveness sweep).
+#: liveness rule and the server's liveness sweep).
 GOLDEN_VARIANTS = {
     "constant_service": {
-        "trace": "3ba69cbcbbc916a7",
-        "executed": 66144,
-        "freeze_seconds": "0.006414036734391004",
+        "trace": "4ee5f00480ad4bb8",
+        "executed": 66236,
+        "freeze_seconds": "0.00691398898045037",
         "timeouts": 0,
         "players": 20,
-        "clients": "96d5ed76d569d5fe",
-        "device": (11776, 11591, 185, 10143, 10143, 0),
-        "delays": "28d0449b8837bb8c",
+        "clients": "a5a7a96b4f9c4373",
+        "device": (11759, 11568, 191, 10190, 10190, 0),
+        "delays": "5132c8b0b2a08a72",
     },
     "lan_queue_1": {
-        "trace": "bee1e52525245923",
-        "executed": 49217,
-        "freeze_seconds": "0.01229568906362033",
+        "trace": "c32b3fec73e6d6b2",
+        "executed": 49802,
+        "freeze_seconds": "0.006975243745888093",
         "timeouts": 0,
         "players": 19,
-        "clients": "8951a1c8a2bec842",
-        "device": (11510, 11363, 147, 10040, 2098, 7942),
-        "delays": "8f1bfa1fa5e3ed3f",
+        "clients": "23b2edc74554ccd0",
+        "device": (11699, 11550, 149, 10134, 2056, 8078),
+        "delays": "9c418e691a5b5b5f",
     },
     "long_stalls": {
-        "trace": "bb7a3149668c9768",
-        "executed": 10934,
+        "trace": "daed8332677a2852",
+        "executed": 10923,
         "freeze_seconds": "0.0",
         "timeouts": 20,
         "players": 0,
-        "clients": "5931ba1abbb06601",
-        "device": (3209, 955, 2254, 993, 993, 0),
-        "delays": "1515473a9890d940",
+        "clients": "08d21c179ed39662",
+        "device": (3218, 947, 2271, 987, 987, 0),
+        "delays": "e555eb7bfdedf61a",
     },
 }
 

@@ -37,7 +37,7 @@ class TestScheduling:
 
     def test_negative_delay_raises(self):
         with pytest.raises(SimulationError):
-            EventScheduler().schedule_in(-1.0, lambda: None)
+            EventScheduler().call_in(-1.0, lambda: None)
 
     def test_run_until_backwards_raises(self):
         sched = EventScheduler()
@@ -77,7 +77,7 @@ class TestOrdering:
         def chain():
             fired.append(sched.now)
             if len(fired) < 3:
-                sched.schedule_in(1.0, chain)
+                sched.call_in(1.0, chain)
 
         sched.schedule(1.0, chain)
         sched.run_until(math.inf)
@@ -143,7 +143,7 @@ class TestBounds:
         sched = EventScheduler()
 
         def storm():
-            sched.schedule_in(0.001, storm)
+            sched.call_in(0.001, storm)
 
         sched.schedule(0.0, storm)
         with pytest.raises(SimulationError):

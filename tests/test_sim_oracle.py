@@ -4,8 +4,8 @@
 fire-and-forget events and builds an :class:`~repro.sim.events.Event`
 only for the cancellable ones; ``tests/sim_reference.py`` keeps the
 scheduler that built a handle for every event.  Hypothesis draws random
-programs of ``schedule``, ``schedule_in``, ``call_at``/``call_in`` (a
-plain ``schedule``/``schedule_in`` on the oracle), cancels, periodic
+programs of ``schedule``, ``call_at``/``call_in`` (a plain
+``schedule``/``schedule_in`` on the oracle), cancels, periodic
 events and their stops, callbacks that schedule more events at the
 current time, priorities and tiled ``run_until`` horizons, with a
 final drain to ``inf`` (some before the clock, some with ``max_events``), and runs each
@@ -35,7 +35,7 @@ _TIME = st.one_of(
     st.sampled_from([-0.5, float("nan")]),
 )
 _PRIORITY = st.integers(-1, 1)
-_POST_KIND = st.sampled_from(["schedule", "schedule_in", "call_at", "call_in"])
+_POST_KIND = st.sampled_from(["schedule", "call_at", "call_in"])
 
 #: What a callback does when it runs.
 _LEAF_ACTION = st.one_of(
@@ -108,10 +108,8 @@ def _execute(sched: Any, program: List[tuple], fire_and_forget: bool) -> List[tu
             event = sched.schedule(when, callback, priority)
             if kind == "schedule":
                 handles.append(event)
-        elif kind == "schedule_in" or not fire_and_forget:
-            event = sched.schedule_in(when, callback, priority)
-            if kind == "schedule_in":
-                handles.append(event)
+        elif not fire_and_forget:
+            sched.schedule_in(when, callback, priority)
         elif kind == "call_at":
             assert sched.call_at(when, callback, priority) is None
         else:

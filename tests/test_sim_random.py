@@ -9,6 +9,7 @@ from repro.matchmaking.columnar import _DurationSource, _DurationStream
 from repro.sim.random import (
     RandomStreams,
     derive_seed,
+    drawn_in_blocks,
     lognormal_params,
     pcg64_state,
     sample_lognormal,
@@ -75,37 +76,38 @@ class TestLognormal:
             lognormal_params(10.0, -0.5)
 
 
+class TestDrawnInBlocks:
+    """A block-drawn stream yields what one draw at a time would."""
+
+    @settings(deadline=None)
+    @given(
+        distribution=st.sampled_from(["random", "normal", "lognormal"]),
+        block=st.integers(1, 64),
+        draws=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_single_draws(self, distribution, block, draws, seed):
+        args = {"random": (), "normal": (3.0, 2.0), "lognormal": (-1.0, 0.7)}[
+            distribution
+        ]
+        single = getattr(np.random.default_rng(seed), distribution)
+        blocks = getattr(np.random.default_rng(seed), distribution)
+        stream = drawn_in_blocks(lambda size: blocks(*args, size=size), block)
+        expected = [single(*args) for _ in range(draws)]
+        got = [next(stream) for _ in range(draws)]
+        assert got == expected
+        assert all(type(value) is float for value in got)
+
+
 class TestTruncatedNormal:
     def test_respects_bounds(self, rng):
         samples = sample_truncated_normal(rng, 100.0, 50.0, 20.0, 150.0, size=10_000)
         assert samples.min() >= 20.0
         assert samples.max() <= 150.0
 
-    def test_scalar_draw(self, rng):
-        value = sample_truncated_normal(rng, 40.0, 5.0, 20.0, 70.0)
-        assert isinstance(value, float)
-        assert 20.0 <= value <= 70.0
-
-    @pytest.mark.parametrize(
-        "window",
-        [
-            (40.0, 5.0, 20.0, 70.0),  # almost every draw lands inside
-            (0.0, 1.0, 2.5, 3.0),  # ~8% per round: often several rounds
-            (0.0, 1.0, 9.0, 10.0),  # far tail: all 64 rounds, then the clip
-        ],
-    )
-    def test_scalar_draw_matches_size_one(self, window):
-        scalar = np.random.default_rng(11)
-        array = np.random.default_rng(11)
-        for _ in range(40):
-            value = sample_truncated_normal(scalar, *window)
-            assert isinstance(value, float)
-            assert value == sample_truncated_normal(array, *window, size=1)[0]
-        assert scalar.bit_generator.state == array.bit_generator.state
-
     def test_empty_interval_raises(self, rng):
         with pytest.raises(ValueError):
-            sample_truncated_normal(rng, 0.0, 1.0, 5.0, 5.0)
+            sample_truncated_normal(rng, 0.0, 1.0, 5.0, 5.0, size=1)
 
     def test_mean_approximately_preserved_for_wide_window(self, rng):
         samples = sample_truncated_normal(rng, 50.0, 5.0, 0.0, 100.0, size=50_000)
